@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import AnalyticField, Grid, sample
+from .fields import AnalyticField, Grid, analytic_jet2, sample
 from .findiff import DEFAULT_STENCIL, StencilSpec, fd_jet2_at
 from .jets import Jet1, Jet2
 from .velocities import (
@@ -220,10 +220,6 @@ class CovarianceReport:
     skipped: int
 
 
-def _analytic_jet2(field: AnalyticField, point, t: float) -> Jet2:
-    return field.jet2(point, t)
-
-
 def _relative_deviation(a: Array, b: Array) -> float:
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
     if scale == 0.0:
@@ -238,7 +234,7 @@ def _two_path(field, amap, points, t, jet2_fn, compare):
     """
     if field.dim != amap.dim:
         raise ValueError(f"dimension mismatch: field {field.dim}, map {amap.dim}")
-    jet2_fn = jet2_fn or _analytic_jet2
+    jet2_fn = jet2_fn or analytic_jet2
     composed = AffineReparamField(field, amap)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[-1] != field.dim:

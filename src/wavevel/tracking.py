@@ -26,7 +26,7 @@ from scipy.optimize import brentq
 from .fields import AnalyticField, SampledField, canonical_time_axis
 from .findiff import DEFAULT_STENCIL, StencilSpec, fd_jet_field
 from .jets import JetField
-from .velocities import EPS_SINGULAR, AttributeSpec, first_order_velocity_nd
+from .velocities import AttributeSpec, _solve_order_one, first_order_velocity_nd
 
 Array = np.ndarray
 
@@ -129,7 +129,6 @@ class _JetInterpolator:
         the frame data alone, not of the iteration history.
         """
         x = np.array(x0, dtype=float)
-        n = x.size
         spacing = np.asarray(self.grid.spacing)
         length_scale = float(np.max(spacing))
         locked = None
@@ -150,11 +149,10 @@ class _JetInterpolator:
                 polished.add(tuple(locked))
                 locked = canonical  # converged off the root's own cell; re-polish there
                 continue
-            det = float(np.linalg.det(hess))
-            if abs(det) <= EPS_SINGULAR * frob**n:
+            step, valid, _ = _solve_order_one(hess, residual)  # step = -H^-1 r
+            if not valid:
                 raise SingularHessianError("singular Hessian at a Newton iterate")
-            step = np.linalg.solve(hess, residual)
-            x = x - step
+            x = x + step
             if not np.all(np.isfinite(x)):
                 raise NoConvergenceError("Newton iterate became non-finite")
             if locked is None and np.max(np.abs(step) / spacing) <= 0.5:
@@ -166,7 +164,7 @@ class _JetInterpolator:
         block, weights = self._block_and_weights(x)
         hess = self._contract(self.jets.hessian, block, weights)
         tmix = self._contract(self.jets.time_mixed, block, weights)
-        return _solve_first_order(hess, tmix)
+        return _solve_order_one(hess, tmix)[0]
 
     def crossing_speed_factor(self, x, axis: int) -> float:
         """``-psi_t / psi_xaxis`` at an off-grid point (N x order-zero component)."""
@@ -175,15 +173,6 @@ class _JetInterpolator:
         gi = self._contract(self.jets.grad[..., axis], block, weights)
         with np.errstate(divide="ignore", invalid="ignore"):
             return float(-pt / gi)
-
-
-def _solve_first_order(hess: Array, tmix: Array) -> Array:
-    n = hess.shape[0]
-    frob = float(np.sqrt(np.sum(hess * hess)))
-    det = float(np.linalg.det(hess))
-    if abs(det) <= EPS_SINGULAR * frob**n:
-        return np.full(n, np.nan)
-    return np.linalg.solve(hess, -tmix)
 
 
 def _newton_fixed_gradient(probe, x0, targets, length_scale: float,
@@ -195,17 +184,16 @@ def _newton_fixed_gradient(probe, x0, targets, length_scale: float,
     ``NEWTON_TOL * ||H||_F * length_scale``.
     """
     x = np.array(x0, dtype=float)
-    n = x.size
     for _ in range(max_iter):
         grad, hess = probe(x)
         residual = grad - targets
         frob = float(np.sqrt(np.sum(hess * hess)))
         if np.max(np.abs(residual)) <= NEWTON_TOL * frob * length_scale:
             return x
-        det = float(np.linalg.det(hess))
-        if abs(det) <= EPS_SINGULAR * frob**n:
+        step, valid, _ = _solve_order_one(hess, residual)  # step = -H^-1 r
+        if not valid:
             raise SingularHessianError("singular Hessian at a Newton iterate")
-        x = x - np.linalg.solve(hess, residual)
+        x = x + step
         if not np.all(np.isfinite(x)):
             raise NoConvergenceError("Newton iterate became non-finite")
     raise NoConvergenceError(f"no convergence in {max_iter} iterations")
@@ -348,19 +336,25 @@ def _track_gradient_analytic(field: AnalyticField, target, seed, frame_times) ->
     )
 
 
+def _crossing_cell(coords: Array, f: Array, near: float, lost: str) -> int:
+    """Index ``k`` of the cell ``coords[k]..coords[k+1]`` nearest to ``near`` in which
+    ``f`` changes sign (or starts at zero); AttributeLostError(lost) if there is none."""
+    lo = f[:-1]
+    hi = f[1:]
+    cells = np.nonzero((lo == 0.0) | (np.sign(lo) != np.sign(hi)))[0]
+    if cells.size == 0:
+        raise AttributeLostError(lost)
+    mid = 0.5 * (coords[cells] + coords[cells + 1])
+    return int(cells[np.argmin(np.abs(mid - near))])
+
+
 def _linear_crossing(coords: Array, values: Array, level: float, near: float) -> float:
     """Crossing of a sampled 1-d profile through ``level`` nearest to ``near``.
 
     Piecewise-linear interpolation; returns the crossing coordinate.
     """
     f = values - level
-    lo = f[:-1]
-    hi = f[1:]
-    cells = np.nonzero((lo == 0.0) | (np.sign(lo) != np.sign(hi)))[0]
-    if cells.size == 0:
-        raise AttributeLostError(f"no crossing of level {level} on the ray")
-    mid = 0.5 * (coords[cells] + coords[cells + 1])
-    k = cells[np.argmin(np.abs(mid - near))]
+    k = _crossing_cell(coords, f, near, f"no crossing of level {level} on the ray")
     if f[k] == 0.0:
         return float(coords[k])
     return float(coords[k] + (coords[k + 1] - coords[k]) * f[k] / (f[k] - f[k + 1]))
@@ -440,13 +434,7 @@ def _bracketed_root(fn, near: float, radius: float) -> float:
     """Root of a scalar function nearest to ``near`` within ``radius``."""
     samples = np.linspace(near - radius, near + radius, 65)
     values = np.array([fn(s) for s in samples])
-    lo = values[:-1]
-    hi = values[1:]
-    cells = np.nonzero((lo == 0.0) | (np.sign(lo) != np.sign(hi)))[0]
-    if cells.size == 0:
-        raise AttributeLostError("no level crossing within the search radius")
-    mid = 0.5 * (samples[cells] + samples[cells + 1])
-    k = cells[np.argmin(np.abs(mid - near))]
+    k = _crossing_cell(samples, values, near, "no level crossing within the search radius")
     if values[k] == 0.0:
         return float(samples[k])
     return float(brentq(fn, samples[k], samples[k + 1], xtol=1e-14, rtol=8.9e-16))

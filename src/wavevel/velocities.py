@@ -7,8 +7,11 @@ whenever ``psi_t != 0`` and transforms linearly under coordinate changes).
 
 Order one tracks a fixed spatial gradient (a peak, trough or saddle): the
 components solve ``H v = -d/dt grad(psi)`` with ``H`` the spatial Hessian.
-Dedicated Cramer forms exist for N = 2 and N = 3; the general route is a
-pivoted dense solve.  A singular Hessian is an expected regime and yields
+One kernel, :func:`_solve_order_one`, does the solve and owns the singularity
+rule.  Its Cramer route serves N <= 3 (``first_order_velocity_2d``, ``_3d``
+and the grid map); its pivoted route serves any N (the grid map for N >= 4,
+and ``first_order_velocity_nd``, the reference the Cramer route is checked
+against).  A singular Hessian is an expected regime and yields
 ``valid=False`` rather than an exception.
 
 The contraction of the order-zero reciprocals with the order-one components
@@ -156,77 +159,98 @@ def zero_order_velocity(jet, dim: int = None) -> ZeroOrderVelocity:
     return ZeroOrderVelocity(reciprocal, components)
 
 
-def _conditioning(det: float, frob: float, n: int, eps_singular: float):
-    threshold = eps_singular * frob**n
-    valid = abs(det) > threshold
-    cond = frob**n / abs(det) if det != 0.0 else np.inf
-    return valid, cond
+def _det3(c0, c1, c2):
+    """3x3 determinants from their columns, each a list of three entries."""
+    return (
+        c0[0] * (c1[1] * c2[2] - c2[1] * c1[2])
+        - c1[0] * (c0[1] * c2[2] - c2[1] * c0[2])
+        + c2[0] * (c0[1] * c1[2] - c1[1] * c0[2])
+    )
+
+
+def _cramer_det(cols):
+    """Determinants of N x N matrices (N <= 3) given as a list of N columns."""
+    if len(cols) == 3:
+        return _det3(*cols)
+    if len(cols) == 2:
+        return cols[0][0] * cols[1][1] - cols[1][0] * cols[0][1]
+    return cols[0][0]
+
+
+def _solve_order_one(h: Array, b: Array, ok=True, eps_singular: float = EPS_SINGULAR,
+                     pivoted: bool = None):
+    """The order-one solve ``H v = -b`` at one point or on a stack of points.
+
+    ``h`` is ``...xNxN``, ``b`` is ``...xN`` and ``ok`` marks the points whose
+    input jets are valid (True for a single point).  The Cramer route covers
+    N <= 3, the pivoted route (LU determinant and solve) any N; by default
+    Cramer is taken wherever it applies.  Returns ``(components, valid,
+    hessian_condition)``: components are NaN where not valid, and the
+    condition is ``||H||_F**N / |det H|``, inf where ``det H == 0`` or the
+    input is invalid.  A single point runs on plain floats and skips the
+    masking a stack needs.
+    """
+    n = h.shape[-1]
+    one = h.ndim == 2
+    if pivoted is None:
+        pivoted = n > 3
+    frob_n = (h * h).sum(axis=(-2, -1)) ** (n / 2)  # ||H||_F ** N
+    if pivoted:
+        if not one:  # LAPACK must not see the NaN entries of invalid input points
+            h = np.where(ok[..., None, None], h, np.eye(n))
+        det = np.linalg.det(h)
+    else:
+        # each column a list of its entries: floats at one point, views on a stack
+        cols = h.T.tolist() if one else [[h[..., i, j] for i in range(n)] for j in range(n)]
+        rhs = b.tolist() if one else [b[..., i] for i in range(n)]
+        det = _cramer_det(cols)
+    if one:
+        frob_n, det = float(frob_n), float(det)
+    valid = ok & (abs(det) > eps_singular * frob_n)
+    if one:
+        cond = frob_n / abs(det) if det != 0.0 else np.inf
+        if not valid:
+            return np.full(n, np.nan), valid, cond
+    else:
+        cond = np.divide(frob_n, abs(det), out=np.full(det.shape, np.inf), where=ok & (det != 0.0))
+        # a NaN right-hand side or denominator gives the invalid points NaN components
+        if pivoted:
+            h[~valid] = np.eye(n)
+            b = np.where(valid[..., None], b, np.nan)
+        else:
+            det = np.where(valid, det, np.nan)
+    if pivoted:
+        return np.linalg.solve(h, -b[..., None])[..., 0], valid, cond
+    comps = [-_cramer_det(cols[:j] + [rhs] + cols[j + 1 :]) / det for j in range(n)]
+    return (np.array(comps) if one else np.stack(comps, axis=-1)), valid, cond
+
+
+def _pointwise_order_one(jet: Jet2, eps_singular: float, pivoted: bool) -> FirstOrderVelocity:
+    return FirstOrderVelocity(
+        *_solve_order_one(jet.hessian, jet.time_mixed, True, eps_singular, pivoted)
+    )
 
 
 def first_order_velocity_2d(jet: Jet2, eps_singular: float = EPS_SINGULAR) -> FirstOrderVelocity:
     """Order-one velocity in 2-D via the closed Cramer form."""
     if jet.dim != 2:
         raise ValueError(f"expected a 2-d jet, got dimension {jet.dim}")
-    h = jet.hessian
-    b = jet.time_mixed
-    det = h[0, 0] * h[1, 1] - h[0, 1] * h[0, 1]
-    frob = float(np.sqrt(np.sum(h * h)))
-    valid, cond = _conditioning(det, frob, 2, eps_singular)
-    if not valid:
-        return FirstOrderVelocity(np.full(2, np.nan), False, cond)
-    vx = (h[0, 1] * b[1] - h[1, 1] * b[0]) / det
-    vy = (h[0, 1] * b[0] - h[0, 0] * b[1]) / det
-    return FirstOrderVelocity(np.array([vx, vy]), True, cond)
-
-
-def _det3(m: Array) -> float:
-    return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
+    return _pointwise_order_one(jet, eps_singular, pivoted=False)
 
 
 def first_order_velocity_3d(jet: Jet2, eps_singular: float = EPS_SINGULAR) -> FirstOrderVelocity:
     """Order-one velocity in 3-D via the four explicit determinants."""
     if jet.dim != 3:
         raise ValueError(f"expected a 3-d jet, got dimension {jet.dim}")
-    h = jet.hessian
-    b = jet.time_mixed
-    det = _det3(h)
-    frob = float(np.sqrt(np.sum(h * h)))
-    valid, cond = _conditioning(det, frob, 3, eps_singular)
-    if not valid:
-        return FirstOrderVelocity(np.full(3, np.nan), False, cond)
-    comps = np.empty(3)
-    for axis in range(3):
-        m = h.copy()
-        m[:, axis] = -b
-        comps[axis] = _det3(m) / det
-    return FirstOrderVelocity(comps, True, cond)
+    return _pointwise_order_one(jet, eps_singular, pivoted=False)
 
 
 def first_order_velocity_nd(jet: Jet2, eps_singular: float = EPS_SINGULAR) -> FirstOrderVelocity:
-    """Order-one velocity in any dimension via a pivoted dense solve."""
-    n = jet.dim
-    h = jet.hessian
-    b = jet.time_mixed
-    frob = float(np.sqrt(np.sum(h * h)))
-    if n == 1:
-        det = float(h[0, 0])
-        valid, cond = _conditioning(det, frob, 1, eps_singular)
-        if not valid:
-            return FirstOrderVelocity(np.full(1, np.nan), False, cond)
-        return FirstOrderVelocity(np.array([-b[0] / det]), True, cond)
-    det = float(np.linalg.det(h))
-    valid, cond = _conditioning(det, frob, n, eps_singular)
-    if not valid:
-        return FirstOrderVelocity(np.full(n, np.nan), False, cond)
-    try:
-        comps = np.linalg.solve(h, -b)
-    except np.linalg.LinAlgError:
-        return FirstOrderVelocity(np.full(n, np.nan), False, np.inf)
-    return FirstOrderVelocity(comps, True, cond)
+    """Order-one velocity in any dimension via a pivoted dense solve.
+
+    This is the reference route the Cramer forms are checked against.
+    """
+    return _pointwise_order_one(jet, eps_singular, pivoted=True)
 
 
 def contraction_scalar(v0: ZeroOrderVelocity, v1: FirstOrderVelocity) -> float:
@@ -300,24 +324,11 @@ def zero_order_velocity_field(jets: JetField) -> ZeroOrderVelocityField:
 def first_order_velocity_field(
     jets: JetField, eps_singular: float = EPS_SINGULAR
 ) -> FirstOrderVelocityField:
-    """Map the order-one solve over a jet field (batched, pivoted).
+    """Map the order-one solve over a jet field: Cramer for N <= 3, pivoted above.
 
     Singular-Hessian points are marked invalid, never silently zeroed.
     """
-    n = jets.dim
-    h = jets.hessian
-    b = jets.time_mixed
-    frob = np.sqrt(np.sum(h * h, axis=(-2, -1)))
-    safe_h = np.where(jets.valid[..., None, None], h, np.eye(n))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        det = np.linalg.det(safe_h)
-        det = np.where(jets.valid, det, np.nan)
-        valid = jets.valid & (np.abs(det) > eps_singular * frob**n)
-        cond = np.where(valid, frob**n / np.abs(det), np.inf)
-    solve_h = np.where(valid[..., None, None], h, np.eye(n))
-    rhs = np.where(valid[..., None], -b, 0.0)
-    comps = np.linalg.solve(solve_h, rhs[..., None])[..., 0]
-    comps[~valid] = np.nan
+    comps, valid, cond = _solve_order_one(jets.hessian, jets.time_mixed, jets.valid, eps_singular)
     return FirstOrderVelocityField(jets.grid, comps, valid, cond)
 
 

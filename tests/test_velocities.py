@@ -293,7 +293,8 @@ class TestContraction:
 
 class TestVelocityFields:
     def _jets(self, field, t=0.0):
-        grid = wv.make_grid(2, [24, 24], [0.1, 0.1], [-1.15, -1.15])
+        n = field.dim
+        grid = wv.make_grid(n, [24] * n, [0.1] * n, [-1.15] * n)
         return wv.analytic_jet_field(field, grid, t), grid
 
     def test_order1_translating_gaussian(self):
@@ -325,13 +326,19 @@ class TestVelocityFields:
         assert np.isnan(vf.components[4, 4]).all()
         assert vf.valid.sum() == 80
 
-    def test_matches_pointwise_ops(self):
-        jets, grid = self._jets(wv.TranslatingGaussian((0.4, 0.3), 1.0), t=0.2)
+    @pytest.mark.parametrize("field, t", [
+        (wv.TranslatingGaussian((0.4, 0.3), 1.0), 0.2),
+        (wv.TranslatingGaussian((0.4, 0.3, -0.2), 1.0), 0.2),
+        (wv.PlaneWave((1.3, 0.7), 3.0), 0.1),  # rank-one Hessian: singular everywhere
+    ])
+    def test_matches_pointwise_ops(self, field, t):
+        jets, grid = self._jets(field, t)
+        cramer = {2: wv.first_order_velocity_2d, 3: wv.first_order_velocity_3d}[grid.dim]
         v0f = wv.velocity_field(jets, 0)
         v1f = wv.velocity_field(jets, 1)
         rng = np.random.default_rng(31)
         for _ in range(25):
-            idx = tuple(rng.integers(0, 24, size=2))
+            idx = tuple(rng.integers(0, 24, size=grid.dim))
             jet = jets.jet2_at(idx)
             v0 = wv.zero_order_velocity(jet.jet1)
             assert v0f.components[idx] == pytest.approx(v0.components, rel=1e-13)
@@ -340,6 +347,11 @@ class TestVelocityFields:
             assert v1f.valid[idx] == v1.valid
             if v1.valid:
                 assert v1f.components[idx] == pytest.approx(v1.components, rel=1e-12)
+                assert v1f.hessian_condition[idx] == pytest.approx(v1.hessian_condition, rel=1e-12)
+            # below the singularity threshold only the grid's own (Cramer) route
+            # reproduces the rounding left in det H
+            assert v1f.hessian_condition[idx] == pytest.approx(cramer(jet).hessian_condition,
+                                                               rel=1e-12)
 
     def test_contraction_field_rigid_translation(self):
         jets, _ = self._jets(wv.TranslatingGaussian((0.7, 0.0), 1.0), t=0.1)
