@@ -36,34 +36,34 @@ print("contraction scalar over well-conditioned, non-stationary points:",
       f"mean {scalar[ok].mean():.6f}, max |err| {np.abs(scalar[ok] - 2).max():.1e}",
       " (= N = 2)")
 
-outdir = tempfile.mkdtemp(prefix="wavevel-demo-")
-csv_path = os.path.join(outdir, "peak_velocity.csv")
-wv.export_csv(csv_path, grid, {
-    "v1_1": v1.components[..., 0],
-    "v1_2": v1.components[..., 1],
-    "cond": v1.hessian_condition,
-    "valid": v1.valid,
-})
-print("wrote", csv_path)
+with tempfile.TemporaryDirectory(prefix="wavevel-demo-") as outdir:
+    csv_path = os.path.join(outdir, "peak_velocity.csv")
+    wv.export_csv(csv_path, grid, {
+        "v1_1": v1.components[..., 0],
+        "v1_2": v1.components[..., 1],
+        "cond": v1.hessian_condition,
+        "valid": v1.valid,
+    })
+    print("wrote", csv_path)
 
-try:
-    import matplotlib
+    try:
+        import matplotlib
 
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-except ImportError:
-    print("matplotlib not available; skipping the quiver figure")
-else:
-    pts = grid.points()
-    step = 3
-    sl = (slice(None, None, step), slice(None, None, step))
-    u = np.where(well, v1.components[..., 0], np.nan)
-    w = np.where(well, v1.components[..., 1], np.nan)
-    fig, ax = plt.subplots(figsize=(6, 6))
-    ax.contour(pts[..., 0], pts[..., 1], field.values[2], levels=8, linewidths=0.6)
-    ax.quiver(pts[sl + (0,)], pts[sl + (1,)], u[sl], w[sl], color="crimson", scale=12)
-    ax.set_aspect("equal")
-    ax.set_title("peak-velocity field of a translating bump")
-    fig_path = os.path.join(outdir, "peak_velocity.png")
-    fig.savefig(fig_path, dpi=130, bbox_inches="tight")
-    print("wrote", fig_path)
+        matplotlib.use("Agg")
+        import matplotlib.pyplot as plt
+    except ImportError:
+        print("matplotlib not available; skipping the quiver figure")
+    else:
+        pts = grid.points()
+        step = 3
+        sl = (slice(None, None, step), slice(None, None, step))
+        u = np.where(well, v1.components[..., 0], np.nan)
+        w = np.where(well, v1.components[..., 1], np.nan)
+        fig, ax = plt.subplots(figsize=(6, 6))
+        ax.contour(pts[..., 0], pts[..., 1], field.values[2], levels=8, linewidths=0.6)
+        ax.quiver(pts[sl + (0,)], pts[sl + (1,)], u[sl], w[sl], color="crimson", scale=12)
+        ax.set_aspect("equal")
+        ax.set_title("peak-velocity field of a translating bump")
+        fig_path = os.path.join(outdir, "peak_velocity.png")
+        fig.savefig(fig_path, dpi=130, bbox_inches="tight")
+        print("wrote", fig_path)

@@ -9,6 +9,7 @@ per named array, 17 significant digits, ``nan``/``inf`` spelled literally.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,7 +41,7 @@ class FieldFileHeader:
 
     @property
     def payload_doubles(self) -> int:
-        return self.frames * int(np.prod(self.shape))
+        return self.frames * math.prod(self.shape)  # Python ints: no int64 wrap
 
 
 def write_field(field: SampledField, path) -> None:

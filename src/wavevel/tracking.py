@@ -13,7 +13,10 @@ across axes; a single-axis crossing undoes the split).
 
 Both trackers accept a :class:`SampledField` (finite-difference jets,
 interpolated) or an analytic catalog field (exact evaluation), the latter
-mainly for calibration at machine accuracy.
+mainly for calibration at machine accuracy.  On a sampled field the jets are
+computed only on a small window of the grid around the tracked point, so a
+track costs O(frames) whatever the grid size; the window's jets are
+bit-identical to the full-grid jets where they are read.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .fields import AnalyticField, SampledField, canonical_time_axis
-from .findiff import DEFAULT_STENCIL, StencilSpec, fd_jet_field
+from .fields import AnalyticField, Grid, SampledField, canonical_time_axis
+from .findiff import DEFAULT_STENCIL, StencilSpec, _time_taps, fd_jet_field
 from .jets import JetField
 from .velocities import AttributeSpec, _solve_order_one, first_order_velocity_nd
 
@@ -32,6 +35,8 @@ Array = np.ndarray
 
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-8
+# cells a window extends beyond the interpolation block and the stencil reach
+_WINDOW_SLACK = 4
 
 
 class TrackingError(RuntimeError):
@@ -79,12 +84,49 @@ def _quad_weights(s: float) -> Array:
 
 
 class _JetInterpolator:
-    """Tensor-quadratic interpolation of jet-field arrays at off-grid points."""
+    """Tensor-quadratic interpolation of jet-field arrays at off-grid points.
 
-    def __init__(self, jets: JetField):
-        self.jets = jets
-        self.grid = jets.grid
-        self._shape = np.asarray(jets.grid.shape)
+    Jets are read through a window: a jet field on an index box of the grid
+    that equals the full-grid jets on its exact zone.  Given a
+    :class:`JetField` the window is the whole grid.  Given a frame of a
+    :class:`SampledField` the window is ``fd_jet_field`` on a box around the
+    interpolation block, recomputed when the block leaves the exact zone.
+    ``stencil_taps`` caps edge distances at ``deriv + order``, so every point
+    at least ``order + 2`` cells from a cut face (or on the grid's own faces)
+    gets the full grid's taps on the same values: bit-identical jets.
+    """
+
+    def __init__(self, jets: JetField | None = None, field: SampledField | None = None,
+                 frame: int = 0, spec: StencilSpec = DEFAULT_STENCIL,
+                 time_derivatives: bool = True):
+        self.grid = jets.grid if jets is not None else field.grid
+        self._shape = np.asarray(self.grid.shape)
+        self._field = field
+        self._frame = frame
+        self._spec = spec
+        self._time_derivatives = time_derivatives
+        self._jets = jets
+        self._lo = np.zeros(self.grid.dim, dtype=int)
+        # inclusive index bounds of the window's exact zone; None: no window yet
+        self._exact = (self._lo, self._shape - 1) if jets is not None else None
+
+    def _window(self, anchor):
+        """Window jets exact on the block around ``anchor``, and their index offset."""
+        exact = self._exact
+        if exact is None or np.any(anchor - 1 < exact[0]) or np.any(anchor + 1 > exact[1]):
+            reach = self._spec.order + 2
+            half = 1 + reach + _WINDOW_SLACK
+            lo = np.maximum(anchor - half, 0)
+            hi = np.minimum(anchor + half + 1, self._shape)
+            box = (slice(None),) + tuple(slice(a, b) for a, b in zip(lo, hi))
+            grid = Grid(tuple(hi - lo), self.grid.spacing, tuple(self.grid.point(lo)))
+            field = self._field
+            sub = SampledField(grid, field.t0, field.dt, field.values[box])
+            self._jets = fd_jet_field(sub, self._frame, self._spec, self._time_derivatives)
+            self._lo = lo
+            self._exact = (np.where(lo > 0, lo + reach, 0),
+                           np.where(hi < self._shape, hi - 1 - reach, self._shape - 1))
+        return self._jets, self._lo
 
     def _anchor(self, fid) -> np.ndarray:
         return np.clip(np.rint(fid).astype(int), 1, self._shape - 2)
@@ -95,8 +137,9 @@ class _JetInterpolator:
             raise AttributeLostError(f"point {np.asarray(x)} left the grid")
         if anchor is None:
             anchor = self._anchor(fid)
-        block = tuple(slice(a - 1, a + 2) for a in anchor)
-        if not np.all(self.jets.valid[block]):
+        jets, lo = self._window(anchor)
+        block = tuple(slice(a - 1, a + 2) for a in anchor - lo)
+        if not np.all(jets.valid[block]):
             raise AttributeLostError(
                 f"point {np.asarray(x)} left the valid interior of the jet field"
             )
@@ -105,15 +148,15 @@ class _JetInterpolator:
             shape = [1] * self.grid.dim
             shape[a] = 3
             weights = weights * _quad_weights(float(s)).reshape(shape)
-        return block, weights
+        return jets, block, weights
 
     def _contract(self, arr, block, weights):
         return np.tensordot(weights, arr[block], axes=self.grid.dim)
 
     def gradient_hessian(self, x, anchor=None):
-        block, weights = self._block_and_weights(x, anchor)
-        grad = self._contract(self.jets.grad, block, weights)
-        hess = self._contract(self.jets.hessian, block, weights)
+        jets, block, weights = self._block_and_weights(x, anchor)
+        grad = self._contract(jets.grad, block, weights)
+        hess = self._contract(jets.hessian, block, weights)
         return grad, hess
 
     def newton_fixed_gradient(self, x0, targets, max_iter: int = NEWTON_MAX_ITER):
@@ -161,16 +204,16 @@ class _JetInterpolator:
 
     def first_order_components(self, x) -> Array:
         """Order-one velocity at an off-grid point; NaN vector when singular."""
-        block, weights = self._block_and_weights(x)
-        hess = self._contract(self.jets.hessian, block, weights)
-        tmix = self._contract(self.jets.time_mixed, block, weights)
+        jets, block, weights = self._block_and_weights(x)
+        hess = self._contract(jets.hessian, block, weights)
+        tmix = self._contract(jets.time_mixed, block, weights)
         return _solve_order_one(hess, tmix)[0]
 
     def crossing_speed_factor(self, x, axis: int) -> float:
         """``-psi_t / psi_xaxis`` at an off-grid point (N x order-zero component)."""
-        block, weights = self._block_and_weights(x)
-        pt = self._contract(self.jets.dpsi_dt, block, weights)
-        gi = self._contract(self.jets.grad[..., axis], block, weights)
+        jets, block, weights = self._block_and_weights(x)
+        pt = self._contract(jets.dpsi_dt, block, weights)
+        gi = self._contract(jets.grad[..., axis], block, weights)
         with np.errstate(divide="ignore", invalid="ignore"):
             return float(-pt / gi)
 
@@ -290,18 +333,13 @@ def _track_gradient_sampled(field: SampledField, target, seed, spec) -> TrackRes
     computed = np.full((m, n), np.nan)
     x = grid.point(tuple(int(i) for i in seed))
     for frame in range(m):
-        jets = fd_jet_field(field, frame, spec)
-        if np.any(jets.valid):
-            newton_jets = jets
-            has_time = True
-        else:
-            # end frames under shrink-to-valid: no time window, track spatially
-            newton_jets = fd_jet_field(field, frame, spec, time_derivatives=False)
-            has_time = False
-        x = _JetInterpolator(newton_jets).newton_fixed_gradient(x, targets)
+        # end frames under shrink-to-valid have no time window: track spatially
+        has_time = _time_taps(field, frame, spec) is not None
+        interp = _JetInterpolator(field=field, frame=frame, spec=spec, time_derivatives=has_time)
+        x = interp.newton_fixed_gradient(x, targets)
         positions[frame] = x
         if has_time:
-            computed[frame] = _JetInterpolator(jets).first_order_components(x)
+            computed[frame] = interp.first_order_components(x)
     empirical = _empirical_velocity(positions, field.dt)
     return TrackResult(
         target.kind, field.times, positions, empirical, computed,
@@ -369,7 +407,11 @@ def _track_level_sampled(field: SampledField, target, seed, spec) -> TrackResult
     m = field.frames
     positions = np.empty((m, n))
     computed = np.full((m, n), np.nan)
-    jet_fields = [fd_jet_field(field, frame, spec) for frame in range(m)]
+    interps = [
+        _JetInterpolator(field=field, frame=frame, spec=spec)
+        if _time_taps(field, frame, spec) is not None else None
+        for frame in range(m)
+    ]
     for axis in range(n):
         coords = grid.axis_coordinates(axis)
         ray = seed[:axis] + (slice(None),) + seed[axis + 1 :]
@@ -378,14 +420,12 @@ def _track_level_sampled(field: SampledField, target, seed, spec) -> TrackResult
             s = _linear_crossing(coords, field.values[frame][ray], target.level, near)
             positions[frame, axis] = s
             near = s
-            jets = jet_fields[frame]
-            if np.any(jets.valid):
+            interp = interps[frame]
+            if interp is not None:
                 point = grid.point(seed)
                 point[axis] = s
                 try:
-                    computed[frame, axis] = _JetInterpolator(jets).crossing_speed_factor(
-                        point, axis
-                    )
+                    computed[frame, axis] = interp.crossing_speed_factor(point, axis)
                 except AttributeLostError:
                     pass
     empirical = _empirical_velocity(positions, field.dt)

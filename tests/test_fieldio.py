@@ -1,5 +1,7 @@
 """Binary format round-trip and CSV contract tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,18 @@ class TestRejection:
         header_len = 9 + 4 + 4 + 8 + 8 + 16
         path.write_bytes(bytes(data[:header_len] + data[header_len:][: 2 * 4 * 8]))
         with pytest.raises(wv.FieldFormatError, match="invalid field description"):
+            wv.read_field(path)
+
+    def test_header_size_overflowing_int64(self, tmp_path):
+        # 2^21 * 2^21 * 2^22 = 2^64 doubles wraps to 0 in int64; no payload follows
+        shape = (2**21, 2**21, 2**22)
+        header = wv.fieldio.MAGIC + struct.pack("<B", 3) + struct.pack("<3I", *shape)
+        header += struct.pack("<I", 1) + struct.pack("<3d", 1.0, 1.0, 1.0)
+        header += struct.pack("<3d", 0.0, 0.0, 0.0) + struct.pack("<dd", 0.0, 0.1)
+        path = tmp_path / "huge.wvf"
+        path.write_bytes(header)
+        assert wv.read_header(path).payload_doubles == 2**64
+        with pytest.raises(wv.FieldFormatError, match="truncated payload"):
             wv.read_field(path)
 
 

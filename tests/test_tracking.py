@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import wavevel as wv
+from wavevel import tracking
+from wavevel.tracking import AttributeLostError, _JetInterpolator
 
 PEAK = wv.AttributeSpec.gradient_set((0.0, 0.0))
+BOUNDARIES = ("shrink-to-valid", "one-sided")
 
 
 def _sampled_gaussian(sigma=3.0, c=(0.7, 0.0), h=0.05, dt=0.02, npts=64, frames=9):
@@ -193,3 +196,162 @@ class TestAttributeSpec:
         assert a.kind == "level-set" and a.level == 0.25
         b = wv.AttributeSpec.gradient_set((0.1, 0.2))
         assert b.kind == "gradient-set" and b.gradient_targets == (0.1, 0.2)
+
+
+# --------------------------------------------------------------------------
+# windowed jets: tracking on a SampledField reads fd jets through small
+# windows of the grid; they must equal the full-grid jets bit for bit
+
+
+def _interpolated(interp, x):
+    """Interpolated gradient, Hessian, time_mixed and dpsi_dt at ``x``, or the
+    AttributeLostError message when the point has no valid block."""
+    try:
+        jets, block, weights = interp._block_and_weights(x)
+    except AttributeLostError as exc:
+        return str(exc)
+    return [interp._contract(getattr(jets, name), block, weights)
+            for name in ("grad", "hessian", "time_mixed", "dpsi_dt")]
+
+
+def _assert_same(windowed, full):
+    if isinstance(full, str):
+        assert windowed == full
+        return
+    assert not isinstance(windowed, str), windowed
+    for w, f in zip(windowed, full):
+        assert np.array_equal(w, f)
+
+
+def _random_field(dim, frames=9, seed=5):
+    rng = np.random.default_rng(seed)
+    n = 40 if dim == 2 else 28  # wider than every window, so windows are cut
+    grid = wv.make_grid(dim, (n,) * dim, 0.05, -0.3)
+    return wv.SampledField(grid, 0.1, 0.02, rng.standard_normal((frames,) + grid.shape))
+
+
+class TestWindowedJets:
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize("order", (2, 4))
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_windows_equal_full_grid_jets(self, dim, order, boundary):
+        field = _random_field(dim)
+        spec = wv.StencilSpec(order, boundary)
+        top = np.asarray(field.grid.shape) - 1.0
+        mid = top / 2
+        fids = [
+            mid + 0.3,  # interior
+            np.where(np.arange(dim) == 0, 0.3, mid),  # at a grid face
+            np.where(np.arange(dim) == 0, top, mid - 0.4),  # on a grid face
+            top - 0.2,  # at a grid corner
+            np.zeros(dim),  # on a grid corner
+        ]
+        # end frames: no time window under shrink-to-valid, so also spatial-only jets
+        cases = [(field.frames // 2, True), (0, True), (0, False), (field.frames - 1, False)]
+        for frame, time_derivatives in cases:
+            full = _JetInterpolator(wv.fd_jet_field(field, frame, spec, time_derivatives))
+            for fid in fids:
+                x = field.grid.point(fid)
+                # a fresh interpolator opens its first window at this point
+                windowed = _JetInterpolator(field=field, frame=frame, spec=spec,
+                                            time_derivatives=time_derivatives)
+                expected = _interpolated(full, x)
+                _assert_same(_interpolated(windowed, x), expected)
+                if not isinstance(expected, str):
+                    assert windowed._jets.grid.npoints < field.grid.npoints
+
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_point_walking_out_of_its_window(self, dim, boundary):
+        field = _random_field(dim)
+        spec = wv.StencilSpec(4, boundary)
+        frame = field.frames // 2
+        full = _JetInterpolator(wv.fd_jet_field(field, frame, spec))
+        windowed = _JetInterpolator(field=field, frame=frame, spec=spec)
+        top = np.asarray(field.grid.shape) - 1.0
+        offsets = []
+        for s in np.linspace(0.0, 1.0, 41):
+            x = field.grid.point(s * top + 0.13)
+            _assert_same(_interpolated(windowed, x), _interpolated(full, x))
+            offsets.append(tuple(windowed._lo))
+        assert len(set(offsets)) >= 2  # the diagonal walk left its first window
+
+    def test_whole_jet_field_is_one_window(self):
+        field, grid, sf = _sampled_gaussian()
+        jets = wv.fd_jet_field(sf, 4)
+        interp = _JetInterpolator(jets)
+        seed = np.unravel_index(np.argmax(sf.values[4]), grid.shape)
+        x = interp.newton_fixed_gradient(grid.point(seed), np.zeros(2))
+        assert np.array_equal(x, wv.find_critical_point(jets, seed, PEAK))
+        for fid in ([1.2, 1.0], [62.0, 61.7], [30.4, 2.2], [4.4, 5.6]):
+            _interpolated(interp, grid.point(fid))
+        assert interp._jets is jets and not interp._lo.any()
+
+
+def _reference_track(field, target, seed, spec):
+    """The sampled trackers on full-grid fd jets of every frame (the result
+    windowed tracking must reproduce bit for bit)."""
+    grid = field.grid
+    n, m = grid.dim, field.frames
+    seed = tuple(int(i) for i in seed)
+    positions = np.empty((m, n))
+    computed = np.full((m, n), np.nan)
+    jet_fields = [wv.fd_jet_field(field, frame, spec) for frame in range(m)]
+    if target.kind == wv.AttributeSpec.GRADIENT_SET:
+        targets = np.asarray(target.gradient_targets, dtype=float)
+        x = grid.point(seed)
+        for frame, jets in enumerate(jet_fields):
+            has_time = bool(np.any(jets.valid))
+            newton_jets = jets if has_time else wv.fd_jet_field(
+                field, frame, spec, time_derivatives=False)
+            x = _JetInterpolator(newton_jets).newton_fixed_gradient(x, targets)
+            positions[frame] = x
+            if has_time:
+                computed[frame] = _JetInterpolator(jets).first_order_components(x)
+    else:
+        for axis in range(n):
+            coords = grid.axis_coordinates(axis)
+            ray = seed[:axis] + (slice(None),) + seed[axis + 1:]
+            near = coords[seed[axis]]
+            for frame, jets in enumerate(jet_fields):
+                s = tracking._linear_crossing(coords, field.values[frame][ray],
+                                              target.level, near)
+                positions[frame, axis] = near = s
+                if np.any(jets.valid):
+                    point = grid.point(seed)
+                    point[axis] = s
+                    try:
+                        computed[frame, axis] = _JetInterpolator(jets).crossing_speed_factor(
+                            point, axis)
+                    except AttributeLostError:
+                        pass
+    empirical = tracking._empirical_velocity(positions, field.dt)
+    return positions, computed, tracking._deviation(empirical, computed)
+
+
+class TestWindowedTracksUnchanged:
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize("kind", ("gradient", "level"))
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_tracks_equal_full_grid_reference(self, dim, kind, boundary):
+        npts = 48 if dim == 2 else 30
+        h = 0.05
+        grid = wv.make_grid(dim, (npts,) * dim, h, -(npts - 1) * h / 2)
+        velocity = (0.7, 0.3) if dim == 2 else (0.3, 0.2, -0.25)  # level rays keep crossing
+        bump = wv.TranslatingGaussian(velocity, 0.4)
+        field = wv.sample(bump, grid, 0.02 * np.arange(9) - 0.08)
+        spec = wv.StencilSpec(4, boundary)
+        if kind == "gradient":
+            target = wv.AttributeSpec.gradient_set((0.0,) * dim)
+            seed = np.unravel_index(np.argmax(field.values[0]), grid.shape)
+        else:
+            target = wv.AttributeSpec.level_set(0.5)
+            direction = np.array((1.0, 1.25, 0.9)[:dim])
+            point = 0.4 * np.sqrt(np.log(2.0)) * direction / np.linalg.norm(direction)
+            seed = tuple(int(i) for i in np.rint(grid.index_of(point)))
+        res = wv.track_attribute(field, target, seed, spec=spec)
+        positions, computed, deviation = _reference_track(field, target, seed, spec)
+        assert np.array_equal(res.positions, positions)
+        assert np.array_equal(res.computed_velocity, computed, equal_nan=True)
+        assert res.deviation == deviation
+        assert res.deviation <= 0.1  # a real track, not a lost one
