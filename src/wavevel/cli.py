@@ -18,7 +18,7 @@ from .covariance import (
     check_first_order_covariance,
     check_zero_order_covariance,
 )
-from .fieldio import export_csv, read_field, read_header, write_field
+from .fieldio import csv_cells, export_csv, read_field, read_header, write_field
 from .fields import SampledField, make_field, make_grid, sample
 from .findiff import StencilSpec, fd_jet_field
 from .tracking import TrackingError, track_attribute
@@ -201,12 +201,12 @@ def _write_track_csv(path, result) -> None:
         + [f"emp_{a + 1}" for a in range(n)]
         + [f"comp_{a + 1}" for a in range(n)]
     )
+    columns = [result.times, *result.positions.T,
+               *result.empirical_velocity.T, *result.computed_velocity.T]
+    rows = zip(*(csv_cells(c) for c in columns))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        for m in range(result.times.size):
-            row = [result.times[m], *result.positions[m],
-                   *result.empirical_velocity[m], *result.computed_velocity[m]]
-            fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _cmd_covcheck(args) -> int:

@@ -2,14 +2,24 @@
 
 The field file is a fixed little-endian layout: an 8-byte magic, the grid
 geometry, the time axis, then the raw float64 payload in C order (time
-slowest, then axis 1..N).  Round trips are bit-exact.  CSV is the
-interchange format for per-point arrays: coordinates first, then one column
-per named array, 17 significant digits, ``nan``/``inf`` spelled literally.
+slowest, then axis 1..N).  Round trips are bit-exact.  The reader parses the
+header from the file head, checks the declared payload size against the file
+length, and then reads the payload once, straight into the field's array.
+
+CSV is the interchange format for per-point arrays: coordinates ``x1..xN``
+first, then one column per named array, one row per grid point in row-major
+order.  Cells are 17 significant digits (``.17g``, so values read back
+exactly) with ``nan``/``inf``/``-inf`` spelled literally and booleans as
+0/1; :func:`csv_cells` is the one formatter, shared with the CLI's track
+CSV.  Rows are written in chunks of a fixed number of rows, each column of
+a chunk formatted in one pass, so memory beyond the inputs does not grow
+with the grid.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -89,28 +99,42 @@ def _parse_header(data: bytes, where: str):
     return header, pos
 
 
+# the largest header: magic, dim byte, and the fixed part for dim = 255
+_MAX_HEADER_BYTES = len(MAGIC) + 1 + 20 * 255 + 20
+
+
 def read_header(path) -> FieldFileHeader:
     """Decode and return only the header of a field file."""
-    header, _ = _parse_header(Path(path).read_bytes(), str(path))
+    with open(path, "rb") as fh:
+        header, _ = _parse_header(fh.read(_MAX_HEADER_BYTES), str(path))
     return header
 
 
 def read_field(path) -> SampledField:
-    """Read a field file back into a :class:`SampledField` (bit-exact)."""
-    data = Path(path).read_bytes()
-    header, pos = _parse_header(data, str(path))
-    expected = header.payload_doubles * 8
-    got = len(data) - pos
-    if got < expected:
+    """Read a field file back into a :class:`SampledField` (bit-exact).
+
+    The declared payload size is checked against the file length first; the
+    payload is then read once, straight into the returned array.
+    """
+    with open(path, "rb") as fh:
+        header, pos = _parse_header(fh.read(_MAX_HEADER_BYTES), str(path))
+        expected = header.payload_doubles * 8
+        got = os.fstat(fh.fileno()).st_size - pos
+        if got < expected:
+            raise FieldFormatError(
+                f"{path}: truncated payload, expected {expected} bytes, got {got}"
+            )
+        if got > expected:
+            raise FieldFormatError(
+                f"{path}: {got - expected} trailing bytes after the payload"
+            )
+        fh.seek(pos)
+        values = np.fromfile(fh, dtype="<f8", count=header.payload_doubles)
+    if values.size != header.payload_doubles:  # the file shrank while being read
         raise FieldFormatError(
-            f"{path}: truncated payload, expected {expected} bytes, got {got}"
+            f"{path}: truncated payload, expected {expected} bytes, got {values.nbytes}"
         )
-    if got > expected:
-        raise FieldFormatError(
-            f"{path}: {got - expected} trailing bytes after the payload"
-        )
-    values = np.frombuffer(data, dtype="<f8", count=header.payload_doubles, offset=pos)
-    values = values.reshape((header.frames,) + header.shape).astype(float)
+    values = values.reshape((header.frames,) + header.shape)
     try:
         grid = Grid(header.shape, header.spacing, header.origin)
         return SampledField(grid, header.t0, header.dt, values)
@@ -118,18 +142,33 @@ def read_field(path) -> SampledField:
         raise FieldFormatError(f"{path}: invalid field description: {exc}") from exc
 
 
-def _format_value(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    return format(float(v), ".17g")
+_CSV_CHUNK_ROWS = 4096  # rows formatted and written at a time; bounds memory
+_BOOL_CELLS = np.array(["0", "1"], dtype=object)
+
+
+def csv_cells(values) -> list:
+    """Format a 1-D array as CSV cells.
+
+    Booleans become ``0``/``1``; every other value is converted to ``float``
+    and written with 17 significant digits (``format(v, ".17g")``), so it
+    reads back exactly and ``nan``, ``inf``, ``-inf`` and ``-0`` are spelled
+    literally.
+    """
+    values = np.asarray(values)
+    if values.dtype == bool:
+        return _BOOL_CELLS[values.astype(np.intp)].tolist()
+    return ["%.17g" % v for v in values.astype(float).tolist()]
 
 
 def export_csv(path, grid: Grid, columns) -> None:
     """Write named per-point arrays as CSV.
 
-    ``columns`` maps column names to arrays shaped like the grid; boolean
-    arrays are written as 0/1.  Rows run in row-major grid order with the
-    point coordinates ``x1..xN`` leading.
+    ``columns`` maps column names to arrays shaped like the grid.  The header
+    row is ``x1..xN`` then the column names in mapping order; one row follows
+    per grid point in row-major order, cells formatted by :func:`csv_cells`
+    (``.17g``, booleans as 0/1).  Each axis's coordinates are formatted once;
+    rows are written in chunks of ``_CSV_CHUNK_ROWS``, each column of a chunk
+    formatted in one pass.
     """
     if not columns:
         raise ValueError("need at least one column to export")
@@ -143,10 +182,13 @@ def export_csv(path, grid: Grid, columns) -> None:
             )
         arrays.append(arr)
     coord_names = [f"x{a + 1}" for a in range(grid.dim)]
+    axes = [np.array(csv_cells(grid.axis_coordinates(a)), dtype=object)
+            for a in range(grid.dim)]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(coord_names + names) + "\n")
-        for idx in np.ndindex(grid.shape):
-            point = grid.point(idx)
-            cells = [_format_value(c) for c in point]
-            cells += [_format_value(arr[idx]) for arr in arrays]
-            fh.write(",".join(cells) + "\n")
+        for start in range(0, grid.npoints, _CSV_CHUNK_ROWS):
+            stop = min(start + _CSV_CHUNK_ROWS, grid.npoints)
+            index = np.unravel_index(np.arange(start, stop), grid.shape)
+            cells = [axis[i].tolist() for axis, i in zip(axes, index)]
+            cells += [csv_cells(arr.flat[start:stop]) for arr in arrays]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wavevel as wv
+import wavevel.cli
 from wavevel.cli import cli
 
 
@@ -23,6 +24,19 @@ GAUSS = ["--kind", "translating-gaussian", "--param", "velocity=0.7,0",
          "--param", "sigma=2.0"]
 WAVE = ["--kind", "plane-wave", "--param", "wave_vector=2,1",
         "--param", "angular_frequency=3"]
+
+
+def _reference_track_csv(path, result):
+    """The row-by-row track CSV writer the CLI used before: the byte reference."""
+    n = result.positions.shape[1]
+    names = (["t"] + [f"pos_{a + 1}" for a in range(n)]
+             + [f"emp_{a + 1}" for a in range(n)] + [f"comp_{a + 1}" for a in range(n)])
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(names) + "\n")
+        for m in range(result.times.size):
+            row = [result.times[m], *result.positions[m],
+                   *result.empirical_velocity[m], *result.computed_velocity[m]]
+            fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
 
 
 class TestGenerateInfo:
@@ -119,6 +133,36 @@ class TestTrack:
         lines = (tmp_path / "track.csv").read_text().splitlines()
         assert lines[0] == "t,pos_1,pos_2,emp_1,emp_2,comp_1,comp_2"
         assert len(lines) == 10
+
+    def test_track_csv_bytes_match_row_writer(self, tmp_path, monkeypatch):
+        path = _generate(tmp_path, GAUSS, frames=5, dt=0.02)
+        results = []
+
+        def recording_track(*args, **kwargs):
+            results.append(wv.track_attribute(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(wavevel.cli, "track_attribute", recording_track)
+        got = tmp_path / "track.csv"
+        assert cli(["track", str(path), "--attribute", "gradient-set",
+                    "--targets", "0,0", "--seed", "23,23", "--csv", str(got)]) == 0
+        want = tmp_path / "want.csv"
+        _reference_track_csv(want, results[0])
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_track_csv_special_values(self, tmp_path):
+        result = wv.TrackResult(
+            "gradient-set",
+            np.array([0.0, 0.1, 0.2]),
+            np.array([[-0.0, 1.0 / 3.0], [5e-324, 1e300], [2.5, -7.0]]),
+            np.array([[np.nan, np.inf], [-np.inf, 0.1], [np.nan, np.nan]]),
+            np.array([[0.7, -0.0], [np.nan, 1e-300], [0.7, 0.0]]),
+            0.0,
+        )
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        wavevel.cli._write_track_csv(got, result)
+        _reference_track_csv(want, result)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_track_tolerance_failure_exits_1(self, tmp_path):
         path = _generate(tmp_path, GAUSS, frames=9, dt=0.02)

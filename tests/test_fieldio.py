@@ -1,6 +1,7 @@
 """Binary format round-trip and CSV contract tests."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,21 @@ class TestRoundTrip:
         wv.write_field(field, p1)
         wv.write_field(wv.read_field(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_read_holds_one_copy_of_the_payload(self, tmp_path):
+        grid = wv.make_grid(2, [256, 256], [0.05, 0.05], [-6.4, -6.4])
+        values = np.random.default_rng(79).standard_normal((8,) + grid.shape)
+        path = tmp_path / "big.wvf"
+        wv.write_field(wv.SampledField(grid, 0.0, 0.01, values), path)
+        tracemalloc.start()
+        try:
+            back = wv.read_field(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.values, values)
+        assert back.values.flags.writeable
+        assert peak <= 1.2 * values.nbytes
 
     def test_header_dump(self, tmp_path):
         grid = wv.make_grid(2, [6, 7], [0.1, 0.2], [-1.0, 2.0])
@@ -113,6 +129,59 @@ class TestRejection:
             wv.read_field(path)
 
 
+def _reference_csv(path, grid, columns):
+    """The per-point CSV writer that ``export_csv`` replaced: the byte reference."""
+
+    def cell(v):
+        if isinstance(v, (bool, np.bool_)):
+            return "1" if v else "0"
+        return format(float(v), ".17g")
+
+    names = list(columns)
+    arrays = [np.asarray(columns[name]) for name in names]
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join([f"x{a + 1}" for a in range(grid.dim)] + names) + "\n")
+        for idx in np.ndindex(grid.shape):
+            cells = [cell(c) for c in grid.point(idx)]
+            cells += [cell(arr[idx]) for arr in arrays]
+            fh.write(",".join(cells) + "\n")
+
+
+SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3,
+                  1e300, -1e300, 1.0 / 3.0, 0.1]
+
+
+def _mixed_columns(grid, rng):
+    """Columns mixing special floats, bool, int64, float32 and strided views."""
+    floats = rng.standard_normal(grid.shape) * 10.0 ** rng.integers(-5, 6, size=grid.shape)
+    floats.flat[: len(SPECIAL_VALUES)] = SPECIAL_VALUES
+    floats.flat[-len(SPECIAL_VALUES):] = SPECIAL_VALUES
+    pairs = rng.standard_normal(grid.shape + (2,))
+    pairs[..., 1].flat[::7] = np.nan
+    ints = rng.integers(-(2**62), 2**62, size=grid.shape, dtype=np.int64)
+    ints.flat[:3] = [0, -1, 2**53 + 1]
+    singles = rng.standard_normal(grid.shape).astype(np.float32)
+    singles.flat[:2] = [np.nan, -0.0]
+    return {
+        "special": floats,
+        "v_1": pairs[..., 0],
+        "v_2": pairs[..., 1],
+        "valid": rng.random(grid.shape) > 0.3,
+        "count": ints,
+        "single": singles,
+    }
+
+
+# 1-D smaller than a chunk, 2-D exactly one chunk, 2-D and 3-D ending in a
+# partial chunk; the other three have non-zero, non-integer origins
+CSV_GRIDS = [
+    ((37,), (0.1,), (-1.3,)),
+    ((64, 64), (0.05, 0.2), (0.0, 0.0)),
+    ((67, 73), (0.05, 0.3), (-1.175, 2.0 / 3.0)),
+    ((17, 19, 23), (0.1, 0.07, 1.9), (-0.35, 1e-3, 12.5)),
+]
+
+
 class TestCsv:
     def test_format_contract(self, tmp_path):
         grid = wv.make_grid(2, [5, 5], [0.5, 0.5], [0.0, 0.0])
@@ -133,6 +202,44 @@ class TestCsv:
         assert lines[4].split(",")[2] == "-inf"
         # 17 significant digits round-trip
         assert float(lines[1].split(",")[2]) == 1.0 / 3.0
+
+    @pytest.mark.parametrize("shape, spacing, origin", CSV_GRIDS)
+    def test_bytes_match_per_point_writer(self, tmp_path, shape, spacing, origin):
+        grid = wv.Grid(shape, spacing, origin)
+        columns = _mixed_columns(grid, np.random.default_rng(grid.npoints))
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        wv.export_csv(got, grid, columns)
+        _reference_csv(want, grid, columns)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_grids_cover_the_chunk_cases(self):
+        chunk = wv.fieldio._CSV_CHUNK_ROWS
+        sizes = [int(np.prod(shape)) for shape, _, _ in CSV_GRIDS]
+        assert any(n < chunk for n in sizes)
+        assert any(n == chunk for n in sizes)
+        assert any(n > chunk and n % chunk for n in sizes)
+
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path):
+        def peak(n):
+            grid = wv.make_grid(2, [n, n], [0.01, 0.01], [-0.5, 0.25])
+            rng = np.random.default_rng(n)
+            pairs = rng.standard_normal(grid.shape + (2,))
+            columns = {
+                "v1_1": pairs[..., 0],
+                "v1_2": pairs[..., 1],
+                "cond": rng.standard_normal(grid.shape) * 1e6,
+                "scalar": rng.standard_normal(grid.shape),
+                "single": rng.standard_normal(grid.shape).astype(np.float32),
+                "valid": rng.random(grid.shape) > 0.5,
+            }
+            tracemalloc.start()
+            try:
+                wv.export_csv(tmp_path / f"m{n}.csv", grid, columns)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(512) <= 1.5 * peak(128)
 
     def test_empty_columns_rejected(self, tmp_path):
         grid = wv.make_grid(1, [5], [1.0], [0.0])
