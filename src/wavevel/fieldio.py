@@ -134,10 +134,10 @@ def read_field(path) -> SampledField:
         raise FieldFormatError(
             f"{path}: truncated payload, expected {expected} bytes, got {values.nbytes}"
         )
-    values = values.reshape((header.frames,) + header.shape)
     try:
-        grid = Grid(header.shape, header.spacing, header.origin)
-        return SampledField(grid, header.t0, header.dt, values)
+        grid = Grid(header.shape, header.spacing, header.origin)  # before reshaping to it
+        return SampledField(grid, header.t0, header.dt,
+                            values.reshape((header.frames,) + grid.shape))
     except ValueError as exc:
         raise FieldFormatError(f"{path}: invalid field description: {exc}") from exc
 

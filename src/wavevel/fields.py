@@ -57,7 +57,7 @@ class Grid:
 
     @property
     def npoints(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)  # Python ints: no int64 wrap
 
     def axis_coordinates(self, axis: int) -> Array:
         """Coordinates of the grid points along one axis."""

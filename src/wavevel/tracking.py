@@ -1,9 +1,9 @@
 """Empirical velocity oracles: follow attribute points across time frames.
 
 Gradient attributes (peaks, troughs, saddles, or any fixed-gradient point)
-are located per frame by Newton iteration on quadratically interpolated
-jets, then differenced in time; the measured motion is compared against the
-order-one velocity evaluated at the tracked points.
+are located per frame by Newton iteration on the frame's jets, then
+differenced in time; the measured motion is compared against the order-one
+velocity evaluated at the tracked points.
 
 Value attributes are tracked per coordinate axis: the crossing of the level
 along a ray through the seed, holding the other coordinates fixed.  That
@@ -11,9 +11,12 @@ per-axis crossing speed equals ``-psi_t / psi_xi``, i.e. N times the
 order-zero component (the 1/N coefficient splits the attribute motion
 across axes; a single-axis crossing undoes the split).
 
-Both trackers accept a :class:`SampledField` (finite-difference jets,
-interpolated) or an analytic catalog field (exact evaluation), the latter
-mainly for calibration at machine accuracy.  On a sampled field the jets are
+Both trackers read each frame through a frame source with one interface:
+:class:`_JetInterpolator` for a :class:`SampledField` (finite-difference
+jets, quadratically interpolated) and :class:`_ExactJets` for an analytic
+catalog field (exact evaluation, mainly for calibration at machine
+accuracy).  There is one Newton loop, :func:`_newton_fixed_gradient`, and
+one frame loop per attribute kind.  On a sampled field the jets are
 computed only on a small window of the grid around the tracked point, so a
 track costs O(frames) whatever the grid size; the window's jets are
 bit-identical to the full-grid jets where they are read.
@@ -83,8 +86,13 @@ def _quad_weights(s: float) -> Array:
     return np.array([0.5 * s * (s - 1.0), 1.0 - s * s, 0.5 * s * (s + 1.0)])
 
 
+def _crossing_speed(psi_t, grad_axis) -> float:
+    """``-psi_t / psi_xaxis`` (N x order-zero component); NaN where psi_xaxis is 0."""
+    return float(-psi_t / grad_axis) if grad_axis != 0.0 else np.nan
+
+
 class _JetInterpolator:
-    """Tensor-quadratic interpolation of jet-field arrays at off-grid points.
+    """Frame source on sampled data: tensor-quadratic interpolation of jets.
 
     Jets are read through a window: a jet field on an index box of the grid
     that equals the full-grid jets on its exact zone.  Given a
@@ -94,12 +102,16 @@ class _JetInterpolator:
     ``stencil_taps`` caps edge distances at ``deriv + order``, so every point
     at least ``order + 2`` cells from a cut face (or on the grid's own faces)
     gets the full grid's taps on the same values: bit-identical jets.
+    Without time derivatives (an end frame with no time window) the
+    velocities it computes are NaN.
     """
 
     def __init__(self, jets: JetField | None = None, field: SampledField | None = None,
                  frame: int = 0, spec: StencilSpec = DEFAULT_STENCIL,
                  time_derivatives: bool = True):
         self.grid = jets.grid if jets is not None else field.grid
+        self.spacing = np.asarray(self.grid.spacing)
+        self.length_scale = float(np.max(self.spacing))
         self._shape = np.asarray(self.grid.shape)
         self._field = field
         self._frame = frame
@@ -131,6 +143,14 @@ class _JetInterpolator:
     def _anchor(self, fid) -> np.ndarray:
         return np.clip(np.rint(fid).astype(int), 1, self._shape - 2)
 
+    def anchor(self, x, locked=None) -> np.ndarray:
+        """Anchor of the interpolant at ``x``: ``locked`` while ``x`` stays within
+        1.5 cells of it, else the nearest grid point with a full 3^N block."""
+        fid = self.grid.index_of(x)
+        if locked is not None and not np.any(np.abs(fid - locked) > 1.5):
+            return locked
+        return self._anchor(fid)
+
     def _block_and_weights(self, x, anchor=None):
         fid = self.grid.index_of(x)
         if np.any(fid < 0.0) or np.any(fid > self._shape - 1):
@@ -159,95 +179,140 @@ class _JetInterpolator:
         hess = self._contract(jets.hessian, block, weights)
         return grad, hess
 
-    def newton_fixed_gradient(self, x0, targets, max_iter: int = NEWTON_MAX_ITER):
-        """Newton iteration for grad(psi)(x) = targets on interpolated jets.
-
-        The interpolant is anchored at the nearest grid point; once the step
-        drops below half a cell the anchor is frozen, so the final iterations
-        polish the root of one smooth local polynomial (the anchored
-        interpolant jumps by O(h^3) across cell midplanes, which would
-        otherwise stall the residual below its tolerance).  On convergence
-        the anchor is re-derived from the root and polishing repeats until
-        the anchor is its own fixpoint, which makes the result a function of
-        the frame data alone, not of the iteration history.
-        """
-        x = np.array(x0, dtype=float)
-        spacing = np.asarray(self.grid.spacing)
-        length_scale = float(np.max(spacing))
-        locked = None
-        polished = set()
-        for _ in range(max_iter):
-            anchor = locked if locked is not None else self._anchor(self.grid.index_of(x))
-            if locked is not None and np.any(np.abs(self.grid.index_of(x) - locked) > 1.5):
-                locked = None  # iterate escaped the locked cell; re-anchor
-                anchor = self._anchor(self.grid.index_of(x))
-            grad, hess = self.gradient_hessian(x, anchor)
-            residual = grad - targets
-            frob = float(np.sqrt(np.sum(hess * hess)))
-            if np.max(np.abs(residual)) <= NEWTON_TOL * frob * length_scale:
-                canonical = self._anchor(self.grid.index_of(x))
-                key = tuple(canonical)
-                if locked is None or np.array_equal(canonical, locked) or key in polished:
-                    return x
-                polished.add(tuple(locked))
-                locked = canonical  # converged off the root's own cell; re-polish there
-                continue
-            step, valid, _ = _solve_order_one(hess, residual)  # step = -H^-1 r
-            if not valid:
-                raise SingularHessianError("singular Hessian at a Newton iterate")
-            x = x + step
-            if not np.all(np.isfinite(x)):
-                raise NoConvergenceError("Newton iterate became non-finite")
-            if locked is None and np.max(np.abs(step) / spacing) <= 0.5:
-                locked = anchor
-        raise NoConvergenceError(f"no convergence in {max_iter} iterations")
-
     def first_order_components(self, x) -> Array:
         """Order-one velocity at an off-grid point; NaN vector when singular."""
+        if not self._time_derivatives:
+            return np.full(self.grid.dim, np.nan)
         jets, block, weights = self._block_and_weights(x)
         hess = self._contract(jets.hessian, block, weights)
         tmix = self._contract(jets.time_mixed, block, weights)
         return _solve_order_one(hess, tmix)[0]
 
+    def crossing(self, point, axis: int, level: float, near: float) -> float:
+        """Crossing of ``level`` nearest to ``near`` on the grid line through
+        ``point`` along ``axis`` (linear interpolation of the samples)."""
+        index = tuple(np.rint(self.grid.index_of(point)).astype(int))
+        ray = index[:axis] + (slice(None),) + index[axis + 1 :]
+        values = self._field.values[self._frame][ray]
+        return _linear_crossing(self.grid.axis_coordinates(axis), values, level, near)
+
     def crossing_speed_factor(self, x, axis: int) -> float:
         """``-psi_t / psi_xaxis`` at an off-grid point (N x order-zero component)."""
+        if not self._time_derivatives:
+            return np.nan
         jets, block, weights = self._block_and_weights(x)
         pt = self._contract(jets.dpsi_dt, block, weights)
         gi = self._contract(jets.grad[..., axis], block, weights)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return float(-pt / gi)
+        return _crossing_speed(pt, gi)
 
 
-def _newton_fixed_gradient(probe, x0, targets, length_scale: float,
-                           max_iter: int = NEWTON_MAX_ITER) -> Array:
-    """Newton iteration for grad(psi)(x) = targets.
+class _ExactJets:
+    """Frame source on an analytic field: exact jets at one time.
 
-    ``probe(x)`` returns the (interpolated or exact) gradient and Hessian.
+    The counterpart of :class:`_JetInterpolator` without a grid: the length
+    scale is 1 and there is one constant anchor, so Newton's anchor locking
+    never re-anchors.  Level crossings are bracketed roots within
+    ``search_radius`` of the previous crossing.
+    """
+
+    spacing = length_scale = 1.0
+    _ANCHOR = ()
+
+    def __init__(self, field: AnalyticField, t: float, search_radius: float):
+        self._field = field
+        self._t = t
+        self._search_radius = search_radius
+
+    def anchor(self, x, locked=None):
+        return self._ANCHOR
+
+    def gradient_hessian(self, x, anchor=None):
+        jet = self._field.jet2(x, self._t)
+        return jet.grad, jet.hessian
+
+    def first_order_components(self, x) -> Array:
+        """Order-one velocity (pivoted route); NaN vector when singular."""
+        return first_order_velocity_nd(self._field.jet2(x, self._t)).components
+
+    def crossing(self, point, axis: int, level: float, near: float) -> float:
+        """Crossing of ``level`` nearest to ``near`` on the line through ``point`` along ``axis``."""
+        def profile(s):
+            p = point.copy()
+            p[axis] = s
+            return float(self._field.value(p, self._t) - level)
+
+        return _bracketed_root(profile, near, self._search_radius)
+
+    def crossing_speed_factor(self, x, axis: int) -> float:
+        """``-psi_t / psi_xaxis`` at ``x`` (N x order-zero component)."""
+        jet = self._field.jet2(x, self._t)
+        return _crossing_speed(jet.dpsi_dt, jet.grad[axis])
+
+
+def _newton_fixed_gradient(source, x0, targets, max_iter: int = NEWTON_MAX_ITER) -> Array:
+    """Newton iteration for grad(psi)(x) = targets on one frame source.
+
     Converged when the residual max-norm drops below
-    ``NEWTON_TOL * ||H||_F * length_scale``.
+    ``NEWTON_TOL * ||H||_F * source.length_scale``.  On sampled data the
+    interpolant is anchored at the nearest grid point; once the step drops
+    below half a cell the anchor is frozen, so the final iterations polish
+    the root of one smooth local polynomial (the anchored interpolant jumps
+    by O(h^3) across cell midplanes, which would otherwise stall the
+    residual below its tolerance).  On convergence the anchor is re-derived
+    from the root and polishing repeats until the anchor is its own
+    fixpoint, which makes the result a function of the frame data alone,
+    not of the iteration history.  Exact jets have one constant anchor, so
+    their first convergence returns.
     """
     x = np.array(x0, dtype=float)
+    locked = None
+    polished = set()
     for _ in range(max_iter):
-        grad, hess = probe(x)
+        anchor = source.anchor(x, locked)
+        if anchor is not locked:
+            locked = None  # not locked, or the iterate escaped the locked cell
+        grad, hess = source.gradient_hessian(x, anchor)
         residual = grad - targets
         frob = float(np.sqrt(np.sum(hess * hess)))
-        if np.max(np.abs(residual)) <= NEWTON_TOL * frob * length_scale:
-            return x
+        if np.max(np.abs(residual)) <= NEWTON_TOL * frob * source.length_scale:
+            canonical = source.anchor(x)
+            if locked is None or np.array_equal(canonical, locked) or tuple(canonical) in polished:
+                return x
+            polished.add(tuple(locked))
+            locked = canonical  # converged off the root's own cell; re-polish there
+            continue
         step, valid, _ = _solve_order_one(hess, residual)  # step = -H^-1 r
         if not valid:
             raise SingularHessianError("singular Hessian at a Newton iterate")
         x = x + step
         if not np.all(np.isfinite(x)):
             raise NoConvergenceError("Newton iterate became non-finite")
+        if locked is None and np.max(np.abs(step) / source.spacing) <= 0.5:
+            locked = anchor
     raise NoConvergenceError(f"no convergence in {max_iter} iterations")
 
 
-def _gradient_targets(target) -> Array:
+def _gradient_targets(target, dim: int) -> Array:
     if isinstance(target, AttributeSpec):
         if target.kind != AttributeSpec.GRADIENT_SET:
             raise ValueError("critical-point search needs a gradient-set attribute")
-        return np.asarray(target.gradient_targets, dtype=float)
-    return np.asarray(target, dtype=float)
+        target = target.gradient_targets
+    targets = np.asarray(target, dtype=float)
+    if targets.shape != (dim,):
+        raise ValueError(f"targets must have shape ({dim},), got {targets.shape}")
+    return targets
+
+
+def _grid_seed(grid: Grid, seed) -> Array:
+    """Grid point at a seed index; ValueError unless it is N integer indices inside the grid."""
+    index = np.asarray(seed)
+    if (index.shape != (grid.dim,) or not np.issubdtype(index.dtype, np.integer)
+            or np.any(index < 0) or np.any(index >= grid.shape)):
+        raise ValueError(
+            f"seed must be {grid.dim} integer indices inside the grid shape {grid.shape}, "
+            f"got {seed!r}"
+        )
+    return grid.point(index)
 
 
 def find_critical_point(jets: JetField, seed_index, target) -> Array:
@@ -257,11 +322,9 @@ def find_critical_point(jets: JetField, seed_index, target) -> Array:
     index.  ``target`` is a gradient-set :class:`AttributeSpec` or a plain
     target vector (zero for peaks and saddles).
     """
-    targets = _gradient_targets(target)
-    if targets.shape != (jets.dim,):
-        raise ValueError(f"targets must have shape ({jets.dim},), got {targets.shape}")
-    x0 = jets.grid.point(tuple(int(i) for i in seed_index))
-    return _JetInterpolator(jets).newton_fixed_gradient(x0, targets)
+    targets = _gradient_targets(target, jets.dim)
+    x0 = _grid_seed(jets.grid, seed_index)
+    return _newton_fixed_gradient(_JetInterpolator(jets), x0, targets)
 
 
 # --------------------------------------------------------------------------
@@ -298,80 +361,77 @@ def track_attribute(
     """Track an attribute point across frames and compare velocities.
 
     For a :class:`SampledField`, ``seed`` is a grid index near the attribute
-    at the first frame and jets come from finite differences.  For an
-    analytic catalog field, ``seed`` is a point, ``times`` supplies the
-    (uniform) frames, and evaluation is exact; ``search_radius`` bounds the
-    per-frame level-crossing search along each ray.
+    at the first frame (N integer indices inside the grid) and jets come
+    from finite differences.  For an analytic catalog field, ``seed`` is a
+    point, ``times`` supplies the (uniform) frames, and evaluation is exact;
+    ``search_radius`` bounds the per-frame level-crossing search along each
+    ray.  A malformed seed, gradient target or time axis raises ``ValueError``.
     """
     if not isinstance(target, AttributeSpec):
         raise TypeError("target must be an AttributeSpec")
     if isinstance(field, SampledField):
-        if field.frames < 3:
-            raise ValueError("tracking needs at least 3 frames")
-        if target.kind == AttributeSpec.GRADIENT_SET:
-            return _track_gradient_sampled(field, target, seed, spec)
-        return _track_level_sampled(field, target, seed, spec)
-    if isinstance(field, AnalyticField):
+        times, dt = field.times, field.dt
+        x0 = _grid_seed(field.grid, seed)
+        # sources open their jet windows lazily; end frames under shrink-to-valid
+        # have no time window, so their sources are spatial-only
+        frames = (
+            _JetInterpolator(field=field, frame=frame, spec=spec,
+                             time_derivatives=_time_taps(field, frame, spec) is not None)
+            for frame in range(field.frames)
+        )
+    elif isinstance(field, AnalyticField):
         if times is None:
             raise ValueError("analytic tracking needs explicit times")
-        t0, dt, m = canonical_time_axis(times)
-        if m < 3:
-            raise ValueError("tracking needs at least 3 frames")
-        frame_times = t0 + dt * np.arange(m)
-        if target.kind == AttributeSpec.GRADIENT_SET:
-            return _track_gradient_analytic(field, target, seed, frame_times)
-        return _track_level_analytic(field, target, seed, frame_times, search_radius)
-    raise TypeError(f"cannot track on a {type(field).__name__}")
-
-
-def _track_gradient_sampled(field: SampledField, target, seed, spec) -> TrackResult:
-    grid = field.grid
-    n = grid.dim
-    targets = _gradient_targets(target)
-    m = field.frames
-    positions = np.empty((m, n))
-    computed = np.full((m, n), np.nan)
-    x = grid.point(tuple(int(i) for i in seed))
-    for frame in range(m):
-        # end frames under shrink-to-valid have no time window: track spatially
-        has_time = _time_taps(field, frame, spec) is not None
-        interp = _JetInterpolator(field=field, frame=frame, spec=spec, time_derivatives=has_time)
-        x = interp.newton_fixed_gradient(x, targets)
-        positions[frame] = x
-        if has_time:
-            computed[frame] = interp.first_order_components(x)
-    empirical = _empirical_velocity(positions, field.dt)
-    return TrackResult(
-        target.kind, field.times, positions, empirical, computed,
-        _deviation(empirical, computed),
-    )
-
-
-def _track_gradient_analytic(field: AnalyticField, target, seed, frame_times) -> TrackResult:
-    n = field.dim
-    targets = _gradient_targets(target)
-    x = np.asarray(seed, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"seed must be a point of dimension {n}")
-    m = frame_times.size
-    positions = np.empty((m, n))
-    computed = np.full((m, n), np.nan)
-    scale = 1.0  # analytic jets have no grid; unit length scale
-    for frame, t in enumerate(frame_times):
-        def probe(p, t=t):
-            jet = field.jet2(p, t)
-            return jet.grad, jet.hessian
-        x = _newton_fixed_gradient(probe, x, targets, scale)
-        positions[frame] = x
-        v1 = first_order_velocity_nd(field.jet2(x, t))
-        if v1.valid:
-            computed[frame] = v1.components
-    dt = float(frame_times[1] - frame_times[0])
+        t0, step, m = canonical_time_axis(times)
+        times = t0 + step * np.arange(m)
+        dt = float(times[1] - times[0]) if m > 1 else step  # the frame times' own spacing
+        x0 = np.asarray(seed, dtype=float)
+        if x0.shape != (field.dim,) or not np.all(np.isfinite(x0)):
+            raise ValueError(f"seed must be a finite point of dimension {field.dim}")
+        frames = (_ExactJets(field, t, search_radius) for t in times)
+    else:
+        raise TypeError(f"cannot track on a {type(field).__name__}")
+    if times.size < 3:
+        raise ValueError("tracking needs at least 3 frames")
+    positions = np.empty((times.size, x0.size))
+    computed = np.full_like(positions, np.nan)
+    if target.kind == AttributeSpec.GRADIENT_SET:
+        _track_gradient(frames, x0, _gradient_targets(target, x0.size), positions, computed)
+    else:
+        _track_level(list(frames), x0, target.level, positions, computed)
     empirical = _empirical_velocity(positions, dt)
     return TrackResult(
-        target.kind, frame_times, positions, empirical, computed,
+        target.kind, times, positions, empirical, computed,
         _deviation(empirical, computed),
     )
+
+
+def _track_gradient(frames, x, targets: Array, positions: Array, computed: Array) -> None:
+    """Locate the fixed-gradient point in each frame, seeded at the previous one.
+
+    ``frames`` is iterated once, so a generator holds one frame's jets at a time.
+    """
+    for frame, source in enumerate(frames):
+        x = _newton_fixed_gradient(source, x, targets)
+        positions[frame] = x
+        computed[frame] = source.first_order_components(x)
+
+
+def _track_level(frames: list, seed: Array, level: float, positions: Array,
+                 computed: Array) -> None:
+    """Follow the level crossing on each axis ray through ``seed``, frame by frame."""
+    for axis in range(seed.size):
+        near = seed[axis]
+        for frame, source in enumerate(frames):
+            s = source.crossing(seed, axis, level, near)
+            positions[frame, axis] = s
+            near = s
+            point = seed.copy()
+            point[axis] = s
+            try:
+                computed[frame, axis] = source.crossing_speed_factor(point, axis)
+            except AttributeLostError:
+                pass  # no valid jet block at the crossing: the speed stays NaN
 
 
 def _crossing_cell(coords: Array, f: Array, near: float, lost: str) -> int:
@@ -396,78 +456,6 @@ def _linear_crossing(coords: Array, values: Array, level: float, near: float) ->
     if f[k] == 0.0:
         return float(coords[k])
     return float(coords[k] + (coords[k + 1] - coords[k]) * f[k] / (f[k] - f[k + 1]))
-
-
-def _track_level_sampled(field: SampledField, target, seed, spec) -> TrackResult:
-    grid = field.grid
-    n = grid.dim
-    seed = tuple(int(i) for i in seed)
-    if len(seed) != n:
-        raise ValueError(f"seed index must have {n} entries")
-    m = field.frames
-    positions = np.empty((m, n))
-    computed = np.full((m, n), np.nan)
-    interps = [
-        _JetInterpolator(field=field, frame=frame, spec=spec)
-        if _time_taps(field, frame, spec) is not None else None
-        for frame in range(m)
-    ]
-    for axis in range(n):
-        coords = grid.axis_coordinates(axis)
-        ray = seed[:axis] + (slice(None),) + seed[axis + 1 :]
-        near = coords[seed[axis]]
-        for frame in range(m):
-            s = _linear_crossing(coords, field.values[frame][ray], target.level, near)
-            positions[frame, axis] = s
-            near = s
-            interp = interps[frame]
-            if interp is not None:
-                point = grid.point(seed)
-                point[axis] = s
-                try:
-                    computed[frame, axis] = interp.crossing_speed_factor(point, axis)
-                except AttributeLostError:
-                    pass
-    empirical = _empirical_velocity(positions, field.dt)
-    return TrackResult(
-        target.kind, field.times, positions, empirical, computed,
-        _deviation(empirical, computed),
-    )
-
-
-def _track_level_analytic(
-    field: AnalyticField, target, seed, frame_times, search_radius: float
-) -> TrackResult:
-    n = field.dim
-    seed = np.asarray(seed, dtype=float)
-    if seed.shape != (n,):
-        raise ValueError(f"seed must be a point of dimension {n}")
-    m = frame_times.size
-    positions = np.empty((m, n))
-    computed = np.full((m, n), np.nan)
-    for axis in range(n):
-        near = float(seed[axis])
-        for frame, t in enumerate(frame_times):
-            def profile(s, axis=axis, t=t):
-                p = seed.copy()
-                p[axis] = s
-                return float(field.value(p, t) - target.level)
-
-            s = _bracketed_root(profile, near, search_radius)
-            positions[frame, axis] = s
-            near = s
-            point = seed.copy()
-            point[axis] = s
-            jet = field.jet2(point, t)
-            gi = jet.grad[axis]
-            if gi != 0.0:
-                computed[frame, axis] = -jet.dpsi_dt / gi
-    dt = float(frame_times[1] - frame_times[0])
-    empirical = _empirical_velocity(positions, dt)
-    return TrackResult(
-        target.kind, frame_times, positions, empirical, computed,
-        _deviation(empirical, computed),
-    )
 
 
 def _bracketed_root(fn, near: float, radius: float) -> float:

@@ -182,6 +182,17 @@ class TestTrack:
                     "--level", "7.5", "--seed", "23,23"])
         assert code == 1
 
+    @pytest.mark.parametrize("attribute, seed", [
+        (["gradient-set"], "20"),  # used to broadcast to (20, 20)
+        (["gradient-set"], "20,20,3"),
+        (["level-set", "--level", "0.8"], "20,48"),  # one past the last index
+        (["gradient-set"], "-1,20"),  # used to wrap to the far side of the grid
+    ])
+    def test_bad_seed_is_usage_error(self, tmp_path, capsys, attribute, seed):
+        path = _generate(tmp_path, GAUSS)
+        assert cli(["track", str(path), "--attribute", *attribute, f"--seed={seed}"]) == 2
+        assert "seed must be 2 integer indices" in capsys.readouterr().err
+
     def test_missing_level_is_usage_error(self, tmp_path):
         path = _generate(tmp_path, GAUSS)
         assert cli(["track", str(path), "--attribute", "level-set",

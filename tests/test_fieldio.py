@@ -116,6 +116,28 @@ class TestRejection:
         with pytest.raises(wv.FieldFormatError, match="invalid field description"):
             wv.read_field(path)
 
+    @pytest.mark.parametrize("dim", (1, 2, 3))
+    def test_structural_header_mutations(self, tmp_path, dim):
+        # every bit flip of the magic, dim, shape and frames bytes and every cut
+        # inside the header; the format has no checksum, so flips in the geometry
+        # and time bytes read back as a different valid field and are left out
+        grid = wv.make_grid(dim, [5 + a for a in range(dim)], 0.5, -1.0)
+        values = np.arange(2.0 * grid.npoints).reshape((2,) + grid.shape)
+        path = tmp_path / "x.wvf"
+        wv.write_field(wv.SampledField(grid, 0.0, 0.1, values), path)
+        data = path.read_bytes()
+        structural = len(wv.fieldio.MAGIC) + 1 + 4 * dim + 4
+        cases = [data[:cut] for cut in range(structural + 16 * dim + 16)]
+        for pos in range(structural):
+            for bit in range(8):
+                flipped = bytearray(data)
+                flipped[pos] ^= 1 << bit
+                cases.append(bytes(flipped))
+        for case in cases:
+            path.write_bytes(case)
+            with pytest.raises(wv.FieldFormatError):
+                wv.read_field(path)
+
     def test_header_size_overflowing_int64(self, tmp_path):
         # 2^21 * 2^21 * 2^22 = 2^64 doubles wraps to 0 in int64; no payload follows
         shape = (2**21, 2**21, 2**22)

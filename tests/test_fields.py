@@ -49,6 +49,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             wv.make_grid(0, [], [], [])
 
+    def test_npoints_does_not_wrap(self):
+        # 2^21 * 2^21 * 2^22 = 2^64 points: 0 in int64 arithmetic
+        g = wv.Grid((2**21, 2**21, 2**22), (1.0,) * 3, (0.0,) * 3)
+        assert g.npoints == 2**64
+
     def test_points_and_index_roundtrip(self):
         g = wv.make_grid(2, [6, 7], [0.5, 0.25], [-1.0, 2.0])
         pts = g.points()

@@ -5,7 +5,9 @@ import pytest
 
 import wavevel as wv
 from wavevel import tracking
+from wavevel.fields import canonical_time_axis
 from wavevel.tracking import AttributeLostError, _JetInterpolator
+from wavevel.velocities import _solve_order_one
 
 PEAK = wv.AttributeSpec.gradient_set((0.0, 0.0))
 BOUNDARIES = ("shrink-to-valid", "one-sided")
@@ -182,6 +184,62 @@ class TestLevelSetTracking:
             wv.track_attribute(pw, wv.AttributeSpec.level_set(0.3), np.array([0.2, 0.1]))
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("kind", ("gradient", "level"))
+    @pytest.mark.parametrize("seed", [
+        (32,),  # one index of a 2-d grid: used to broadcast to (32, 32)
+        (32, 32, 3),
+        (32, 64),  # one past the last index
+        (64, 32),
+        (-1, 32),  # used to wrap to the far side of the grid
+        (32, -3),
+        (32.0, 32.0),
+        (),
+    ])
+    def test_sampled_seed_must_be_indices_inside_the_grid(self, kind, seed):
+        _, _, sf = _sampled_gaussian()  # 64 x 64
+        target = PEAK if kind == "gradient" else wv.AttributeSpec.level_set(0.9)
+        with pytest.raises(ValueError, match="seed must be 2 integer indices"):
+            wv.track_attribute(sf, target, seed)
+
+    def test_numpy_integer_seeds_accepted(self):
+        _, grid, sf = _sampled_gaussian()
+        seed = np.unravel_index(np.argmax(sf.values[0]), grid.shape)
+        res = wv.track_attribute(sf, PEAK, np.asarray(seed, dtype=np.uint16))
+        assert np.array_equal(res.positions, wv.track_attribute(sf, PEAK, seed).positions)
+
+    def test_critical_point_seed_checked(self):
+        _, _, sf = _sampled_gaussian()
+        with pytest.raises(ValueError, match="seed must be 2 integer indices"):
+            wv.find_critical_point(wv.fd_jet_field(sf, 4), (32, 70), PEAK)
+
+    @pytest.mark.parametrize("targets", [(0.0,), (0.0, 0.0, 0.0)])
+    def test_gradient_targets_must_match_the_dimension(self, targets):
+        _, _, sf = _sampled_gaussian()
+        with pytest.raises(ValueError, match=r"targets must have shape \(2,\)"):
+            wv.track_attribute(sf, wv.AttributeSpec.gradient_set(targets), (32, 32))
+
+    @pytest.mark.parametrize("seed", [[0.2], [0.2, 0.1, 0.0], [np.nan, 0.1]])
+    def test_analytic_seed_must_be_a_finite_point(self, seed):
+        pw = wv.PlaneWave((2.0, 1.0), 3.0)
+        with pytest.raises(ValueError, match="seed must be a finite point of dimension 2"):
+            wv.track_attribute(pw, wv.AttributeSpec.level_set(0.3), np.array(seed),
+                               times=0.01 * np.arange(5))
+
+
+class TestCrossingSpeed:
+    def test_zero_axis_gradient_is_nan_on_both_sources(self):
+        # psi = t + x/2: psi_x = 1/2 and psi_y = 0 everywhere, so the axis-1 speed is undefined
+        poly = wv.Polynomial(((1.0, (0, 0), 1), (0.5, (1, 0), 0)))
+        grid = wv.make_grid(2, (8, 8), 0.1, 0.0)
+        x = grid.point((3.3, 4.6))
+        sources = (_JetInterpolator(wv.analytic_jet_field(poly, grid, 0.0)),
+                   tracking._ExactJets(poly, 0.0, 0.5))
+        for source in sources:
+            assert np.isnan(source.crossing_speed_factor(x, 1))
+            assert source.crossing_speed_factor(x, 0) == pytest.approx(-2.0, rel=1e-14)
+
+
 class TestAttributeSpec:
     def test_exactly_one_kind(self):
         with pytest.raises(ValueError):
@@ -281,7 +339,7 @@ class TestWindowedJets:
         jets = wv.fd_jet_field(sf, 4)
         interp = _JetInterpolator(jets)
         seed = np.unravel_index(np.argmax(sf.values[4]), grid.shape)
-        x = interp.newton_fixed_gradient(grid.point(seed), np.zeros(2))
+        x = tracking._newton_fixed_gradient(interp, grid.point(seed), np.zeros(2))
         assert np.array_equal(x, wv.find_critical_point(jets, seed, PEAK))
         for fid in ([1.2, 1.0], [62.0, 61.7], [30.4, 2.2], [4.4, 5.6]):
             _interpolated(interp, grid.point(fid))
@@ -304,7 +362,7 @@ def _reference_track(field, target, seed, spec):
             has_time = bool(np.any(jets.valid))
             newton_jets = jets if has_time else wv.fd_jet_field(
                 field, frame, spec, time_derivatives=False)
-            x = _JetInterpolator(newton_jets).newton_fixed_gradient(x, targets)
+            x = tracking._newton_fixed_gradient(_JetInterpolator(newton_jets), x, targets)
             positions[frame] = x
             if has_time:
                 computed[frame] = _JetInterpolator(jets).first_order_components(x)
@@ -326,6 +384,66 @@ def _reference_track(field, target, seed, spec):
                     except AttributeLostError:
                         pass
     empirical = tracking._empirical_velocity(positions, field.dt)
+    return positions, computed, tracking._deviation(empirical, computed)
+
+
+def _reference_newton(probe, x0, targets):
+    """The Newton loop the analytic trackers ran on exact jets (unit length scale,
+    no anchor)."""
+    x = np.array(x0, dtype=float)
+    for _ in range(tracking.NEWTON_MAX_ITER):
+        grad, hess = probe(x)
+        residual = grad - targets
+        frob = float(np.sqrt(np.sum(hess * hess)))
+        if np.max(np.abs(residual)) <= tracking.NEWTON_TOL * frob * 1.0:
+            return x
+        step, valid, _ = _solve_order_one(hess, residual)
+        if not valid:
+            raise wv.SingularHessianError("singular Hessian at a Newton iterate")
+        x = x + step
+        if not np.all(np.isfinite(x)):
+            raise wv.NoConvergenceError("Newton iterate became non-finite")
+    raise wv.NoConvergenceError("no convergence")
+
+
+def _reference_analytic_track(field, target, seed, times, search_radius):
+    """The analytic gradient and level trackers as separate loops on exact jets
+    (the result the shared frame loops must reproduce bit for bit)."""
+    t0, dt, m = canonical_time_axis(times)
+    frame_times = t0 + dt * np.arange(m)
+    n = field.dim
+    seed = np.asarray(seed, dtype=float)
+    positions = np.empty((m, n))
+    computed = np.full((m, n), np.nan)
+    if target.kind == wv.AttributeSpec.GRADIENT_SET:
+        targets = np.asarray(target.gradient_targets, dtype=float)
+        x = seed
+        for frame, t in enumerate(frame_times):
+            def probe(p, t=t):
+                jet = field.jet2(p, t)
+                return jet.grad, jet.hessian
+            x = _reference_newton(probe, x, targets)
+            positions[frame] = x
+            v1 = wv.first_order_velocity_nd(field.jet2(x, t))
+            if v1.valid:
+                computed[frame] = v1.components
+    else:
+        for axis in range(n):
+            near = float(seed[axis])
+            for frame, t in enumerate(frame_times):
+                def profile(s, axis=axis, t=t):
+                    p = seed.copy()
+                    p[axis] = s
+                    return float(field.value(p, t) - target.level)
+                s = tracking._bracketed_root(profile, near, search_radius)
+                positions[frame, axis] = near = s
+                point = seed.copy()
+                point[axis] = s
+                jet = field.jet2(point, t)
+                gi = jet.grad[axis]
+                if gi != 0.0:
+                    computed[frame, axis] = -jet.dpsi_dt / gi
+    empirical = tracking._empirical_velocity(positions, float(frame_times[1] - frame_times[0]))
     return positions, computed, tracking._deviation(empirical, computed)
 
 
@@ -351,6 +469,26 @@ class TestWindowedTracksUnchanged:
             seed = tuple(int(i) for i in np.rint(grid.index_of(point)))
         res = wv.track_attribute(field, target, seed, spec=spec)
         positions, computed, deviation = _reference_track(field, target, seed, spec)
+        assert np.array_equal(res.positions, positions)
+        assert np.array_equal(res.computed_velocity, computed, equal_nan=True)
+        assert res.deviation == deviation
+        assert res.deviation <= 0.1  # a real track, not a lost one
+
+    @pytest.mark.parametrize("kind", ("gradient", "level"))
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_analytic_tracks_equal_separate_loop_reference(self, dim, kind):
+        velocity = (0.7, 0.3) if dim == 2 else (0.3, 0.2, -0.25)
+        bump = wv.TranslatingGaussian(velocity, 0.4)
+        times = 0.02 * np.arange(9) - 0.08  # times[1] - times[0] differs from dt in the last bit
+        if kind == "gradient":
+            target = wv.AttributeSpec.gradient_set((0.0,) * dim)
+            seed = np.full(dim, 0.01)
+        else:
+            target = wv.AttributeSpec.level_set(0.5)
+            direction = np.array((1.0, 1.25, 0.9)[:dim])
+            seed = 0.4 * np.sqrt(np.log(2.0)) * direction / np.linalg.norm(direction)
+        res = wv.track_attribute(bump, target, seed, times=times, search_radius=0.3)
+        positions, computed, deviation = _reference_analytic_track(bump, target, seed, times, 0.3)
         assert np.array_equal(res.positions, positions)
         assert np.array_equal(res.computed_velocity, computed, equal_nan=True)
         assert res.deviation == deviation
