@@ -22,6 +22,7 @@ from .covariance import (
     CovarianceReport,
     check_contraction_invariance,
     check_first_order_covariance,
+    check_transformation_laws,
     check_zero_order_covariance,
     make_fd_jet2_fn,
     pullback_jet2,

@@ -7,17 +7,13 @@ calls.  Exit codes: 0 success, 1 failed check, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .covariance import (
-    AffineMap,
-    check_contraction_invariance,
-    check_first_order_covariance,
-    check_zero_order_covariance,
-)
+from .covariance import AffineMap, check_transformation_laws
 from .fieldio import csv_cells, export_csv, read_field, read_header, write_field
 from .fields import SampledField, make_field, make_grid, sample
 from .findiff import StencilSpec, fd_jet_field
@@ -217,20 +213,19 @@ def _cmd_covcheck(args) -> int:
         raise ValueError(f"--matrix needs {n * n} entries for a {n}-d field")
     offset = _broadcast(_floats(args.offset), n, "--offset") if args.offset else [0.0] * n
     amap = AffineMap(np.asarray(entries).reshape(n, n), offset)
+    if args.samples < 1:
+        raise ValueError(f"--samples must be a positive integer, got {args.samples}")
     box = _floats(args.box)
-    if len(box) != 2 or box[0] >= box[1]:
-        raise ValueError(f"--box expects LO,HI with LO < HI, got {args.box!r}")
+    # a finite width HI - LO also rules out NaN and infinite ends
+    if len(box) != 2 or not (box[0] < box[1] and math.isfinite(box[1] - box[0])):
+        raise ValueError(f"--box expects LO,HI with LO < HI and a finite width, got {args.box!r}")
     lo, hi = box
     rng = np.random.default_rng(args.rng_seed)
     points = rng.uniform(lo, hi, size=(args.samples, n))
-    checks = [
-        ("covector (order 0)", check_zero_order_covariance),
-        ("vector (order 1)", check_first_order_covariance),
-        ("contraction scalar", check_contraction_invariance),
-    ]
+    reports = check_transformation_laws(field, amap, points, args.t)
+    labels = ("covector (order 0)", "vector (order 1)", "contraction scalar")
     worst = 0.0
-    for label, fn in checks:
-        report = fn(field, amap, points, args.t)
+    for label, report in zip(labels, reports):
         worst = max(worst, report.max_deviation)
         print(
             f"{label}: max deviation {report.max_deviation:.3e} "

@@ -7,6 +7,17 @@ velocities with the inverse of ``A`` (contravariantly), and their pairing is
 invariant.  Only affine maps are supported; for them the second-derivative
 terms of a general change of variables vanish identically, which makes the
 linear laws exact and testable.
+
+The checks compare old-frame velocities of the composed field
+``base(A x + b, t)`` with the base field's velocities at ``X = A x + b``
+carried back by the laws.  Both read jets from a *jet source*
+``source(field, points, t)`` with the contract of
+:meth:`AnalyticField.jet_arrays`: points ``(..., N)`` in, ``(psi, dpsi_dt,
+grad, hessian, time_mixed)`` of shapes ``(...)``, ``(...)``, ``(..., N)``,
+``(..., N, N)``, ``(..., N)`` out, every entry finite.  The default source
+is the field's exact ``jet_arrays``; :func:`make_fd_jet2_fn` builds a
+finite-difference one.  Sources are called once per frame per block of
+:data:`BLOCK_POINTS` points.
 """
 
 from __future__ import annotations
@@ -15,20 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import AnalyticField, Grid, analytic_jet2, sample
-from .findiff import DEFAULT_STENCIL, StencilSpec, fd_jet2_at
-from .jets import Jet1, Jet2
-from .velocities import (
-    StationaryDegenerateError,
-    contraction_scalar,
-    first_order_velocity_nd,
-    zero_order_velocity,
-)
+from .fields import MIN_EXTENT, AnalyticField, Grid, SampledField, canonical_time_axis
+from .findiff import DEFAULT_STENCIL, StencilSpec, fd_jet_field
+from .jets import Jet1, Jet2, _mirror_upper, _require_finite
+from .velocities import _solve_order_one
 
 Array = np.ndarray
 
 #: Maps with |det| at or below this are rejected as non-invertible.
 MIN_DET = 1e-8
+
+#: Points per block of the checks: bounds the jet and fd-patch arrays, so
+#: peak memory does not grow with the number of points.
+BLOCK_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -180,35 +190,42 @@ class AffineReparamField(AnalyticField):
         tmix = tmix @ a
         hess = np.einsum("ki,...kl,lj->...ij", a, hess, a)
         # congruence in floats can be asymmetric by an ulp; mirror the upper triangle
-        hess = np.triu(hess) + np.swapaxes(np.triu(hess, 1), -1, -2)
+        hess = _mirror_upper(hess)
         return psi, dpsi_dt, grad, hess, tmix
 
 
 def make_fd_jet2_fn(h: float, dt: float, spec: StencilSpec = DEFAULT_STENCIL):
-    """Build a jet evaluator that samples a field on a small local grid and
-    differentiates numerically (pure evaluation, no chain rule).
+    """Build a jet source that samples a field on a small patch grid around
+    each point and differentiates numerically (pure evaluation, no chain rule).
 
-    The returned callable has the signature ``fn(field, point, t) -> Jet2``
-    and is accepted by the covariance checks in place of exact jets.
+    The patches of all points lie end to end along axis 0 of one sampled
+    field, so one :func:`fd_jet_field` call serves the stack; the jets at the
+    patch centres equal :func:`fd_jet2_at` on each point's own patch grid,
+    bit for bit.
     """
     if not (h > 0 and dt > 0):
         raise ValueError("h and dt must be positive")
+    h = float(h)
+    extent = max(MIN_EXTENT, 2 * spec.half_width + 1)
+    center = extent // 2
+    mid = spec.min_frames // 2
 
-    def fd_jet2(field: AnalyticField, point, t: float) -> Jet2:
+    def fd_jet_arrays(field: AnalyticField, points, t: float):
+        pts = field._check_points(points)
         n = field.dim
-        extent = max(5, 2 * spec.half_width + 1)
-        center = extent // 2
-        origin = np.asarray(point, dtype=float) - center * h
-        grid = Grid((extent,) * n, (h,) * n, tuple(origin))
-        frames = spec.min_frames
-        mid = frames // 2
-        times = t + dt * (np.arange(frames) - mid)
-        sampled = sample(field, grid, times)
-        jet = fd_jet2_at(sampled, mid, (center,) * n, spec)
-        assert jet is not None  # central point always has full stencil room
-        return jet
+        origins = pts.reshape((-1,) + (1,) * n + (n,)) - center * h
+        grid = Grid((len(origins) * extent,) + (extent,) * (n - 1), (h,) * n, (0.0,) * n)
+        # patch coordinates as Grid.points() computes them: origin + h * index
+        offsets = h * np.moveaxis(np.indices((extent,) * n), 0, -1)
+        patches = (origins + offsets).reshape(grid.shape + (n,))
+        t0, step, frames = canonical_time_axis(t + dt * (np.arange(spec.min_frames) - mid))
+        values = np.stack([field.value(patches, t0 + step * k) for k in range(frames)])
+        jets = fd_jet_field(SampledField(grid, t0, step, values), mid, spec)
+        centres = (slice(center, None, extent),) + (center,) * (n - 1)
+        return tuple(arr[centres].reshape(pts.shape[:-1] + arr.shape[n:]) for arr in (
+            jets.psi, jets.dpsi_dt, jets.grad, jets.hessian, jets.time_mixed))
 
-    return fd_jet2
+    return fd_jet_arrays
 
 
 @dataclass(frozen=True)
@@ -220,97 +237,75 @@ class CovarianceReport:
     skipped: int
 
 
-def _relative_deviation(a: Array, b: Array) -> float:
-    scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(a - b)) / scale)
+def _frame_velocities(source, field: AnalyticField, points: Array, t: float):
+    """``(moving, reciprocals, order-one components, solved)`` of one frame's
+    jets; ``moving`` marks psi_t != 0 and ``solved`` a non-singular Hessian."""
+    psi, dpsi_dt, grad, hess, tmix = source(field, points, t)
+    _require_finite(psi, dpsi_dt, grad, hess, tmix)
+    ok = np.ones(len(points), dtype=bool)
+    comps, solved, _ = _solve_order_one(_mirror_upper(hess), tmix, ok, pivoted=True)
+    return dpsi_dt != 0.0, -(field.dim * grad) / dpsi_dt[:, None], comps, solved
 
 
-def _two_path(field, amap, points, t, jet2_fn, compare):
-    """Shared driver: direct old-frame computation vs transformed new-frame one.
+def _relative_deviations(a: Array, b: Array) -> Array:
+    scale = np.maximum(np.abs(a).max(axis=-1), np.abs(b).max(axis=-1))
+    return np.where(scale == 0.0, 0.0, np.abs(a - b).max(axis=-1) / scale)
 
-    ``compare(jet_x, jet_X)`` returns a deviation or None to skip the point.
+
+def check_transformation_laws(
+    field: AnalyticField, amap: AffineMap, points, t: float, jet2_fn=None
+) -> tuple:
+    """Reports ``(covector, vector, contraction)`` from one jet evaluation per
+    frame; ``jet2_fn`` is the jet source, by default the field's exact jets.
+
+    The reciprocals are carried back with ``A^T`` and the order-one
+    components with ``A^{-1}`` (relative deviations); the contraction is
+    compared as is (absolute deviation).  Points where psi_t = 0 skip the
+    covector law, points with a singular Hessian the vector law, and the
+    contraction skips both.  Non-finite jets raise ``ValueError``.
     """
     if field.dim != amap.dim:
         raise ValueError(f"dimension mismatch: field {field.dim}, map {amap.dim}")
-    jet2_fn = jet2_fn or analytic_jet2
-    composed = AffineReparamField(field, amap)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[-1] != field.dim:
         raise ValueError(f"points must have trailing dimension {field.dim}")
-    max_dev = 0.0
-    checked = 0
-    skipped = 0
-    for x in pts:
-        jet_x = jet2_fn(composed, x, t)
-        jet_X = jet2_fn(field, amap.apply(x), t)
-        dev = compare(jet_x, jet_X)
-        if dev is None:
-            skipped += 1
-            continue
-        checked += 1
-        max_dev = max(max_dev, dev)
-    return CovarianceReport(max_dev, checked, skipped)
+    pts = pts.reshape(-1, field.dim)
+    source = jet2_fn or (lambda fld, pts, when: fld.jet_arrays(pts, when))
+    composed = AffineReparamField(field, amap)
+    worst, checked = [0.0] * 3, [0] * 3
+    for start in range(0, len(pts), BLOCK_POINTS):
+        x = pts[start : start + BLOCK_POINTS]
+        with np.errstate(divide="ignore", invalid="ignore"):  # only skipped points divide by 0
+            moving_x, w_x, v_x, solved_x = _frame_velocities(source, composed, x, t)
+            moving_X, w_X, v_X, solved_X = _frame_velocities(source, field, amap.apply(x), t)
+            moving, solved = moving_x & moving_X, solved_x & solved_X
+            laws = (
+                (moving, _relative_deviations(w_x, w_X @ amap.matrix)),
+                (solved, _relative_deviations(v_x, v_X @ amap.inverse_matrix.T)),
+                (moving & solved, np.abs((w_x * v_x).sum(axis=-1) - (w_X * v_X).sum(axis=-1))),
+            )
+        for k, (mask, dev) in enumerate(laws):
+            checked[k] += int(np.count_nonzero(mask))
+            worst[k] = max(worst[k], float(dev.max(initial=0.0, where=mask)))
+    return tuple(CovarianceReport(worst[k], checked[k], len(pts) - checked[k]) for k in range(3))
 
 
 def check_zero_order_covariance(
     field: AnalyticField, amap: AffineMap, points, t: float, jet2_fn=None
 ) -> CovarianceReport:
-    """Covector law for reciprocal order-zero velocities.
-
-    Path one computes the reciprocals from old-frame jets of the composed
-    field; path two transforms the new-frame reciprocals with ``A^T``.
-    Points where psi_t = 0 are skipped and counted.
-    """
-
-    def compare(jet_x: Jet2, jet_X: Jet2):
-        if jet_x.dpsi_dt == 0.0 or jet_X.dpsi_dt == 0.0:
-            return None
-        try:
-            w_direct = zero_order_velocity(jet_x.jet1).reciprocal
-            w_new = zero_order_velocity(jet_X.jet1).reciprocal
-        except StationaryDegenerateError:
-            return None
-        return _relative_deviation(w_direct, transform_covector(w_new, amap))
-
-    return _two_path(field, amap, points, t, jet2_fn, compare)
+    """Covector law of the order-zero reciprocals (see :func:`check_transformation_laws`)."""
+    return check_transformation_laws(field, amap, points, t, jet2_fn)[0]
 
 
 def check_first_order_covariance(
     field: AnalyticField, amap: AffineMap, points, t: float, jet2_fn=None
 ) -> CovarianceReport:
-    """Contravariant law for order-one velocities; singular points are skipped."""
-
-    def compare(jet_x: Jet2, jet_X: Jet2):
-        v_direct = first_order_velocity_nd(jet_x)
-        v_new = first_order_velocity_nd(jet_X)
-        if not (v_direct.valid and v_new.valid):
-            return None
-        return _relative_deviation(
-            v_direct.components, transform_vector(v_new.components, amap)
-        )
-
-    return _two_path(field, amap, points, t, jet2_fn, compare)
+    """Contravariant law of the order-one velocities (see :func:`check_transformation_laws`)."""
+    return check_transformation_laws(field, amap, points, t, jet2_fn)[1]
 
 
 def check_contraction_invariance(
     field: AnalyticField, amap: AffineMap, points, t: float, jet2_fn=None
 ) -> CovarianceReport:
-    """Frame independence of the contraction scalar (absolute deviation)."""
-
-    def compare(jet_x: Jet2, jet_X: Jet2):
-        v1_x = first_order_velocity_nd(jet_x)
-        v1_X = first_order_velocity_nd(jet_X)
-        if not (v1_x.valid and v1_X.valid):
-            return None
-        if jet_x.dpsi_dt == 0.0 or jet_X.dpsi_dt == 0.0:
-            return None
-        try:
-            c_x = contraction_scalar(zero_order_velocity(jet_x.jet1), v1_x)
-            c_X = contraction_scalar(zero_order_velocity(jet_X.jet1), v1_X)
-        except StationaryDegenerateError:
-            return None
-        return abs(c_x - c_X)
-
-    return _two_path(field, amap, points, t, jet2_fn, compare)
+    """Frame independence of the contraction scalar (see :func:`check_transformation_laws`)."""
+    return check_transformation_laws(field, amap, points, t, jet2_fn)[2]

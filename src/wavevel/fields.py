@@ -78,10 +78,6 @@ class Grid:
         x = np.asarray(x, dtype=float)
         return (x - np.asarray(self.origin)) / np.asarray(self.spacing)
 
-    def contains(self, x) -> bool:
-        idx = self.index_of(x)
-        return bool(np.all(idx >= 0) and np.all(idx <= np.asarray(self.shape) - 1))
-
 
 def canonical_time_axis(times) -> tuple:
     """Validate strictly increasing, uniform time stamps; return (t0, dt, count).

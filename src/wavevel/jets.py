@@ -19,6 +19,17 @@ if TYPE_CHECKING:
 Array = np.ndarray
 
 
+def _mirror_upper(hess: Array) -> Array:
+    """Hessians (``...xNxN``) made exactly symmetric from their upper triangle."""
+    return np.triu(hess) + np.swapaxes(np.triu(hess, 1), -1, -2)
+
+
+def _require_finite(*entries) -> None:
+    """Reject jets with a non-finite entry, at one point or on a stack."""
+    if not all(np.isfinite(e).all() for e in entries):
+        raise ValueError("jet entries must be finite")
+
+
 def _as_float_vector(x, name: str) -> Array:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
@@ -39,8 +50,7 @@ class Jet1:
         object.__setattr__(self, "grad", grad)
         object.__setattr__(self, "psi", float(self.psi))
         object.__setattr__(self, "dpsi_dt", float(self.dpsi_dt))
-        if not (np.isfinite(self.psi) and np.isfinite(self.dpsi_dt) and np.all(np.isfinite(grad))):
-            raise ValueError("jet entries must be finite")
+        _require_finite(self.psi, self.dpsi_dt, grad)
 
     @property
     def dim(self) -> int:
@@ -64,13 +74,11 @@ class Jet2:
         hess = np.asarray(self.hessian, dtype=float)
         if hess.shape != (n, n):
             raise ValueError(f"hessian must have shape ({n}, {n}), got {hess.shape}")
-        upper = np.triu(hess)
-        hess = upper + np.triu(hess, 1).T
+        hess = _mirror_upper(hess)
         tm = _as_float_vector(self.time_mixed, "time_mixed")
         if tm.shape != (n,):
             raise ValueError(f"time_mixed must have shape ({n},), got {tm.shape}")
-        if not (np.all(np.isfinite(hess)) and np.all(np.isfinite(tm))):
-            raise ValueError("jet entries must be finite")
+        _require_finite(hess, tm)
         object.__setattr__(self, "hessian", hess)
         object.__setattr__(self, "time_mixed", tm)
 

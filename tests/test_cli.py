@@ -219,6 +219,20 @@ class TestCovcheck:
     def test_wrong_matrix_size_is_usage_error(self):
         assert cli(["covcheck", *GAUSS, "--matrix", "1,0,0"]) == 2
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_nonpositive_samples_is_usage_error(self, samples, capsys):
+        assert cli(["covcheck", *GAUSS, "--matrix", "1,0,0,1", "--samples", samples]) == 2
+        assert "--samples must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("box", ["--box=nan,1", "--box=0,inf", "--box=-1e308,1e308"])
+    def test_nonfinite_box_is_usage_error(self, box, capsys):
+        assert cli(["covcheck", *GAUSS, "--matrix", "1,0,0,1", box]) == 2
+        assert "--box expects LO,HI" in capsys.readouterr().err
+
+    def test_nan_time_is_usage_error(self, capsys):
+        assert cli(["covcheck", *GAUSS, "--matrix", "2,0.3,0.1,1.5", "--t", "nan"]) == 2
+        assert "jet entries must be finite" in capsys.readouterr().err
+
 
 class TestConfigAndUsage:
     def test_config_file_supplies_defaults(self, tmp_path, capsys):

@@ -102,10 +102,10 @@ class TestPullback:
         for _ in range(5):
             x = rng.uniform(-0.4, 0.4, 2)
             exact = composed.jet2(x, 0.3)
-            approx = fd(composed, x, 0.3)
-            assert approx.grad == pytest.approx(exact.grad, abs=2e-9)
-            assert approx.hessian == pytest.approx(exact.hessian, abs=2e-7)
-            assert approx.time_mixed == pytest.approx(exact.time_mixed, abs=2e-7)
+            _, _, grad, hessian, time_mixed = fd(composed, x, 0.3)
+            assert grad == pytest.approx(exact.grad, abs=2e-9)
+            assert hessian == pytest.approx(exact.hessian, abs=2e-7)
+            assert time_mixed == pytest.approx(exact.time_mixed, abs=2e-7)
 
     def test_hessian_stays_symmetric(self):
         rng = np.random.default_rng(7)
@@ -221,3 +221,207 @@ class TestComponentsAreNotCovariant:
         as_vector = wv.transform_vector(v_new, amap)
         assert np.abs(v_direct - as_covector).max() > 1e-3
         assert np.abs(v_direct - as_vector).max() > 1e-3
+
+
+EPS = np.finfo(float).eps
+
+
+def _relative_deviation(a, b):
+    scale = max(np.abs(a).max(), np.abs(b).max())
+    return 0.0 if scale == 0.0 else float(np.abs(a - b).max() / scale)
+
+
+def _per_point_reference(field, amap, points, t):
+    """The three laws point by point from the public pointwise functions.
+
+    The jets are those of one stacked evaluation per frame, as the batched
+    checks take them, so the two routes differ only in the summation order
+    of the transforms and the contraction.  Returns ``(max deviation,
+    checked, skipped, tolerance)`` per law; the tolerance bounds what that
+    order can change.
+    """
+    composed = wv.AffineReparamField(field, amap)
+    stacks = (composed.jet_arrays(points, t), field.jet_arrays(amap.apply(points), t))
+    n = field.dim
+    devs = ([], [], [])
+    rel_tol = 8 * n * np.linalg.cond(amap.matrix) * EPS
+    scalar_tol = 0.0
+    for i in range(len(points)):
+        jet_x, jet_X = (wv.Jet2(wv.Jet1(psi[i], pt[i], g[i]), h[i], tm[i])
+                        for psi, pt, g, h, tm in stacks)
+        moving = jet_x.dpsi_dt != 0.0 and jet_X.dpsi_dt != 0.0
+        v_x, v_X = wv.first_order_velocity_nd(jet_x), wv.first_order_velocity_nd(jet_X)
+        solved = v_x.valid and v_X.valid
+        if moving:
+            w_x = wv.zero_order_velocity(jet_x.jet1)
+            w_X = wv.zero_order_velocity(jet_X.jet1)
+            devs[0].append(_relative_deviation(
+                w_x.reciprocal, wv.transform_covector(w_X.reciprocal, amap)))
+        if solved:
+            devs[1].append(_relative_deviation(
+                v_x.components, wv.transform_vector(v_X.components, amap)))
+        if moving and solved:
+            devs[2].append(abs(wv.contraction_scalar(w_x, v_x) - wv.contraction_scalar(w_X, v_X)))
+            terms = np.abs(w_x.reciprocal * v_x.components).sum() + np.abs(
+                w_X.reciprocal * v_X.components).sum()
+            scalar_tol = max(scalar_tol, 8 * n * EPS * terms)
+    tols = (rel_tol, rel_tol, scalar_tol)
+    return [(max(d, default=0.0), len(d), len(points) - len(d), tol)
+            for d, tol in zip(devs, tols)]
+
+
+def _diagonal_map(n):
+    # powers of two: X = A x is exact, so chosen new-frame points are hit exactly
+    return wv.AffineMap(np.diag([2.0, 0.5, 4.0, 0.25][:n]))
+
+
+class TestBatchedChecks:
+    """The stacked checks against a per-point reference, at N = 2, 3 and 4."""
+
+    @staticmethod
+    def _mixed_points(n, rng):
+        # random points, then new-frame points on x_1 = 0 (psi_t = 0 for a bump
+        # moving along axis 1) and on the singular ring |X| = sigma / sqrt(2)
+        amap = _diagonal_map(n)
+        ring = np.zeros((2, n))
+        ring[0, 0] = ring[1, 1] = 1.0 / np.sqrt(2.0)
+        still = rng.uniform(-0.8, 0.8, size=(3, n))
+        still[:, 0] = 0.0
+        new_frame = np.vstack([rng.uniform(-0.8, 0.8, size=(6, n)), still, ring])
+        return amap, amap.invert(new_frame)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["translating", "static", "plane-wave"])
+    def test_matches_per_point_reference(self, n, kind):
+        rng = np.random.default_rng(20 + n)
+        fields = {
+            "translating": wv.TranslatingGaussian((1.0,) + (0.0,) * (n - 1), 1.0),
+            "static": wv.StaticGaussian(1.0, (0.0,) * n),
+            "plane-wave": wv.PlaneWave((2.0, 1.0, -0.5, 0.7)[:n], 3.0),
+        }
+        field = fields[kind]
+        amap, pts = self._mixed_points(n, rng)
+        cases = [(amap, pts)]
+        general = wv.random_affine(rng, n, max_condition=20.0)
+        cases.append((general, general.invert(rng.uniform(-0.8, 0.8, size=(12, n)))))
+        for m, points in cases:
+            reports = wv.check_transformation_laws(field, m, points, 0.0)
+            for report, (dev, checked, skipped, tol) in zip(
+                reports, _per_point_reference(field, m, points, 0.0)
+            ):
+                assert (report.checked, report.skipped) == (checked, skipped)
+                assert abs(report.max_deviation - dev) <= tol
+
+    def test_skip_rules_are_exercised(self):
+        # the mixed point set of the test above: 3 still points, 2 ring points
+        # (one of them also still), the rest regular
+        field = wv.TranslatingGaussian((1.0, 0.0, 0.0), 1.0)
+        amap, pts = self._mixed_points(3, np.random.default_rng(23))
+        covector, vector, contraction = wv.check_transformation_laws(field, amap, pts, 0.0)
+        assert (covector.checked, covector.skipped) == (7, 4)
+        assert (vector.checked, vector.skipped) == (9, 2)
+        assert (contraction.checked, contraction.skipped) == (6, 5)
+        static = wv.check_transformation_laws(wv.StaticGaussian(1.0, (0.0,) * 3), amap, pts, 0.0)
+        assert static[0].checked == 0 and static[2].checked == 0
+        wave = wv.check_transformation_laws(wv.PlaneWave((2.0, 1.0, -0.5), 3.0), amap, pts, 0.0)
+        assert wave[1].checked == 0 and wave[2].checked == 0
+
+        def still_new_frame(fld, points, t):  # psi_t = 0 in the new frame only
+            psi, pt, grad, hess, tmix = fld.jet_arrays(points, t)
+            moving = isinstance(fld, wv.AffineReparamField)
+            return psi, pt if moving else 0.0 * pt, grad, hess, tmix
+
+        covector, _, contraction = wv.check_transformation_laws(field, amap, pts, 0.0,
+                                                                 still_new_frame)
+        assert covector.checked == 0 and contraction.checked == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_identity_and_mirror_report_zero(self, n):
+        field = wv.TranslatingGaussian((0.7, 0.2, -0.4, 0.1)[:n], 2.0)
+        pts = np.random.default_rng(n).uniform(-0.8, 0.8, size=(20, n))
+        for amap in (wv.AffineMap.identity(n), wv.AffineMap.mirror(n)):
+            for report in wv.check_transformation_laws(field, amap, pts, 0.3):
+                assert report.max_deviation == 0.0 and report.checked == 20
+
+    @pytest.mark.parametrize("fd", [False, True])
+    def test_reports_do_not_depend_on_block_size(self, fd, monkeypatch):
+        rng = np.random.default_rng(31)
+        field = wv.TranslatingGaussian((0.5, -0.3, 0.2), 2.0)
+        amap = wv.random_affine(rng, 3, max_condition=50.0)
+        _, pts = self._mixed_points(3, rng)
+        source = wv.make_fd_jet2_fn(0.02, 0.005) if fd else None
+        whole = wv.check_transformation_laws(field, amap, pts, 0.2, source)
+        monkeypatch.setattr(wv.covariance, "BLOCK_POINTS", 3)
+        assert wv.check_transformation_laws(field, amap, pts, 0.2, source) == whole
+
+    def test_selectors_return_their_law(self):
+        field = wv.TranslatingGaussian((0.7, 0.2), 2.0)
+        amap = wv.AffineMap(np.array([[2.0, 0.3], [0.1, 1.5]]), np.array([0.2, -0.1]))
+        pts = np.random.default_rng(4).uniform(-0.5, 0.5, size=(10, 2))
+        reports = wv.check_transformation_laws(field, amap, pts, 0.3)
+        checks = (wv.check_zero_order_covariance, wv.check_first_order_covariance,
+                  wv.check_contraction_invariance)
+        assert tuple(check(field, amap, pts, 0.3) for check in checks) == reports
+
+    @pytest.mark.parametrize("check", ["check_zero_order_covariance",
+                                       "check_first_order_covariance",
+                                       "check_contraction_invariance"])
+    def test_nonfinite_point_rejected(self, check):
+        field = wv.TranslatingGaussian((0.7, 0.2), 2.0)
+        pts = np.array([[0.1, 0.2], [np.nan, 0.3]])
+        with pytest.raises(ValueError, match="jet entries must be finite"):
+            getattr(wv, check)(field, wv.AffineMap.identity(2), pts, 0.3)
+
+    def test_nonfinite_time_rejected(self):
+        field = wv.TranslatingGaussian((0.7, 0.2), 2.0)
+        with pytest.raises(ValueError, match="jet entries must be finite"):
+            wv.check_transformation_laws(field, wv.AffineMap.identity(2), np.zeros((3, 2)), np.nan)
+
+    def test_hessian_upper_triangle_is_the_source_of_truth(self):
+        # as for Jet2, the lower triangle a source returns is ignored
+        def scrambled(field, points, t):
+            psi, pt, grad, hess, tmix = field.jet_arrays(points, t)
+            return psi, pt, grad, hess + np.tril(np.full(hess.shape, 7.0), -1), tmix
+
+        field = wv.TranslatingGaussian((0.7, 0.2, 0.1), 2.0)
+        amap = wv.random_affine(np.random.default_rng(5), 3, max_condition=10.0)
+        pts = np.random.default_rng(6).uniform(-0.5, 0.5, size=(10, 3))
+        assert (wv.check_transformation_laws(field, amap, pts, 0.3, scrambled)
+                == wv.check_transformation_laws(field, amap, pts, 0.3))
+
+
+class TestFdJetSource:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_centres_equal_pointwise_fd_jets_bitwise(self, n, order):
+        rng = np.random.default_rng(10 * n + order)
+        spec = wv.StencilSpec(order, "shrink-to-valid")
+        h, dt, t = 0.02, 0.005, 0.3
+        base = wv.TranslatingGaussian(tuple(rng.uniform(-1.0, 1.0, n)), 1.3)
+        composed = wv.AffineReparamField(base, wv.random_affine(rng, n, max_condition=8.0))
+        source = wv.make_fd_jet2_fn(h, dt, spec)
+        extent = max(5, 2 * spec.half_width + 1)
+        centre = extent // 2
+        mid = spec.min_frames // 2
+        times = t + dt * (np.arange(spec.min_frames) - mid)
+        pts = rng.uniform(-0.5, 0.5, size=(7, n))
+        for field in (base, composed):
+            stacked = source(field, pts, t)
+            for p, x in enumerate(pts):
+                # the point's own patch grid, as a one-point fd route samples it
+                grid = wv.Grid((extent,) * n, (h,) * n, tuple(x - centre * h))
+                jet = wv.fd_jet2_at(wv.sample(field, grid, times), mid, (centre,) * n, spec)
+                want = (jet.psi, jet.dpsi_dt, jet.grad, jet.hessian, jet.time_mixed)
+                for got, ref in zip(stacked, want):
+                    assert np.array_equal(got[p], ref)
+
+    def test_leading_shape_follows_points(self):
+        field = wv.TranslatingGaussian((0.7, 0.2), 1.3)
+        source = wv.make_fd_jet2_fn(0.02, 0.005)
+        pts = np.random.default_rng(2).uniform(-0.5, 0.5, size=(2, 3, 2))
+        psi, dpsi_dt, grad, hess, tmix = source(field, pts, 0.1)
+        assert psi.shape == dpsi_dt.shape == (2, 3)
+        assert grad.shape == tmix.shape == (2, 3, 2) and hess.shape == (2, 3, 2, 2)
+        flat = source(field, pts.reshape(6, 2), 0.1)
+        for a, b in zip((psi, dpsi_dt, grad, hess, tmix), flat):
+            assert np.array_equal(a.reshape(b.shape), b)
