@@ -47,7 +47,6 @@ from .fields import (
     SampledField,
     StaticGaussian,
     TranslatingGaussian,
-    analytic_jet2,
     analytic_jet_field,
     make_field,
     make_grid,

@@ -280,6 +280,43 @@ def _gaussian_jets(u: Array, sigma: float, amplitude: float, velocity: Array):
     return psi, dpsi_dt, grad, hess, tmix
 
 
+def _sum_planes(terms, n: int) -> Array:
+    """``np.sum(np.stack(terms, axis=-1), axis=-1)`` to the bit, for ``n`` arrays.
+
+    numpy sums fewer than 8 trailing entries one by one from +0.0, so there
+    the planes are added as they come and only one term is held at a time;
+    the first term is overwritten.  Longer sums, which numpy splits into 8
+    interleaved partial sums, are left to numpy on the stacked terms.
+    """
+    if n >= 8:
+        return np.asarray(np.stack(list(terms), axis=-1).sum(axis=-1))
+    terms = iter(terms)
+    total = next(terms)
+    total += 0.0  # a sum of -0 terms is +0, as from numpy's +0.0 start
+    for term in terms:
+        total += term
+    return total
+
+
+def _gaussian_value(points: Array, center, sigma: float, amplitude: float, shift=None):
+    """``A * exp(-|u|^2 / sigma^2)`` with ``u = x - center - shift``, built one
+    axis plane of ``u`` at a time."""
+    shape = points.shape[:-1]
+
+    def square(a):
+        u = np.subtract(points[..., a], center[a], out=np.empty(shape))
+        if shift is not None:
+            u -= shift[a]
+        return np.multiply(u, u, out=u)
+
+    q = _sum_planes(map(square, range(points.shape[-1])), points.shape[-1])
+    np.negative(q, out=q)
+    q /= sigma**2
+    np.exp(q, out=q)
+    q *= amplitude
+    return q[()]  # a scalar at a single point
+
+
 @dataclass(frozen=True)
 class TranslatingGaussian(AnalyticField):
     """Gaussian bump translating rigidly: ``A * exp(-|x - x0 - c t|^2 / sigma^2)``."""
@@ -317,8 +354,8 @@ class TranslatingGaussian(AnalyticField):
 
     def value(self, points, t):
         pts = self._check_points(points)
-        u = self._offset(pts, t)
-        return self.amplitude * np.exp(-np.sum(u * u, axis=-1) / self.sigma**2)
+        shift = np.asarray(self.velocity) * t
+        return _gaussian_value(pts, self.center, self.sigma, self.amplitude, shift)
 
     def jet_arrays(self, points, t):
         pts = self._check_points(points)
@@ -352,8 +389,7 @@ class StaticGaussian(AnalyticField):
 
     def value(self, points, t):
         pts = self._check_points(points)
-        u = pts - np.asarray(self.center)
-        return self.amplitude * np.exp(-np.sum(u * u, axis=-1) / self.sigma**2)
+        return _gaussian_value(pts, self.center, self.sigma, self.amplitude)
 
     def jet_arrays(self, points, t):
         pts = self._check_points(points)
@@ -533,13 +569,10 @@ def sample(field: AnalyticField, grid: Grid, times) -> SampledField:
         raise ValueError(f"field dim {field.dim} != grid dim {grid.dim}")
     t0, dt, m = canonical_time_axis(np.atleast_1d(times))
     pts = grid.points()
-    values = np.stack([field.value(pts, t0 + dt * k) for k in range(m)])
+    values = np.empty((m,) + grid.shape)
+    for k in range(m):
+        values[k] = field.value(pts, t0 + dt * k)
     return SampledField(grid, t0, dt, values)
-
-
-def analytic_jet2(field: AnalyticField, point, t: float) -> Jet2:
-    """Exact second-order jet of a catalog field at one point."""
-    return field.jet2(point, t)
 
 
 def analytic_jet_field(field: AnalyticField, grid: Grid, t: float) -> JetField:

@@ -9,6 +9,13 @@ which keeps them symmetric by construction and preserves the order.
 The pointwise (:func:`fd_jet2_at`) and grid-level (:func:`fd_jet_field`)
 paths share one tap table and accumulate in the same order, so they produce
 bit-identical values.
+
+The grid path works on contiguous planes: :func:`diff_along_axis` shifts the
+flattened array by whole strides and accumulates each tap in place, from
++0.0, through one scratch array.  :func:`fd_jet_field` differentiates one
+axis at a time and takes the mixed derivatives of that axis from its own
+contiguous first-derivative plane, so one such plane is alive at a time;
+invalid points are set to NaN by slicing the border bands of each axis.
 """
 
 from __future__ import annotations
@@ -141,32 +148,43 @@ def diff_along_axis(arr: Array, axis: int, h: float, deriv: int, spec: StencilSp
 
     Returns ``(out, valid)`` where ``valid`` is a per-index boolean along the
     axis; under ``shrink-to-valid`` the edge bands are NaN and flagged False.
+    ``out`` is C-contiguous.  Taps accumulate in place from +0.0 through one
+    scratch array; the central stencil runs over the flattened array, so
+    every axis is differenced by contiguous shifts of ``offset * stride``.
     """
-    a = np.moveaxis(np.asarray(arr, dtype=float), axis, 0)
+    arr = np.ascontiguousarray(arr, dtype=float)
+    a = np.moveaxis(arr, axis, 0)
     n = a.shape[0]
     hw = spec.half_width
     if n < 2 * hw + 1:
         raise ValueError(f"axis needs at least {2 * hw + 1} points for order {spec.order}")
-    out = np.full_like(a, np.nan)
+    stride = a.strides[0] // a.itemsize  # flat distance of neighbours along the axis
+    flat = arr.reshape(-1)
+    out = np.empty_like(arr)
+    lo, hi = hw * stride, flat.size - hw * stride
+    scratch = np.empty(hi - lo)
     valid = np.ones(n, dtype=bool)
 
-    central = stencil_taps(deriv, spec.order, hw, n, h, spec.boundary)
-    interior = slice(hw, n - hw)
-    acc = np.zeros_like(a[interior])
-    for off, coeff in central:
-        acc = acc + coeff * a[hw + off : n - hw + off]  # end >= 1, never wraps
-    out[interior] = acc
+    def accumulate(acc: Array, terms):
+        acc.fill(0.0)  # acc + c * a from +0.0, so a sum of -0 terms is +0
+        term = scratch[: acc.size].reshape(acc.shape)
+        for coeff, source in terms:
+            acc += np.multiply(coeff, source, out=term)
 
+    # the flat range also covers the edge bands of the axis, which are rewritten below
+    central = stencil_taps(deriv, spec.order, hw, n, h, spec.boundary)
+    accumulate(out.reshape(-1)[lo:hi],
+               [(coeff, flat[lo + off * stride : hi + off * stride]) for off, coeff in central])
+    edge = np.moveaxis(out, axis, 0)
     for pos in list(range(hw)) + list(range(n - hw, n)):
         taps = stencil_taps(deriv, spec.order, pos, n, h, spec.boundary)
         if taps is None:
             valid[pos] = False
-            continue
-        acc_b = np.zeros_like(a[pos])
-        for off, coeff in taps:
-            acc_b = acc_b + coeff * a[pos + off]
-        out[pos] = acc_b
-    return np.moveaxis(out, 0, axis), valid
+            edge[pos] = np.nan
+        else:
+            accumulate(edge[pos : pos + 1],
+                       [(coeff, a[pos + off : pos + off + 1]) for off, coeff in taps])
+    return out, valid
 
 
 def _time_taps(field: SampledField, frame: int, spec: StencilSpec):
@@ -297,32 +315,34 @@ def fd_jet_field(
     psi = cur.copy()
     grad = np.empty(shape + (n,))
     hess = np.empty(shape + (n, n))
-    tmix = np.full(shape + (n,), np.nan)
-    dpsi_dt = np.full(shape, np.nan)
+    tmix = np.empty(shape + (n,))
 
     axis_valid = []
-    d1 = {}
-    for a in range(n):
-        grad[..., a], v1 = diff_along_axis(cur, a, grid.spacing[a], 1, spec)
-        hess[..., a, a], v2 = diff_along_axis(cur, a, grid.spacing[a], 2, spec)
-        d1[a] = grad[..., a]
+    for b in range(n):
+        d1, v1 = diff_along_axis(cur, b, grid.spacing[b], 1, spec)
+        grad[..., b] = d1
+        hess[..., b, b], v2 = diff_along_axis(cur, b, grid.spacing[b], 2, spec)
         axis_valid.append(v1 & v2)
-    for a in range(n):
-        for b in range(a + 1, n):
-            mixed, _ = diff_along_axis(d1[b], a, grid.spacing[a], 1, spec)
+        # mixed derivatives from the contiguous d/dx_b plane, the only one alive
+        for a in range(b):
+            mixed, _ = diff_along_axis(d1, a, grid.spacing[a], 1, spec)
             hess[..., a, b] = mixed
             hess[..., b, a] = mixed
+        del d1
 
-    if time_derivatives and time_valid:
-        acc = np.zeros(shape)
+    if not time_derivatives:
+        dpsi_dt = np.zeros(shape)
+        tmix.fill(0.0)
+    elif time_valid:
+        dpsi_dt = np.zeros(shape)
+        term = np.empty(shape)
         for off, coeff in ttaps:
-            acc = acc + coeff * field.values[frame + off]
-        dpsi_dt = acc
+            dpsi_dt += np.multiply(coeff, field.values[frame + off], out=term)
+        del term
         for a in range(n):
             tmix[..., a], _ = diff_along_axis(dpsi_dt, a, grid.spacing[a], 1, spec)
-    elif not time_derivatives:
-        dpsi_dt = np.zeros(shape)
-        tmix = np.zeros(shape + (n,))
+    else:
+        dpsi_dt = np.empty(shape)  # every point is invalid and masked below
 
     valid = np.full(shape, time_valid)
     for a in range(n):
@@ -330,11 +350,13 @@ def fd_jet_field(
         idx_shape[a] = shape[a]
         valid &= axis_valid[a].reshape(idx_shape)
 
-    bad = ~valid
-    if np.any(bad):
-        grad[bad] = np.nan
-        hess[bad] = np.nan
-        tmix[bad] = np.nan
-        dpsi_dt = np.where(bad, np.nan, dpsi_dt)
+    # NaN on the invalid points: every point, or the border bands of each axis
+    if time_valid:
+        bands = [(slice(None),) * a + (np.flatnonzero(~ok),) for a, ok in enumerate(axis_valid)]
+    else:
+        bands = [Ellipsis]
+    for band in bands:
+        for arr in (dpsi_dt, grad, hess, tmix):
+            arr[band] = np.nan
 
     return JetField(grid, field.time(frame), frame, psi, dpsi_dt, grad, hess, tmix, valid)

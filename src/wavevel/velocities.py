@@ -14,6 +14,15 @@ and ``first_order_velocity_nd``, the reference the Cramer route is checked
 against).  A singular Hessian is an expected regime and yields
 ``valid=False`` rather than an exception.
 
+The grid maps work on contiguous component planes: the order-zero map and
+the contraction loop over the N planes (the contraction sums them from
++0.0 in axis order, as numpy's own sum does), and the order-one map calls
+the kernel on contiguous blocks of :data:`BLOCK_POINTS` points, so its
+temporaries stay one block in size.  On a stack the pivoted route gathers
+its points: LAPACK sees the valid input points only, and solves the
+non-singular ones.  Every map rounds exactly as its trailing-axis
+formulation would.
+
 The contraction of the order-zero reciprocals with the order-one components
 is a dimensionless scalar, invariant under linear coordinate changes; it
 equals N for any rigidly translating profile.
@@ -25,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid
+from .fields import Grid, _sum_planes
 from .jets import Jet2, JetField
 
 Array = np.ndarray
@@ -33,6 +42,10 @@ Array = np.ndarray
 #: Scale-invariant singularity threshold: the Hessian counts as singular
 #: when |det H| <= EPS_SINGULAR * ||H||_F ** N.
 EPS_SINGULAR = 1e-10
+
+#: Points per call of the order-one kernel in the grid map: a block's
+#: temporaries stay in cache, and peak memory is the output plus one block.
+BLOCK_POINTS = 8192
 
 
 class StationaryDegenerateError(ValueError):
@@ -188,7 +201,9 @@ def _solve_order_one(h: Array, b: Array, ok=True, eps_singular: float = EPS_SING
     hessian_condition)``: components are NaN where not valid, and the
     condition is ``||H||_F**N / |det H|``, inf where ``det H == 0`` or the
     input is invalid.  A single point runs on plain floats and skips the
-    masking a stack needs.
+    masking a stack needs.  The pivoted route gathers the points it works on:
+    LAPACK's determinant sees the valid input points only (the others may
+    hold NaN), and its solve the non-singular ones.
     """
     n = h.shape[-1]
     one = h.ndim == 2
@@ -196,9 +211,8 @@ def _solve_order_one(h: Array, b: Array, ok=True, eps_singular: float = EPS_SING
         pivoted = n > 3
     frob_n = (h * h).sum(axis=(-2, -1)) ** (n / 2)  # ||H||_F ** N
     if pivoted:
-        if not one:  # LAPACK must not see the NaN entries of invalid input points
-            h = np.where(ok[..., None, None], h, np.eye(n))
-        det = np.linalg.det(h)
+        det = np.zeros(np.shape(ok))
+        det[ok] = np.linalg.det(h[ok])
     else:
         # each column a list of its entries: floats at one point, views on a stack
         cols = h.T.tolist() if one else [[h[..., i, j] for i in range(n)] for j in range(n)]
@@ -213,14 +227,12 @@ def _solve_order_one(h: Array, b: Array, ok=True, eps_singular: float = EPS_SING
             return np.full(n, np.nan), valid, cond
     else:
         cond = np.divide(frob_n, abs(det), out=np.full(det.shape, np.inf), where=ok & (det != 0.0))
-        # a NaN right-hand side or denominator gives the invalid points NaN components
-        if pivoted:
-            h[~valid] = np.eye(n)
-            b = np.where(valid[..., None], b, np.nan)
-        else:
+        if not pivoted:  # a NaN denominator gives the invalid points NaN components
             det = np.where(valid, det, np.nan)
     if pivoted:
-        return np.linalg.solve(h, -b[..., None])[..., 0], valid, cond
+        comps = np.full(b.shape, np.nan)
+        comps[valid] = np.linalg.solve(h[valid], -b[valid][..., None])[..., 0]
+        return comps, valid, cond
     comps = [-_cramer_det(cols[:j] + [rhs] + cols[j + 1 :]) / det for j in range(n)]
     return (np.array(comps) if one else np.stack(comps, axis=-1)), valid, cond
 
@@ -299,25 +311,36 @@ class FirstOrderVelocityField:
 
 
 def zero_order_velocity_field(jets: JetField) -> ZeroOrderVelocityField:
-    """Map the order-zero formula over a jet field.
+    """Map the order-zero formula over a jet field, one component plane at a time.
 
     Stationary-degenerate points (psi_t = 0 with a fully vanishing gradient)
     are marked invalid instead of raising.
     """
     n = jets.dim
-    pt = jets.dpsi_dt
     g = jets.grad
-    degenerate = (pt == 0.0) & np.all(g == 0.0, axis=-1)
+    pt = jets.dpsi_dt
+    degenerate = pt == 0.0
+    for a in range(n):
+        degenerate &= g[..., a] == 0.0
     valid = jets.valid & ~degenerate
+    reciprocal = np.empty(g.shape)
+    components = np.empty(g.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        reciprocal = -(n * g) / pt[..., None]
-        components = np.where(
-            g != 0.0,
-            -(pt[..., None] / n) / g,
-            np.where(pt[..., None] != 0.0, np.copysign(np.inf, -pt)[..., None], np.nan),
-        )
-    reciprocal[~valid] = np.nan
-    components[~valid] = np.nan
+        pt = np.where(valid, pt, np.nan)  # the NaN carries into both maps
+        scale = -(pt / n)
+        # where g_a = 0: ±inf with the sign of -psi_t, NaN where psi_t = 0 or invalid
+        still = np.negative(pt)
+        still /= 0.0
+        ga = np.empty(pt.shape)
+        plane = np.empty(pt.shape)
+        for a in range(n):
+            np.copyto(ga, g[..., a])
+            np.multiply(-n, ga, out=plane)
+            plane /= pt
+            reciprocal[..., a] = plane
+            np.divide(scale, ga, out=plane)
+            np.copyto(plane, still, where=ga == 0.0)
+            components[..., a] = plane
     return ZeroOrderVelocityField(jets.grid, reciprocal, components, valid)
 
 
@@ -326,10 +349,25 @@ def first_order_velocity_field(
 ) -> FirstOrderVelocityField:
     """Map the order-one solve over a jet field: Cramer for N <= 3, pivoted above.
 
+    The solve runs on contiguous blocks of :data:`BLOCK_POINTS` points.
     Singular-Hessian points are marked invalid, never silently zeroed.
     """
-    comps, valid, cond = _solve_order_one(jets.hessian, jets.time_mixed, jets.valid, eps_singular)
-    return FirstOrderVelocityField(jets.grid, comps, valid, cond)
+    n = jets.dim
+    shape = jets.grid.shape
+    h = jets.hessian.reshape(-1, n, n)
+    b = jets.time_mixed.reshape(-1, n)
+    ok = jets.valid.reshape(-1)
+    comps = np.empty(b.shape)
+    valid = np.empty(ok.shape, dtype=bool)
+    cond = np.empty(ok.shape)
+    for start in range(0, ok.size, BLOCK_POINTS):
+        block = slice(start, start + BLOCK_POINTS)
+        comps[block], valid[block], cond[block] = _solve_order_one(
+            h[block], b[block], ok[block], eps_singular
+        )
+    return FirstOrderVelocityField(
+        jets.grid, comps.reshape(shape + (n,)), valid.reshape(shape), cond.reshape(shape)
+    )
 
 
 def velocity_field(jets: JetField, order: int, eps_singular: float = EPS_SINGULAR):
@@ -345,12 +383,18 @@ def contraction_scalar_field(v0: ZeroOrderVelocityField, v1: FirstOrderVelocityF
     """Contraction scalar at every point where both velocities are defined.
 
     Returns ``(values, valid)``; points with nonfinite reciprocals (psi_t = 0)
-    or invalid order-one velocity are masked out.
+    or invalid order-one velocity are masked out.  Both maps must share one
+    grid.
     """
-    if v0.dim != v1.dim:
-        raise ValueError(f"dimension mismatch: {v0.dim} vs {v1.dim}")
-    valid = v0.valid & v1.valid & np.all(np.isfinite(v0.reciprocal), axis=-1)
+    if v0.grid != v1.grid:
+        raise ValueError(f"grid mismatch: {v0.grid} vs {v1.grid}")
+    n = v0.dim
+    r = v0.reciprocal
+    c = v1.components
+    valid = v0.valid & v1.valid
+    for a in range(n):
+        valid &= np.isfinite(r[..., a])
     with np.errstate(invalid="ignore"):
-        vals = np.sum(v0.reciprocal * v1.components, axis=-1)
-    vals = np.where(valid, vals, np.nan)
+        vals = _sum_planes((r[..., a] * c[..., a] for a in range(n)), n)
+    vals[~valid] = np.nan
     return vals, valid

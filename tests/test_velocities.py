@@ -361,6 +361,25 @@ class TestVelocityFields:
         assert valid.any()
         assert np.nanmax(np.abs(vals[valid] - 2.0)) < 1e-11
 
+    def _maps_on(self, shape, spacing):
+        grid = wv.make_grid(2, shape, spacing, -0.55)
+        jets = wv.analytic_jet_field(wv.TranslatingGaussian((0.7, 0.2), 1.0), grid, 0.1)
+        return wv.velocity_field(jets, 0), wv.velocity_field(jets, 1)
+
+    def test_contraction_field_rejects_other_spacing(self):
+        # equal shapes once paired silently, as 64 "valid" values
+        v0, _ = self._maps_on((12, 12), 0.1)
+        _, v1 = self._maps_on((12, 12), 0.2)
+        with pytest.raises(ValueError, match="grid mismatch"):
+            wv.contraction_scalar_field(v0, v1)
+
+    def test_contraction_field_rejects_other_shape(self):
+        # once numpy's raw broadcast error
+        v0, _ = self._maps_on((12, 12), 0.1)
+        _, v1 = self._maps_on((13, 12), 0.1)
+        with pytest.raises(ValueError, match="grid mismatch"):
+            wv.contraction_scalar_field(v0, v1)
+
     def test_order_validated(self):
         jets, _ = self._jets(wv.StaticGaussian(1.0))
         with pytest.raises(ValueError):
