@@ -263,8 +263,8 @@ def _add_singularity_option(p) -> None:
         "--eps-singular",
         type=float,
         default=1e-10,
-        help="Hessian singularity threshold relative to ||H||_F^N; raise to "
-        "the jet error scale (e.g. 1e-5) for finite-difference data",
+        help="Hessian singularity threshold relative to ||H||_F^N, finite and "
+        ">= 0; raise to the jet error scale (e.g. 1e-5) for finite-difference data",
     )
 
 

@@ -283,18 +283,45 @@ def _gaussian_jets(u: Array, sigma: float, amplitude: float, velocity: Array):
 def _sum_planes(terms, n: int) -> Array:
     """``np.sum(np.stack(terms, axis=-1), axis=-1)`` to the bit, for ``n`` arrays.
 
-    numpy sums fewer than 8 trailing entries one by one from +0.0, so there
-    the planes are added as they come and only one term is held at a time;
-    the first term is overwritten.  Longer sums, which numpy splits into 8
-    interleaved partial sums, are left to numpy on the stacked terms.
+    The terms are added in numpy's pairwise order (see :func:`_pairwise_sum`)
+    and the total is added to +0.0, so a sum of -0 terms is +0 as numpy's is.
+    Terms are consumed in order and some are overwritten; at most eight
+    partial sums and one term are held at a time.
     """
-    if n >= 8:
-        return np.asarray(np.stack(list(terms), axis=-1).sum(axis=-1))
-    terms = iter(terms)
-    total = next(terms)
-    total += 0.0  # a sum of -0 terms is +0, as from numpy's +0.0 start
-    for term in terms:
-        total += term
+    total = _pairwise_sum(iter(terms), n)
+    if n >= 8:  # shorter sums already start from +0.0
+        total += 0.0
+    return total
+
+
+def _pairwise_sum(terms, n: int):
+    """The next ``n`` terms summed as numpy's ``pairwise_sum`` orders them.
+
+    Fewer than 8 terms are added one by one from +0.0.  Up to 128 go into 8
+    interleaved partial sums, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    and the remainder is added one by one.  Longer runs are split at a
+    multiple of 8 near their middle and the two halves summed recursively.
+    """
+    if n < 8:
+        total = next(terms)
+        total += 0.0
+        for _ in range(n - 1):
+            total += next(terms)
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise_sum(terms, half)
+        total += _pairwise_sum(terms, n - half)
+        return total
+    r = [next(terms) for _ in range(8)]
+    for k in range(8, n - n % 8):
+        r[k % 8] += next(terms)
+    for step in (1, 2, 4):
+        for k in range(0, 8, 2 * step):
+            r[k] += r[k + step]
+    total = r[0]
+    for _ in range(n % 8):
+        total += next(terms)
     return total
 
 

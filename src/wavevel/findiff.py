@@ -12,10 +12,14 @@ bit-identical values.
 
 The grid path works on contiguous planes: :func:`diff_along_axis` shifts the
 flattened array by whole strides and accumulates each tap in place, from
-+0.0, through one scratch array.  :func:`fd_jet_field` differentiates one
-axis at a time and takes the mixed derivatives of that axis from its own
-contiguous first-derivative plane, so one such plane is alive at a time;
-invalid points are set to NaN by slicing the border bands of each axis.
++0.0, through one scratch array.  :func:`fd_jet_field` stores the gradient,
+the mixed time rows and (for N <= 3) the Hessian planes-first, as
+``(N, *shape)`` and ``(N, N, *shape)`` buffers behind component-last views,
+and writes every derivative straight into its contiguous plane.  It
+differentiates one axis at a time and takes the mixed derivatives of that
+axis from its gradient plane; invalid points are set to NaN by slicing the
+border bands of each axis.  For N >= 4 the Hessian stays in C order and
+its entries pass through one work plane (the reason is given in the code).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import SampledField
-from .jets import Jet1, Jet2, JetField
+from .jets import Jet1, Jet2, JetField, _component_planes
 
 Array = np.ndarray
 
@@ -153,6 +157,13 @@ def diff_along_axis(arr: Array, axis: int, h: float, deriv: int, spec: StencilSp
     every axis is differenced by contiguous shifts of ``offset * stride``.
     """
     arr = np.ascontiguousarray(arr, dtype=float)
+    out = np.empty_like(arr)
+    return out, _diff_into(out, arr, axis, h, deriv, spec)
+
+
+def _diff_into(out: Array, arr: Array, axis: int, h: float, deriv: int, spec: StencilSpec):
+    """:func:`diff_along_axis` of the C-contiguous ``arr`` written into the
+    C-contiguous ``out`` of the same shape; returns the per-index validity."""
     a = np.moveaxis(arr, axis, 0)
     n = a.shape[0]
     hw = spec.half_width
@@ -160,7 +171,6 @@ def diff_along_axis(arr: Array, axis: int, h: float, deriv: int, spec: StencilSp
         raise ValueError(f"axis needs at least {2 * hw + 1} points for order {spec.order}")
     stride = a.strides[0] // a.itemsize  # flat distance of neighbours along the axis
     flat = arr.reshape(-1)
-    out = np.empty_like(arr)
     lo, hi = hw * stride, flat.size - hw * stride
     scratch = np.empty(hi - lo)
     valid = np.ones(n, dtype=bool)
@@ -184,7 +194,7 @@ def diff_along_axis(arr: Array, axis: int, h: float, deriv: int, spec: StencilSp
         else:
             accumulate(edge[pos : pos + 1],
                        [(coeff, a[pos + off : pos + off + 1]) for off, coeff in taps])
-    return out, valid
+    return valid
 
 
 def _time_taps(field: SampledField, frame: int, spec: StencilSpec):
@@ -313,22 +323,34 @@ def fd_jet_field(
 
     cur = field.values[frame]
     psi = cur.copy()
-    grad = np.empty(shape + (n,))
-    hess = np.empty(shape + (n, n))
-    tmix = np.empty(shape + (n,))
+    # component planes are contiguous and written in place.  For N >= 4 the
+    # Hessian stays in C order, each entry passing through one work plane:
+    # the trailing-axis formulation of the pivoted order-one map, numpy's
+    # (h * h).sum(axis=(-2, -1)), rounds ||H||_F as the kernel does only on
+    # C-ordered stacks (it adds planes-first entries one by one).
+    grad = _component_planes(shape, n)
+    tmix = _component_planes(shape, n)
+    planes = n <= 3
+    hess = _component_planes(shape, n, 2) if planes else np.empty(shape + (n, n))
+    work = None if planes else np.empty(shape)
+
+    def hessian_entry(a, b, source, deriv):
+        """H_ab = H_ba, differentiating ``source`` along axis a."""
+        plane = hess[..., a, b] if planes else work
+        ok = _diff_into(plane, source, a, grid.spacing[a], deriv, spec)
+        if not planes:
+            hess[..., a, b] = plane
+        if a != b:
+            hess[..., b, a] = plane
+        return ok
 
     axis_valid = []
     for b in range(n):
-        d1, v1 = diff_along_axis(cur, b, grid.spacing[b], 1, spec)
-        grad[..., b] = d1
-        hess[..., b, b], v2 = diff_along_axis(cur, b, grid.spacing[b], 2, spec)
-        axis_valid.append(v1 & v2)
-        # mixed derivatives from the contiguous d/dx_b plane, the only one alive
+        v1 = _diff_into(grad[..., b], cur, b, grid.spacing[b], 1, spec)
+        axis_valid.append(v1 & hessian_entry(b, b, cur, 2))
+        # the mixed derivatives of axis b from its contiguous d/dx_b plane
         for a in range(b):
-            mixed, _ = diff_along_axis(d1, a, grid.spacing[a], 1, spec)
-            hess[..., a, b] = mixed
-            hess[..., b, a] = mixed
-        del d1
+            hessian_entry(a, b, grad[..., b], 1)
 
     if not time_derivatives:
         dpsi_dt = np.zeros(shape)
@@ -340,7 +362,7 @@ def fd_jet_field(
             dpsi_dt += np.multiply(coeff, field.values[frame + off], out=term)
         del term
         for a in range(n):
-            tmix[..., a], _ = diff_along_axis(dpsi_dt, a, grid.spacing[a], 1, spec)
+            _diff_into(tmix[..., a], dpsi_dt, a, grid.spacing[a], 1, spec)
     else:
         dpsi_dt = np.empty(shape)  # every point is invalid and masked below
 

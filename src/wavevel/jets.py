@@ -24,6 +24,13 @@ def _mirror_upper(hess: Array) -> Array:
     return np.triu(hess) + np.swapaxes(np.triu(hess, 1), -1, -2)
 
 
+def _component_planes(shape, n: int, k: int = 1) -> Array:
+    """An uninitialised array of shape ``(*shape, N)`` (``(*shape, N, N)`` for
+    ``k = 2``) stored planes-first: each component plane ``[..., i]``
+    (``[..., i, j]``) is C-contiguous."""
+    return np.moveaxis(np.empty((n,) * k + tuple(shape)), range(k), range(-k, 0))
+
+
 def _require_finite(*entries) -> None:
     """Reject jets with a non-finite entry, at one point or on a stack."""
     if not all(np.isfinite(e).all() for e in entries):
@@ -103,10 +110,14 @@ class Jet2:
 class JetField:
     """Second-order jets evaluated at every point of a grid at one instant.
 
-    Arrays are component-last: ``grad`` has shape ``(*grid.shape, N)``,
-    ``hessian`` has ``(*grid.shape, N, N)``.  Entries may be NaN wherever
-    ``valid`` is False (points where the requested stencil order could not
-    be met, or where no value was computed at all).
+    Shapes are component-last: ``grad`` has shape ``(*grid.shape, N)``,
+    ``hessian`` has ``(*grid.shape, N, N)``.  The grid kernels store the
+    component planes contiguously, so ``grad[..., a]`` and (for N <= 3)
+    ``hessian[..., i, j]`` are C-contiguous planes and the arrays themselves
+    are non-contiguous views: do not assume C order.  Every consumer gives
+    the same bits on any layout.  Entries may be NaN wherever ``valid`` is
+    False (points where the requested stencil order could not be met, or
+    where no value was computed at all).
 
     ``frame`` is the time index into the originating sampled field, or None
     when the jets came from analytic evaluation.

@@ -14,14 +14,17 @@ and ``first_order_velocity_nd``, the reference the Cramer route is checked
 against).  A singular Hessian is an expected regime and yields
 ``valid=False`` rather than an exception.
 
-The grid maps work on contiguous component planes: the order-zero map and
-the contraction loop over the N planes (the contraction sums them from
-+0.0 in axis order, as numpy's own sum does), and the order-one map calls
-the kernel on contiguous blocks of :data:`BLOCK_POINTS` points, so its
-temporaries stay one block in size.  On a stack the pivoted route gathers
-its points: LAPACK sees the valid input points only, and solves the
-non-singular ones.  Every map rounds exactly as its trailing-axis
-formulation would.
+The grid maps work on contiguous component planes and store their outputs
+planes-first behind component-last views: the order-zero map and the
+contraction loop over the N planes (the contraction sums them from +0.0
+in axis order, as numpy's own sum does), and the order-one map calls the
+kernel on contiguous blocks of :data:`BLOCK_POINTS` points, so its
+temporaries stay one block in size.  The kernel reads the Hessian entry by
+entry and sums ``||H||_F**2`` over the N^2 entries in numpy's pairwise
+order, so it gives the same bits on any layout of its input.  On a stack
+the pivoted route gathers its points: LAPACK sees the valid input points
+only, and solves the non-singular ones.  Every map rounds exactly as its
+trailing-axis formulation would on C-ordered input.
 
 The contraction of the order-zero reciprocals with the order-one components
 is a dimensionless scalar, invariant under linear coordinate changes; it
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Grid, _sum_planes
-from .jets import Jet2, JetField
+from .jets import Jet2, JetField, _component_planes
 
 Array = np.ndarray
 
@@ -203,19 +206,27 @@ def _solve_order_one(h: Array, b: Array, ok=True, eps_singular: float = EPS_SING
     input is invalid.  A single point runs on plain floats and skips the
     masking a stack needs.  The pivoted route gathers the points it works on:
     LAPACK's determinant sees the valid input points only (the others may
-    hold NaN), and its solve the non-singular ones.
+    hold NaN), and its solve the non-singular ones.  ``eps_singular`` must be
+    finite and non-negative, else ``ValueError``: a negative one passes
+    singular Hessians, a NaN or infinite one rejects every point.
     """
+    if not 0.0 <= eps_singular < np.inf:
+        raise ValueError(f"eps_singular must be finite and non-negative, got {eps_singular!r}")
     n = h.shape[-1]
     one = h.ndim == 2
     if pivoted is None:
         pivoted = n > 3
-    frob_n = (h * h).sum(axis=(-2, -1)) ** (n / 2)  # ||H||_F ** N
+    # the entries of H: floats at one point, plane views on a stack
+    rows = h.tolist() if one else [[h[..., i, j] for j in range(n)] for i in range(n)]
+    # ||H||_F ** N summed as numpy sums a contiguous trailing axis, so every
+    # layout of the stack rounds alike
+    frob_n = _sum_planes((e * e for row in rows for e in row), n * n)
+    frob_n = (np.float64(frob_n) if one else frob_n) ** (n / 2)  # a float power raises on overflow
     if pivoted:
         det = np.zeros(np.shape(ok))
         det[ok] = np.linalg.det(h[ok])
     else:
-        # each column a list of its entries: floats at one point, views on a stack
-        cols = h.T.tolist() if one else [[h[..., i, j] for i in range(n)] for j in range(n)]
+        cols = [list(col) for col in zip(*rows)]
         rhs = b.tolist() if one else [b[..., i] for i in range(n)]
         det = _cramer_det(cols)
     if one:
@@ -323,24 +334,20 @@ def zero_order_velocity_field(jets: JetField) -> ZeroOrderVelocityField:
     for a in range(n):
         degenerate &= g[..., a] == 0.0
     valid = jets.valid & ~degenerate
-    reciprocal = np.empty(g.shape)
-    components = np.empty(g.shape)
+    reciprocal = _component_planes(pt.shape, n)
+    components = _component_planes(pt.shape, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         pt = np.where(valid, pt, np.nan)  # the NaN carries into both maps
         scale = -(pt / n)
         # where g_a = 0: ±inf with the sign of -psi_t, NaN where psi_t = 0 or invalid
         still = np.negative(pt)
         still /= 0.0
-        ga = np.empty(pt.shape)
-        plane = np.empty(pt.shape)
         for a in range(n):
-            np.copyto(ga, g[..., a])
-            np.multiply(-n, ga, out=plane)
-            plane /= pt
-            reciprocal[..., a] = plane
-            np.divide(scale, ga, out=plane)
-            np.copyto(plane, still, where=ga == 0.0)
-            components[..., a] = plane
+            ga, w, v = g[..., a], reciprocal[..., a], components[..., a]
+            np.multiply(-n, ga, out=w)
+            w /= pt
+            np.divide(scale, ga, out=v)
+            np.copyto(v, still, where=ga == 0.0)
     return ZeroOrderVelocityField(jets.grid, reciprocal, components, valid)
 
 
@@ -357,7 +364,7 @@ def first_order_velocity_field(
     h = jets.hessian.reshape(-1, n, n)
     b = jets.time_mixed.reshape(-1, n)
     ok = jets.valid.reshape(-1)
-    comps = np.empty(b.shape)
+    comps = _component_planes(ok.shape, n)
     valid = np.empty(ok.shape, dtype=bool)
     cond = np.empty(ok.shape)
     for start in range(0, ok.size, BLOCK_POINTS):

@@ -122,6 +122,15 @@ class TestVelocityScalar:
         assert median == pytest.approx(2.0, abs=1e-2)
 
 
+    @pytest.mark.parametrize("command", [["velocity", "--order", "1"], ["scalar"]])
+    @pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
+    def test_bad_singularity_threshold_is_usage_error(self, tmp_path, capsys, command, eps):
+        # -1 passed singular Hessians; nan printed "0/2304 valid points" and exited 0
+        path = _generate(tmp_path, GAUSS)
+        assert cli([command[0], str(path), *command[1:], f"--eps-singular={eps}"]) == 2
+        assert "eps_singular must be finite and non-negative" in capsys.readouterr().err
+
+
 class TestTrack:
     def test_peak_track_within_tolerance(self, tmp_path, capsys):
         path = _generate(tmp_path, GAUSS, frames=9, dt=0.02)

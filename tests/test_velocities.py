@@ -384,3 +384,42 @@ class TestVelocityFields:
         jets, _ = self._jets(wv.StaticGaussian(1.0))
         with pytest.raises(ValueError):
             wv.velocity_field(jets, 2)
+
+
+BAD_THRESHOLDS = [-1.0, np.nan, np.inf]
+
+
+def _singular_jet(n):
+    # H = diag(1, ..., 1, 0): det H = 0 exactly
+    return wv.Jet2(wv.Jet1(0.0, 1.0, np.ones(n)), np.diag([1.0] * (n - 1) + [0.0]),
+                   0.1 * np.arange(1, n + 1))
+
+
+class TestSingularityThreshold:
+    """The threshold must be finite and non-negative: a negative one passed
+    singular Hessians (the 2-D Cramer route divided by det H = 0), a NaN or
+    infinite one silently rejected every point."""
+
+    @pytest.mark.parametrize("eps", BAD_THRESHOLDS)
+    @pytest.mark.parametrize("route, n", [
+        (wv.first_order_velocity_2d, 2),
+        (wv.first_order_velocity_3d, 3),
+        (wv.first_order_velocity_nd, 2),
+        (wv.first_order_velocity_nd, 4),
+    ])
+    def test_pointwise_routes_reject(self, route, n, eps):
+        with pytest.raises(ValueError, match="eps_singular"):
+            route(_singular_jet(n), eps_singular=eps)
+
+    @pytest.mark.parametrize("eps", BAD_THRESHOLDS)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_velocity_field_rejects(self, n, eps):
+        grid = wv.make_grid(n, [6] * n, 0.2, -0.5)
+        jets = wv.analytic_jet_field(wv.TranslatingGaussian((0.5,) * n, 1.0), grid, 0.1)
+        with pytest.raises(ValueError, match="eps_singular"):
+            wv.velocity_field(jets, 1, eps_singular=eps)
+
+    def test_zero_threshold_rejects_only_zero_determinants(self):
+        assert not wv.first_order_velocity_2d(_singular_jet(2), eps_singular=0.0).valid
+        jet = wv.Jet2(wv.Jet1(0.0, 1.0, [1.0, 1.0]), np.diag([1.0, 1e-300]), [0.1, 0.2])
+        assert wv.first_order_velocity_2d(jet, eps_singular=0.0).valid
