@@ -181,6 +181,9 @@ class AnalyticField:
 
     Subclasses implement :meth:`value` (vectorized over a trailing coordinate
     axis) and :meth:`jet_arrays`; everything else derives from those.
+    :func:`sample` evaluates a grid through :meth:`_grid_values`, which by
+    default calls :meth:`value` on ``grid.points()`` once per frame; a field
+    that can evaluate a grid without its point array overrides it.
     """
 
     kind = "abstract"
@@ -192,6 +195,15 @@ class AnalyticField:
     def value(self, points, t: float) -> Array:
         """Field value at points of shape ``(..., dim)``; returns ``(...)``."""
         raise NotImplementedError
+
+    def _grid_values(self, grid: Grid, times) -> Array:
+        """Values at every point of ``grid`` at each of ``times``, shape
+        ``(len(times), *grid.shape)``; ``grid.dim`` must equal :attr:`dim`."""
+        pts = grid.points()
+        values = np.empty((len(times),) + grid.shape)
+        for frame, t in zip(values, times):
+            frame[...] = self.value(pts, t)
+        return values
 
     def jet_arrays(self, points, t: float):
         """Exact jets at many points.
@@ -325,27 +337,67 @@ def _pairwise_sum(terms, n: int):
     return total
 
 
-def _gaussian_value(points: Array, center, sigma: float, amplitude: float, shift=None):
-    """``A * exp(-|u|^2 / sigma^2)`` with ``u = x - center - shift``, built one
-    axis plane of ``u`` at a time."""
-    shape = points.shape[:-1]
+def _gaussian_value(coords, center, sigma: float, amplitude: float, shift=None, out=None):
+    """``A * exp(-|u|^2 / sigma^2)`` with ``u_a = coords[a] - center[a] - shift[a]``.
+
+    Each ``coords[a]`` broadcasts to the result: a plane of a point array, or
+    one grid axis shaped as a column, so a grid needs no point array.  The
+    squares ``u_a^2`` are made one at a time, each on the shape of its
+    ``coords[a]``, and summed in :func:`_sum_planes` order.  Only the terms
+    that sum accumulates into are copied to full size (the first, and from
+    eight axes on the first eight); the first goes to ``out``, which holds
+    the result.
+    """
+    n = len(coords)
+    shape = np.broadcast_shapes(*(np.shape(x) for x in coords))
+    out = np.empty(shape) if out is None else out
 
     def square(a):
-        u = np.subtract(points[..., a], center[a], out=np.empty(shape))
+        u = np.subtract(coords[a], center[a], out=np.empty(np.shape(coords[a])))
         if shift is not None:
             u -= shift[a]
-        return np.multiply(u, u, out=u)
+        np.multiply(u, u, out=u)
+        if a == 0 or a < 8 <= n:
+            acc = out if a == 0 else np.empty(shape)
+            np.copyto(acc, u)
+            return acc
+        return u
 
-    q = _sum_planes(map(square, range(points.shape[-1])), points.shape[-1])
-    np.negative(q, out=q)
-    q /= sigma**2
+    q = _sum_planes(map(square, range(n)), n)  # q is out
+    np.divide(q, -(sigma**2), out=q)  # the bits of -q / sigma^2: rounding is sign-symmetric
     np.exp(q, out=q)
     q *= amplitude
-    return q[()]  # a scalar at a single point
+    return q
+
+
+class _GaussianBump(AnalyticField):
+    """Value and grid sampling shared by the Gaussian kinds.
+
+    ``|u|^2`` is a sum over the axes, so :meth:`_grid_values` builds each
+    ``u_a`` from the grid's axis coordinates and broadcasts it over the frame.
+    Subclasses give ``center``, ``sigma``, ``amplitude`` and the shift ``c t``
+    of the center at time ``t`` (None for a static bump).
+    """
+
+    def _shift(self, t):
+        return None
+
+    def value(self, points, t):
+        pts = self._check_points(points)
+        coords = [pts[..., a] for a in range(self.dim)]
+        return _gaussian_value(coords, self.center, self.sigma, self.amplitude, self._shift(t))[()]
+
+    def _grid_values(self, grid, times):
+        n = grid.dim
+        coords = [grid.axis_coordinates(a).reshape((-1,) + (1,) * (n - 1 - a)) for a in range(n)]
+        values = np.empty((len(times),) + grid.shape)
+        for frame, t in zip(values, times):
+            _gaussian_value(coords, self.center, self.sigma, self.amplitude, self._shift(t), frame)
+        return values
 
 
 @dataclass(frozen=True)
-class TranslatingGaussian(AnalyticField):
+class TranslatingGaussian(_GaussianBump):
     """Gaussian bump translating rigidly: ``A * exp(-|x - x0 - c t|^2 / sigma^2)``."""
 
     velocity: tuple
@@ -379,10 +431,8 @@ class TranslatingGaussian(AnalyticField):
     def _offset(self, points, t):
         return points - np.asarray(self.center) - np.asarray(self.velocity) * t
 
-    def value(self, points, t):
-        pts = self._check_points(points)
-        shift = np.asarray(self.velocity) * t
-        return _gaussian_value(pts, self.center, self.sigma, self.amplitude, shift)
+    def _shift(self, t):
+        return np.asarray(self.velocity) * t
 
     def jet_arrays(self, points, t):
         pts = self._check_points(points)
@@ -391,7 +441,7 @@ class TranslatingGaussian(AnalyticField):
 
 
 @dataclass(frozen=True)
-class StaticGaussian(AnalyticField):
+class StaticGaussian(_GaussianBump):
     """Time-independent Gaussian bump ``A * exp(-|x - x0|^2 / sigma^2)``."""
 
     sigma: float
@@ -413,10 +463,6 @@ class StaticGaussian(AnalyticField):
     @property
     def dim(self) -> int:
         return len(self.center)
-
-    def value(self, points, t):
-        pts = self._check_points(points)
-        return _gaussian_value(pts, self.center, self.sigma, self.amplitude)
 
     def jet_arrays(self, points, t):
         pts = self._check_points(points)
@@ -591,14 +637,16 @@ def make_field(kind: str, **params) -> AnalyticField:
 
 
 def sample(field: AnalyticField, grid: Grid, times) -> SampledField:
-    """Evaluate an analytic field on a grid at the given time frames."""
+    """Evaluate an analytic field on a grid at the given time frames.
+
+    The frames come from the field's :meth:`AnalyticField._grid_values`:
+    :meth:`AnalyticField.value` on the grid's point array, built once, or,
+    for the Gaussian kinds, sums of per-axis terms with no point array.
+    """
     if field.dim != grid.dim:
         raise ValueError(f"field dim {field.dim} != grid dim {grid.dim}")
     t0, dt, m = canonical_time_axis(np.atleast_1d(times))
-    pts = grid.points()
-    values = np.empty((m,) + grid.shape)
-    for k in range(m):
-        values[k] = field.value(pts, t0 + dt * k)
+    values = field._grid_values(grid, [t0 + dt * k for k in range(m)])
     return SampledField(grid, t0, dt, values)
 
 

@@ -49,6 +49,18 @@ def _ref_sample(field, grid, times):
     return np.stack([_ref_value(field, pts, t) for t in times])
 
 
+def _ref_sample_rows(field, grid, times):
+    """:func:`_ref_sample` one index of axis 0 at a time: the same points and
+    bits in a fraction of the memory, for grids of eight and more axes."""
+    axes = [grid.axis_coordinates(a) for a in range(grid.dim)]
+    want = np.empty((len(times),) + grid.shape)
+    for i in range(grid.shape[0]):
+        pts = np.stack(np.meshgrid(axes[0][i : i + 1], *axes[1:], indexing="ij"), axis=-1)
+        for k, t in enumerate(times):
+            want[k, i : i + 1] = _ref_value(field, pts, t)
+    return want
+
+
 def _ref_diff_along_axis(arr, axis, h, deriv, spec):
     a = np.moveaxis(np.asarray(arr, dtype=float), axis, 0)
     n = a.shape[0]
@@ -140,6 +152,7 @@ def _ref_contraction(reciprocal, components, valid0, valid1):
 
 def _ref_pivoted_stack(h, b, ok, eps_singular=EPS_SINGULAR):
     n = h.shape[-1]
+    h = np.ascontiguousarray(h)  # numpy's sum over the trailing axes rounds by layout
     frob_n = (h * h).sum(axis=(-2, -1)) ** (n / 2)
     h = np.where(ok[..., None, None], h, np.eye(n))
     det = np.linalg.det(h)
@@ -268,6 +281,53 @@ def test_fd_jets_of_signed_zeros_match_reference(n):
                 assert_same_bits(got, ref)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("strip", [1, 7, 64])
+def test_fd_jets_in_strips_match_reference(n, strip, monkeypatch):
+    # strips this short end inside grid rows and inside the border bands, and
+    # signed-zero samples need every strip's sum started from +0.0
+    monkeypatch.setattr(wv.findiff, "STRIP_POINTS", strip)
+    grid = _grid(n)
+    values = np.random.default_rng(30 + n).choice(
+        [0.0, -0.0, 0.0, -0.0, 1.0, -2.0], size=(len(TIMES),) + grid.shape)
+    for sampled in (wv.sample(_field("translating", n), grid, TIMES),
+                    wv.SampledField(grid, 0.0, 0.05, values)):
+        last = sampled.frames - 1
+        for spec in SPECS:
+            for frame, time_derivatives in ((2, True), (last, False)):
+                try:
+                    want = _ref_fd_jet_field(sampled, frame, spec, time_derivatives)
+                except ValueError:  # axis too short for the one-sided order-4 stencil
+                    continue
+                jets = wv.fd_jet_field(sampled, frame, spec, time_derivatives)
+                for got, ref in zip((jets.psi, jets.dpsi_dt, jets.grad, jets.hessian,
+                                     jets.time_mixed, jets.valid), want):
+                    assert_same_bits(got, ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("kind", ["translating", "static"])
+def test_gaussian_sampling_matches_reference(n, kind):
+    # the grid path sums per-axis squares without a point array; at eight
+    # axes and more the sum takes numpy's pairwise order.  Centers sit on
+    # grid points and frame 0 is at t = 0 (a -0 shift where a velocity
+    # component is negative), so some offsets u_a are exactly 0
+    grid = wv.make_grid(n, (5,) * n, 0.25, -0.5)
+    rng = np.random.default_rng(50 + n)
+    center = tuple(0.25 * rng.integers(-2, 3, n))
+    if kind == "translating":
+        field = wv.TranslatingGaussian(tuple(rng.standard_normal(n)), 0.7, center, 1.3)
+    else:
+        field = wv.StaticGaussian(0.8, center, -1.3)
+    times = [0.0, 0.05] if n < 9 else [0.05]
+    got = wv.sample(field, grid, times).values
+    assert_same_bits(got, _ref_sample_rows(field, grid, times))
+    if n <= 5:
+        assert_same_bits(got, _ref_sample(field, grid, times))
+        other = _grid(n)
+        assert_same_bits(wv.sample(field, other, TIMES).values, _ref_sample(field, other, TIMES))
+
+
 @pytest.mark.parametrize("shape", [(23,), (17, 13), (9, 8, 10)])
 def test_diff_along_axis_takes_negative_axes(shape):
     x = np.random.default_rng(len(shape)).standard_normal(shape)
@@ -377,6 +437,19 @@ def test_sample_holds_one_copy_of_its_output():
     field = wv.TranslatingGaussian((0.4, 0.3), 0.7)
     sampled, peak = _traced_peak(lambda: wv.sample(field, grid, 0.01 * np.arange(40)))
     assert peak <= 1.5 * sampled.values.nbytes  # a stacked list would hold two copies
+
+
+@pytest.mark.parametrize("kind", ["translating", "static"])
+def test_gaussian_sample_builds_no_point_array(kind):
+    # 16^4, 5 frames: the output plus the finiteness mask of SampledField
+    # (0.63 frames measured); a point array of N frames put the peak at 6
+    # frames over the output
+    n = 4
+    grid = wv.make_grid(n, (16,) * n, 0.3, -2.25)
+    field = (wv.TranslatingGaussian((0.2, 0.3, 0.4, 0.5), 1.2) if kind == "translating"
+             else wv.StaticGaussian(1.2, (0.1,) * n))
+    sampled, peak = _traced_peak(lambda: wv.sample(field, grid, 0.02 * np.arange(5)))
+    assert peak <= sampled.values.nbytes + grid.npoints * 8
 
 
 def test_order_one_field_peaks_at_output_plus_one_block():

@@ -149,12 +149,9 @@ def test_fd_jet_planes_are_contiguous(n):
     for a in range(n):
         assert jets.grad[..., a].flags.c_contiguous
         assert jets.time_mixed[..., a].flags.c_contiguous
-    if n <= 3:
-        for i in range(n):
-            for j in range(n):
-                assert jets.hessian[..., i, j].flags.c_contiguous
-    else:  # C order where the order-one map takes its pivoted route
-        assert jets.hessian.flags.c_contiguous
+    for i in range(n):
+        for j in range(n):
+            assert jets.hessian[..., i, j].flags.c_contiguous
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -191,6 +188,38 @@ def test_fd_jet_field_holds_no_derivative_copy():
     out = sum(a.nbytes for a in (jets.psi, jets.dpsi_dt, jets.grad, jets.hessian,
                                  jets.time_mixed, jets.valid))
     assert peak <= out + 1.25 * grid.npoints * 8
+
+
+def test_fd_jet_field_scratch_is_one_strip():
+    # 64^3: the stencil sums run in strips, so the output plus at most two
+    # strips (measured 0.07 strips over the output); a whole-plane scratch
+    # cost 7.0 strips
+    grid = wv.make_grid(3, (64, 64, 64), 0.1, -3.15)
+    sampled = wv.sample(wv.TranslatingGaussian((0.4, 0.3, 0.2), 1.0), grid, 0.01 * np.arange(5))
+    tracemalloc.start()
+    try:
+        jets = wv.fd_jet_field(sampled, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = sum(a.nbytes for a in (jets.psi, jets.dpsi_dt, jets.grad, jets.hessian,
+                                 jets.time_mixed, jets.valid))
+    assert peak <= out + 2 * wv.findiff.STRIP_POINTS * 8
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("spec", [wv.StencilSpec(4, "one-sided"), wv.StencilSpec(2, "shrink-to-valid")])
+def test_diff_along_axis_scratch_is_one_strip(axis, spec):
+    # 512^2 (2 MB a plane): the output plus one strip of products (measured
+    # 1.02 strips over the output); a whole-plane scratch cost 8 strips
+    x = np.random.default_rng(axis).standard_normal((512, 512))
+    tracemalloc.start()
+    try:
+        out, valid = wv.diff_along_axis(x, axis, 0.02, 1, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 1.25 * wv.findiff.STRIP_POINTS * 8
 
 
 # --------------------------------------------------------------------------
