@@ -59,6 +59,7 @@ from .findiff import (
     diff_along_axis,
     fd_jet2_at,
     fd_jet_field,
+    fd_jet_fields,
     fornberg_weights,
 )
 from .jets import Jet1, Jet2, JetField

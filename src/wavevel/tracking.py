@@ -20,6 +20,15 @@ one frame loop per attribute kind.  On a sampled field the jets are
 computed only on a small window of the grid around the tracked point, so a
 track costs O(frames) whatever the grid size; the window's jets are
 bit-identical to the full-grid jets where they are read.
+
+The frame sources of one track share one window run (:class:`_WindowRun`):
+a box, a run of frames and their jets from one :func:`fd_jet_fields` pass.
+The box reaches ``_WINDOW_SLACK`` cells beyond what the interpolation
+block and the stencils need, so the tracked point can move that far
+before the run misses, and a run holds at most ``_RUN_POINTS`` box points
+(box size times frames), which bounds a track's memory whatever its frame
+count.  A :class:`TrackResult` reports the passes and the Newton
+iterations a track spent.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .fields import AnalyticField, Grid, SampledField, canonical_time_axis
-from .findiff import DEFAULT_STENCIL, StencilSpec, _time_taps, fd_jet_field
+from .findiff import DEFAULT_STENCIL, StencilSpec, _time_taps, fd_jet_fields
 from .jets import JetField
 from .velocities import AttributeSpec, _solve_order_one, first_order_velocity_nd
 
@@ -38,8 +47,17 @@ Array = np.ndarray
 
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-8
-# cells a window extends beyond the interpolation block and the stencil reach
-_WINDOW_SLACK = 4
+# Cells a window extends beyond the interpolation block and the stencil
+# reach, and box points (box size times frames) of one window run.  Sum of
+# the per-task minimums of 15 interleaved runs of the perfbench track cycle
+# (seeds 5 and 9, 2-vCPU VM, BLAS at 1 thread), ms, at run points 2**16:
+# slack 1 / 2 / 3 / 4: 107.2 / 81.6 / 82.9 / 105.8; at slack 2, run points
+# 1 / 2**14 / 2**15 / 2**16: 160.2 / 97.3 / 93.8 / 81.6.  Fewer cells of
+# slack re-open runs as the point moves; more make every box larger, and at
+# 2**16 points a 3-D box of slack 2 (19^3) still takes every interior
+# frame of an 11-frame track in one run.  A 3-D run peaks at about 9 MB.
+_WINDOW_SLACK = 2
+_RUN_POINTS = 2**16
 
 
 class TrackingError(RuntimeError):
@@ -71,6 +89,12 @@ class TrackResult:
     N times the order-zero component for level tracks; NaN where it is not
     defined.  ``deviation`` is the max-norm relative difference over the
     comparable interior entries.
+
+    The track also reports its work: ``newton_iterations[m]`` is the number
+    of Newton iterations (jet evaluations) at frame ``m``, 0 on level
+    tracks, and ``jet_passes`` the number of finite-difference passes
+    (:func:`fd_jet_fields` calls), 0 on analytic fields.  Both are None on a
+    result built without them.
     """
 
     kind: str
@@ -79,6 +103,8 @@ class TrackResult:
     empirical_velocity: Array
     computed_velocity: Array
     deviation: float
+    newton_iterations: Array | None = None
+    jet_passes: int | None = None
 
 
 def _quad_weights(s: float) -> Array:
@@ -91,54 +117,136 @@ def _crossing_speed(psi_t, grad_axis) -> float:
     return float(-psi_t / grad_axis) if grad_axis != 0.0 else np.nan
 
 
+class _WindowRun:
+    """Window jets of a run of frames, shared by the frame sources of a track.
+
+    A run is an index box of the grid, a range of frames and the jets of
+    those frames on the box, from one :func:`fd_jet_fields` pass.  The box
+    reaches ``order + 2 + _WINDOW_SLACK`` cells beyond the interpolation
+    block on each side, and its exact zone is the box less ``order + 2``
+    cells at each cut face: ``stencil_taps`` caps edge distances at
+    ``deriv + order``, so there every point gets the full grid's taps on the
+    same values, and the jets are bit-identical to the full-grid jets.  The
+    sub-field holds only the frames the run's time stencil reads, which
+    gives every run frame the full field's time taps.
+
+    A request misses when its frame is outside the run or its 3^N block
+    leaves the exact zone; the run then drops its jets and opens a new run
+    at that frame, over the following frames whose time window matches
+    (the end frames of shrink-to-valid have none), at most
+    ``_RUN_POINTS`` box points in all.
+    """
+
+    def __init__(self, field: SampledField | None, spec: StencilSpec):
+        self._field = field
+        self._spec = spec
+        self.passes = 0  # fd_jet_fields calls
+        self.frames = range(0)
+        self.time_derivatives = True
+        self.jets = []
+        self.lo = None
+        self._exact = None  # inclusive index bounds of the exact zone
+        self._windowed = None  # per frame: has a time window
+
+    @classmethod
+    def whole(cls, jets: JetField, time_derivatives: bool) -> "_WindowRun":
+        """A run of one frame (index 0) on the whole grid of ``jets``; it never misses."""
+        run = cls(None, None)
+        run.frames = range(1)
+        run.time_derivatives = time_derivatives
+        run.jets = [jets]
+        run.lo = np.zeros(jets.dim, dtype=int)
+        run._exact = (run.lo, np.asarray(jets.grid.shape) - 1)
+        return run
+
+    def jets_at(self, frame: int, anchor, time_derivatives: bool):
+        """Jets of ``frame`` exact on the 3^N block around ``anchor``, and their index offset."""
+        exact = self._exact
+        if (frame not in self.frames or time_derivatives != self.time_derivatives
+                or np.any(anchor - 1 < exact[0]) or np.any(anchor + 1 > exact[1])):
+            self._open(frame, anchor, time_derivatives)
+        return self.jets[frame - self.frames.start], self.lo
+
+    def _open(self, frame: int, anchor, time_derivatives: bool) -> None:
+        self.jets = []  # free the old run before the new one is allocated: never both at once
+        field, spec = self._field, self._spec
+        shape = np.asarray(field.grid.shape)
+        reach = spec.order + 2
+        half = 1 + reach + _WINDOW_SLACK
+        lo = np.maximum(anchor - half, 0)
+        hi = np.minimum(anchor + half + 1, shape)
+        frames = self._run_frames(frame, max(1, _RUN_POINTS // int(np.prod(hi - lo))))
+        first, stop = self._frames_read(frames, time_derivatives)
+        box = (slice(first, stop),) + tuple(slice(a, b) for a, b in zip(lo, hi))
+        grid = Grid(tuple(hi - lo), field.grid.spacing, tuple(field.grid.point(lo)))
+        sub = SampledField(grid, field.time(first), field.dt, field.values[box])
+        self.jets = fd_jet_fields(sub, range(frames.start - first, frames.stop - first), spec,
+                                  time_derivatives)
+        self.passes += 1
+        self.frames = frames
+        self.time_derivatives = time_derivatives
+        self.lo = lo
+        self._exact = (np.where(lo > 0, lo + reach, 0),
+                       np.where(hi < shape, hi - 1 - reach, shape - 1))
+
+    def _run_frames(self, frame: int, count: int) -> range:
+        """Up to ``count`` frames from ``frame`` on, all with its time window or all without."""
+        field, spec = self._field, self._spec
+        if self._windowed is None:
+            m = field.frames
+            self._windowed = [m >= spec.min_frames and _time_taps(field, f, spec) is not None
+                              for f in range(m)]
+        windowed = self._windowed
+        stop = frame + 1
+        while stop < min(frame + count, len(windowed)) and windowed[stop] == windowed[frame]:
+            stop += 1
+        return range(frame, stop)
+
+    def _frames_read(self, frames: range, time_derivatives: bool):
+        """First and stop frame that the jets of ``frames`` read."""
+        if not time_derivatives:
+            return frames.start, frames.stop
+        taps = [_time_taps(self._field, frame, self._spec) for frame in frames]
+        if None in taps:  # no time window, so the jets are NaN: keep the field's time axis
+            return 0, self._field.frames
+        return (min(frame + t[0][0] for frame, t in zip(frames, taps)),
+                max(frame + t[-1][0] for frame, t in zip(frames, taps)) + 1)
+
+
 class _JetInterpolator:
     """Frame source on sampled data: tensor-quadratic interpolation of jets.
 
-    Jets are read through a window: a jet field on an index box of the grid
-    that equals the full-grid jets on its exact zone.  Given a
-    :class:`JetField` the window is the whole grid.  Given a frame of a
-    :class:`SampledField` the window is ``fd_jet_field`` on a box around the
-    interpolation block, recomputed when the block leaves the exact zone.
-    ``stencil_taps`` caps edge distances at ``deriv + order``, so every point
-    at least ``order + 2`` cells from a cut face (or on the grid's own faces)
-    gets the full grid's taps on the same values: bit-identical jets.
+    Jets are read through a :class:`_WindowRun`.  Given a :class:`JetField`
+    the run is that jet field on the whole grid.  Given a frame of a
+    :class:`SampledField` the source reads the window run ``run`` shares
+    with the other frame sources of a track (a run of its own without one).
     Without time derivatives (an end frame with no time window) the
     velocities it computes are NaN.
     """
 
     def __init__(self, jets: JetField | None = None, field: SampledField | None = None,
                  frame: int = 0, spec: StencilSpec = DEFAULT_STENCIL,
-                 time_derivatives: bool = True):
+                 time_derivatives: bool = True, run: _WindowRun | None = None):
         self.grid = jets.grid if jets is not None else field.grid
         self.spacing = np.asarray(self.grid.spacing)
         self.length_scale = float(np.max(self.spacing))
         self._shape = np.asarray(self.grid.shape)
         self._field = field
-        self._frame = frame
-        self._spec = spec
         self._time_derivatives = time_derivatives
-        self._jets = jets
-        self._lo = np.zeros(self.grid.dim, dtype=int)
-        # inclusive index bounds of the window's exact zone; None: no window yet
-        self._exact = (self._lo, self._shape - 1) if jets is not None else None
+        if jets is not None:
+            self._frame, self._run = 0, _WindowRun.whole(jets, time_derivatives)
+        else:
+            self._frame, self._run = frame, run if run is not None else _WindowRun(field, spec)
 
-    def _window(self, anchor):
-        """Window jets exact on the block around ``anchor``, and their index offset."""
-        exact = self._exact
-        if exact is None or np.any(anchor - 1 < exact[0]) or np.any(anchor + 1 > exact[1]):
-            reach = self._spec.order + 2
-            half = 1 + reach + _WINDOW_SLACK
-            lo = np.maximum(anchor - half, 0)
-            hi = np.minimum(anchor + half + 1, self._shape)
-            box = (slice(None),) + tuple(slice(a, b) for a, b in zip(lo, hi))
-            grid = Grid(tuple(hi - lo), self.grid.spacing, tuple(self.grid.point(lo)))
-            field = self._field
-            sub = SampledField(grid, field.t0, field.dt, field.values[box])
-            self._jets = fd_jet_field(sub, self._frame, self._spec, self._time_derivatives)
-            self._lo = lo
-            self._exact = (np.where(lo > 0, lo + reach, 0),
-                           np.where(hi < self._shape, hi - 1 - reach, self._shape - 1))
-        return self._jets, self._lo
+    @property
+    def _jets(self) -> JetField:
+        """This frame's jets in the current run."""
+        return self._run.jets[self._frame - self._run.frames.start]
+
+    @property
+    def _lo(self):
+        """Index offset of the current run's box."""
+        return self._run.lo
 
     def _anchor(self, fid) -> np.ndarray:
         return np.clip(np.rint(fid).astype(int), 1, self._shape - 2)
@@ -157,7 +265,7 @@ class _JetInterpolator:
             raise AttributeLostError(f"point {np.asarray(x)} left the grid")
         if anchor is None:
             anchor = self._anchor(fid)
-        jets, lo = self._window(anchor)
+        jets, lo = self._run.jets_at(self._frame, anchor, self._time_derivatives)
         block = tuple(slice(a - 1, a + 2) for a in anchor - lo)
         if not np.all(jets.valid[block]):
             raise AttributeLostError(
@@ -171,7 +279,9 @@ class _JetInterpolator:
         return jets, block, weights
 
     def _contract(self, arr, block, weights):
-        return np.tensordot(weights, arr[block], axes=self.grid.dim)
+        # the operands np.tensordot would build, without its Python overhead
+        n = self.grid.dim
+        return np.dot(weights.reshape(1, -1), arr[block].reshape(3**n, -1)).reshape(arr.shape[n:])
 
     def gradient_hessian(self, x, anchor=None):
         jets, block, weights = self._block_and_weights(x, anchor)
@@ -250,7 +360,14 @@ class _ExactJets:
 
 
 def _newton_fixed_gradient(source, x0, targets, max_iter: int = NEWTON_MAX_ITER) -> Array:
+    """The root that :func:`_newton_iterations` finds."""
+    return _newton_iterations(source, x0, targets, max_iter)[0]
+
+
+def _newton_iterations(source, x0, targets, max_iter: int = NEWTON_MAX_ITER):
     """Newton iteration for grad(psi)(x) = targets on one frame source.
+
+    Returns the root and the number of iterations (jet evaluations) spent.
 
     Converged when the residual max-norm drops below
     ``NEWTON_TOL * ||H||_F * source.length_scale``.  On sampled data the
@@ -267,7 +384,7 @@ def _newton_fixed_gradient(source, x0, targets, max_iter: int = NEWTON_MAX_ITER)
     x = np.array(x0, dtype=float)
     locked = None
     polished = set()
-    for _ in range(max_iter):
+    for iteration in range(1, max_iter + 1):
         anchor = source.anchor(x, locked)
         if anchor is not locked:
             locked = None  # not locked, or the iterate escaped the locked cell
@@ -277,7 +394,7 @@ def _newton_fixed_gradient(source, x0, targets, max_iter: int = NEWTON_MAX_ITER)
         if np.max(np.abs(residual)) <= NEWTON_TOL * frob * source.length_scale:
             canonical = source.anchor(x)
             if locked is None or np.array_equal(canonical, locked) or tuple(canonical) in polished:
-                return x
+                return x, iteration
             polished.add(tuple(locked))
             locked = canonical  # converged off the root's own cell; re-polish there
             continue
@@ -372,13 +489,14 @@ def track_attribute(
     if isinstance(field, SampledField):
         times, dt = field.times, field.dt
         x0 = _grid_seed(field.grid, seed)
-        # sources open their jet windows lazily; end frames under shrink-to-valid
-        # have no time window, so their sources are spatial-only
-        frames = (
+        # the sources share one window run, opened lazily; end frames under
+        # shrink-to-valid have no time window, so their sources are spatial-only
+        run = _WindowRun(field, spec)
+        frames = [
             _JetInterpolator(field=field, frame=frame, spec=spec,
-                             time_derivatives=_time_taps(field, frame, spec) is not None)
+                             time_derivatives=_time_taps(field, frame, spec) is not None, run=run)
             for frame in range(field.frames)
-        )
+        ]
     elif isinstance(field, AnalyticField):
         if times is None:
             raise ValueError("analytic tracking needs explicit times")
@@ -388,31 +506,32 @@ def track_attribute(
         x0 = np.asarray(seed, dtype=float)
         if x0.shape != (field.dim,) or not np.all(np.isfinite(x0)):
             raise ValueError(f"seed must be a finite point of dimension {field.dim}")
-        frames = (_ExactJets(field, t, search_radius) for t in times)
+        run = None
+        frames = [_ExactJets(field, t, search_radius) for t in times]
     else:
         raise TypeError(f"cannot track on a {type(field).__name__}")
     if times.size < 3:
         raise ValueError("tracking needs at least 3 frames")
     positions = np.empty((times.size, x0.size))
     computed = np.full_like(positions, np.nan)
+    iterations = np.zeros(times.size, dtype=int)
     if target.kind == AttributeSpec.GRADIENT_SET:
-        _track_gradient(frames, x0, _gradient_targets(target, x0.size), positions, computed)
+        _track_gradient(frames, x0, _gradient_targets(target, x0.size), positions, computed,
+                        iterations)
     else:
-        _track_level(list(frames), x0, target.level, positions, computed)
+        _track_level(frames, x0, target.level, positions, computed)
     empirical = _empirical_velocity(positions, dt)
     return TrackResult(
         target.kind, times, positions, empirical, computed,
-        _deviation(empirical, computed),
+        _deviation(empirical, computed), iterations, run.passes if run else 0,
     )
 
 
-def _track_gradient(frames, x, targets: Array, positions: Array, computed: Array) -> None:
-    """Locate the fixed-gradient point in each frame, seeded at the previous one.
-
-    ``frames`` is iterated once, so a generator holds one frame's jets at a time.
-    """
+def _track_gradient(frames: list, x, targets: Array, positions: Array, computed: Array,
+                    iterations: Array) -> None:
+    """Locate the fixed-gradient point in each frame, seeded at the previous one."""
     for frame, source in enumerate(frames):
-        x = _newton_fixed_gradient(source, x, targets)
+        x, iterations[frame] = _newton_iterations(source, x, targets)
         positions[frame] = x
         computed[frame] = source.first_order_components(x)
 

@@ -87,6 +87,13 @@ class TestSampledField:
         with pytest.raises(ValueError):
             wv.SampledField(g, 0.0, 0.0, vals)
 
+    def test_nonfinite_in_last_frame_rejected(self):
+        g = wv.make_grid(2, [5, 6], [1.0, 1.0], [0.0, 0.0])
+        vals = np.zeros((6, 5, 6))
+        vals[-1, 4, 5] = np.nan
+        with pytest.raises(ValueError, match="field values must be finite"):
+            wv.SampledField(g, 0.0, 0.1, vals)
+
 
 class TestSample:
     def test_translating_gaussian_value(self):

@@ -186,6 +186,59 @@ class TestFdJetField:
         assert rel <= 1e-12
 
 
+class TestFdJetFields:
+    SHAPES = {1: (23,), 2: (17, 13), 3: (9, 8, 10), 4: (6, 7, 6, 6)}
+
+    @pytest.mark.parametrize("time_derivatives", (True, False))
+    @pytest.mark.parametrize("boundary", ("one-sided", "shrink-to-valid"))
+    @pytest.mark.parametrize("order", (2, 4))
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_runs_equal_single_frames_bitwise(self, n, order, boundary, time_derivatives):
+        shape = self.SHAPES[n]
+        grid = wv.make_grid(n, shape, 0.2, -0.3)
+        values = np.random.default_rng(n).standard_normal((9,) + shape)
+        values[4] = -0.0  # signed zeros sum from +0.0 in both paths
+        sf = wv.SampledField(grid, 0.1, 0.03, values)
+        spec = wv.StencilSpec(order, boundary)
+        names = ("psi", "dpsi_dt", "grad", "hessian", "time_mixed", "valid")
+        for frames in (range(9), range(0, 3), range(2, 7), range(6, 9), range(8, 9)):
+            run = wv.fd_jet_fields(sf, frames, spec, time_derivatives)
+            assert [jets.frame for jets in run] == list(frames)
+            for jets in run:
+                one = wv.fd_jet_field(sf, jets.frame, spec, time_derivatives)
+                assert jets.t == one.t
+                for name in names:
+                    got, want = getattr(jets, name), getattr(one, name)
+                    assert got.shape == want.shape
+                    assert np.array_equal(got.view(np.uint64) if got.dtype.kind == "f" else got,
+                                          want.view(np.uint64) if want.dtype.kind == "f" else want)
+
+    def test_frames_share_planes_first_buffers(self):
+        _, g, sf = _poly_field()
+        run = wv.fd_jet_fields(sf, range(1, 4))
+        for k, jets in enumerate(run):
+            for a in range(2):
+                assert jets.grad[..., a].flags.c_contiguous
+                for b in range(2):
+                    assert jets.hessian[..., a, b].flags.c_contiguous
+            assert jets.grad.base is run[0].grad.base
+            assert jets.grad.base.shape == (2, 3) + g.shape
+            assert jets.hessian.base is run[0].hessian.base
+            assert jets.hessian.base.shape == (2, 2, 3) + g.shape
+
+    def test_frame_range_checked(self):
+        _, g, sf = _poly_field()
+        assert wv.fd_jet_fields(sf, range(2, 2)) == []
+        with pytest.raises(IndexError):
+            wv.fd_jet_fields(sf, range(3, 6))
+        with pytest.raises(IndexError):
+            wv.fd_jet_fields(sf, range(-1, 2), time_derivatives=False)
+        with pytest.raises(ValueError):
+            wv.fd_jet_fields(sf, range(0, 5, 2))
+        with pytest.raises(wv.InsufficientFramesError):
+            wv.fd_jet_fields(wv.SampledField(g, 0.0, 0.1, sf.values[:3]), range(1, 2))
+
+
 CONVERGENCE_CASES = [
     ("plane-wave", wv.PlaneWave((2.0, 1.0), 3.0), (-1.6, 1.6)),
     ("translating-gaussian", wv.TranslatingGaussian((0.7, 0.3), 1.0), (-1.6, 1.6)),

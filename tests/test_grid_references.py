@@ -452,6 +452,19 @@ def test_gaussian_sample_builds_no_point_array(kind):
     assert peak <= sampled.values.nbytes + grid.npoints * 8
 
 
+@pytest.mark.parametrize("kind", ["translating", "static"])
+def test_sample_checks_finiteness_frame_by_frame(kind):
+    # 16^4, 5 frames: a finiteness mask of one frame at a time puts the peak
+    # 0.14 frames over the output; one mask of every sample put it 0.63
+    # frames over
+    n = 4
+    grid = wv.make_grid(n, (16,) * n, 0.3, -2.25)
+    field = (wv.TranslatingGaussian((0.2, 0.3, 0.4, 0.5), 1.2) if kind == "translating"
+             else wv.StaticGaussian(1.2, (0.1,) * n))
+    sampled, peak = _traced_peak(lambda: wv.sample(field, grid, 0.02 * np.arange(5)))
+    assert peak <= sampled.values.nbytes + 0.25 * grid.npoints * 8
+
+
 def test_order_one_field_peaks_at_output_plus_one_block():
     n = 4
     grid = wv.make_grid(n, (16,) * n, 0.3, -2.25)

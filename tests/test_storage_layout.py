@@ -283,9 +283,9 @@ def test_sampled_tracks_do_not_depend_on_layout(n, shape, h, monkeypatch):
     seeds = {peak: tuple(k // 2 for k in shape),
              level: tuple(np.rint(grid.index_of(on_level)).astype(int))}
     got = {attr: wv.track_attribute(sampled, attr, seed) for attr, seed in seeds.items()}
-    fd_jet_field = wv.tracking.fd_jet_field
-    monkeypatch.setattr(wv.tracking, "fd_jet_field",
-                        lambda *args: _relaid(fd_jet_field(*args), "last"))
+    fd_jet_fields = wv.tracking.fd_jet_fields
+    monkeypatch.setattr(wv.tracking, "fd_jet_fields",
+                        lambda *args: [_relaid(j, "last") for j in fd_jet_fields(*args)])
     for attr, seed in seeds.items():
         want = wv.track_attribute(sampled, attr, seed)
         for name in ("times", "positions", "empirical_velocity", "computed_velocity",

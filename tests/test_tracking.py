@@ -1,5 +1,7 @@
 """Tracking-oracle tests: critical points, peak tracks, level crossings."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -344,6 +346,95 @@ class TestWindowedJets:
         for fid in ([1.2, 1.0], [62.0, 61.7], [30.4, 2.2], [4.4, 5.6]):
             _interpolated(interp, grid.point(fid))
         assert interp._jets is jets and not interp._lo.any()
+
+
+class TestWindowRuns:
+    @pytest.mark.parametrize("run_points", (1, 3000, 10**6))  # one frame, a few, all
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize("order", (2, 4))
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_shared_run_serves_every_frame(self, dim, order, boundary, run_points, monkeypatch):
+        monkeypatch.setattr(tracking, "_RUN_POINTS", run_points)
+        field = _random_field(dim)
+        spec = wv.StencilSpec(order, boundary)
+        flags = [tracking._time_taps(field, f, spec) is not None for f in range(field.frames)]
+        full = [_JetInterpolator(wv.fd_jet_field(field, f, spec, flags[f]),
+                                 time_derivatives=flags[f]) for f in range(field.frames)]
+        run = tracking._WindowRun(field, spec)
+        sources = [_JetInterpolator(field=field, frame=f, spec=spec, time_derivatives=flags[f],
+                                    run=run) for f in range(field.frames)]
+        top = np.asarray(field.grid.shape) - 1.0
+        # frames forward and back, at a point moving half a cell a frame
+        visits = [(f, top / 2 + 0.5 * f - 2.1) for f in range(field.frames)]
+        visits += [(f, top / 3 + 0.2) for f in (7, 3, 4, 0)]
+        for frame, fid in visits:
+            x = field.grid.point(fid)
+            _assert_same(_interpolated(sources[frame], x), _interpolated(full[frame], x))
+        assert run.passes >= 3  # runs opened by frame and by window
+
+    def test_track_reports_its_work(self, monkeypatch):
+        _, grid, sf = _sampled_gaussian(frames=21)
+        seed = np.unravel_index(np.argmax(sf.values[0]), grid.shape)
+        runs = []
+        fd_jet_fields = tracking.fd_jet_fields
+        monkeypatch.setattr(tracking, "fd_jet_fields",
+                            lambda *args: runs.append(args[1]) or fd_jet_fields(*args))
+        res = wv.track_attribute(sf, PEAK, seed)
+        # the two spatial-only end-frame pairs and the interior frames: 3 runs
+        assert res.jet_passes == len(runs) <= 4
+        assert res.newton_iterations.shape == (21,)
+        assert np.all(res.newton_iterations >= 1)
+        assert np.all(res.newton_iterations <= tracking.NEWTON_MAX_ITER)
+        runs.clear()
+        wv.find_critical_point(wv.fd_jet_field(sf, 10), seed, PEAK)
+        assert runs == []  # a whole jet field needs no pass
+        on_level = wv.AttributeSpec.level_set(float(sf.values[0][44, 40]))
+        level = wv.track_attribute(sf, on_level, (44, 40))
+        assert not level.newton_iterations.any() and level.jet_passes == len(runs)
+        analytic = wv.track_attribute(wv.TranslatingGaussian((0.7, 0.0), 3.0), PEAK,
+                                      (0.0, 0.0), times=sf.times)
+        assert analytic.jet_passes == 0 and np.all(analytic.newton_iterations >= 1)
+
+    def test_run_memory_does_not_grow_with_frames(self):
+        # 3-D 40^3 level track: a run holds at most _RUN_POINTS box points, so
+        # the traced peak is 9.2 MB at both 21 and 41 frames; one window per
+        # frame peaked at 29.1 and 63.3 MB
+        n = 3
+        grid = wv.make_grid(n, (40,) * n, 0.04, -0.78)
+        bump = wv.TranslatingGaussian((0.4, 0.3, -0.2), 0.5)
+        direction = np.array((1.0, 1.2, 0.9)) / np.linalg.norm((1.0, 1.2, 0.9))
+        seed = tuple(np.rint(grid.index_of(0.5 * np.sqrt(np.log(2.0)) * direction)).astype(int))
+        peaks = []
+        for frames in (21, 41):
+            field = wv.sample(bump, grid, 0.01 * np.arange(frames))
+            tracemalloc.start()
+            try:
+                wv.track_attribute(field, wv.AttributeSpec.level_set(0.5), seed)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        jet_bytes = 8 * (2 + 2 * n + n * n) + 1  # one point's jets and validity
+        assert peaks[1] <= 1.05 * peaks[0]
+        assert peaks[1] <= 1.25 * tracking._RUN_POINTS * jet_bytes  # 9.2 of 11.2 MB
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_contraction_equals_tensordot_bitwise(n):
+    rng = np.random.default_rng(n)
+    grid = wv.make_grid(n, (6,) * n, 0.1, 0.0)
+    interp = _JetInterpolator(wv.analytic_jet_field(wv.StaticGaussian(1.0, (0.0,) * n), grid, 0.0))
+    block = tuple(slice(a - 1, a + 2) for a in (2, 4, 1, 3)[:n])
+    weights = np.ones((1,) * n)
+    for a in range(n):
+        shape = [1] * n
+        shape[a] = 3
+        weights = weights * tracking._quad_weights(float(rng.uniform(-0.5, 0.5))).reshape(shape)
+    for tail in ((), (n,), (n, n)):
+        arr = rng.standard_normal(grid.shape + tail)
+        got = interp._contract(arr, block, weights)
+        want = np.tensordot(weights, arr[block], axes=n)
+        assert got.shape == want.shape == tail
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _reference_track(field, target, seed, spec):
