@@ -23,17 +23,21 @@ bit-identical to the full-grid jets where they are read.
 
 The frame sources of one track share one window run (:class:`_WindowRun`):
 a box, a run of frames and their jets from one :func:`fd_jet_fields` pass.
-The box reaches ``_WINDOW_SLACK`` cells beyond what the interpolation
-block and the stencils need, so the tracked point can move that far
-before the run misses, and a run holds at most ``_RUN_POINTS`` box points
-(box size times frames), which bounds a track's memory whatever its frame
-count.  A :class:`TrackResult` reports the passes and the Newton
-iterations a track spent.
+The box reaches half a stencil and ``_WINDOW_SLACK`` cells beyond the
+interpolation block (11^N points at order 4), so the tracked point can move
+``_WINDOW_SLACK`` cells before the run misses.  A run holds at most
+``_RUN_POINTS`` box points (box size times frames), which bounds a track's
+memory whatever its frame count, and the run opened after the point left
+the last one holds one frame more than that one served, so a moving point
+costs few frames it never reads.  A :class:`TrackResult` reports the
+passes, the box points and the Newton iterations a track spent.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.optimize import brentq
@@ -47,17 +51,20 @@ Array = np.ndarray
 
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-8
-# Cells a window extends beyond the interpolation block and the stencil
-# reach, and box points (box size times frames) of one window run.  Sum of
-# the per-task minimums of 15 interleaved runs of the perfbench track cycle
-# (seeds 5 and 9, 2-vCPU VM, BLAS at 1 thread), ms, at run points 2**16:
-# slack 1 / 2 / 3 / 4: 107.2 / 81.6 / 82.9 / 105.8; at slack 2, run points
-# 1 / 2**14 / 2**15 / 2**16: 160.2 / 97.3 / 93.8 / 81.6.  Fewer cells of
-# slack re-open runs as the point moves; more make every box larger, and at
-# 2**16 points a 3-D box of slack 2 (19^3) still takes every interior
-# frame of an 11-frame track in one run.  A 3-D run peaks at about 9 MB.
+# Cells a window extends beyond the interpolation block and half a stencil,
+# and box points (box size times frames) of one window run.  Sum of the
+# per-task minimums of 15 interleaved runs of the perfbench track cycle
+# (seeds 5 and 9, 2-vCPU VM, BLAS at 1 thread), ms, at run points 2**14:
+# slack 1 / 2 / 3 / 4: 105.9 / 88.7 / 85.6 / 100.9; at slack 2, run points
+# 1 / 2**12 / 2**13 / 2**14 / 2**15 / 2**16: 199.4 / 103.4 / 100.4 / 88.7 /
+# 88.0 / 93.0 (two repeats put slack 2 and 3, and 2**14 to 2**16 points,
+# within 10% of each other either way).  Fewer cells of slack re-open runs as
+# the point moves; more make every box larger.  At 2**14 points a 2-D box of
+# slack 2 (11^2) takes 135 frames and a 3-D one (11^3) 12 frames, and a 3-D
+# run peaks at about 2.5 MB; at 2**15 and more the cap no longer binds on a
+# 21-frame 3-D track, whose memory then grows with its frame count.
 _WINDOW_SLACK = 2
-_RUN_POINTS = 2**16
+_RUN_POINTS = 2**14
 
 
 class TrackingError(RuntimeError):
@@ -92,9 +99,10 @@ class TrackResult:
 
     The track also reports its work: ``newton_iterations[m]`` is the number
     of Newton iterations (jet evaluations) at frame ``m``, 0 on level
-    tracks, and ``jet_passes`` the number of finite-difference passes
-    (:func:`fd_jet_fields` calls), 0 on analytic fields.  Both are None on a
-    result built without them.
+    tracks, ``jet_passes`` the number of finite-difference passes
+    (:func:`fd_jet_fields` calls) and ``jet_points`` the box points times
+    frames those passes computed, both 0 on analytic fields.  All three are
+    None on a result built without them.
     """
 
     kind: str
@@ -105,6 +113,7 @@ class TrackResult:
     deviation: float
     newton_iterations: Array | None = None
     jet_passes: int | None = None
+    jet_points: int | None = None
 
 
 def _quad_weights(s: float) -> Array:
@@ -122,29 +131,52 @@ class _WindowRun:
 
     A run is an index box of the grid, a range of frames and the jets of
     those frames on the box, from one :func:`fd_jet_fields` pass.  The box
-    reaches ``order + 2 + _WINDOW_SLACK`` cells beyond the interpolation
-    block on each side, and its exact zone is the box less ``order + 2``
-    cells at each cut face: ``stencil_taps`` caps edge distances at
-    ``deriv + order``, so there every point gets the full grid's taps on the
-    same values, and the jets are bit-identical to the full-grid jets.  The
-    sub-field holds only the frames the run's time stencil reads, which
-    gives every run frame the full field's time taps.
+    reaches ``hw + _WINDOW_SLACK`` cells beyond the interpolation block on
+    each side (``hw`` is half a stencil, ``spec.half_width``), clipped to
+    the grid, and its exact zone is the box less ``hw`` cells at each cut
+    face.  In the exact zone the jets are bit-identical to the full-grid
+    jets:
+
+    * every fd pass runs along one axis, and a point at least ``hw`` cells
+      from both box ends of that axis gets the central taps on the same
+      values as on the full grid; at a real grid face the box ends where
+      the grid does, so a point there gets the full grid's taps too;
+    * a mixed Hessian entry composes passes along two different axes: the
+      inner pass is pointwise along the outer axis, so the outer pass reads
+      values that are exact wherever the point is ``hw`` cells inside the
+      inner axis's cut faces, and the mixed time rows are one spatial pass
+      over the time derivative, which is pointwise in space; so a point
+      ``hw`` cells inside every cut face reads only exact values;
+    * ``stencil_taps`` caps edge distances at ``deriv + order``, which
+      matters only for the one-sided taps within ``hw`` cells of a real
+      grid face: those taps do not depend on the far side of the axis once
+      it is at least 3 cells away, and such a point is at least
+      ``3 + _WINDOW_SLACK`` cells from the far end of its box, or the box
+      spans the whole axis;
+    * the sub-field holds only the frames the run's time stencils read,
+      which gives every run frame the full field's time taps.
 
     A request misses when its frame is outside the run or its 3^N block
     leaves the exact zone; the run then drops its jets and opens a new run
     at that frame, over the following frames whose time window matches
-    (the end frames of shrink-to-valid have none), at most
-    ``_RUN_POINTS`` box points in all.
+    (the end frames of shrink-to-valid have none).  After a position miss
+    at frame ``f`` the new run holds ``f - start + 1`` frames, one more
+    than the old run served before the point left it, so the run length
+    follows the point's motion; the first run, and a run opened for a
+    frame outside the old one, take as many frames as ``_RUN_POINTS`` box
+    points allow.  ``passes`` counts the :func:`fd_jet_fields` calls and
+    ``points`` the box points times frames they computed.
     """
 
     def __init__(self, field: SampledField | None, spec: StencilSpec):
         self._field = field
         self._spec = spec
         self.passes = 0  # fd_jet_fields calls
+        self.points = 0  # box points times frames over all passes
         self.frames = range(0)
         self.time_derivatives = True
         self.jets = []
-        self.lo = None
+        self.lo = None  # index offset of the box
         self._exact = None  # inclusive index bounds of the exact zone
         self._windowed = None  # per frame: has a time window
 
@@ -155,39 +187,47 @@ class _WindowRun:
         run.frames = range(1)
         run.time_derivatives = time_derivatives
         run.jets = [jets]
-        run.lo = np.zeros(jets.dim, dtype=int)
-        run._exact = (run.lo, np.asarray(jets.grid.shape) - 1)
+        run.lo = (0,) * jets.dim
+        run._exact = (run.lo, tuple(n - 1 for n in jets.grid.shape))
         return run
 
     def jets_at(self, frame: int, anchor, time_derivatives: bool):
-        """Jets of ``frame`` exact on the 3^N block around ``anchor``, and their index offset."""
-        exact = self._exact
-        if (frame not in self.frames or time_derivatives != self.time_derivatives
-                or np.any(anchor - 1 < exact[0]) or np.any(anchor + 1 > exact[1])):
+        """Jets of ``frame`` exact on the 3^N block around ``anchor`` (N ints),
+        and the box's index offset (N ints)."""
+        frames = self.frames
+        if frame not in frames or time_derivatives != self.time_derivatives:
             self._open(frame, anchor, time_derivatives)
+        elif not all(low < a < high for a, low, high in zip(anchor, *self._exact)):
+            self._open(frame, anchor, time_derivatives, frame - frames.start + 1)
         return self.jets[frame - self.frames.start], self.lo
 
-    def _open(self, frame: int, anchor, time_derivatives: bool) -> None:
+    def _open(self, frame: int, anchor, time_derivatives: bool, count: int | None = None) -> None:
+        """Open a run at ``frame`` around ``anchor`` of at most ``count`` frames
+        (None: as many as ``_RUN_POINTS`` allows)."""
         self.jets = []  # free the old run before the new one is allocated: never both at once
         field, spec = self._field, self._spec
-        shape = np.asarray(field.grid.shape)
-        reach = spec.order + 2
+        shape = field.grid.shape
+        reach = spec.half_width
         half = 1 + reach + _WINDOW_SLACK
-        lo = np.maximum(anchor - half, 0)
-        hi = np.minimum(anchor + half + 1, shape)
-        frames = self._run_frames(frame, max(1, _RUN_POINTS // int(np.prod(hi - lo))))
+        lo = tuple(max(a - half, 0) for a in anchor)
+        hi = tuple(min(a + half + 1, n) for a, n in zip(anchor, shape))
+        size = math.prod(b - a for a, b in zip(lo, hi))
+        cap = max(1, _RUN_POINTS // size)
+        frames = self._run_frames(frame, cap if count is None else min(count, cap))
         first, stop = self._frames_read(frames, time_derivatives)
         box = (slice(first, stop),) + tuple(slice(a, b) for a, b in zip(lo, hi))
-        grid = Grid(tuple(hi - lo), field.grid.spacing, tuple(field.grid.point(lo)))
+        grid = Grid(tuple(b - a for a, b in zip(lo, hi)), field.grid.spacing,
+                    tuple(field.grid.point(lo)))
         sub = SampledField(grid, field.time(first), field.dt, field.values[box])
         self.jets = fd_jet_fields(sub, range(frames.start - first, frames.stop - first), spec,
                                   time_derivatives)
         self.passes += 1
+        self.points += size * len(frames)
         self.frames = frames
         self.time_derivatives = time_derivatives
         self.lo = lo
-        self._exact = (np.where(lo > 0, lo + reach, 0),
-                       np.where(hi < shape, hi - 1 - reach, shape - 1))
+        self._exact = (tuple(a + reach if a > 0 else 0 for a in lo),
+                       tuple(b - 1 - reach if b < n else n - 1 for b, n in zip(hi, shape)))
 
     def _run_frames(self, frame: int, count: int) -> range:
         """Up to ``count`` frames from ``frame`` on, all with its time window or all without."""
@@ -221,7 +261,8 @@ class _JetInterpolator:
     :class:`SampledField` the source reads the window run ``run`` shares
     with the other frame sources of a track (a run of its own without one).
     Without time derivatives (an end frame with no time window) the
-    velocities it computes are NaN.
+    velocities it computes are NaN.  Anchors are tuples of N ints, and the
+    bound checks and block slices run on Python ints and floats.
     """
 
     def __init__(self, jets: JetField | None = None, field: SampledField | None = None,
@@ -230,7 +271,6 @@ class _JetInterpolator:
         self.grid = jets.grid if jets is not None else field.grid
         self.spacing = np.asarray(self.grid.spacing)
         self.length_scale = float(np.max(self.spacing))
-        self._shape = np.asarray(self.grid.shape)
         self._field = field
         self._time_derivatives = time_derivatives
         if jets is not None:
@@ -244,38 +284,35 @@ class _JetInterpolator:
         return self._run.jets[self._frame - self._run.frames.start]
 
     @property
-    def _lo(self):
+    def _lo(self) -> np.ndarray:
         """Index offset of the current run's box."""
-        return self._run.lo
+        return np.asarray(self._run.lo)
 
-    def _anchor(self, fid) -> np.ndarray:
-        return np.clip(np.rint(fid).astype(int), 1, self._shape - 2)
+    def _anchor(self, fid) -> tuple:
+        return tuple(min(max(round(f), 1), n - 2) for f, n in zip(fid, self.grid.shape))
 
-    def anchor(self, x, locked=None) -> np.ndarray:
+    def anchor(self, x, locked=None) -> tuple:
         """Anchor of the interpolant at ``x``: ``locked`` while ``x`` stays within
         1.5 cells of it, else the nearest grid point with a full 3^N block."""
-        fid = self.grid.index_of(x)
-        if locked is not None and not np.any(np.abs(fid - locked) > 1.5):
+        fid = self.grid.index_of(x).tolist()
+        if locked is not None and not any(abs(f - a) > 1.5 for f, a in zip(fid, locked)):
             return locked
         return self._anchor(fid)
 
     def _block_and_weights(self, x, anchor=None):
-        fid = self.grid.index_of(x)
-        if np.any(fid < 0.0) or np.any(fid > self._shape - 1):
+        fid = self.grid.index_of(x).tolist()
+        if not all(0.0 <= f <= n - 1 for f, n in zip(fid, self.grid.shape)):
             raise AttributeLostError(f"point {np.asarray(x)} left the grid")
         if anchor is None:
             anchor = self._anchor(fid)
         jets, lo = self._run.jets_at(self._frame, anchor, self._time_derivatives)
-        block = tuple(slice(a - 1, a + 2) for a in anchor - lo)
-        if not np.all(jets.valid[block]):
+        block = tuple(slice(a - b - 1, a - b + 2) for a, b in zip(anchor, lo))
+        if not jets.valid[block].all():
             raise AttributeLostError(
                 f"point {np.asarray(x)} left the valid interior of the jet field"
             )
-        weights = np.ones((1,) * self.grid.dim)
-        for a, s in enumerate(fid - anchor):
-            shape = [1] * self.grid.dim
-            shape[a] = 3
-            weights = weights * _quad_weights(float(s)).reshape(shape)
+        # tensor product of the axis weights, multiplied left to right
+        weights = reduce(np.multiply.outer, [_quad_weights(f - a) for f, a in zip(fid, anchor)])
         return jets, block, weights
 
     def _contract(self, arr, block, weights):
@@ -500,9 +537,8 @@ def track_attribute(
     elif isinstance(field, AnalyticField):
         if times is None:
             raise ValueError("analytic tracking needs explicit times")
-        t0, step, m = canonical_time_axis(times)
-        times = t0 + step * np.arange(m)
-        dt = float(times[1] - times[0]) if m > 1 else step  # the frame times' own spacing
+        t0, dt, m = canonical_time_axis(times)
+        times = t0 + dt * np.arange(m)
         x0 = np.asarray(seed, dtype=float)
         if x0.shape != (field.dim,) or not np.all(np.isfinite(x0)):
             raise ValueError(f"seed must be a finite point of dimension {field.dim}")
@@ -524,6 +560,7 @@ def track_attribute(
     return TrackResult(
         target.kind, times, positions, empirical, computed,
         _deviation(empirical, computed), iterations, run.passes if run else 0,
+        run.points if run else 0,
     )
 
 

@@ -395,9 +395,35 @@ class TestWindowRuns:
                                       (0.0, 0.0), times=sf.times)
         assert analytic.jet_passes == 0 and np.all(analytic.newton_iterations >= 1)
 
+    def test_runs_follow_the_motion(self, monkeypatch):
+        # a 2-D level crossing moving about 0.7 cells a frame leaves a run's
+        # exact zone every few frames; runs sized by the frames the last run
+        # served compute 67 frames for 34 reads, runs of as many frames as the
+        # point cap allows 92
+        grid = wv.make_grid(2, (64, 64), 0.02, -0.63)
+        bump = wv.TranslatingGaussian((0.5, 0.4), 0.4)
+        field = wv.sample(bump, grid, 0.02 * np.arange(21))
+        direction = np.array((1.0, 1.25)) / np.linalg.norm((1.0, 1.25))
+        seed = tuple(np.rint(grid.index_of(0.4 * np.sqrt(np.log(2.0)) * direction)).astype(int))
+        runs, reads = [], []
+        fd_jet_fields, jets_at = tracking.fd_jet_fields, tracking._WindowRun.jets_at
+        monkeypatch.setattr(tracking, "fd_jet_fields",
+                            lambda *args: runs.append(args) or fd_jet_fields(*args))
+        monkeypatch.setattr(tracking._WindowRun, "jets_at",
+                            lambda run, frame, *args: reads.append(frame)
+                            or jets_at(run, frame, *args))
+        res = wv.track_attribute(field, wv.AttributeSpec.level_set(0.5), seed)
+        assert res.deviation <= 0.01  # a real track
+        moves = np.abs(np.diff(res.positions, axis=0)) / 0.02
+        assert 0.5 <= moves.mean() <= 0.9
+        computed = sum(len(frames) for _, frames, *_ in runs)
+        assert computed <= 2.5 * len(reads)
+        assert res.jet_passes == len(runs)
+        assert res.jet_points == sum(sub.grid.npoints * len(frames) for sub, frames, *_ in runs)
+
     def test_run_memory_does_not_grow_with_frames(self):
         # 3-D 40^3 level track: a run holds at most _RUN_POINTS box points, so
-        # the traced peak is 9.2 MB at both 21 and 41 frames; one window per
+        # the traced peak is 2.5 MB at both 21 and 41 frames; one window per
         # frame peaked at 29.1 and 63.3 MB
         n = 3
         grid = wv.make_grid(n, (40,) * n, 0.04, -0.78)
@@ -415,7 +441,7 @@ class TestWindowRuns:
                 tracemalloc.stop()
         jet_bytes = 8 * (2 + 2 * n + n * n) + 1  # one point's jets and validity
         assert peaks[1] <= 1.05 * peaks[0]
-        assert peaks[1] <= 1.25 * tracking._RUN_POINTS * jet_bytes  # 9.2 of 11.2 MB
+        assert peaks[1] <= 1.25 * tracking._RUN_POINTS * jet_bytes  # 2.5 of 2.8 MB
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
@@ -534,7 +560,7 @@ def _reference_analytic_track(field, target, seed, times, search_radius):
                 gi = jet.grad[axis]
                 if gi != 0.0:
                     computed[frame, axis] = -jet.dpsi_dt / gi
-    empirical = tracking._empirical_velocity(positions, float(frame_times[1] - frame_times[0]))
+    empirical = tracking._empirical_velocity(positions, dt)
     return positions, computed, tracking._deviation(empirical, computed)
 
 
@@ -584,3 +610,82 @@ class TestWindowedTracksUnchanged:
         assert np.array_equal(res.computed_velocity, computed, equal_nan=True)
         assert res.deviation == deviation
         assert res.deviation <= 0.1  # a real track, not a lost one
+
+    @pytest.mark.parametrize("kind", ("gradient", "level"))
+    def test_analytic_tracks_difference_over_the_canonical_step(self, kind):
+        bump = wv.TranslatingGaussian((0.7, 0.3), 0.4)
+        times = 0.02 * np.arange(9) - 0.08  # times[1] - times[0] is one ulp off the step
+        step = canonical_time_axis(times)[1]
+        if kind == "gradient":
+            target, seed = wv.AttributeSpec.gradient_set((0.0, 0.0)), np.full(2, 0.01)
+        else:
+            target, seed = wv.AttributeSpec.level_set(0.5), np.array((0.21, 0.26))
+        res = wv.track_attribute(bump, target, seed, times=times, search_radius=0.3)
+        want = tracking._empirical_velocity(res.positions, step)
+        assert np.array_equal(res.empirical_velocity.view(np.uint64), want.view(np.uint64))
+        assert res.jet_points == 0
+
+
+# --------------------------------------------------------------------------
+# the exact zone of a window: the box less half a stencil at each cut face
+
+
+JET_ARRAYS = ("psi", "dpsi_dt", "grad", "hessian", "time_mixed", "valid")
+
+
+def _window_and_full(field, spec, frame, anchor, time_derivatives):
+    """A window run opened at ``anchor`` and the full-grid jets of ``frame``."""
+    run = tracking._WindowRun(field, spec)
+    run._open(frame, anchor, time_derivatives)
+    return run, run.jets[frame - run.frames.start], wv.fd_jet_field(field, frame, spec,
+                                                                     time_derivatives)
+
+
+def _same_bits(window, full, region, lo):
+    """Whether every jet array of ``window`` equals ``full`` bit for bit on the
+    grid index box ``region`` (slices), ``lo`` being the window's offset."""
+    local = tuple(slice(r.start - o, r.stop - o) for r, o in zip(region, lo))
+    return all(np.ascontiguousarray(getattr(window, name)[local]).tobytes()
+               == np.ascontiguousarray(getattr(full, name)[region]).tobytes()
+               for name in JET_ARRAYS)
+
+
+class TestExactZone:
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize("order", (2, 4))
+    @pytest.mark.parametrize("dim", (1, 2, 3, 4))
+    def test_window_jets_equal_full_grid_jets_on_the_whole_zone(self, dim, order, boundary):
+        rng = np.random.default_rng(dim)
+        n = 14  # wider than every box, so boxes are cut
+        grid = wv.make_grid(dim, (n,) * dim, 0.05, -0.3)
+        field = wv.SampledField(grid, 0.1, 0.02, rng.standard_normal((9,) + grid.shape))
+        spec = wv.StencilSpec(order, boundary)
+        hw = spec.half_width
+        half = 1 + hw + tracking._WINDOW_SLACK
+        # per axis, a box cut on both sides, one cut on one side that just
+        # reaches the low grid face, and one clipped by it (the narrowest box)
+        cases = (n // 2, half, 1)
+        anchors = [tuple(cases[(k + a) % 3] for a in range(dim)) for k in range(3)]
+        frames = [(4, True), (1, True), (0, False)]  # end frames: one-sided or no time taps
+        for anchor in anchors:
+            for frame, time_derivatives in frames:
+                run, window, full = _window_and_full(field, spec, frame, anchor, time_derivatives)
+                lo, (zlo, zhi) = run.lo, run._exact
+                hi = tuple(o + s for o, s in zip(lo, window.grid.shape))
+                for a, c in enumerate(anchor):
+                    low_cut, high_cut = lo[a] > 0, hi[a] < n
+                    assert (low_cut, high_cut) == {n // 2: (True, True), half: (False, True),
+                                                   1: (False, True)}[c]
+                    assert hi[a] - lo[a] == (2 * half + 1 if c != 1 else half + 2)
+                    assert zlo[a] == (lo[a] + hw if low_cut else 0)
+                    assert zhi[a] == (hi[a] - 1 - hw if high_cut else n - 1)
+                zone = tuple(slice(l, h + 1) for l, h in zip(zlo, zhi))
+                assert _same_bits(window, full, zone, lo)
+                if not full.valid.any():
+                    continue  # a frame without a time window is NaN everywhere
+                # tight: one cell outside the zone at any cut face, some entry differs
+                for a in range(dim):
+                    for cut, index in ((lo[a] > 0, zlo[a] - 1), (hi[a] < n, zhi[a] + 1)):
+                        if cut:
+                            slab = zone[:a] + (slice(index, index + 1),) + zone[a + 1:]
+                            assert not _same_bits(window, full, slab, lo)
