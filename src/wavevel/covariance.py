@@ -29,7 +29,7 @@ import numpy as np
 from .fields import MIN_EXTENT, AnalyticField, Grid, SampledField, canonical_time_axis
 from .findiff import DEFAULT_STENCIL, StencilSpec, fd_jet_field
 from .jets import Jet1, Jet2, _mirror_upper, _require_finite
-from .velocities import _solve_order_one
+from .velocities import _contract, _order_zero, _solve_order_one
 
 Array = np.ndarray
 
@@ -238,13 +238,15 @@ class CovarianceReport:
 
 
 def _frame_velocities(source, field: AnalyticField, points: Array, t: float):
-    """``(moving, reciprocals, order-one components, solved)`` of one frame's
-    jets; ``moving`` marks psi_t != 0 and ``solved`` a non-singular Hessian."""
+    """``(moving, reciprocals, order-one components, solved, contractions,
+    contracted)`` of one frame's jets: ``moving`` marks psi_t != 0, ``solved``
+    a non-singular Hessian and ``contracted`` a defined contraction."""
     psi, dpsi_dt, grad, hess, tmix = source(field, points, t)
     _require_finite(psi, dpsi_dt, grad, hess, tmix)
     ok = np.ones(len(points), dtype=bool)
     comps, solved, _ = _solve_order_one(_mirror_upper(hess), tmix, ok, pivoted=True)
-    return dpsi_dt != 0.0, -(field.dim * grad) / dpsi_dt[:, None], comps, solved
+    reciprocals = _order_zero(grad, dpsi_dt, ok)[0]
+    return (dpsi_dt != 0.0, reciprocals, comps, solved) + _contract(reciprocals, comps, solved)
 
 
 def _relative_deviations(a: Array, b: Array) -> Array:
@@ -262,7 +264,7 @@ def check_transformation_laws(
     components with ``A^{-1}`` (relative deviations); the contraction is
     compared as is (absolute deviation).  Points where psi_t = 0 skip the
     covector law, points with a singular Hessian the vector law, and the
-    contraction skips both.  Non-finite jets raise ``ValueError``.
+    contraction where it is undefined.  Non-finite jets raise ``ValueError``.
     """
     if field.dim != amap.dim:
         raise ValueError(f"dimension mismatch: field {field.dim}, map {amap.dim}")
@@ -276,13 +278,14 @@ def check_transformation_laws(
     for start in range(0, len(pts), BLOCK_POINTS):
         x = pts[start : start + BLOCK_POINTS]
         with np.errstate(divide="ignore", invalid="ignore"):  # only skipped points divide by 0
-            moving_x, w_x, v_x, solved_x = _frame_velocities(source, composed, x, t)
-            moving_X, w_X, v_X, solved_X = _frame_velocities(source, field, amap.apply(x), t)
-            moving, solved = moving_x & moving_X, solved_x & solved_X
+            moving_x, w_x, v_x, solved_x, c_x, contracted_x = _frame_velocities(
+                source, composed, x, t)
+            moving_X, w_X, v_X, solved_X, c_X, contracted_X = _frame_velocities(
+                source, field, amap.apply(x), t)
             laws = (
-                (moving, _relative_deviations(w_x, w_X @ amap.matrix)),
-                (solved, _relative_deviations(v_x, v_X @ amap.inverse_matrix.T)),
-                (moving & solved, np.abs((w_x * v_x).sum(axis=-1) - (w_X * v_X).sum(axis=-1))),
+                (moving_x & moving_X, _relative_deviations(w_x, w_X @ amap.matrix)),
+                (solved_x & solved_X, _relative_deviations(v_x, v_X @ amap.inverse_matrix.T)),
+                (contracted_x & contracted_X, np.abs(c_x - c_X)),
             )
         for k, (mask, dev) in enumerate(laws):
             checked[k] += int(np.count_nonzero(mask))

@@ -212,12 +212,11 @@ def _stencil_sum(out: Array, terms, scratch: Array) -> None:
 def _diff_into(out: Array, arr: Array, axis: int, h: float, deriv: int, spec: StencilSpec):
     """:func:`diff_along_axis` of the C-contiguous ``arr`` written into the
     C-contiguous ``out`` of the same shape; returns the per-index validity."""
-    a = np.moveaxis(arr, axis, 0)
-    n = a.shape[0]
+    n = arr.shape[axis]
     hw = spec.half_width
     if n < 2 * hw + 1:
         raise ValueError(f"axis needs at least {2 * hw + 1} points for order {spec.order}")
-    stride = a.strides[0] // a.itemsize  # flat distance of neighbours along the axis
+    stride = arr.strides[axis] // arr.itemsize  # flat distance of neighbours along the axis
     rows = (-1, n, stride)  # the edge band at index pos is rows[:, pos]
     flat = arr.reshape(-1)
     lo, hi = hw * stride, flat.size - hw * stride

@@ -20,8 +20,11 @@ Array = np.ndarray
 
 
 def _mirror_upper(hess: Array) -> Array:
-    """Hessians (``...xNxN``) made exactly symmetric from their upper triangle."""
-    return np.triu(hess) + np.swapaxes(np.triu(hess, 1), -1, -2)
+    """Hessians (``...xNxN``) made exactly symmetric from their upper triangle, -0 as +0."""
+    out = hess + 0.0
+    for i in range(1, hess.shape[-1]):
+        out[..., i, :i] = out[..., :i, i]
+    return out
 
 
 def _component_planes(shape, n: int, k: int = 1) -> Array:

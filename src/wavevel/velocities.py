@@ -7,28 +7,26 @@ whenever ``psi_t != 0`` and transforms linearly under coordinate changes).
 
 Order one tracks a fixed spatial gradient (a peak, trough or saddle): the
 components solve ``H v = -d/dt grad(psi)`` with ``H`` the spatial Hessian.
-One kernel, :func:`_solve_order_one`, does the solve and owns the singularity
-rule.  Its Cramer route serves N <= 3 (``first_order_velocity_2d``, ``_3d``
-and the grid map); its pivoted route serves any N (the grid map for N >= 4,
-and ``first_order_velocity_nd``, the reference the Cramer route is checked
-against).  A singular Hessian is an expected regime and yields
-``valid=False`` rather than an exception.
+A singular Hessian is an expected regime and yields ``valid=False`` rather
+than an exception.  The contraction of the order-zero reciprocals with the
+order-one components is a dimensionless scalar, invariant under linear
+coordinate changes; it equals N for any rigidly translating profile.
 
-The grid maps work on contiguous component planes and store their outputs
-planes-first behind component-last views: the order-zero map and the
-contraction loop over the N planes (the contraction sums them from +0.0
-in axis order, as numpy's own sum does), and the order-one map calls the
-kernel on contiguous blocks of :data:`BLOCK_POINTS` points, so its
-temporaries stay one block in size.  The kernel reads the Hessian entry by
-entry and sums ``||H||_F**2`` over the N^2 entries in numpy's pairwise
-order, so it gives the same bits on any layout of its input.  On a stack
-the pivoted route gathers its points: LAPACK sees the valid input points
-only, and solves the non-singular ones.  Every map rounds exactly as its
-trailing-axis formulation would on C-ordered input.
+Each formula has one kernel, which runs at one point or on a stack of points
+and owns the formula's validity rules: :func:`_order_zero`,
+:func:`_solve_order_one` and :func:`_contract`.  The pointwise functions
+raise where a kernel marks their point invalid; the grid maps and the
+covariance checks mask.  The solve's Cramer route serves N <= 3; its pivoted
+route serves any N (the grid map for N >= 4, the covariance checks, and
+``first_order_velocity_nd``, the reference the Cramer route is checked
+against).
 
-The contraction of the order-zero reciprocals with the order-one components
-is a dimensionless scalar, invariant under linear coordinate changes; it
-equals N for any rigidly translating profile.
+The order-one map calls its kernel on blocks of :data:`BLOCK_POINTS` points
+and stores its output planes-first behind a component-last view; the other
+two kernels run on the whole grid and keep the memory order of their input
+(planes-first on fd jets).  The kernels read their inputs plane by plane and
+sum in numpy's pairwise order, so they give the same bits on any layout and
+at one point, as their trailing-axis formulation does on C-ordered input.
 """
 
 from __future__ import annotations
@@ -147,6 +145,25 @@ class AttributeSpec:
 # pointwise operations
 
 
+def _order_zero(grad: Array, dpsi_dt, ok=True):
+    """The order-zero formula at one point or on a stack of points.
+
+    ``grad`` is ``...xN``, ``dpsi_dt`` is ``...`` and ``ok`` marks the valid
+    input jets (True at one point).  Returns ``(reciprocal, components,
+    valid)`` by the rules of :func:`zero_order_velocity`; stationary-degenerate
+    and invalid points are not valid and NaN throughout.
+    """
+    n = grad.shape[-1]
+    flat = grad == 0.0
+    valid = ok & ((dpsi_dt != 0.0) | ~flat.all(axis=-1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pt = np.where(valid, dpsi_dt, np.nan)[..., None]  # the NaN carries into both outputs
+        reciprocal = -n * grad / pt
+        components = -(pt / n) / grad
+        np.copyto(components, -pt / 0.0, where=flat)  # ±inf with the sign of -psi_t, or NaN
+    return reciprocal, components, valid
+
+
 def zero_order_velocity(jet, dim: int = None) -> ZeroOrderVelocity:
     """Order-zero velocity from a first-order jet (Jet1 or Jet2).
 
@@ -158,20 +175,13 @@ def zero_order_velocity(jet, dim: int = None) -> ZeroOrderVelocity:
     zero get NaN in both representations.
     """
     g = np.asarray(jet.grad, dtype=float)
-    pt = float(jet.dpsi_dt)
-    n = g.shape[0]
-    if dim is not None and dim != n:
-        raise ValueError(f"jet has dimension {n}, expected {dim}")
-    if pt == 0.0 and np.all(g == 0.0):
+    if dim is not None and dim != g.shape[0]:
+        raise ValueError(f"jet has dimension {g.shape[0]}, expected {dim}")
+    reciprocal, components, valid = _order_zero(g, float(jet.dpsi_dt))
+    if not valid:
         raise StationaryDegenerateError(
             "psi_t = 0 and grad psi = 0: no attribute velocity is defined"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        reciprocal = -(n * g) / pt
-    components = np.empty(n)
-    nz = g != 0.0
-    components[nz] = -(pt / n) / g[nz]
-    components[~nz] = np.copysign(np.inf, -pt) if pt != 0.0 else np.nan
     return ZeroOrderVelocity(reciprocal, components)
 
 
@@ -276,17 +286,31 @@ def first_order_velocity_nd(jet: Jet2, eps_singular: float = EPS_SINGULAR) -> Fi
     return _pointwise_order_one(jet, eps_singular, pivoted=True)
 
 
+def _contract(reciprocal: Array, components: Array, ok=True):
+    """The contraction at one point or on a stack of points: ``(values, valid)``,
+    valid where ``ok`` marks valid velocities and every reciprocal is finite,
+    NaN elsewhere.  The products are summed in :func:`_sum_planes` order."""
+    n = reciprocal.shape[-1]
+    valid = ok & np.isfinite(reciprocal).all(axis=-1)
+    with np.errstate(invalid="ignore"):
+        values = np.asarray(_sum_planes((reciprocal[..., a] * components[..., a]
+                                         for a in range(n)), n))
+    values[~valid] = np.nan
+    return values, valid
+
+
 def contraction_scalar(v0: ZeroOrderVelocity, v1: FirstOrderVelocity) -> float:
     """Dimensionless pairing of order-zero reciprocals with order-one components."""
     if v0.dim != v1.dim:
         raise ValueError(f"dimension mismatch: {v0.dim} vs {v1.dim}")
+    value, valid = _contract(v0.reciprocal, v1.components, v1.valid)
     if not v1.valid:
         raise UndefinedContractionError("order-one velocity is invalid (singular Hessian)")
-    if not np.all(np.isfinite(v0.reciprocal)):
+    if not valid:
         raise UndefinedContractionError(
             "reciprocal velocities are undefined (psi_t = 0 at the source jet)"
         )
-    return float(v0.reciprocal @ v1.components)
+    return float(value)
 
 
 # --------------------------------------------------------------------------
@@ -322,33 +346,12 @@ class FirstOrderVelocityField:
 
 
 def zero_order_velocity_field(jets: JetField) -> ZeroOrderVelocityField:
-    """Map the order-zero formula over a jet field, one component plane at a time.
+    """Map the order-zero formula over a jet field.
 
     Stationary-degenerate points (psi_t = 0 with a fully vanishing gradient)
     are marked invalid instead of raising.
     """
-    n = jets.dim
-    g = jets.grad
-    pt = jets.dpsi_dt
-    degenerate = pt == 0.0
-    for a in range(n):
-        degenerate &= g[..., a] == 0.0
-    valid = jets.valid & ~degenerate
-    reciprocal = _component_planes(pt.shape, n)
-    components = _component_planes(pt.shape, n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pt = np.where(valid, pt, np.nan)  # the NaN carries into both maps
-        scale = -(pt / n)
-        # where g_a = 0: ±inf with the sign of -psi_t, NaN where psi_t = 0 or invalid
-        still = np.negative(pt)
-        still /= 0.0
-        for a in range(n):
-            ga, w, v = g[..., a], reciprocal[..., a], components[..., a]
-            np.multiply(-n, ga, out=w)
-            w /= pt
-            np.divide(scale, ga, out=v)
-            np.copyto(v, still, where=ga == 0.0)
-    return ZeroOrderVelocityField(jets.grid, reciprocal, components, valid)
+    return ZeroOrderVelocityField(jets.grid, *_order_zero(jets.grad, jets.dpsi_dt, jets.valid))
 
 
 def first_order_velocity_field(
@@ -395,13 +398,4 @@ def contraction_scalar_field(v0: ZeroOrderVelocityField, v1: FirstOrderVelocityF
     """
     if v0.grid != v1.grid:
         raise ValueError(f"grid mismatch: {v0.grid} vs {v1.grid}")
-    n = v0.dim
-    r = v0.reciprocal
-    c = v1.components
-    valid = v0.valid & v1.valid
-    for a in range(n):
-        valid &= np.isfinite(r[..., a])
-    with np.errstate(invalid="ignore"):
-        vals = _sum_planes((r[..., a] * c[..., a] for a in range(n)), n)
-    vals[~valid] = np.nan
-    return vals, valid
+    return _contract(v0.reciprocal, v1.components, v0.valid & v1.valid)

@@ -270,9 +270,50 @@ def _per_point_reference(field, amap, points, t):
             for d, tol in zip(devs, tols)]
 
 
+def _pointwise_callers_reference(field, amap, points, t):
+    """``(max deviation, checked, skipped)`` per law, with every velocity and
+    contraction from the public pointwise functions at each point.
+
+    The jets, the transforms and the deviations are taken as the checks take
+    them (one stacked evaluation per frame, one stacked product per
+    transform), so the reports must agree to the bit.
+    """
+    composed = wv.AffineReparamField(field, amap)
+    frames = []
+    for fld, pts in ((composed, points), (field, amap.apply(points))):
+        psi, pt, g, h, tm = fld.jet_arrays(pts, t)
+        w, v, c = np.full(g.shape, np.nan), np.full(g.shape, np.nan), np.full(len(pts), np.nan)
+        for i in range(len(pts)):
+            jet = wv.Jet2(wv.Jet1(psi[i], pt[i], g[i]), h[i], tm[i])
+            v1 = wv.first_order_velocity_nd(jet)
+            v[i] = v1.components  # NaN where the Hessian is singular
+            try:
+                v0 = wv.zero_order_velocity(jet.jet1)
+            except wv.StationaryDegenerateError:
+                continue
+            if pt[i] != 0.0:
+                w[i] = v0.reciprocal
+            try:
+                c[i] = wv.contraction_scalar(v0, v1)
+            except wv.UndefinedContractionError:
+                pass
+        frames.append((w, v, c))
+    (w_x, v_x, c_x), (w_X, v_X, c_X) = frames
+    devs = (
+        [_relative_deviation(a, b) for a, b in zip(w_x, w_X @ amap.matrix)],
+        [_relative_deviation(a, b) for a, b in zip(v_x, v_X @ amap.inverse_matrix.T)],
+        list(np.abs(c_x - c_X)),
+    )
+    reports = []
+    for dev in devs:
+        checked = [d for d in dev if not np.isnan(d)]
+        reports.append((max(checked, default=0.0), len(checked), len(points) - len(checked)))
+    return reports
+
+
 def _diagonal_map(n):
     # powers of two: X = A x is exact, so chosen new-frame points are hit exactly
-    return wv.AffineMap(np.diag([2.0, 0.5, 4.0, 0.25][:n]))
+    return wv.AffineMap(np.diag([2.0, 0.5, 4.0, 0.25, 8.0][:n]))
 
 
 class TestBatchedChecks:
@@ -311,6 +352,30 @@ class TestBatchedChecks:
             ):
                 assert (report.checked, report.skipped) == (checked, skipped)
                 assert abs(report.max_deviation - dev) <= tol
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["translating", "static", "plane-wave"])
+    def test_equals_pointwise_callers(self, n, kind):
+        # the checks and the pointwise functions share one kernel per formula
+        rng = np.random.default_rng(40 + n)
+        field = {
+            "translating": wv.TranslatingGaussian((1.0,) + (0.0,) * (n - 1), 1.0),
+            "static": wv.StaticGaussian(1.0, (0.0,) * n),
+            "plane-wave": wv.PlaneWave((2.0, 1.0, -0.5, 0.7, 0.3)[:n], 3.0),
+        }[kind]
+        amap = _diagonal_map(n)
+        # new-frame points on X_1 = 0 (psi_t = 0 for the translating bump) and
+        # the origin (stationary degenerate for both bumps)
+        still = rng.uniform(-0.8, 0.8, size=(3, n))
+        still[:, 0] = 0.0
+        new_frame = np.vstack([rng.uniform(-0.8, 0.8, size=(8, n)), still, np.zeros((1, n))])
+        general = wv.random_affine(rng, n, max_condition=20.0)
+        cases = [(amap, amap.invert(new_frame)),
+                 (general, general.invert(rng.uniform(-0.8, 0.8, size=(12, n))))]
+        for m, points in cases:
+            reports = wv.check_transformation_laws(field, m, points, 0.0)
+            assert [(r.max_deviation, r.checked, r.skipped) for r in reports] == \
+                _pointwise_callers_reference(field, m, points, 0.0)
 
     def test_skip_rules_are_exercised(self):
         # the mixed point set of the test above: 3 still points, 2 ring points

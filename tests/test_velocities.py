@@ -6,6 +6,18 @@ import pytest
 import wavevel as wv
 
 
+#: The coordinate of node 12 on the axes of ``TestVelocityFields._jets``.
+NODE = -1.15 + 0.1 * 12
+
+
+def _assert_same_bits(got, want):
+    """Equal values, signs of zero and NaN positions (NaN sign bits are not compared)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
 def _plane_wave_jet(point=(0.3, 0.7), t=0.11):
     return wv.PlaneWave((2.0, 1.0), 3.0).jet2(np.asarray(point, dtype=float), t)
 
@@ -326,23 +338,44 @@ class TestVelocityFields:
         assert np.isnan(vf.components[4, 4]).all()
         assert vf.valid.sum() == 80
 
-    @pytest.mark.parametrize("field, t", [
-        (wv.TranslatingGaussian((0.4, 0.3), 1.0), 0.2),
-        (wv.TranslatingGaussian((0.4, 0.3, -0.2), 1.0), 0.2),
-        (wv.PlaneWave((1.3, 0.7), 3.0), 0.1),  # rank-one Hessian: singular everywhere
+    @pytest.mark.parametrize("field, t, special", [
+        (wv.TranslatingGaussian((0.4, 0.3), 1.0), 0.2, ()),
+        (wv.TranslatingGaussian((0.4, 0.3, -0.2), 1.0), 0.2, ()),
+        (wv.PlaneWave((1.3, 0.7), 3.0), 0.1, ()),  # rank-one Hessian: singular everywhere
+        # centred on a node: stationary degenerate there, psi_t = 0 everywhere
+        (wv.StaticGaussian(1.0, center=(NODE, NODE)), 0.0, ("degenerate", "still")),
+        # centred on a node: psi_t = 0 where x = NODE, grad_y = 0 where y = NODE
+        (wv.TranslatingGaussian((0.4, 0.0), 1.0, center=(NODE, NODE)), 0.0,
+         ("degenerate", "still", "pole")),
+        (wv.TranslatingGaussian((0.4, 0.0, 0.0), 1.0, center=(NODE,) * 3), 0.0,
+         ("degenerate", "still", "pole")),
     ])
-    def test_matches_pointwise_ops(self, field, t):
+    def test_matches_pointwise_ops(self, field, t, special):
         jets, grid = self._jets(field, t)
-        cramer = {2: wv.first_order_velocity_2d, 3: wv.first_order_velocity_3d}[grid.dim]
+        n = grid.dim
+        cramer = {2: wv.first_order_velocity_2d, 3: wv.first_order_velocity_3d}[n]
         v0f = wv.velocity_field(jets, 0)
         v1f = wv.velocity_field(jets, 1)
+        vals, valid = wv.contraction_scalar_field(v0f, v1f)
         rng = np.random.default_rng(31)
-        for _ in range(25):
-            idx = tuple(rng.integers(0, 24, size=grid.dim))
+        # random points and the grid lines through the node (12, ..., 12)
+        idxs = [tuple(rng.integers(0, 24, size=n)) for _ in range(25)]
+        idxs += [tuple(k if b == a else 12 for b in range(n)) for a in range(n) for k in range(24)]
+        seen = set()
+        for idx in idxs:
             jet = jets.jet2_at(idx)
-            v0 = wv.zero_order_velocity(jet.jet1)
-            assert v0f.components[idx] == pytest.approx(v0.components, rel=1e-13)
-            assert v0f.reciprocal[idx] == pytest.approx(v0.reciprocal, rel=1e-13)
+            try:
+                v0 = wv.zero_order_velocity(jet.jet1)
+            except wv.StationaryDegenerateError:
+                seen.add("degenerate")
+                assert not v0f.valid[idx] and not valid[idx]
+                assert np.isnan(v0f.reciprocal[idx]).all() and np.isnan(v0f.components[idx]).all()
+                assert np.isnan(vals[idx])
+                continue
+            seen.add("still" if jet.dpsi_dt == 0.0 else "pole" if (jet.grad == 0.0).any() else "")
+            assert v0f.valid[idx]
+            _assert_same_bits(v0f.reciprocal[idx], v0.reciprocal)
+            _assert_same_bits(v0f.components[idx], v0.components)
             v1 = wv.first_order_velocity_nd(jet)
             assert v1f.valid[idx] == v1.valid
             if v1.valid:
@@ -352,6 +385,16 @@ class TestVelocityFields:
             # reproduces the rounding left in det H
             assert v1f.hessian_condition[idx] == pytest.approx(cramer(jet).hessian_condition,
                                                                rel=1e-12)
+            grid_v1 = wv.FirstOrderVelocity(v1f.components[idx], v1f.valid[idx],
+                                            v1f.hessian_condition[idx])
+            try:
+                want = wv.contraction_scalar(v0, grid_v1)
+            except wv.UndefinedContractionError:
+                assert not valid[idx] and np.isnan(vals[idx])
+            else:
+                assert valid[idx]
+                _assert_same_bits(vals[idx], want)
+        assert seen.issuperset(special)
 
     def test_contraction_field_rigid_translation(self):
         jets, _ = self._jets(wv.TranslatingGaussian((0.7, 0.0), 1.0), t=0.1)
