@@ -99,7 +99,11 @@ def _cmd_info(args) -> int:
 
 
 def _default_frame(field, args) -> int:
-    return field.frames // 2 if args.frame is None else args.frame
+    if args.frame is None:
+        return field.frames // 2
+    if not 0 <= args.frame < field.frames:
+        raise ValueError(f"frame {args.frame} out of range [0, {field.frames})")
+    return args.frame
 
 
 def _cmd_velocity(args) -> int:

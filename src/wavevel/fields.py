@@ -9,7 +9,7 @@ docstrings state dimensions (field, length, time) but nothing is enforced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -627,13 +627,32 @@ FIELD_KINDS = {
 
 
 def make_field(kind: str, **params) -> AnalyticField:
-    """Instantiate a catalog field by kind name; raises on unknown kinds."""
+    """Instantiate a catalog field by kind name.
+
+    An unknown kind, an unknown or missing parameter, or a vector given for
+    a one-number parameter raises ``ValueError`` naming the kind and the
+    parameter.
+    """
     try:
         cls = FIELD_KINDS[kind]
     except KeyError:
         raise ValueError(
             f"unknown field kind {kind!r}; known kinds: {sorted(FIELD_KINDS)}"
         ) from None
+    known = {f.name: f for f in fields(cls)}
+    for name, value in params.items():
+        if name not in known:
+            raise ValueError(f"field kind {kind!r} has no parameter {name!r}; "
+                             f"parameters: {list(known)}")
+        if known[name].type in (float, "float"):
+            try:
+                float(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"parameter {name!r} of field kind {kind!r} must be one "
+                                 f"number, got {value!r}") from None
+    for name, f in known.items():
+        if f.default is MISSING and name not in params:
+            raise ValueError(f"field kind {kind!r} needs parameter {name!r}")
     return cls(**params)
 
 

@@ -15,14 +15,16 @@ Both trackers read each frame through a frame source with one interface:
 :class:`_JetInterpolator` for a :class:`SampledField` (finite-difference
 jets, quadratically interpolated) and :class:`_ExactJets` for an analytic
 catalog field (exact evaluation, mainly for calibration at machine
-accuracy).  There is one Newton loop, :func:`_newton_fixed_gradient`, and
+accuracy).  There is one Newton loop, :func:`_newton_iterations`, and
 one frame loop per attribute kind.  On a sampled field the jets are
 computed only on a small window of the grid around the tracked point, so a
 track costs O(frames) whatever the grid size; the window's jets are
 bit-identical to the full-grid jets where they are read.
 
-The frame sources of one track share one window run (:class:`_WindowRun`):
-a box, a run of frames and their jets from one :func:`fd_jet_fields` pass.
+A sampled frame source is a pair (window run, frame): the frame sources of
+one track share one :class:`_WindowRun`, which decides once, from the
+field and the stencil, which frames have a time window, and holds a box, a
+run of frames and their jets from one :func:`fd_jet_fields` pass.
 The box reaches half a stencil and ``_WINDOW_SLACK`` cells beyond the
 interpolation block (11^N points at order 4), so the tracked point can move
 ``_WINDOW_SLACK`` cells before the run misses.  A run holds at most
@@ -129,6 +131,12 @@ def _crossing_speed(psi_t, grad_axis) -> float:
 class _WindowRun:
     """Window jets of a run of frames, shared by the frame sources of a track.
 
+    The run owns the time windows: ``timed[f]`` says whether frame ``f`` has
+    one (the end frames of shrink-to-valid have none), decided once when
+    the run is made; a field with too few frames for the time stencil
+    raises :class:`InsufficientFramesError` there.  A run of frames is all
+    timed or all untimed, and untimed frames get spatial jets only.
+
     A run is an index box of the grid, a range of frames and the jets of
     those frames on the box, from one :func:`fd_jet_fields` pass.  The box
     reaches ``hw + _WINDOW_SLACK`` cells beyond the interpolation block on
@@ -158,54 +166,52 @@ class _WindowRun:
 
     A request misses when its frame is outside the run or its 3^N block
     leaves the exact zone; the run then drops its jets and opens a new run
-    at that frame, over the following frames whose time window matches
-    (the end frames of shrink-to-valid have none).  After a position miss
-    at frame ``f`` the new run holds ``f - start + 1`` frames, one more
-    than the old run served before the point left it, so the run length
-    follows the point's motion; the first run, and a run opened for a
-    frame outside the old one, take as many frames as ``_RUN_POINTS`` box
-    points allow.  ``passes`` counts the :func:`fd_jet_fields` calls and
-    ``points`` the box points times frames they computed.
+    at that frame, over the following frames with the same ``timed``
+    status.  After a position miss at frame ``f`` the new run holds
+    ``f - start + 1`` frames, one more than the old run served before the
+    point left it, so the run length follows the point's motion; the first
+    run, and a run opened for a frame outside the old one, take as many
+    frames as ``_RUN_POINTS`` box points allow.  ``passes`` counts the
+    :func:`fd_jet_fields` calls and ``points`` the box points times frames
+    they computed.
     """
 
-    def __init__(self, field: SampledField | None, spec: StencilSpec):
-        self._field = field
+    def __init__(self, field: SampledField, spec: StencilSpec):
+        self.field = field
+        self.grid = field.grid
         self._spec = spec
+        self.timed = [_time_taps(field, f, spec) is not None for f in range(field.frames)]
         self.passes = 0  # fd_jet_fields calls
         self.points = 0  # box points times frames over all passes
         self.frames = range(0)
-        self.time_derivatives = True
         self.jets = []
         self.lo = None  # index offset of the box
         self._exact = None  # inclusive index bounds of the exact zone
-        self._windowed = None  # per frame: has a time window
 
     @classmethod
-    def whole(cls, jets: JetField, time_derivatives: bool) -> "_WindowRun":
+    def whole(cls, jets: JetField, time_derivatives: bool = True) -> "_WindowRun":
         """A run of one frame (index 0) on the whole grid of ``jets``; it never misses."""
-        run = cls(None, None)
-        run.frames = range(1)
-        run.time_derivatives = time_derivatives
-        run.jets = [jets]
-        run.lo = (0,) * jets.dim
+        run = cls.__new__(cls)
+        run.field, run.grid, run.timed = None, jets.grid, [time_derivatives]
+        run.frames, run.jets, run.lo = range(1), [jets], (0,) * jets.dim
         run._exact = (run.lo, tuple(n - 1 for n in jets.grid.shape))
         return run
 
-    def jets_at(self, frame: int, anchor, time_derivatives: bool):
+    def jets_at(self, frame: int, anchor):
         """Jets of ``frame`` exact on the 3^N block around ``anchor`` (N ints),
         and the box's index offset (N ints)."""
         frames = self.frames
-        if frame not in frames or time_derivatives != self.time_derivatives:
-            self._open(frame, anchor, time_derivatives)
+        if frame not in frames:
+            self._open(frame, anchor)
         elif not all(low < a < high for a, low, high in zip(anchor, *self._exact)):
-            self._open(frame, anchor, time_derivatives, frame - frames.start + 1)
+            self._open(frame, anchor, frame - frames.start + 1)
         return self.jets[frame - self.frames.start], self.lo
 
-    def _open(self, frame: int, anchor, time_derivatives: bool, count: int | None = None) -> None:
+    def _open(self, frame: int, anchor, count: int | None = None) -> None:
         """Open a run at ``frame`` around ``anchor`` of at most ``count`` frames
         (None: as many as ``_RUN_POINTS`` allows)."""
         self.jets = []  # free the old run before the new one is allocated: never both at once
-        field, spec = self._field, self._spec
+        field, spec = self.field, self._spec
         shape = field.grid.shape
         reach = spec.half_width
         half = 1 + reach + _WINDOW_SLACK
@@ -214,41 +220,33 @@ class _WindowRun:
         size = math.prod(b - a for a, b in zip(lo, hi))
         cap = max(1, _RUN_POINTS // size)
         frames = self._run_frames(frame, cap if count is None else min(count, cap))
-        first, stop = self._frames_read(frames, time_derivatives)
+        first, stop = self._frames_read(frames)
         box = (slice(first, stop),) + tuple(slice(a, b) for a, b in zip(lo, hi))
         grid = Grid(tuple(b - a for a, b in zip(lo, hi)), field.grid.spacing,
                     tuple(field.grid.point(lo)))
         sub = SampledField(grid, field.time(first), field.dt, field.values[box])
         self.jets = fd_jet_fields(sub, range(frames.start - first, frames.stop - first), spec,
-                                  time_derivatives)
+                                  self.timed[frame])
         self.passes += 1
         self.points += size * len(frames)
         self.frames = frames
-        self.time_derivatives = time_derivatives
         self.lo = lo
         self._exact = (tuple(a + reach if a > 0 else 0 for a in lo),
                        tuple(b - 1 - reach if b < n else n - 1 for b, n in zip(hi, shape)))
 
     def _run_frames(self, frame: int, count: int) -> range:
         """Up to ``count`` frames from ``frame`` on, all with its time window or all without."""
-        field, spec = self._field, self._spec
-        if self._windowed is None:
-            m = field.frames
-            self._windowed = [m >= spec.min_frames and _time_taps(field, f, spec) is not None
-                              for f in range(m)]
-        windowed = self._windowed
+        timed = self.timed
         stop = frame + 1
-        while stop < min(frame + count, len(windowed)) and windowed[stop] == windowed[frame]:
+        while stop < min(frame + count, len(timed)) and timed[stop] == timed[frame]:
             stop += 1
         return range(frame, stop)
 
-    def _frames_read(self, frames: range, time_derivatives: bool):
+    def _frames_read(self, frames: range):
         """First and stop frame that the jets of ``frames`` read."""
-        if not time_derivatives:
+        if not self.timed[frames.start]:
             return frames.start, frames.stop
-        taps = [_time_taps(self._field, frame, self._spec) for frame in frames]
-        if None in taps:  # no time window, so the jets are NaN: keep the field's time axis
-            return 0, self._field.frames
+        taps = [_time_taps(self.field, frame, self._spec) for frame in frames]
         return (min(frame + t[0][0] for frame, t in zip(frames, taps)),
                 max(frame + t[-1][0] for frame, t in zip(frames, taps)) + 1)
 
@@ -256,37 +254,21 @@ class _WindowRun:
 class _JetInterpolator:
     """Frame source on sampled data: tensor-quadratic interpolation of jets.
 
-    Jets are read through a :class:`_WindowRun`.  Given a :class:`JetField`
-    the run is that jet field on the whole grid.  Given a frame of a
-    :class:`SampledField` the source reads the window run ``run`` shares
-    with the other frame sources of a track (a run of its own without one).
-    Without time derivatives (an end frame with no time window) the
-    velocities it computes are NaN.  Anchors are tuples of N ints, and the
-    bound checks and block slices run on Python ints and floats.
+    Frame ``frame`` of a :class:`_WindowRun`: the source reads its jets
+    through the run it shares with the other frame sources of a track, or
+    through :meth:`_WindowRun.whole` for one jet field on the whole grid.
+    The run says whether the frame has a time window; without one (an end
+    frame under shrink-to-valid) the velocities it computes are NaN.
+    Anchors are tuples of N ints, and the bound checks and block slices run
+    on Python ints and floats.
     """
 
-    def __init__(self, jets: JetField | None = None, field: SampledField | None = None,
-                 frame: int = 0, spec: StencilSpec = DEFAULT_STENCIL,
-                 time_derivatives: bool = True, run: _WindowRun | None = None):
-        self.grid = jets.grid if jets is not None else field.grid
+    def __init__(self, run: _WindowRun, frame: int = 0):
+        self.grid = run.grid
         self.spacing = np.asarray(self.grid.spacing)
         self.length_scale = float(np.max(self.spacing))
-        self._field = field
-        self._time_derivatives = time_derivatives
-        if jets is not None:
-            self._frame, self._run = 0, _WindowRun.whole(jets, time_derivatives)
-        else:
-            self._frame, self._run = frame, run if run is not None else _WindowRun(field, spec)
-
-    @property
-    def _jets(self) -> JetField:
-        """This frame's jets in the current run."""
-        return self._run.jets[self._frame - self._run.frames.start]
-
-    @property
-    def _lo(self) -> np.ndarray:
-        """Index offset of the current run's box."""
-        return np.asarray(self._run.lo)
+        self._run, self._frame = run, frame
+        self._timed = run.timed[frame]
 
     def _anchor(self, fid) -> tuple:
         return tuple(min(max(round(f), 1), n - 2) for f, n in zip(fid, self.grid.shape))
@@ -305,7 +287,7 @@ class _JetInterpolator:
             raise AttributeLostError(f"point {np.asarray(x)} left the grid")
         if anchor is None:
             anchor = self._anchor(fid)
-        jets, lo = self._run.jets_at(self._frame, anchor, self._time_derivatives)
+        jets, lo = self._run.jets_at(self._frame, anchor)
         block = tuple(slice(a - b - 1, a - b + 2) for a, b in zip(anchor, lo))
         if not jets.valid[block].all():
             raise AttributeLostError(
@@ -328,7 +310,7 @@ class _JetInterpolator:
 
     def first_order_components(self, x) -> Array:
         """Order-one velocity at an off-grid point; NaN vector when singular."""
-        if not self._time_derivatives:
+        if not self._timed:
             return np.full(self.grid.dim, np.nan)
         jets, block, weights = self._block_and_weights(x)
         hess = self._contract(jets.hessian, block, weights)
@@ -340,12 +322,12 @@ class _JetInterpolator:
         ``point`` along ``axis`` (linear interpolation of the samples)."""
         index = tuple(np.rint(self.grid.index_of(point)).astype(int))
         ray = index[:axis] + (slice(None),) + index[axis + 1 :]
-        values = self._field.values[self._frame][ray]
+        values = self._run.field.values[self._frame][ray]
         return _linear_crossing(self.grid.axis_coordinates(axis), values, level, near)
 
     def crossing_speed_factor(self, x, axis: int) -> float:
         """``-psi_t / psi_xaxis`` at an off-grid point (N x order-zero component)."""
-        if not self._time_derivatives:
+        if not self._timed:
             return np.nan
         jets, block, weights = self._block_and_weights(x)
         pt = self._contract(jets.dpsi_dt, block, weights)
@@ -396,12 +378,7 @@ class _ExactJets:
         return _crossing_speed(jet.dpsi_dt, jet.grad[axis])
 
 
-def _newton_fixed_gradient(source, x0, targets, max_iter: int = NEWTON_MAX_ITER) -> Array:
-    """The root that :func:`_newton_iterations` finds."""
-    return _newton_iterations(source, x0, targets, max_iter)[0]
-
-
-def _newton_iterations(source, x0, targets, max_iter: int = NEWTON_MAX_ITER):
+def _newton_iterations(source, x0, targets):
     """Newton iteration for grad(psi)(x) = targets on one frame source.
 
     Returns the root and the number of iterations (jet evaluations) spent.
@@ -421,7 +398,7 @@ def _newton_iterations(source, x0, targets, max_iter: int = NEWTON_MAX_ITER):
     x = np.array(x0, dtype=float)
     locked = None
     polished = set()
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, NEWTON_MAX_ITER + 1):
         anchor = source.anchor(x, locked)
         if anchor is not locked:
             locked = None  # not locked, or the iterate escaped the locked cell
@@ -443,7 +420,7 @@ def _newton_iterations(source, x0, targets, max_iter: int = NEWTON_MAX_ITER):
             raise NoConvergenceError("Newton iterate became non-finite")
         if locked is None and np.max(np.abs(step) / source.spacing) <= 0.5:
             locked = anchor
-    raise NoConvergenceError(f"no convergence in {max_iter} iterations")
+    raise NoConvergenceError(f"no convergence in {NEWTON_MAX_ITER} iterations")
 
 
 def _gradient_targets(target, dim: int) -> Array:
@@ -478,7 +455,7 @@ def find_critical_point(jets: JetField, seed_index, target) -> Array:
     """
     targets = _gradient_targets(target, jets.dim)
     x0 = _grid_seed(jets.grid, seed_index)
-    return _newton_fixed_gradient(_JetInterpolator(jets), x0, targets)
+    return _newton_iterations(_JetInterpolator(_WindowRun.whole(jets)), x0, targets)[0]
 
 
 # --------------------------------------------------------------------------
@@ -526,14 +503,8 @@ def track_attribute(
     if isinstance(field, SampledField):
         times, dt = field.times, field.dt
         x0 = _grid_seed(field.grid, seed)
-        # the sources share one window run, opened lazily; end frames under
-        # shrink-to-valid have no time window, so their sources are spatial-only
-        run = _WindowRun(field, spec)
-        frames = [
-            _JetInterpolator(field=field, frame=frame, spec=spec,
-                             time_derivatives=_time_taps(field, frame, spec) is not None, run=run)
-            for frame in range(field.frames)
-        ]
+        run = _WindowRun(field, spec)  # shared by the sources; its windows open lazily
+        frames = [_JetInterpolator(run, frame) for frame in range(field.frames)]
     elif isinstance(field, AnalyticField):
         if times is None:
             raise ValueError("analytic tracking needs explicit times")

@@ -65,6 +65,22 @@ class TestGenerateInfo:
                     "0.1", "--origin", "0", "--out", str(tmp_path / "x.wvf")])
         assert code == 2
 
+    @pytest.mark.parametrize("kind_args, message", [
+        (["--kind", "translating-gaussian", "--param", "velocity=0.7,0"],
+         "field kind 'translating-gaussian' needs parameter 'sigma'"),
+        (GAUSS + ["--param", "bogus=2"],
+         "field kind 'translating-gaussian' has no parameter 'bogus'"),
+        (WAVE + ["--param", "amplitude=1,2"],
+         "parameter 'amplitude' of field kind 'plane-wave' must be one number"),
+    ], ids=("missing", "unknown", "vector-for-number"))
+    def test_bad_param_is_usage_error(self, tmp_path, capsys, kind_args, message):
+        # each raised an uncaught TypeError from the catalog constructor
+        code = cli(["generate", *kind_args, "--shape", "8,8", "--spacing", "0.1",
+                    "--origin", "0", "--out", str(tmp_path / "x.wvf")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.wvf").exists()
+
     def test_polynomial_terms_syntax(self, tmp_path):
         path = _generate(
             tmp_path,
@@ -129,6 +145,17 @@ class TestVelocityScalar:
         path = _generate(tmp_path, GAUSS)
         assert cli([command[0], str(path), *command[1:], f"--eps-singular={eps}"]) == 2
         assert "eps_singular must be finite and non-negative" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command, frame", [
+        (["velocity", "--order", "1"], "9"), (["velocity", "--order", "0"], "5"),
+        (["scalar"], "-1"),
+    ])
+    def test_frame_out_of_range_is_usage_error(self, tmp_path, capsys, command, frame):
+        # used to raise an uncaught IndexError from fd_jet_fields
+        path = _generate(tmp_path, GAUSS)
+        assert cli([command[0], str(path), *command[1:], f"--frame={frame}"]) == 2
+        assert f"error: frame {frame} out of range [0, 5)" in capsys.readouterr().err
 
 
 class TestTrack:
@@ -201,6 +228,15 @@ class TestTrack:
         path = _generate(tmp_path, GAUSS)
         assert cli(["track", str(path), "--attribute", *attribute, f"--seed={seed}"]) == 2
         assert "seed must be 2 integer indices" in capsys.readouterr().err
+
+    def test_too_few_frames_for_the_time_stencil(self, tmp_path, capsys):
+        # order-4 time derivatives need 5 frames; order 2 needs 3
+        path = _generate(tmp_path, GAUSS, frames=4, dt=0.02)
+        args = ["track", str(path), "--attribute", "gradient-set", "--seed", "23,23"]
+        assert cli(args) == 2
+        assert "need at least 5 frames, got 4" in capsys.readouterr().err
+        assert cli(args + ["--fd-order", "2"]) == 0
+        assert "tracked gradient-set attribute over 4 frames" in capsys.readouterr().out
 
     def test_missing_level_is_usage_error(self, tmp_path):
         path = _generate(tmp_path, GAUSS)

@@ -121,6 +121,19 @@ class TestSample:
         with pytest.raises(ValueError, match="unknown field kind"):
             wv.make_field("spiral-wave")
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("translating-gaussian", {"velocity": (0.7, 0.0)}, "needs parameter 'sigma'"),
+        ("translating-gaussian", {"velocity": (0.7, 0.0), "sigma": 1.0, "bogus": 2.0},
+         "has no parameter 'bogus'"),
+        ("plane-wave", {"wave_vector": (2.0, 1.0), "angular_frequency": 3.0,
+                        "amplitude": (1.0, 2.0)}, "parameter 'amplitude' of field kind"),
+    ], ids=("missing", "unknown", "vector-for-number"))
+    def test_bad_parameter_names_kind_and_parameter(self, kind, params, message):
+        # each raised a TypeError from the catalog constructor
+        with pytest.raises(ValueError, match=message) as info:
+            wv.make_field(kind, **params)
+        assert repr(kind) in str(info.value)
+
     def test_nonfinite_parameter(self):
         with pytest.raises(ValueError):
             wv.make_field("translating-gaussian", velocity=(np.nan, 0.0), sigma=1.0)

@@ -8,11 +8,16 @@ import pytest
 import wavevel as wv
 from wavevel import tracking
 from wavevel.fields import canonical_time_axis
-from wavevel.tracking import AttributeLostError, _JetInterpolator
+from wavevel.tracking import AttributeLostError, _JetInterpolator, _WindowRun
 from wavevel.velocities import _solve_order_one
 
 PEAK = wv.AttributeSpec.gradient_set((0.0, 0.0))
 BOUNDARIES = ("shrink-to-valid", "one-sided")
+
+
+def _whole(jets, time_derivatives=True):
+    """The frame source of one jet field on its whole grid."""
+    return _JetInterpolator(_WindowRun.whole(jets, time_derivatives))
 
 
 def _sampled_gaussian(sigma=3.0, c=(0.7, 0.0), h=0.05, dt=0.02, npts=64, frames=9):
@@ -235,7 +240,7 @@ class TestCrossingSpeed:
         poly = wv.Polynomial(((1.0, (0, 0), 1), (0.5, (1, 0), 0)))
         grid = wv.make_grid(2, (8, 8), 0.1, 0.0)
         x = grid.point((3.3, 4.6))
-        sources = (_JetInterpolator(wv.analytic_jet_field(poly, grid, 0.0)),
+        sources = (_whole(wv.analytic_jet_field(poly, grid, 0.0)),
                    tracking._ExactJets(poly, 0.0, 0.5))
         for source in sources:
             assert np.isnan(source.crossing_speed_factor(x, 1))
@@ -306,19 +311,19 @@ class TestWindowedJets:
             top - 0.2,  # at a grid corner
             np.zeros(dim),  # on a grid corner
         ]
-        # end frames: no time window under shrink-to-valid, so also spatial-only jets
-        cases = [(field.frames // 2, True), (0, True), (0, False), (field.frames - 1, False)]
-        for frame, time_derivatives in cases:
-            full = _JetInterpolator(wv.fd_jet_field(field, frame, spec, time_derivatives))
+        # end frames: no time window under shrink-to-valid, so spatial-only jets
+        timed = _WindowRun(field, spec).timed
+        for frame in (field.frames // 2, 0, field.frames - 1):
+            full = _whole(wv.fd_jet_field(field, frame, spec, timed[frame]))
             for fid in fids:
                 x = field.grid.point(fid)
-                # a fresh interpolator opens its first window at this point
-                windowed = _JetInterpolator(field=field, frame=frame, spec=spec,
-                                            time_derivatives=time_derivatives)
+                # a fresh run opens its first window at this point
+                run = _WindowRun(field, spec)
+                windowed = _JetInterpolator(run, frame)
                 expected = _interpolated(full, x)
                 _assert_same(_interpolated(windowed, x), expected)
                 if not isinstance(expected, str):
-                    assert windowed._jets.grid.npoints < field.grid.npoints
+                    assert run.jets[0].grid.npoints < field.grid.npoints
 
     @pytest.mark.parametrize("boundary", BOUNDARIES)
     @pytest.mark.parametrize("dim", (2, 3))
@@ -326,26 +331,27 @@ class TestWindowedJets:
         field = _random_field(dim)
         spec = wv.StencilSpec(4, boundary)
         frame = field.frames // 2
-        full = _JetInterpolator(wv.fd_jet_field(field, frame, spec))
-        windowed = _JetInterpolator(field=field, frame=frame, spec=spec)
+        full = _whole(wv.fd_jet_field(field, frame, spec))
+        run = _WindowRun(field, spec)
+        windowed = _JetInterpolator(run, frame)
         top = np.asarray(field.grid.shape) - 1.0
         offsets = []
         for s in np.linspace(0.0, 1.0, 41):
             x = field.grid.point(s * top + 0.13)
             _assert_same(_interpolated(windowed, x), _interpolated(full, x))
-            offsets.append(tuple(windowed._lo))
+            offsets.append(run.lo)
         assert len(set(offsets)) >= 2  # the diagonal walk left its first window
 
     def test_whole_jet_field_is_one_window(self):
         field, grid, sf = _sampled_gaussian()
         jets = wv.fd_jet_field(sf, 4)
-        interp = _JetInterpolator(jets)
+        interp = _whole(jets)
         seed = np.unravel_index(np.argmax(sf.values[4]), grid.shape)
-        x = tracking._newton_fixed_gradient(interp, grid.point(seed), np.zeros(2))
+        x = tracking._newton_iterations(interp, grid.point(seed), np.zeros(2))[0]
         assert np.array_equal(x, wv.find_critical_point(jets, seed, PEAK))
         for fid in ([1.2, 1.0], [62.0, 61.7], [30.4, 2.2], [4.4, 5.6]):
             _interpolated(interp, grid.point(fid))
-        assert interp._jets is jets and not interp._lo.any()
+        assert interp._run.jets[0] is jets and not any(interp._run.lo)
 
 
 class TestWindowRuns:
@@ -357,12 +363,11 @@ class TestWindowRuns:
         monkeypatch.setattr(tracking, "_RUN_POINTS", run_points)
         field = _random_field(dim)
         spec = wv.StencilSpec(order, boundary)
-        flags = [tracking._time_taps(field, f, spec) is not None for f in range(field.frames)]
-        full = [_JetInterpolator(wv.fd_jet_field(field, f, spec, flags[f]),
-                                 time_derivatives=flags[f]) for f in range(field.frames)]
-        run = tracking._WindowRun(field, spec)
-        sources = [_JetInterpolator(field=field, frame=f, spec=spec, time_derivatives=flags[f],
-                                    run=run) for f in range(field.frames)]
+        run = _WindowRun(field, spec)
+        flags = run.timed
+        full = [_whole(wv.fd_jet_field(field, f, spec, flags[f]), flags[f])
+                for f in range(field.frames)]
+        sources = [_JetInterpolator(run, f) for f in range(field.frames)]
         top = np.asarray(field.grid.shape) - 1.0
         # frames forward and back, at a point moving half a cell a frame
         visits = [(f, top / 2 + 0.5 * f - 2.1) for f in range(field.frames)]
@@ -371,6 +376,16 @@ class TestWindowRuns:
             x = field.grid.point(fid)
             _assert_same(_interpolated(sources[frame], x), _interpolated(full[frame], x))
         assert run.passes >= 3  # runs opened by frame and by window
+
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    def test_too_few_frames_for_the_time_stencil(self, boundary):
+        # the run decides each frame's time window when it is made
+        _, grid, sf = _sampled_gaussian(frames=4)
+        seed = np.unravel_index(np.argmax(sf.values[0]), grid.shape)
+        with pytest.raises(wv.InsufficientFramesError, match="at least 5 frames, got 4"):
+            wv.track_attribute(sf, PEAK, seed, spec=wv.StencilSpec(4, boundary))
+        res = wv.track_attribute(sf, PEAK, seed, spec=wv.StencilSpec(2, boundary))
+        assert np.isfinite(res.deviation)
 
     def test_track_reports_its_work(self, monkeypatch):
         _, grid, sf = _sampled_gaussian(frames=21)
@@ -448,7 +463,7 @@ class TestWindowRuns:
 def test_contraction_equals_tensordot_bitwise(n):
     rng = np.random.default_rng(n)
     grid = wv.make_grid(n, (6,) * n, 0.1, 0.0)
-    interp = _JetInterpolator(wv.analytic_jet_field(wv.StaticGaussian(1.0, (0.0,) * n), grid, 0.0))
+    interp = _whole(wv.analytic_jet_field(wv.StaticGaussian(1.0, (0.0,) * n), grid, 0.0))
     block = tuple(slice(a - 1, a + 2) for a in (2, 4, 1, 3)[:n])
     weights = np.ones((1,) * n)
     for a in range(n):
@@ -479,10 +494,10 @@ def _reference_track(field, target, seed, spec):
             has_time = bool(np.any(jets.valid))
             newton_jets = jets if has_time else wv.fd_jet_field(
                 field, frame, spec, time_derivatives=False)
-            x = tracking._newton_fixed_gradient(_JetInterpolator(newton_jets), x, targets)
+            x = tracking._newton_iterations(_whole(newton_jets), x, targets)[0]
             positions[frame] = x
             if has_time:
-                computed[frame] = _JetInterpolator(jets).first_order_components(x)
+                computed[frame] = _whole(jets).first_order_components(x)
     else:
         for axis in range(n):
             coords = grid.axis_coordinates(axis)
@@ -496,7 +511,7 @@ def _reference_track(field, target, seed, spec):
                     point = grid.point(seed)
                     point[axis] = s
                     try:
-                        computed[frame, axis] = _JetInterpolator(jets).crossing_speed_factor(
+                        computed[frame, axis] = _whole(jets).crossing_speed_factor(
                             point, axis)
                     except AttributeLostError:
                         pass
@@ -633,12 +648,12 @@ class TestWindowedTracksUnchanged:
 JET_ARRAYS = ("psi", "dpsi_dt", "grad", "hessian", "time_mixed", "valid")
 
 
-def _window_and_full(field, spec, frame, anchor, time_derivatives):
+def _window_and_full(field, spec, frame, anchor):
     """A window run opened at ``anchor`` and the full-grid jets of ``frame``."""
-    run = tracking._WindowRun(field, spec)
-    run._open(frame, anchor, time_derivatives)
+    run = _WindowRun(field, spec)
+    run._open(frame, anchor)
     return run, run.jets[frame - run.frames.start], wv.fd_jet_field(field, frame, spec,
-                                                                     time_derivatives)
+                                                                     run.timed[frame])
 
 
 def _same_bits(window, full, region, lo):
@@ -666,10 +681,9 @@ class TestExactZone:
         # reaches the low grid face, and one clipped by it (the narrowest box)
         cases = (n // 2, half, 1)
         anchors = [tuple(cases[(k + a) % 3] for a in range(dim)) for k in range(3)]
-        frames = [(4, True), (1, True), (0, False)]  # end frames: one-sided or no time taps
         for anchor in anchors:
-            for frame, time_derivatives in frames:
-                run, window, full = _window_and_full(field, spec, frame, anchor, time_derivatives)
+            for frame in (4, 1, 0):  # end frames: one-sided or no time taps
+                run, window, full = _window_and_full(field, spec, frame, anchor)
                 lo, (zlo, zhi) = run.lo, run._exact
                 hi = tuple(o + s for o, s in zip(lo, window.grid.shape))
                 for a, c in enumerate(anchor):
