@@ -33,13 +33,19 @@ def _ints(text: str) -> list:
     return [int(tok) for tok in text.split(",") if tok != ""]
 
 
-def _parse_param(key: str, value: str):
+def _parse_param(kind: str, key: str, value: str):
     if key == "terms":
         # polynomial terms: "coeff:e1,e2:et;coeff:e1,e2:et;..."
         terms = []
-        for chunk in value.split(";"):
-            coeff, exps, et = chunk.split(":")
-            terms.append((float(coeff), tuple(_ints(exps)), int(et)))
+        try:
+            for chunk in value.split(";"):
+                coeff, exps, et = chunk.split(":")
+                terms.append((float(coeff), tuple(_ints(exps)), int(et)))
+        except ValueError:
+            raise ValueError(
+                f"parameter 'terms' of field kind {kind!r} expects COEFF:E1,...,EN:ET "
+                f"triples joined by ';', e.g. terms=3:1,1:0;2:0,0:1, got {value!r}"
+            ) from None
         return tuple(terms)
     vals = _floats(value)
     return vals[0] if len(vals) == 1 else tuple(vals)
@@ -52,7 +58,7 @@ def _field_from_args(args):
             raise ValueError(f"--param expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         key = key.strip().replace("-", "_")
-        params[key] = _parse_param(key, value.strip())
+        params[key] = _parse_param(args.kind, key, value.strip())
     return make_field(args.kind, **params)
 
 

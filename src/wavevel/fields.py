@@ -559,20 +559,27 @@ class Polynomial(AnalyticField):
     kind = "polynomial"
 
     def __post_init__(self):
+        try:
+            triples = [(float(coeff), tuple(int(e) for e in exps), int(et))
+                       for coeff, exps, et in self.terms]
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(
+                "parameter 'terms' of field kind 'polynomial' must be a sequence of "
+                "(coefficient, spatial_exponents, time_exponent) triples, e.g. "
+                f"((3.0, (1, 1), 0),), got {self.terms!r}"
+            ) from None
         norm = []
         dim = None
-        for term in self.terms:
-            coeff, exps, et = term
-            exps = tuple(int(e) for e in exps)
+        for coeff, exps, et in triples:
             if dim is None:
                 dim = len(exps)
             elif len(exps) != dim:
                 raise ValueError("all terms must share the spatial dimension")
-            if any(e < 0 for e in exps) or int(et) < 0:
+            if any(e < 0 for e in exps) or et < 0:
                 raise ValueError("exponents must be non-negative")
-            if not math.isfinite(float(coeff)):
+            if not math.isfinite(coeff):
                 raise ValueError("coefficients must be finite")
-            norm.append((float(coeff), exps, int(et)))
+            norm.append((coeff, exps, et))
         if not norm:
             raise ValueError("polynomial needs at least one term")
         object.__setattr__(self, "terms", tuple(norm))

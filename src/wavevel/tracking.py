@@ -33,6 +33,10 @@ memory whatever its frame count, and the run opened after the point left
 the last one holds one frame more than that one served, so a moving point
 costs few frames it never reads.  A :class:`TrackResult` reports the
 passes, the box points and the Newton iterations a track spent.
+
+The level crossing on an analytic field is refined with
+``scipy.optimize.brentq``, which is imported on first use, so importing
+the package and every CLI command load numpy only.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .fields import AnalyticField, Grid, SampledField, canonical_time_axis
 from .findiff import DEFAULT_STENCIL, StencilSpec, _time_taps, fd_jet_fields
@@ -431,6 +434,8 @@ def _gradient_targets(target, dim: int) -> Array:
     targets = np.asarray(target, dtype=float)
     if targets.shape != (dim,):
         raise ValueError(f"targets must have shape ({dim},), got {targets.shape}")
+    if not np.all(np.isfinite(targets)):
+        raise ValueError(f"targets must be finite, got {targets}")
     return targets
 
 
@@ -592,4 +597,8 @@ def _bracketed_root(fn, near: float, radius: float) -> float:
     k = _crossing_cell(samples, values, near, "no level crossing within the search radius")
     if values[k] == 0.0:
         return float(samples[k])
+    # deferred: scipy.optimize is most of the package's import time, and
+    # only level tracks on analytic fields reach this line
+    from scipy.optimize import brentq
+
     return float(brentq(fn, samples[k], samples[k + 1], xtol=1e-14, rtol=8.9e-16))

@@ -31,6 +31,7 @@ at one point, as their trailing-axis formulation does on C-ordered input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,10 +125,14 @@ class AttributeSpec:
             if self.level is None or self.gradient_targets is not None:
                 raise ValueError("level-set attribute needs a level and no gradient targets")
             object.__setattr__(self, "level", float(self.level))
+            if not math.isfinite(self.level):
+                raise ValueError(f"level must be finite, got {self.level}")
         elif self.kind == self.GRADIENT_SET:
             if self.gradient_targets is None or self.level is not None:
                 raise ValueError("gradient-set attribute needs gradient targets and no level")
             targets = tuple(float(c) for c in np.atleast_1d(self.gradient_targets))
+            if not all(map(math.isfinite, targets)):
+                raise ValueError(f"gradient targets must be finite, got {targets}")
             object.__setattr__(self, "gradient_targets", targets)
         else:
             raise ValueError(f"unknown attribute kind {self.kind!r}")

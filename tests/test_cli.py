@@ -81,6 +81,18 @@ class TestGenerateInfo:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x.wvf").exists()
 
+    @pytest.mark.parametrize("terms", ["1", "1:2,0", "x:2,0:0"])
+    def test_malformed_polynomial_terms_are_usage_errors(self, tmp_path, capsys, terms):
+        # "terms=1" printed only "not enough values to unpack (expected 3, got 1)"
+        code = cli(["generate", "--kind", "polynomial", "--param", f"terms={terms}",
+                    "--shape", "8,8", "--spacing", "0.1", "--origin", "0",
+                    "--out", str(tmp_path / "x.wvf")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "parameter 'terms' of field kind 'polynomial'" in err
+        assert "COEFF:E1,...,EN:ET" in err
+        assert not (tmp_path / "x.wvf").exists()
+
     def test_polynomial_terms_syntax(self, tmp_path):
         path = _generate(
             tmp_path,
@@ -237,6 +249,18 @@ class TestTrack:
         assert "need at least 5 frames, got 4" in capsys.readouterr().err
         assert cli(args + ["--fd-order", "2"]) == 0
         assert "tracked gradient-set attribute over 4 frames" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("attribute, message", [
+        (["level-set", "--level", "nan"], "level must be finite"),
+        (["level-set", "--level=-inf"], "level must be finite"),
+        (["gradient-set", "--targets", "nan,0"], "gradient targets must be finite"),
+    ])
+    def test_nonfinite_attribute_is_usage_error(self, tmp_path, capsys, attribute, message):
+        # these exited 1 as tracking failures ("no interior frames with a defined
+        # computed velocity", "Newton iterate became non-finite")
+        path = _generate(tmp_path, GAUSS, frames=9, dt=0.02)
+        assert cli(["track", str(path), "--attribute", *attribute, "--seed", "16,16"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_level_is_usage_error(self, tmp_path):
         path = _generate(tmp_path, GAUSS)

@@ -134,6 +134,14 @@ class TestSample:
             wv.make_field(kind, **params)
         assert repr(kind) in str(info.value)
 
+    @pytest.mark.parametrize("terms", [(1.0,), 5.0, ((1.0, 2, 0),)],
+                             ids=("bare-float", "number", "int-exponents"))
+    def test_malformed_polynomial_terms(self, terms):
+        # each raised a TypeError from unpacking inside the constructor
+        with pytest.raises(ValueError, match="parameter 'terms' of field kind 'polynomial'") as info:
+            wv.make_field("polynomial", terms=terms)
+        assert "(coefficient, spatial_exponents, time_exponent) triples" in str(info.value)
+
     def test_nonfinite_parameter(self):
         with pytest.raises(ValueError):
             wv.make_field("translating-gaussian", velocity=(np.nan, 0.0), sigma=1.0)

@@ -226,6 +226,13 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=r"targets must have shape \(2,\)"):
             wv.track_attribute(sf, wv.AttributeSpec.gradient_set(targets), (32, 32))
 
+    @pytest.mark.parametrize("targets", [(np.nan, 0.0), (0.0, np.inf)])
+    def test_plain_gradient_targets_must_be_finite(self, targets):
+        # a NaN target used to fail as "Newton iterate became non-finite"
+        _, _, sf = _sampled_gaussian()
+        with pytest.raises(ValueError, match="targets must be finite"):
+            wv.find_critical_point(wv.fd_jet_field(sf, 4), (32, 32), targets)
+
     @pytest.mark.parametrize("seed", [[0.2], [0.2, 0.1, 0.0], [np.nan, 0.1]])
     def test_analytic_seed_must_be_a_finite_point(self, seed):
         pw = wv.PlaneWave((2.0, 1.0), 3.0)
@@ -255,6 +262,14 @@ class TestAttributeSpec:
             wv.AttributeSpec("gradient-set", level=0.5, gradient_targets=(0, 0))
         with pytest.raises(ValueError):
             wv.AttributeSpec("ridge")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_level_and_targets(self, value):
+        # a NaN level used to fail as a tracking error on every frame
+        with pytest.raises(ValueError, match="level must be finite"):
+            wv.AttributeSpec.level_set(value)
+        with pytest.raises(ValueError, match="gradient targets must be finite"):
+            wv.AttributeSpec.gradient_set((value, 0.0))
 
     def test_constructors(self):
         a = wv.AttributeSpec.level_set(0.25)
