@@ -34,7 +34,9 @@ def _ints(text: str) -> list:
 
 
 def _parse_param(kind: str, key: str, value: str):
-    if key == "terms":
+    """A ``--param`` value: polynomial terms, a number or a vector; text that
+    is none of these goes on to ``make_field``, which rejects it by name."""
+    if kind == "polynomial" and key == "terms":
         # polynomial terms: "coeff:e1,e2:et;coeff:e1,e2:et;..."
         terms = []
         try:
@@ -47,7 +49,10 @@ def _parse_param(kind: str, key: str, value: str):
                 f"triples joined by ';', e.g. terms=3:1,1:0;2:0,0:1, got {value!r}"
             ) from None
         return tuple(terms)
-    vals = _floats(value)
+    try:
+        vals = _floats(value)
+    except ValueError:
+        return value
     return vals[0] if len(vals) == 1 else tuple(vals)
 
 

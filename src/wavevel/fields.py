@@ -636,9 +636,9 @@ FIELD_KINDS = {
 def make_field(kind: str, **params) -> AnalyticField:
     """Instantiate a catalog field by kind name.
 
-    An unknown kind, an unknown or missing parameter, or a vector given for
-    a one-number parameter raises ``ValueError`` naming the kind and the
-    parameter.
+    An unknown kind, an unknown or missing parameter, a vector or text that
+    is not a number given for a one-number parameter, or text given for any
+    other parameter raises ``ValueError`` naming the kind and the parameter.
     """
     try:
         cls = FIELD_KINDS[kind]
@@ -657,6 +657,9 @@ def make_field(kind: str, **params) -> AnalyticField:
             except (TypeError, ValueError):
                 raise ValueError(f"parameter {name!r} of field kind {kind!r} must be one "
                                  f"number, got {value!r}") from None
+        elif isinstance(value, str):
+            raise ValueError(f"parameter {name!r} of field kind {kind!r} takes numbers, "
+                             f"not the text {value!r}")
     for name, f in known.items():
         if f.default is MISSING and name not in params:
             raise ValueError(f"field kind {kind!r} needs parameter {name!r}")

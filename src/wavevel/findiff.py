@@ -35,6 +35,10 @@ cost is the fixed cost of a pass (an 11^2 tracking window on a 2-vCPU VM,
 median of 50 calls: 0.31 ms for one frame, 0.52 ms for 20 frames stacked),
 so a tracker pays it once per run of frames, not once per frame.
 :func:`fd_jet_field` is its one-frame case.
+
+Every frame gets psi, the gradient and the Hessian wherever the spatial
+stencils apply.  The end frames of ``shrink-to-valid`` have no time window:
+their time parts are NaN and no point is valid, as both velocities need them.
 """
 
 from __future__ import annotations
@@ -256,14 +260,12 @@ def fd_jet2_at(
     frame: int,
     index,
     spec: StencilSpec = DEFAULT_STENCIL,
-    time_derivatives: bool = True,
 ) -> Jet2 | None:
     """Finite-difference second-order jet at one grid point.
 
     Returns None when the ``shrink-to-valid`` policy cannot meet the
-    requested order at this point (spatially or in time).  With
-    ``time_derivatives=False`` the time entries are set to zero and no frame
-    window is needed; use this for purely spatial work on few-frame data.
+    requested order at this point, spatially or in time (the end frames of
+    ``shrink-to-valid`` have no time window, so no jet at all).
     """
     grid = field.grid
     n = grid.dim
@@ -274,13 +276,9 @@ def fd_jet2_at(
         if not 0 <= idx[a] < grid.shape[a]:
             raise IndexError(f"index {idx} out of range for shape {grid.shape}")
 
-    ttaps = None
-    if time_derivatives:
-        ttaps = _time_taps(field, frame, spec)
-        if ttaps is None:
-            return None
-    elif not 0 <= frame < field.frames:
-        raise IndexError(f"frame {frame} out of range [0, {field.frames})")
+    ttaps = _time_taps(field, frame, spec)
+    if ttaps is None:
+        return None
 
     staps_1 = []
     staps_2 = []
@@ -316,36 +314,26 @@ def fd_jet2_at(
             hess[a, b] = acc
             hess[b, a] = acc
 
-    if time_derivatives:
-        dpsi_dt = 0.0
-        for off_t, ct in ttaps:
-            dpsi_dt = dpsi_dt + ct * field.values[frame + off_t][idx]
-        tmix = np.empty(n)
-        for a in range(n):
-            acc = 0.0
-            work = list(idx)
-            for off_a, ca in staps_1[a]:
-                work[a] = idx[a] + off_a
-                widx = tuple(work)
-                inner = 0.0
-                for off_t, ct in ttaps:
-                    inner = inner + ct * field.values[frame + off_t][widx]
-                acc = acc + ca * inner
-            tmix[a] = acc
-        dpsi_dt = float(dpsi_dt)
-    else:
-        dpsi_dt = 0.0
-        tmix = np.zeros(n)
+    dpsi_dt = 0.0
+    for off_t, ct in ttaps:
+        dpsi_dt = dpsi_dt + ct * field.values[frame + off_t][idx]
+    tmix = np.empty(n)
+    for a in range(n):
+        acc = 0.0
+        work = list(idx)
+        for off_a, ca in staps_1[a]:
+            work[a] = idx[a] + off_a
+            widx = tuple(work)
+            inner = 0.0
+            for off_t, ct in ttaps:
+                inner = inner + ct * field.values[frame + off_t][widx]
+            acc = acc + ca * inner
+        tmix[a] = acc
 
-    return Jet2(Jet1(psi, dpsi_dt, grad), hess, tmix)
+    return Jet2(Jet1(psi, float(dpsi_dt), grad), hess, tmix)
 
 
-def fd_jet_field(
-    field: SampledField,
-    frame: int,
-    spec: StencilSpec = DEFAULT_STENCIL,
-    time_derivatives: bool = True,
-) -> JetField:
+def fd_jet_field(field: SampledField, frame: int, spec: StencilSpec = DEFAULT_STENCIL) -> JetField:
     """Finite-difference jets at every grid point of one frame.
 
     Equivalent to applying :func:`fd_jet2_at` at each point (bit-identical
@@ -353,17 +341,19 @@ def fd_jet_field(
     policy could not meet the order.  The one-frame case of
     :func:`fd_jet_fields`.
     """
-    return fd_jet_fields(field, range(frame, frame + 1), spec, time_derivatives)[0]
+    return fd_jet_fields(field, range(frame, frame + 1), spec)[0]
 
 
 def fd_jet_fields(
-    field: SampledField,
-    frames: range,
-    spec: StencilSpec = DEFAULT_STENCIL,
-    time_derivatives: bool = True,
+    field: SampledField, frames: range, spec: StencilSpec = DEFAULT_STENCIL
 ) -> list[JetField]:
     """:func:`fd_jet_field` of every frame of ``frames`` (a range of step 1),
     bit for bit, in one pass over the frames.
+
+    Every frame gets psi, the gradient and the Hessian wherever the spatial
+    stencils apply.  A frame without a time window gets NaN ``dpsi_dt`` and
+    ``time_mixed`` and is valid nowhere: ``valid`` marks the points where
+    the whole jet is defined.
 
     The K frames are differentiated as one ``(K, *shape)`` stack along its
     axes 1..N, and the frames that share time taps (every interior frame)
@@ -383,12 +373,8 @@ def fd_jet_fields(
         bad = frames.start if frames.start < 0 else max(frames.start, field.frames)
         raise IndexError(f"frame {bad} out of range [0, {field.frames})")
     stack = (len(frames),) + grid.shape
-
-    if time_derivatives:
-        ttaps = [_time_taps(field, frame, spec) for frame in frames]
-        time_valid = np.array([taps is not None for taps in ttaps])
-    else:
-        time_valid = np.ones(len(frames), dtype=bool)
+    ttaps = [_time_taps(field, frame, spec) for frame in frames]
+    time_valid = np.array([taps is not None for taps in ttaps])
 
     cur = field.values[frames.start : frames.stop]
     psi = cur.copy()
@@ -411,36 +397,32 @@ def fd_jet_fields(
         for a in range(b):
             hessian_entry(a, b, grad[..., b], 1)
 
-    if not time_derivatives:
-        dpsi_dt = np.zeros(stack)
-        tmix.fill(0.0)
-    else:
-        dpsi_dt = np.empty(stack)  # frames without a time window are masked below
-        start = 0
-        for taps, group in groupby(ttaps):
-            stop = start + len(list(group))
-            if taps is not None:
-                lo, hi = frames.start + start, frames.start + stop
-                out = dpsi_dt[start:stop].reshape(-1)
-                _stencil_sum(out,
-                             [(coeff, field.values[lo + off : hi + off].reshape(-1))
-                              for off, coeff in taps],
-                             np.empty(min(out.size, STRIP_POINTS)))
-            start = stop
-        # a time window needs half a stencil of frames on each side, so the
-        # frames that have one are contiguous
-        timed = np.flatnonzero(time_valid)
-        if timed.size:
-            timed = slice(timed[0], timed[-1] + 1)
-            for a in range(n):
-                _diff_into(tmix[timed, ..., a], dpsi_dt[timed], a + 1, grid.spacing[a], 1, spec)
+    dpsi_dt = np.empty(stack)  # frames without a time window are masked below
+    start = 0
+    for taps, group in groupby(ttaps):
+        stop = start + len(list(group))
+        if taps is not None:
+            lo, hi = frames.start + start, frames.start + stop
+            out = dpsi_dt[start:stop].reshape(-1)
+            _stencil_sum(out,
+                         [(coeff, field.values[lo + off : hi + off].reshape(-1))
+                          for off, coeff in taps],
+                         np.empty(min(out.size, STRIP_POINTS)))
+        start = stop
+    # a time window needs half a stencil of frames on each side, so the
+    # frames that have one are contiguous
+    timed = np.flatnonzero(time_valid)
+    if timed.size:
+        timed = slice(timed[0], timed[-1] + 1)
+        for a in range(n):
+            _diff_into(tmix[timed, ..., a], dpsi_dt[timed], a + 1, grid.spacing[a], 1, spec)
 
-    # invalid points: whole frames without a time window, and the border
-    # bands of each axis; their entries are NaN
+    # invalid points: whole frames without a time window, whose time parts
+    # are NaN, and the border bands of each axis, whose entries are NaN
     valid = np.zeros(stack, dtype=bool)
     valid[time_valid] = True
-    for arr in (dpsi_dt, grad, hess, tmix):
-        arr[~time_valid] = np.nan
+    dpsi_dt[~time_valid] = np.nan
+    tmix[~time_valid] = np.nan
     for a, ok in enumerate(axis_valid):
         band = (slice(None),) * (a + 1) + (~ok,)
         valid[band] = False

@@ -24,7 +24,9 @@ bit-identical to the full-grid jets where they are read.
 A sampled frame source is a pair (window run, frame): the frame sources of
 one track share one :class:`_WindowRun`, which decides once, from the
 field and the stencil, which frames have a time window, and holds a box, a
-run of frames and their jets from one :func:`fd_jet_fields` pass.
+run of frames and their jets from one :func:`fd_jet_fields` pass.  A run
+goes through frames with and without a time window alike; a point is lost
+where its interpolation block has a non-finite gradient or Hessian entry.
 The box reaches half a stencil and ``_WINDOW_SLACK`` cells beyond the
 interpolation block (11^N points at order 4), so the tracked point can move
 ``_WINDOW_SLACK`` cells before the run misses.  A run holds at most
@@ -137,8 +139,9 @@ class _WindowRun:
     The run owns the time windows: ``timed[f]`` says whether frame ``f`` has
     one (the end frames of shrink-to-valid have none), decided once when
     the run is made; a field with too few frames for the time stencil
-    raises :class:`InsufficientFramesError` there.  A run of frames is all
-    timed or all untimed, and untimed frames get spatial jets only.
+    raises :class:`InsufficientFramesError` there.  A run goes through
+    frames with and without one alike: every frame's jets have the gradient
+    and the Hessian, and an untimed frame's time parts are NaN.
 
     A run is an index box of the grid, a range of frames and the jets of
     those frames on the box, from one :func:`fd_jet_fields` pass.  The box
@@ -164,19 +167,21 @@ class _WindowRun:
       it is at least 3 cells away, and such a point is at least
       ``3 + _WINDOW_SLACK`` cells from the far end of its box, or the box
       spans the whole axis;
-    * the sub-field holds only the frames the run's time stencils read,
-      which gives every run frame the full field's time taps.
+    * the sub-field holds the run's frames and ``spec.order`` frames on
+      each side, clipped to the field: a time stencil reads ``order + 1``
+      consecutive frames, its own among them, and ``stencil_taps`` picks
+      the same taps for any cut at least ``order`` frames away, so every
+      run frame keeps the full field's time taps and time window.
 
     A request misses when its frame is outside the run or its 3^N block
     leaves the exact zone; the run then drops its jets and opens a new run
-    at that frame, over the following frames with the same ``timed``
-    status.  After a position miss at frame ``f`` the new run holds
-    ``f - start + 1`` frames, one more than the old run served before the
-    point left it, so the run length follows the point's motion; the first
-    run, and a run opened for a frame outside the old one, take as many
-    frames as ``_RUN_POINTS`` box points allow.  ``passes`` counts the
-    :func:`fd_jet_fields` calls and ``points`` the box points times frames
-    they computed.
+    at that frame over the following frames.  After a position miss at
+    frame ``f`` the new run holds ``f - start + 1`` frames, one more than
+    the old run served before the point left it, so the run length follows
+    the point's motion; the first run, and a run opened for a frame outside
+    the old one, take as many frames as ``_RUN_POINTS`` box points allow.
+    ``passes`` counts the :func:`fd_jet_fields` calls and ``points`` the box
+    points times frames they computed.
     """
 
     def __init__(self, field: SampledField, spec: StencilSpec):
@@ -192,10 +197,11 @@ class _WindowRun:
         self._exact = None  # inclusive index bounds of the exact zone
 
     @classmethod
-    def whole(cls, jets: JetField, time_derivatives: bool = True) -> "_WindowRun":
-        """A run of one frame (index 0) on the whole grid of ``jets``; it never misses."""
+    def whole(cls, jets: JetField) -> "_WindowRun":
+        """A run of one frame (index 0) on the whole grid of ``jets``; it never
+        misses, and its frame is timed where its jets are valid somewhere."""
         run = cls.__new__(cls)
-        run.field, run.grid, run.timed = None, jets.grid, [time_derivatives]
+        run.field, run.grid, run.timed = None, jets.grid, [bool(jets.valid.any())]
         run.frames, run.jets, run.lo = range(1), [jets], (0,) * jets.dim
         run._exact = (run.lo, tuple(n - 1 for n in jets.grid.shape))
         return run
@@ -222,36 +228,22 @@ class _WindowRun:
         hi = tuple(min(a + half + 1, n) for a, n in zip(anchor, shape))
         size = math.prod(b - a for a, b in zip(lo, hi))
         cap = max(1, _RUN_POINTS // size)
-        frames = self._run_frames(frame, cap if count is None else min(count, cap))
-        first, stop = self._frames_read(frames)
+        m = field.frames
+        frames = range(frame, min(frame + (cap if count is None else min(count, cap)), m))
+        # the run's frames +- order, at least min_frames of them: every run
+        # frame keeps its time taps and time window (see the class docstring)
+        first, stop = max(frame - spec.order, 0), min(frames.stop + spec.order, m)
         box = (slice(first, stop),) + tuple(slice(a, b) for a, b in zip(lo, hi))
         grid = Grid(tuple(b - a for a, b in zip(lo, hi)), field.grid.spacing,
                     tuple(field.grid.point(lo)))
         sub = SampledField(grid, field.time(first), field.dt, field.values[box])
-        self.jets = fd_jet_fields(sub, range(frames.start - first, frames.stop - first), spec,
-                                  self.timed[frame])
+        self.jets = fd_jet_fields(sub, range(frame - first, frames.stop - first), spec)
         self.passes += 1
         self.points += size * len(frames)
         self.frames = frames
         self.lo = lo
         self._exact = (tuple(a + reach if a > 0 else 0 for a in lo),
                        tuple(b - 1 - reach if b < n else n - 1 for b, n in zip(hi, shape)))
-
-    def _run_frames(self, frame: int, count: int) -> range:
-        """Up to ``count`` frames from ``frame`` on, all with its time window or all without."""
-        timed = self.timed
-        stop = frame + 1
-        while stop < min(frame + count, len(timed)) and timed[stop] == timed[frame]:
-            stop += 1
-        return range(frame, stop)
-
-    def _frames_read(self, frames: range):
-        """First and stop frame that the jets of ``frames`` read."""
-        if not self.timed[frames.start]:
-            return frames.start, frames.stop
-        taps = [_time_taps(self.field, frame, self._spec) for frame in frames]
-        return (min(frame + t[0][0] for frame, t in zip(frames, taps)),
-                max(frame + t[-1][0] for frame, t in zip(frames, taps)) + 1)
 
 
 class _JetInterpolator:
@@ -261,7 +253,11 @@ class _JetInterpolator:
     through the run it shares with the other frame sources of a track, or
     through :meth:`_WindowRun.whole` for one jet field on the whole grid.
     The run says whether the frame has a time window; without one (an end
-    frame under shrink-to-valid) the velocities it computes are NaN.
+    frame under shrink-to-valid) the velocities it computes are NaN.  The
+    Newton loop reads the gradient and the Hessian, which every frame has
+    wherever the spatial stencils apply: a point is lost when any gradient
+    or Hessian entry of its 3^N block is not finite (the border bands are
+    NaN), on timed and untimed frames alike.
     Anchors are tuples of N ints, and the bound checks and block slices run
     on Python ints and floats.
     """
@@ -292,7 +288,7 @@ class _JetInterpolator:
             anchor = self._anchor(fid)
         jets, lo = self._run.jets_at(self._frame, anchor)
         block = tuple(slice(a - b - 1, a - b + 2) for a, b in zip(anchor, lo))
-        if not jets.valid[block].all():
+        if not (np.isfinite(jets.grad[block]).all() and np.isfinite(jets.hessian[block]).all()):
             raise AttributeLostError(
                 f"point {np.asarray(x)} left the valid interior of the jet field"
             )

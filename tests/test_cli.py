@@ -72,9 +72,19 @@ class TestGenerateInfo:
          "field kind 'translating-gaussian' has no parameter 'bogus'"),
         (WAVE + ["--param", "amplitude=1,2"],
          "parameter 'amplitude' of field kind 'plane-wave' must be one number"),
-    ], ids=("missing", "unknown", "vector-for-number"))
+        # these printed only "could not convert string to float: 'abc'"
+        (["--kind", "translating-gaussian", "--param", "velocity=0.7,0", "--param", "sigma=abc"],
+         "parameter 'sigma' of field kind 'translating-gaussian' must be one number, got 'abc'"),
+        (["--kind", "translating-gaussian", "--param", "velocity=0.7,abc", "--param", "sigma=2"],
+         "parameter 'velocity' of field kind 'translating-gaussian' takes numbers, "
+         "not the text '0.7,abc'"),
+        # this one reported the polynomial triple form
+        (GAUSS + ["--param", "terms=3:1,1:0"],
+         "field kind 'translating-gaussian' has no parameter 'terms'"),
+    ], ids=("missing", "unknown", "vector-for-number", "text-for-number", "text-for-vector",
+            "terms-on-another-kind"))
     def test_bad_param_is_usage_error(self, tmp_path, capsys, kind_args, message):
-        # each raised an uncaught TypeError from the catalog constructor
+        # the first three raised an uncaught TypeError from the catalog constructor
         code = cli(["generate", *kind_args, "--shape", "8,8", "--spacing", "0.1",
                     "--origin", "0", "--out", str(tmp_path / "x.wvf")])
         assert code == 2
@@ -168,6 +178,16 @@ class TestVelocityScalar:
         path = _generate(tmp_path, GAUSS)
         assert cli([command[0], str(path), *command[1:], f"--frame={frame}"]) == 2
         assert f"error: frame {frame} out of range [0, 5)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["velocity", "--order", "1"], ["scalar"]])
+    def test_too_few_frames_for_the_order(self, tmp_path, capsys, command):
+        # four frames carry an order-2 time stencil, not an order-4 one
+        path = _generate(tmp_path, GAUSS, frames=4)
+        assert cli([command[0], str(path), *command[1:]]) == 2
+        assert ("error: order-4 time derivatives need at least 5 frames, got 4"
+                in capsys.readouterr().err)
+        assert cli([command[0], str(path), *command[1:], "--fd-order", "2"]) == 0
+        assert " 0/" not in capsys.readouterr().out
 
 
 class TestTrack:

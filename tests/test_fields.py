@@ -127,7 +127,10 @@ class TestSample:
          "has no parameter 'bogus'"),
         ("plane-wave", {"wave_vector": (2.0, 1.0), "angular_frequency": 3.0,
                         "amplitude": (1.0, 2.0)}, "parameter 'amplitude' of field kind"),
-    ], ids=("missing", "unknown", "vector-for-number"))
+        # text for a vector raised "could not convert string to float"
+        ("plane-wave", {"wave_vector": "2,x", "angular_frequency": 3.0},
+         "parameter 'wave_vector' of field kind 'plane-wave' takes numbers, not the text '2,x'"),
+    ], ids=("missing", "unknown", "vector-for-number", "text-for-vector"))
     def test_bad_parameter_names_kind_and_parameter(self, kind, params, message):
         # each raised a TypeError from the catalog constructor
         with pytest.raises(ValueError, match=message) as info:

@@ -92,10 +92,6 @@ class TestFdJet2At:
         sf = wv.sample(f, g, [0.0])
         with pytest.raises(wv.InsufficientFramesError):
             wv.fd_jet2_at(sf, 0, (4, 4), wv.StencilSpec(order=2, boundary="one-sided"))
-        # spatial-only jets are still available on a single frame
-        j = wv.fd_jet2_at(sf, 0, (4, 4), wv.StencilSpec(order=2, boundary="one-sided"),
-                          time_derivatives=False)
-        assert j is not None
 
     def test_index_out_of_range(self):
         _, _, sf = _poly_field()
@@ -126,6 +122,32 @@ class TestFdJetField:
         assert jf.valid.all()
         jf2 = wv.fd_jet_field(sf, 2, wv.StencilSpec(order=2, boundary="one-sided"))
         assert jf2.valid.all()
+
+    @pytest.mark.parametrize("frame", (0, 1, 4))
+    def test_end_frame_has_spatial_jets_and_no_velocity(self, frame):
+        # an end frame of shrink-to-valid has no time window: the gradient
+        # and the Hessian are there, the time parts NaN and no point valid,
+        # so neither velocity can read a zero psi_t as "not moving"
+        f = wv.TranslatingGaussian((0.7, 0.0), 0.5)
+        g = wv.make_grid(2, [28, 28], [0.05, 0.05], [-0.675, -0.675])
+        sf = wv.sample(f, g, 0.01 * np.arange(5))
+        end = wv.fd_jet_field(sf, frame)
+        interior = wv.fd_jet_field(sf, 2).valid
+        assert interior.sum() == 24 * 24
+        # the spatial jets of the same values at a timed frame, bit for bit
+        still = wv.SampledField(g, 0.0, 0.01, np.repeat(sf.values[frame:frame + 1], 5, axis=0))
+        ref = wv.fd_jet_field(still, 2)
+        for got, want in ((end.grad, ref.grad), (end.hessian, ref.hessian)):
+            assert np.isfinite(got[interior]).all() and np.isnan(got[~interior]).all()
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.isnan(end.dpsi_dt).all() and np.isnan(end.time_mixed).all()
+        assert not end.valid.any()
+        v0, v1 = wv.velocity_field(end, 0), wv.velocity_field(end, 1)
+        assert not v0.valid.any() and np.isnan(v0.components).all()
+        assert not v1.valid.any() and np.isnan(v1.components).all()
+        values, valid = wv.contraction_scalar_field(v0, v1)
+        assert not valid.any() and np.isnan(values).all()
+        assert wv.fd_jet2_at(sf, frame, (14, 14)) is None
 
     def test_static_field_time_entries_vanish(self):
         f = wv.StaticGaussian(1.0)
@@ -189,11 +211,10 @@ class TestFdJetField:
 class TestFdJetFields:
     SHAPES = {1: (23,), 2: (17, 13), 3: (9, 8, 10), 4: (6, 7, 6, 6)}
 
-    @pytest.mark.parametrize("time_derivatives", (True, False))
     @pytest.mark.parametrize("boundary", ("one-sided", "shrink-to-valid"))
     @pytest.mark.parametrize("order", (2, 4))
     @pytest.mark.parametrize("n", (1, 2, 3, 4))
-    def test_runs_equal_single_frames_bitwise(self, n, order, boundary, time_derivatives):
+    def test_runs_equal_single_frames_bitwise(self, n, order, boundary):
         shape = self.SHAPES[n]
         grid = wv.make_grid(n, shape, 0.2, -0.3)
         values = np.random.default_rng(n).standard_normal((9,) + shape)
@@ -202,10 +223,10 @@ class TestFdJetFields:
         spec = wv.StencilSpec(order, boundary)
         names = ("psi", "dpsi_dt", "grad", "hessian", "time_mixed", "valid")
         for frames in (range(9), range(0, 3), range(2, 7), range(6, 9), range(8, 9)):
-            run = wv.fd_jet_fields(sf, frames, spec, time_derivatives)
+            run = wv.fd_jet_fields(sf, frames, spec)
             assert [jets.frame for jets in run] == list(frames)
             for jets in run:
-                one = wv.fd_jet_field(sf, jets.frame, spec, time_derivatives)
+                one = wv.fd_jet_field(sf, jets.frame, spec)
                 assert jets.t == one.t
                 for name in names:
                     got, want = getattr(jets, name), getattr(one, name)
@@ -232,7 +253,7 @@ class TestFdJetFields:
         with pytest.raises(IndexError):
             wv.fd_jet_fields(sf, range(3, 6))
         with pytest.raises(IndexError):
-            wv.fd_jet_fields(sf, range(-1, 2), time_derivatives=False)
+            wv.fd_jet_fields(sf, range(-1, 2))
         with pytest.raises(ValueError):
             wv.fd_jet_fields(sf, range(0, 5, 2))
         with pytest.raises(wv.InsufficientFramesError):

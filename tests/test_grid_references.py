@@ -83,13 +83,10 @@ def _ref_diff_along_axis(arr, axis, h, deriv, spec):
     return np.moveaxis(out, 0, axis), valid
 
 
-def _ref_fd_jet_field(field, frame, spec, time_derivatives):
+def _ref_fd_jet_field(field, frame, spec):
     grid = field.grid
     n, shape = grid.dim, grid.shape
-    ttaps, time_valid = None, True
-    if time_derivatives:
-        ttaps = _time_taps(field, frame, spec)
-        time_valid = ttaps is not None
+    ttaps = _time_taps(field, frame, spec)
     cur = field.values[frame]
     grad = np.empty(shape + (n,))
     hess = np.empty(shape + (n, n))
@@ -105,26 +102,26 @@ def _ref_fd_jet_field(field, frame, spec, time_derivatives):
             mixed, _ = _ref_diff_along_axis(grad[..., b], a, grid.spacing[a], 1, spec)
             hess[..., a, b] = mixed
             hess[..., b, a] = mixed
-    if time_derivatives and time_valid:
+    if ttaps is not None:
         acc = np.zeros(shape)
         for off, coeff in ttaps:
             acc = acc + coeff * field.values[frame + off]
         dpsi_dt = acc
         for a in range(n):
             tmix[..., a], _ = _ref_diff_along_axis(dpsi_dt, a, grid.spacing[a], 1, spec)
-    elif not time_derivatives:
-        dpsi_dt = np.zeros(shape)
-        tmix = np.zeros(shape + (n,))
-    valid = np.full(shape, time_valid)
+    # spatial validity NaNs every entry; a frame without a time window has
+    # NaN time parts and is valid nowhere
+    spatial = np.ones(shape, dtype=bool)
     for a in range(n):
         idx_shape = [1] * n
         idx_shape[a] = shape[a]
-        valid &= axis_valid[a].reshape(idx_shape)
-    bad = ~valid
+        spatial &= axis_valid[a].reshape(idx_shape)
+    bad = ~spatial
     grad[bad] = np.nan
     hess[bad] = np.nan
     tmix[bad] = np.nan
     dpsi_dt = np.where(bad, np.nan, dpsi_dt)
+    valid = spatial & (ttaps is not None)
     return cur.copy(), dpsi_dt, grad, hess, tmix, valid
 
 
@@ -236,14 +233,14 @@ def test_grid_pipeline_matches_references(n, kind):
     assert_same_bits(sampled.values, _ref_sample(field, grid, TIMES))
     last = sampled.frames - 1
     for spec in SPECS:
-        for frame, time_derivatives in ((0, True), (2, True), (last, True), (last, False)):
+        for frame in (0, 2, last):
             try:
-                want = _ref_fd_jet_field(sampled, frame, spec, time_derivatives)
+                want = _ref_fd_jet_field(sampled, frame, spec)
             except ValueError:  # axis too short for the one-sided order-4 stencil
                 with pytest.raises(ValueError):
-                    wv.fd_jet_field(sampled, frame, spec, time_derivatives)
+                    wv.fd_jet_field(sampled, frame, spec)
                 continue
-            jets = wv.fd_jet_field(sampled, frame, spec, time_derivatives)
+            jets = wv.fd_jet_field(sampled, frame, spec)
             for got, ref in zip((jets.psi, jets.dpsi_dt, jets.grad, jets.hessian,
                                  jets.time_mixed, jets.valid), want):
                 assert_same_bits(got, ref)
@@ -270,12 +267,12 @@ def test_fd_jets_of_signed_zeros_match_reference(n):
     values = rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, -2.0], size=(len(TIMES),) + grid.shape)
     sampled = wv.SampledField(grid, 0.0, 0.05, values)
     for spec in SPECS:
-        for frame, time_derivatives in ((0, True), (3, True), (5, False)):
+        for frame in (0, 3, 5):
             try:
-                want = _ref_fd_jet_field(sampled, frame, spec, time_derivatives)
+                want = _ref_fd_jet_field(sampled, frame, spec)
             except ValueError:
                 continue
-            jets = wv.fd_jet_field(sampled, frame, spec, time_derivatives)
+            jets = wv.fd_jet_field(sampled, frame, spec)
             for got, ref in zip((jets.psi, jets.dpsi_dt, jets.grad, jets.hessian,
                                  jets.time_mixed, jets.valid), want):
                 assert_same_bits(got, ref)
@@ -294,12 +291,12 @@ def test_fd_jets_in_strips_match_reference(n, strip, monkeypatch):
                     wv.SampledField(grid, 0.0, 0.05, values)):
         last = sampled.frames - 1
         for spec in SPECS:
-            for frame, time_derivatives in ((2, True), (last, False)):
+            for frame in (2, last):
                 try:
-                    want = _ref_fd_jet_field(sampled, frame, spec, time_derivatives)
+                    want = _ref_fd_jet_field(sampled, frame, spec)
                 except ValueError:  # axis too short for the one-sided order-4 stencil
                     continue
-                jets = wv.fd_jet_field(sampled, frame, spec, time_derivatives)
+                jets = wv.fd_jet_field(sampled, frame, spec)
                 for got, ref in zip((jets.psi, jets.dpsi_dt, jets.grad, jets.hessian,
                                      jets.time_mixed, jets.valid), want):
                     assert_same_bits(got, ref)
