@@ -211,10 +211,13 @@ class TestFdJetField:
 class TestFdJetFields:
     SHAPES = {1: (23,), 2: (17, 13), 3: (9, 8, 10), 4: (6, 7, 6, 6)}
 
+    @pytest.mark.parametrize("cut", (False, True))
     @pytest.mark.parametrize("boundary", ("one-sided", "shrink-to-valid"))
     @pytest.mark.parametrize("order", (2, 4))
     @pytest.mark.parametrize("n", (1, 2, 3, 4))
-    def test_runs_equal_single_frames_bitwise(self, n, order, boundary):
+    def test_runs_equal_single_frames_bitwise(self, n, order, boundary, cut):
+        # cut: the run is computed on the frames +- order only, as tracking
+        # cuts its sub-fields; every run frame keeps the whole field's jets
         shape = self.SHAPES[n]
         grid = wv.make_grid(n, shape, 0.2, -0.3)
         values = np.random.default_rng(n).standard_normal((9,) + shape)
@@ -223,11 +226,15 @@ class TestFdJetFields:
         spec = wv.StencilSpec(order, boundary)
         names = ("psi", "dpsi_dt", "grad", "hessian", "time_mixed", "valid")
         for frames in (range(9), range(0, 3), range(2, 7), range(6, 9), range(8, 9)):
-            run = wv.fd_jet_fields(sf, frames, spec)
-            assert [jets.frame for jets in run] == list(frames)
+            first = max(frames.start - order, 0) if cut else 0
+            stop = min(frames.stop + order, 9) if cut else 9
+            sub = wv.SampledField(grid, sf.time(first), sf.dt, values[first:stop])
+            run = wv.fd_jet_fields(sub, range(frames.start - first, frames.stop - first), spec)
+            assert [first + jets.frame for jets in run] == list(frames)
             for jets in run:
-                one = wv.fd_jet_field(sf, jets.frame, spec)
-                assert jets.t == one.t
+                one = wv.fd_jet_field(sf, first + jets.frame, spec)
+                if not cut:
+                    assert jets.t == one.t
                 for name in names:
                     got, want = getattr(jets, name), getattr(one, name)
                     assert got.shape == want.shape
