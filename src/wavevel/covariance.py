@@ -6,7 +6,10 @@ velocities transform with the transpose of ``A`` (covariantly), order-one
 velocities with the inverse of ``A`` (contravariantly), and their pairing is
 invariant.  Only affine maps are supported; for them the second-derivative
 terms of a general change of variables vanish identically, which makes the
-linear laws exact and testable.
+linear laws exact and testable.  :func:`transform_covector` and
+:func:`transform_vector` are the only copies of the two laws; they take one
+vector or a stack ``(..., N)`` and serve the checks and the jet pullback
+shared by :func:`pullback_jet2` and :class:`AffineReparamField`.
 
 The checks compare old-frame velocities of the composed field
 ``base(A x + b, t)`` with the base field's velocities at ``X = A x + b``
@@ -126,19 +129,28 @@ def random_affine(rng, dim: int, max_condition: float = 50.0, offset_scale: floa
 
 
 def transform_covector(w, amap: AffineMap) -> Array:
-    """New-frame covector components to old-frame ones: ``w_x = A^T w_X``."""
+    """Old-frame components ``w @ A`` (``w_x = A^T w_X``) of new-frame covectors ``(..., N)``."""
     w = np.asarray(w, dtype=float)
-    if w.shape != (amap.dim,):
-        raise ValueError(f"covector must have shape ({amap.dim},), got {w.shape}")
-    return amap.matrix.T @ w
+    if w.shape[-1:] != (amap.dim,):
+        raise ValueError(f"covectors must have trailing dimension {amap.dim}, got {w.shape}")
+    return w @ amap.matrix
 
 
 def transform_vector(v, amap: AffineMap) -> Array:
-    """New-frame vector components to old-frame ones: ``v_x = A^{-1} v_X``."""
+    """Old-frame components ``v @ A^-T`` (``v_x = A^-1 v_X``) of new-frame vectors ``(..., N)``."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (amap.dim,):
-        raise ValueError(f"vector must have shape ({amap.dim},), got {v.shape}")
-    return amap.inverse_matrix @ v
+    if v.shape[-1:] != (amap.dim,):
+        raise ValueError(f"vectors must have trailing dimension {amap.dim}, got {v.shape}")
+    return v @ np.ascontiguousarray(amap.inverse_matrix.T)  # rows round as stacks do
+
+
+def _pullback(amap: AffineMap, grad: Array, hess: Array, tmix: Array) -> tuple:
+    """New-frame gradients, Hessians and mixed time rows, one point or a stack,
+    chain-ruled into the old frame: covector rows and the congruence ``A^T H A``."""
+    a = amap.matrix
+    hess = np.einsum("ki,...kl,lj->...ij", a, hess, a)
+    # congruence in floats can be asymmetric by an ulp; mirror the upper triangle
+    return transform_covector(grad, amap), _mirror_upper(hess), transform_covector(tmix, amap)
 
 
 def pullback_jet2(jet: Jet2, amap: AffineMap) -> Jet2:
@@ -150,10 +162,7 @@ def pullback_jet2(jet: Jet2, amap: AffineMap) -> Jet2:
     """
     if jet.dim != amap.dim:
         raise ValueError(f"dimension mismatch: jet {jet.dim}, map {amap.dim}")
-    a = amap.matrix
-    grad = a.T @ jet.grad
-    hess = a.T @ jet.hessian @ a
-    tmix = a.T @ jet.time_mixed
+    grad, hess, tmix = _pullback(amap, jet.grad, jet.hessian, jet.time_mixed)
     return Jet2(Jet1(jet.psi, jet.dpsi_dt, grad), hess, tmix)
 
 
@@ -185,13 +194,7 @@ class AffineReparamField(AnalyticField):
     def jet_arrays(self, points, t):
         pts = self._check_points(points)
         psi, dpsi_dt, grad, hess, tmix = self.base.jet_arrays(self.amap.apply(pts), t)
-        a = self.amap.matrix
-        grad = grad @ a
-        tmix = tmix @ a
-        hess = np.einsum("ki,...kl,lj->...ij", a, hess, a)
-        # congruence in floats can be asymmetric by an ulp; mirror the upper triangle
-        hess = _mirror_upper(hess)
-        return psi, dpsi_dt, grad, hess, tmix
+        return (psi, dpsi_dt) + _pullback(self.amap, grad, hess, tmix)
 
 
 def make_fd_jet2_fn(h: float, dt: float, spec: StencilSpec = DEFAULT_STENCIL):
@@ -283,8 +286,8 @@ def check_transformation_laws(
             moving_X, w_X, v_X, solved_X, c_X, contracted_X = _frame_velocities(
                 source, field, amap.apply(x), t)
             laws = (
-                (moving_x & moving_X, _relative_deviations(w_x, w_X @ amap.matrix)),
-                (solved_x & solved_X, _relative_deviations(v_x, v_X @ amap.inverse_matrix.T)),
+                (moving_x & moving_X, _relative_deviations(w_x, transform_covector(w_X, amap))),
+                (solved_x & solved_X, _relative_deviations(v_x, transform_vector(v_X, amap))),
                 (contracted_x & contracted_X, np.abs(c_x - c_X)),
             )
         for k, (mask, dev) in enumerate(laws):

@@ -2,8 +2,10 @@
 
 The catalog fields know their own exact derivative jets, so every velocity
 formula can be exercised with zero discretization error before finite
-differences enter the picture.  Units are abstract reals throughout; the
-docstrings state dimensions (field, length, time) but nothing is enforced.
+differences enter the picture.  One parameter rule (:class:`AnalyticField`)
+serves the constructors and :func:`make_field`.  Units are abstract reals
+throughout; the docstrings state dimensions (field, length, time) but
+nothing is enforced.
 """
 
 from __future__ import annotations
@@ -185,9 +187,41 @@ class AnalyticField:
     :func:`sample` evaluates a grid through :meth:`_grid_values`, which by
     default calls :meth:`value` on ``grid.points()`` once per frame; a field
     that can evaluate a grid without its point array overrides it.
+
+    The catalog kinds are dataclasses whose parameters :meth:`__post_init__`
+    normalises by declared type, for the constructors and :func:`make_field`
+    alike: a ``float`` is one finite number, a ``tuple`` a vector of finite
+    numbers (one number is a vector of one; a default of None is the kind's
+    to fill), and text is neither.  A failure is a ``ValueError`` naming the
+    parameter and the kind; the kinds then check only their own rules.
     """
 
     kind = "abstract"
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type not in ("float", "tuple") or (value is None and f.default is None):
+                continue
+            vector = f.type == "tuple"
+            if vector and isinstance(value, str):
+                raise ValueError(f"parameter {f.name!r} of field kind {self.kind!r} takes "
+                                 f"numbers, not the text {value!r}")
+            try:
+                arr = None if isinstance(value, str) else np.asarray(value, dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                arr = None
+            self._require(arr is not None and arr.ndim <= vector, f.name,
+                          "a vector of numbers" if vector else "one number")
+            self._require(np.isfinite(arr).all(), f.name, "finite")  # a None entry reads as NaN
+            value = tuple(float(v) for v in np.atleast_1d(arr)) if vector else float(arr)
+            object.__setattr__(self, f.name, value)
+
+    def _require(self, ok: bool, name: str, rule: str) -> None:
+        """Reject parameter ``name`` unless ``ok``: "parameter ... must be <rule>"."""
+        if not ok:
+            raise ValueError(f"parameter {name!r} of field kind {self.kind!r} must be {rule}, "
+                             f"got {getattr(self, name)!r}")
 
     @property
     def dim(self) -> int:
@@ -243,14 +277,8 @@ class PlaneWave(AnalyticField):
     kind = "plane-wave"
 
     def __post_init__(self):
-        k = tuple(float(v) for v in np.atleast_1d(self.wave_vector))
-        object.__setattr__(self, "wave_vector", k)
-        for name in ("angular_frequency", "amplitude", "phase"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not all(math.isfinite(v) for v in (*k, self.angular_frequency, self.amplitude, self.phase)):
-            raise ValueError("plane wave parameters must be finite")
-        if not np.linalg.norm(k) > 0:
-            raise ValueError("plane wave needs a nonzero wave vector")
+        super().__post_init__()
+        self._require(any(self.wave_vector), "wave_vector", "nonzero")
 
     @property
     def dim(self) -> int:
@@ -372,13 +400,22 @@ def _gaussian_value(coords, center, sigma: float, amplitude: float, shift=None, 
 
 
 class _GaussianBump(AnalyticField):
-    """Value and grid sampling shared by the Gaussian kinds.
+    """Value, jets and grid sampling shared by the Gaussian kinds.
 
     ``|u|^2`` is a sum over the axes, so :meth:`_grid_values` builds each
     ``u_a`` from the grid's axis coordinates and broadcasts it over the frame.
-    Subclasses give ``center``, ``sigma``, ``amplitude`` and the shift ``c t``
-    of the center at time ``t`` (None for a static bump).
+    Subclasses give ``center``, ``sigma`` and ``amplitude``; a moving one
+    also gives ``velocity`` and the shift ``c t`` of the center at time ``t``
+    (None for a static bump, whose velocity is 0).
     """
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._require(self.sigma > 0, "sigma", "positive")
+
+    @property
+    def dim(self) -> int:
+        return len(self.center)
 
     def _shift(self, t):
         return None
@@ -387,6 +424,13 @@ class _GaussianBump(AnalyticField):
         pts = self._check_points(points)
         coords = [pts[..., a] for a in range(self.dim)]
         return _gaussian_value(coords, self.center, self.sigma, self.amplitude, self._shift(t))[()]
+
+    def jet_arrays(self, points, t):
+        u = self._check_points(points) - np.asarray(self.center)
+        shift = self._shift(t)
+        if shift is None:
+            return _gaussian_jets(u, self.sigma, self.amplitude, np.zeros(self.dim))
+        return _gaussian_jets(u - shift, self.sigma, self.amplitude, np.asarray(self.velocity))
 
     def _grid_values(self, grid, times):
         n = grid.dim
@@ -409,36 +453,14 @@ class TranslatingGaussian(_GaussianBump):
     kind = "translating-gaussian"
 
     def __post_init__(self):
-        c = tuple(float(v) for v in np.atleast_1d(self.velocity))
-        center = self.center
-        if center is None:
-            center = (0.0,) * len(c)
-        center = tuple(float(v) for v in np.atleast_1d(center))
-        if len(center) != len(c):
+        super().__post_init__()
+        if self.center is None:
+            object.__setattr__(self, "center", (0.0,) * len(self.velocity))
+        if len(self.center) != len(self.velocity):
             raise ValueError("center and velocity must have equal length")
-        object.__setattr__(self, "velocity", c)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "amplitude", float(self.amplitude))
-        if not all(math.isfinite(v) for v in (*c, *center, self.sigma, self.amplitude)):
-            raise ValueError("gaussian parameters must be finite")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be strictly positive")
-
-    @property
-    def dim(self) -> int:
-        return len(self.velocity)
-
-    def _offset(self, points, t):
-        return points - np.asarray(self.center) - np.asarray(self.velocity) * t
 
     def _shift(self, t):
         return np.asarray(self.velocity) * t
-
-    def jet_arrays(self, points, t):
-        pts = self._check_points(points)
-        u = self._offset(pts, t)
-        return _gaussian_jets(u, self.sigma, self.amplitude, np.asarray(self.velocity))
 
 
 @dataclass(frozen=True)
@@ -450,25 +472,6 @@ class StaticGaussian(_GaussianBump):
     amplitude: float = 1.0
 
     kind = "static-gaussian"
-
-    def __post_init__(self):
-        center = tuple(float(v) for v in np.atleast_1d(self.center))
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "amplitude", float(self.amplitude))
-        if not all(math.isfinite(v) for v in (*center, self.sigma, self.amplitude)):
-            raise ValueError("gaussian parameters must be finite")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be strictly positive")
-
-    @property
-    def dim(self) -> int:
-        return len(self.center)
-
-    def jet_arrays(self, points, t):
-        pts = self._check_points(points)
-        u = pts - np.asarray(self.center)
-        return _gaussian_jets(u, self.sigma, self.amplitude, np.zeros(self.dim))
 
 
 @dataclass(frozen=True)
@@ -490,17 +493,8 @@ class ExpandingGaussianRing(AnalyticField):
     kind = "expanding-gaussian-ring"
 
     def __post_init__(self):
-        center = tuple(float(v) for v in np.atleast_1d(self.center))
-        object.__setattr__(self, "center", center)
-        for name in ("speed", "width", "radius0", "amplitude"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not all(
-            math.isfinite(v)
-            for v in (*center, self.speed, self.width, self.radius0, self.amplitude)
-        ):
-            raise ValueError("ring parameters must be finite")
-        if not self.width > 0:
-            raise ValueError("width must be strictly positive")
+        super().__post_init__()
+        self._require(self.width > 0, "width", "positive")
 
     @property
     def dim(self) -> int:
@@ -636,9 +630,10 @@ FIELD_KINDS = {
 def make_field(kind: str, **params) -> AnalyticField:
     """Instantiate a catalog field by kind name.
 
-    An unknown kind, an unknown or missing parameter, a vector or text that
-    is not a number given for a one-number parameter, or text given for any
-    other parameter raises ``ValueError`` naming the kind and the parameter.
+    An unknown kind or an unknown or missing parameter raises ``ValueError``
+    naming the kind (and the parameter); the values then meet the same rule
+    as in the constructors (see :class:`AnalyticField`), so a bad value is
+    a ``ValueError`` naming the parameter and the kind.
     """
     try:
         cls = FIELD_KINDS[kind]
@@ -647,19 +642,10 @@ def make_field(kind: str, **params) -> AnalyticField:
             f"unknown field kind {kind!r}; known kinds: {sorted(FIELD_KINDS)}"
         ) from None
     known = {f.name: f for f in fields(cls)}
-    for name, value in params.items():
+    for name in params:
         if name not in known:
             raise ValueError(f"field kind {kind!r} has no parameter {name!r}; "
                              f"parameters: {list(known)}")
-        if known[name].type in (float, "float"):
-            try:
-                float(value)
-            except (TypeError, ValueError):
-                raise ValueError(f"parameter {name!r} of field kind {kind!r} must be one "
-                                 f"number, got {value!r}") from None
-        elif isinstance(value, str):
-            raise ValueError(f"parameter {name!r} of field kind {kind!r} takes numbers, "
-                             f"not the text {value!r}")
     for name, f in known.items():
         if f.default is MISSING and name not in params:
             raise ValueError(f"field kind {kind!r} needs parameter {name!r}")

@@ -8,6 +8,7 @@ velocity formula consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -36,7 +37,8 @@ def _component_planes(shape, n: int, k: int = 1) -> Array:
 
 def _require_finite(*entries) -> None:
     """Reject jets with a non-finite entry, at one point or on a stack."""
-    if not all(np.isfinite(e).all() for e in entries):
+    # math.isfinite on Python floats: np.isfinite costs microseconds a call
+    if not all(math.isfinite(e) if type(e) is float else np.isfinite(e).all() for e in entries):
         raise ValueError("jet entries must be finite")
 
 

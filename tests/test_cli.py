@@ -78,11 +78,14 @@ class TestGenerateInfo:
         (["--kind", "translating-gaussian", "--param", "velocity=0.7,abc", "--param", "sigma=2"],
          "parameter 'velocity' of field kind 'translating-gaussian' takes numbers, "
          "not the text '0.7,abc'"),
+        # this one said only "gaussian parameters must be finite"
+        (["--kind", "translating-gaussian", "--param", "velocity=nan,0", "--param", "sigma=1.0"],
+         "parameter 'velocity' of field kind 'translating-gaussian' must be finite"),
         # this one reported the polynomial triple form
         (GAUSS + ["--param", "terms=3:1,1:0"],
          "field kind 'translating-gaussian' has no parameter 'terms'"),
     ], ids=("missing", "unknown", "vector-for-number", "text-for-number", "text-for-vector",
-            "terms-on-another-kind"))
+            "nan-vector", "terms-on-another-kind"))
     def test_bad_param_is_usage_error(self, tmp_path, capsys, kind_args, message):
         # the first three raised an uncaught TypeError from the catalog constructor
         code = cli(["generate", *kind_args, "--shape", "8,8", "--spacing", "0.1",

@@ -75,6 +75,20 @@ class TestTransforms:
         amap = wv.AffineMap.identity(2)
         with pytest.raises(ValueError):
             wv.transform_covector(np.ones(3), amap)
+        with pytest.raises(ValueError):
+            wv.transform_vector(np.ones((4, 3)), amap)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stack_equals_rows_bitwise(self, n):
+        # the checks carry whole blocks; at N = 4 a BLAS matrix product of a
+        # stack may round differently from its row products, so N <= 3 here
+        rng = np.random.default_rng(40 + n)
+        for _ in range(50):
+            amap = wv.random_affine(rng, n, max_condition=30.0)
+            stack = rng.standard_normal((int(rng.integers(2, 300)), n))
+            for transform in (wv.transform_covector, wv.transform_vector):
+                rows = np.array([transform(row, amap) for row in stack])
+                assert np.array_equal(transform(stack, amap), rows)
 
 
 class TestPullback:
@@ -106,6 +120,26 @@ class TestPullback:
             assert grad == pytest.approx(exact.grad, abs=2e-9)
             assert hessian == pytest.approx(exact.hessian, abs=2e-7)
             assert time_mixed == pytest.approx(exact.time_mixed, abs=2e-7)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_composed_jets_are_pullbacks_bitwise(self, n):
+        # one pullback serves both; the Gaussian kinds are left out because
+        # their exact Hessians are asymmetric by an ulp and Jet2 mirrors them
+        rng = np.random.default_rng(60 + n)
+        bases = (wv.PlaneWave(tuple(rng.standard_normal(n)), 1.7, amplitude=1.3),
+                 wv.ExpandingGaussianRing(0.3, 0.4, center=tuple(0.05 * rng.standard_normal(n))),
+                 wv.Polynomial(((0.4, (2,) * n, 0), (0.3, (1,) * n, 1), (2.0, (0,) * n, 1))))
+        for base in bases:
+            for _ in range(10):
+                amap = wv.random_affine(rng, n, max_condition=20.0)
+                x = rng.uniform(-1.0, 1.0, n)
+                hess = base.jet_arrays(amap.apply(x), 0.3)[3]
+                assert np.array_equal(hess, hess.T)
+                jet = wv.pullback_jet2(base.jet2(amap.apply(x), 0.3), amap)
+                got = wv.AffineReparamField(base, amap).jet_arrays(x, 0.3)
+                want = (jet.psi, jet.dpsi_dt, jet.grad, jet.hessian, jet.time_mixed)
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
 
     def test_hessian_stays_symmetric(self):
         rng = np.random.default_rng(7)

@@ -130,12 +130,34 @@ class TestSample:
         # text for a vector raised "could not convert string to float"
         ("plane-wave", {"wave_vector": "2,x", "angular_frequency": 3.0},
          "parameter 'wave_vector' of field kind 'plane-wave' takes numbers, not the text '2,x'"),
-    ], ids=("missing", "unknown", "vector-for-number", "text-for-vector"))
+        # these raised a TypeError or said only "gaussian parameters must be finite"
+        ("plane-wave", {"wave_vector": (1.0, None), "angular_frequency": 3.0},
+         "parameter 'wave_vector' of field kind 'plane-wave' must be finite"),
+        ("translating-gaussian", {"velocity": ((0.7, 0.0), (0.1, 0.2)), "sigma": 1.0},
+         "parameter 'velocity' of field kind 'translating-gaussian' must be a vector of numbers"),
+        ("translating-gaussian", {"velocity": (np.nan, 0.0), "sigma": 1.0},
+         "parameter 'velocity' of field kind 'translating-gaussian' must be finite"),
+        ("static-gaussian", {"sigma": np.inf},
+         "parameter 'sigma' of field kind 'static-gaussian' must be finite"),
+        ("expanding-gaussian-ring", {"speed": 0.3, "width": 0.4, "radius0": -np.inf},
+         "parameter 'radius0' of field kind 'expanding-gaussian-ring' must be finite"),
+        ("plane-wave", {"wave_vector": (0.0, 0.0), "angular_frequency": 3.0},
+         "parameter 'wave_vector' of field kind 'plane-wave' must be nonzero"),
+        ("static-gaussian", {"sigma": 0.0},
+         "parameter 'sigma' of field kind 'static-gaussian' must be positive"),
+        ("expanding-gaussian-ring", {"speed": 0.3, "width": -0.4},
+         "parameter 'width' of field kind 'expanding-gaussian-ring' must be positive"),
+    ], ids=("missing", "unknown", "vector-for-number", "text-for-vector", "none-entry",
+            "nested-vector", "nan-vector", "infinite-number", "infinite-ring-number",
+            "zero-wave-vector", "zero-sigma", "negative-width"))
     def test_bad_parameter_names_kind_and_parameter(self, kind, params, message):
-        # each raised a TypeError from the catalog constructor
+        # the first three raised a TypeError from the catalog constructor
         with pytest.raises(ValueError, match=message) as info:
             wv.make_field(kind, **params)
         assert repr(kind) in str(info.value)
+        if message.startswith("parameter "):  # a bad value: the constructor says the same
+            with pytest.raises(ValueError, match=message):
+                wv.fields.FIELD_KINDS[kind](**params)
 
     @pytest.mark.parametrize("terms", [(1.0,), 5.0, ((1.0, 2, 0),)],
                              ids=("bare-float", "number", "int-exponents"))
