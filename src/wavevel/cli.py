@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .covariance import AffineMap, check_transformation_laws
-from .fieldio import csv_cells, export_csv, read_field, read_header, write_field
+from .fieldio import _write_csv, csv_cells, export_csv, read_field, read_header, write_field
 from .fields import SampledField, make_field, make_grid, sample
 from .findiff import StencilSpec, fd_jet_field
 from .tracking import TrackingError, track_attribute
@@ -109,18 +109,18 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _default_frame(field, args) -> int:
-    if args.frame is None:
-        return field.frames // 2
-    if not 0 <= args.frame < field.frames:
+def _frame_jets(args):
+    """Read ``args.file``, pick ``--frame`` (default: the middle frame) and
+    return the field, the frame and the frame's finite-difference jets."""
+    field = read_field(args.file)
+    frame = field.frames // 2 if args.frame is None else args.frame
+    if not 0 <= frame < field.frames:
         raise ValueError(f"frame {args.frame} out of range [0, {field.frames})")
-    return args.frame
+    return field, frame, fd_jet_field(field, frame, _stencil_from_args(args))
 
 
 def _cmd_velocity(args) -> int:
-    field = read_field(args.file)
-    frame = _default_frame(field, args)
-    jets = fd_jet_field(field, frame, _stencil_from_args(args))
+    field, frame, jets = _frame_jets(args)
     vf = velocity_field(jets, args.order, eps_singular=args.eps_singular)
     n_valid = int(np.count_nonzero(vf.valid))
     print(
@@ -159,9 +159,7 @@ def _cmd_velocity(args) -> int:
 
 
 def _cmd_scalar(args) -> int:
-    field = read_field(args.file)
-    frame = _default_frame(field, args)
-    jets = fd_jet_field(field, frame, _stencil_from_args(args))
+    field, frame, jets = _frame_jets(args)
     v0 = velocity_field(jets, 0)
     v1 = velocity_field(jets, 1, eps_singular=args.eps_singular)
     vals, valid = contraction_scalar_field(v0, v1)
@@ -214,10 +212,7 @@ def _write_track_csv(path, result) -> None:
     )
     columns = [result.times, *result.positions.T,
                *result.empirical_velocity.T, *result.computed_velocity.T]
-    rows = zip(*(csv_cells(c) for c in columns))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+    _write_csv(path, names, [[csv_cells(c) for c in columns]])
 
 
 def _cmd_covcheck(args) -> int:

@@ -49,18 +49,19 @@ class AffineMap:
     """Invertible affine coordinate change ``X = A x + b``.
 
     ``matrix`` is d(X)/d(x); the inverse is computed on construction and
-    verified against the identity.
+    verified against the identity.  Matrix, offset and inverse are read-only
+    copies, so no write, here or in the caller's arrays, can stale ``det``.
     """
 
     matrix: Array
     offset: Array = None
 
     def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=float)
+        a = np.array(self.matrix, dtype=float)  # copies: the caller keeps its arrays
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
         n = a.shape[0]
-        b = np.zeros(n) if self.offset is None else np.asarray(self.offset, dtype=float)
+        b = np.zeros(n) if self.offset is None else np.array(self.offset, dtype=float)
         if b.shape != (n,):
             raise ValueError(f"offset must have shape ({n},), got {b.shape}")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
@@ -71,6 +72,8 @@ class AffineMap:
         inv = np.linalg.inv(a)
         if np.max(np.abs(a @ inv - np.eye(n))) > 1e-12:
             raise ValueError("map is too ill-conditioned: inverse residual exceeds 1e-12")
+        for arr in (a, b, inv):
+            arr.flags.writeable = False
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "offset", b)
         object.__setattr__(self, "_inverse", inv)

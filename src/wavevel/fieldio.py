@@ -1,19 +1,22 @@
 """Binary field persistence and CSV export.
 
-The field file is a fixed little-endian layout: an 8-byte magic, the grid
-geometry, the time axis, then the raw float64 payload in C order (time
-slowest, then axis 1..N).  Round trips are bit-exact.  The reader parses the
-header from the file head, checks the declared payload size against the file
-length, and then reads the payload once, straight into the field's array.
+The field file is a fixed little-endian layout: an 8-byte magic, a dim byte
+``N``, then one ``struct`` layout, :func:`_header_layout` (shape, frames,
+spacing, origin, t0, dt), then the raw float64 payload in C order (time
+slowest, then axis 1..N).  The writer packs that layout and streams the
+payload buffer to the file without copying it; the reader reads exactly the
+header, checks the declared payload size against the file length, and then
+reads the payload once, straight into the field's array.  Round trips are
+bit-exact.
 
 CSV is the interchange format for per-point arrays: coordinates ``x1..xN``
 first, then one column per named array, one row per grid point in row-major
 order.  Cells are 17 significant digits (``.17g``, so values read back
 exactly) with ``nan``/``inf``/``-inf`` spelled literally and booleans as
-0/1; :func:`csv_cells` is the one formatter, shared with the CLI's track
-CSV.  Rows are written in chunks of a fixed number of rows, each column of
-a chunk formatted in one pass, so memory beyond the inputs does not grow
-with the grid.
+0/1; :func:`csv_cells` is the one formatter and :func:`_write_csv` the one
+writer, shared with the CLI's track CSV.  Rows are written in chunks of a
+fixed number of rows, each column of a chunk formatted in one pass, so
+memory beyond the inputs does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -54,60 +56,46 @@ class FieldFileHeader:
         return self.frames * math.prod(self.shape)  # Python ints: no int64 wrap
 
 
+def _header_layout(n: int) -> struct.Struct:
+    """The header after the magic and the dim byte, for ``n`` dimensions."""
+    return struct.Struct(f"<{n}II{n}d{n}d2d")  # shape, frames, spacing, origin, t0, dt
+
+
 def write_field(field: SampledField, path) -> None:
     """Write a sampled field to the binary format (bit-exact payload)."""
     grid = field.grid
-    n = grid.dim
-    header = bytearray()
-    header += MAGIC
-    header += struct.pack("<B", n)
-    header += struct.pack(f"<{n}I", *grid.shape)
-    header += struct.pack("<I", field.frames)
-    header += struct.pack(f"<{n}d", *grid.spacing)
-    header += struct.pack(f"<{n}d", *grid.origin)
-    header += struct.pack("<dd", field.t0, field.dt)
-    payload = np.ascontiguousarray(field.values, dtype="<f8").tobytes()
-    Path(path).write_bytes(bytes(header) + payload)
+    header = MAGIC + bytes((grid.dim,)) + _header_layout(grid.dim).pack(
+        *grid.shape, field.frames, *grid.spacing, *grid.origin, field.t0, field.dt)
+    payload = np.ascontiguousarray(field.values, dtype="<f8")
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(payload.data)
 
 
-def _parse_header(data: bytes, where: str):
-    if len(data) < len(MAGIC) + 1:
+def _read_header(fh, where: str) -> FieldFileHeader:
+    """Read exactly the header from the head of ``fh``, leaving it at the payload."""
+    head = fh.read(len(MAGIC) + 1)
+    if len(head) < len(MAGIC) + 1:
         raise FieldFormatError(f"{where}: file too short for a header")
-    if data[: len(MAGIC)] != MAGIC:
+    if head[: len(MAGIC)] != MAGIC:
         raise FieldFormatError(
-            f"{where}: bad magic {data[:len(MAGIC)]!r}, expected {MAGIC!r}"
+            f"{where}: bad magic {head[:len(MAGIC)]!r}, expected {MAGIC!r}"
         )
-    pos = len(MAGIC)
-    (n,) = struct.unpack_from("<B", data, pos)
-    pos += 1
+    n = head[-1]
     if n < 1:
         raise FieldFormatError(f"{where}: dimension must be >= 1, got {n}")
-    fixed = 4 * n + 4 + 8 * n + 8 * n + 16
-    if len(data) < pos + fixed:
+    layout = _header_layout(n)
+    data = fh.read(layout.size)
+    if len(data) < layout.size:
         raise FieldFormatError(f"{where}: truncated header")
-    shape = struct.unpack_from(f"<{n}I", data, pos)
-    pos += 4 * n
-    (frames,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    spacing = struct.unpack_from(f"<{n}d", data, pos)
-    pos += 8 * n
-    origin = struct.unpack_from(f"<{n}d", data, pos)
-    pos += 8 * n
-    t0, dt = struct.unpack_from("<dd", data, pos)
-    pos += 16
-    header = FieldFileHeader(n, tuple(shape), frames, tuple(spacing), tuple(origin), t0, dt)
-    return header, pos
-
-
-# the largest header: magic, dim byte, and the fixed part for dim = 255
-_MAX_HEADER_BYTES = len(MAGIC) + 1 + 20 * 255 + 20
+    v = layout.unpack(data)
+    return FieldFileHeader(n, v[:n], v[n], v[n + 1 : 2 * n + 1], v[2 * n + 1 : 3 * n + 1], *v[-2:])
 
 
 def read_header(path) -> FieldFileHeader:
     """Decode and return only the header of a field file."""
     with open(path, "rb") as fh:
-        header, _ = _parse_header(fh.read(_MAX_HEADER_BYTES), str(path))
-    return header
+        return _read_header(fh, str(path))
 
 
 def read_field(path) -> SampledField:
@@ -117,9 +105,9 @@ def read_field(path) -> SampledField:
     payload is then read once, straight into the returned array.
     """
     with open(path, "rb") as fh:
-        header, pos = _parse_header(fh.read(_MAX_HEADER_BYTES), str(path))
+        header = _read_header(fh, str(path))
         expected = header.payload_doubles * 8
-        got = os.fstat(fh.fileno()).st_size - pos
+        got = os.fstat(fh.fileno()).st_size - fh.tell()
         if got < expected:
             raise FieldFormatError(
                 f"{path}: truncated payload, expected {expected} bytes, got {got}"
@@ -128,7 +116,6 @@ def read_field(path) -> SampledField:
             raise FieldFormatError(
                 f"{path}: {got - expected} trailing bytes after the payload"
             )
-        fh.seek(pos)
         values = np.fromfile(fh, dtype="<f8", count=header.payload_doubles)
     if values.size != header.payload_doubles:  # the file shrank while being read
         raise FieldFormatError(
@@ -181,14 +168,25 @@ def export_csv(path, grid: Grid, columns) -> None:
                 f"column {name!r} has shape {arr.shape}, expected {grid.shape}"
             )
         arrays.append(arr)
-    coord_names = [f"x{a + 1}" for a in range(grid.dim)]
     axes = [np.array(csv_cells(grid.axis_coordinates(a)), dtype=object)
             for a in range(grid.dim)]
+
+    def cells(start):
+        stop = min(start + _CSV_CHUNK_ROWS, grid.npoints)
+        index = np.unravel_index(np.arange(start, stop), grid.shape)
+        return ([axis[i].tolist() for axis, i in zip(axes, index)]
+                + [csv_cells(arr.flat[start:stop]) for arr in arrays])
+
+    names = [f"x{a + 1}" for a in range(grid.dim)] + names
+    _write_csv(path, names, map(cells, range(0, grid.npoints, _CSV_CHUNK_ROWS)))
+
+
+def _write_csv(path, names, chunks) -> None:
+    """Write the header row ``names``, then each chunk (a list of equal-length
+    cell columns) as rows: ``,`` between cells, ``\\n`` after each row, ascii."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(coord_names + names) + "\n")
-        for start in range(0, grid.npoints, _CSV_CHUNK_ROWS):
-            stop = min(start + _CSV_CHUNK_ROWS, grid.npoints)
-            index = np.unravel_index(np.arange(start, stop), grid.shape)
-            cells = [axis[i].tolist() for axis, i in zip(axes, index)]
-            cells += [csv_cells(arr.flat[start:stop]) for arr in arrays]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        fh.write(",".join(names) + "\n")
+        for cells in chunks:
+            rows = "\n".join(map(",".join, zip(*cells)))
+            if rows:  # a chunk without rows writes nothing
+                fh.write(rows + "\n")

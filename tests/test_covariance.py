@@ -36,6 +36,18 @@ class TestAffineMap:
             amap = wv.random_affine(rng, 3, max_condition=50.0)
             assert np.linalg.cond(amap.matrix) <= 50.0 * (1 + 1e-9)
 
+    def test_keeps_its_own_frozen_arrays(self):
+        a, b = np.eye(2), np.array([0.5, -1.0])
+        amap = wv.AffineMap(a, b)
+        a[0, 0] = 5.0
+        b[:] = 7.0
+        assert np.array_equal(amap.matrix, np.eye(2)) and amap.det == 1.0
+        assert np.array_equal(amap.offset, [0.5, -1.0])
+        assert np.array_equal(amap.invert(amap.apply((1.0, 0.0))), [1.0, 0.0])
+        for arr in (amap.matrix, amap.offset, amap.inverse_matrix):
+            with pytest.raises(ValueError):
+                arr[0] = 2.0
+
 
 class TestTransforms:
     def test_identity(self):

@@ -57,6 +57,34 @@ class TestRoundTrip:
         assert back.values.flags.writeable
         assert peak <= 1.2 * values.nbytes
 
+    def test_write_holds_no_copy_of_the_payload(self, tmp_path):
+        grid = wv.make_grid(2, [256, 256], [0.05, 0.05], [-6.4, -6.4])
+        field = wv.SampledField(grid, 0.0, 0.01,
+                                np.random.default_rng(80).standard_normal((8,) + grid.shape))
+        tracemalloc.start()
+        try:
+            wv.write_field(field, tmp_path / "big.wvf")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(wv.read_field(tmp_path / "big.wvf").values, field.values)
+        assert peak <= 0.1 * field.values.nbytes
+
+    @pytest.mark.parametrize("dim", (1, 2, 3))
+    def test_header_is_the_documented_layout(self, tmp_path, dim):
+        # packed by hand from the README table, so a layout change that the
+        # writer and the reader make together still fails here
+        grid = wv.Grid(tuple(5 + a for a in range(dim)), tuple(0.1 * (a + 1) for a in range(dim)),
+                       tuple(-1.5 + a for a in range(dim)))
+        values = np.random.default_rng(dim).standard_normal((3,) + grid.shape)
+        path = tmp_path / "h.wvf"
+        wv.write_field(wv.SampledField(grid, 0.25, 0.5, values), path)
+        want = (b"WVFIELD1" + struct.pack("<B", dim) + struct.pack(f"<{dim}I", *grid.shape)
+                + struct.pack("<I", 3) + struct.pack(f"<{dim}d", *grid.spacing)
+                + struct.pack(f"<{dim}d", *grid.origin) + struct.pack("<dd", 0.25, 0.5)
+                + values.astype("<f8").tobytes())
+        assert path.read_bytes() == want
+
     def test_header_dump(self, tmp_path):
         grid = wv.make_grid(2, [6, 7], [0.1, 0.2], [-1.0, 2.0])
         field = wv.SampledField(grid, 0.5, 0.25, np.zeros((3, 6, 7)))
