@@ -167,6 +167,18 @@ def stencil_taps(deriv: int, order: int, pos: int, n: int, h: float, boundary: s
     return _taps_cached(deriv, order, min(pos, cap), min(n - 1 - pos, cap), float(h), boundary)
 
 
+@lru_cache(maxsize=None)
+def _axis_taps(deriv: int, order: int, n: int, h: float, boundary: str):
+    """The central taps of an ``n``-point axis and the ``(pos, taps)`` pairs of
+    its edge positions (``taps`` None where the policy declines), as
+    :func:`stencil_taps` gives them: one lookup per axis and pass."""
+    hw = order // 2
+    central = stencil_taps(deriv, order, hw, n, h, boundary)
+    edges = tuple((pos, stencil_taps(deriv, order, pos, n, h, boundary))
+                  for pos in (*range(hw), *range(n - hw, n)))
+    return central, edges
+
+
 def _apply_taps_pointwise(values: Array, index: tuple, axis: int, taps) -> float:
     acc = 0.0
     idx = list(index)
@@ -226,15 +238,15 @@ def _diff_into(out: Array, arr: Array, axis: int, h: float, deriv: int, spec: St
     lo, hi = hw * stride, flat.size - hw * stride
     scratch = np.empty(min(hi - lo, max(STRIP_POINTS, stride)))  # a strip, or one edge row
     valid = np.ones(n, dtype=bool)
+    # the axis's taps from one cached lookup, not one stencil_taps call per edge position
+    central, edges = _axis_taps(deriv, spec.order, n, h, spec.boundary)
 
     # the flat range also covers the edge bands of the axis, which are rewritten below
-    central = stencil_taps(deriv, spec.order, hw, n, h, spec.boundary)
     _stencil_sum(out.reshape(-1)[lo:hi],
                  [(coeff, flat[lo + off * stride : hi + off * stride]) for off, coeff in central],
                  scratch)
     edge, source = out.reshape(rows), arr.reshape(rows)
-    for pos in list(range(hw)) + list(range(n - hw, n)):
-        taps = stencil_taps(deriv, spec.order, pos, n, h, spec.boundary)
+    for pos, taps in edges:
         if taps is None:
             valid[pos] = False
             edge[:, pos] = np.nan

@@ -36,6 +36,15 @@ the last one holds one frame more than that one served, so a moving point
 costs few frames it never reads.  A :class:`TrackResult` reports the
 passes, the box points and the Newton iterations a track spent.
 
+The fixed costs of a request are paid once: a run caches the rows of the
+last interpolation block it served, so the Newton steps at one anchor and
+the velocity at the root gather the block and test it for finite entries
+once per run pass; the Newton bookkeeping (fractional index, weights,
+tolerance, lock test) runs on Python floats, one fractional index a step;
+and the level crossings read axis coordinates the run computes once.  The
+floats and the contractions reproduce the numpy loop's operations and
+operand shapes, so the cache and the floats change no output bit.
+
 The level crossing on an analytic field is refined with
 ``scipy.optimize.brentq``, which is imported on first use, so importing
 the package and every CLI command load numpy only.
@@ -45,11 +54,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .fields import AnalyticField, Grid, SampledField, canonical_time_axis
+from .fields import AnalyticField, Grid, SampledField, _sum_planes, canonical_time_axis
 from .findiff import DEFAULT_STENCIL, StencilSpec, _time_taps, fd_jet_fields
 from .jets import JetField
 from .velocities import AttributeSpec, _solve_order_one, first_order_velocity_nd
@@ -123,9 +131,33 @@ class TrackResult:
     jet_points: int | None = None
 
 
-def _quad_weights(s: float) -> Array:
+def _quad_weights(s: float) -> tuple:
     # Lagrange basis on nodes -1, 0, 1
-    return np.array([0.5 * s * (s - 1.0), 1.0 - s * s, 0.5 * s * (s + 1.0)])
+    return (0.5 * s * (s - 1.0), 1.0 - s * s, 0.5 * s * (s + 1.0))
+
+
+def _block_weights(fid, anchor) -> Array:
+    """The ``(1, 3^N)`` row of tensor-product weights at the fractional index
+    ``fid`` of the block around ``anchor``: Python float products in the order
+    and the bits of ``reduce(np.multiply.outer, axis weights)``, flattened."""
+    axes = [_quad_weights(f - a) for f, a in zip(fid, anchor)]
+    weights = axes[0]
+    for axis in axes[1:]:
+        weights = [p * w for p in weights for w in axis]
+    return np.array([weights])
+
+
+def _gather(arr: Array, block: tuple) -> tuple:
+    """The contiguous ``(3^N, k)`` rows of ``arr[block]`` (a copy: it keeps no
+    jet array alive) and the trailing shape of ``arr``."""
+    n = len(block)
+    return arr[block].copy().reshape(3**n, -1), arr.shape[n:]
+
+
+def _contract(weights: Array, rows: Array, tail: tuple) -> Array:
+    """The interpolated value: the operands and the product np.tensordot would
+    build from the block and the weights, without its Python overhead."""
+    return np.dot(weights, rows).reshape(tail)
 
 
 def _crossing_speed(psi_t, grad_axis) -> float:
@@ -182,29 +214,69 @@ class _WindowRun:
     the old one, take as many frames as ``_RUN_POINTS`` box points allow.
     ``passes`` counts the :func:`fd_jet_fields` calls and ``points`` the box
     points times frames they computed.
+
+    :meth:`rows` serves the interpolation blocks: the first request for a
+    frame and an anchor in a pass gathers the block's gradient and Hessian
+    rows and decides once whether they are finite; later requests for that
+    block in the same pass read the copies.  The cache holds one block, keyed
+    on ``passes``, the frame and the anchor, so a reopened run never serves
+    the old pass's rows; it holds copies, never a :class:`JetField`, so an
+    old run's jets are freed when a new run opens; and a non-finite block is
+    not kept, so every request for it fails.
     """
 
     def __init__(self, field: SampledField, spec: StencilSpec):
         self.field = field
-        self.grid = field.grid
         self._spec = spec
-        self.timed = [_time_taps(field, f, spec) is not None for f in range(field.frames)]
+        self._start(field.grid, [_time_taps(field, f, spec) is not None
+                                 for f in range(field.frames)])
+
+    def _start(self, grid: Grid, timed: list) -> None:
+        self.grid = grid
+        self.timed = timed
+        self.coords = [grid.axis_coordinates(a) for a in range(grid.dim)]  # for level crossings
         self.passes = 0  # fd_jet_fields calls
         self.points = 0  # box points times frames over all passes
         self.frames = range(0)
         self.jets = []
         self.lo = None  # index offset of the box
         self._exact = None  # inclusive index bounds of the exact zone
+        self._key = None  # (passes, frame, anchor) of the cached block
+        self._block = None  # its slices in the run's box
+        self._rows = {}  # its gathered rows, by jet array name
 
     @classmethod
     def whole(cls, jets: JetField) -> "_WindowRun":
         """A run of one frame (index 0) on the whole grid of ``jets``; it never
         misses, and its frame is timed where its jets are valid somewhere."""
         run = cls.__new__(cls)
-        run.field, run.grid, run.timed = None, jets.grid, [bool(jets.valid.any())]
+        run.field = None
+        run._start(jets.grid, [bool(jets.valid.any())])
         run.frames, run.jets, run.lo = range(1), [jets], (0,) * jets.dim
         run._exact = (run.lo, tuple(n - 1 for n in jets.grid.shape))
         return run
+
+    def rows(self, frame: int, anchor, names) -> list | None:
+        """The ``(rows, tail)`` operands (see :func:`_gather`) of the jet arrays
+        ``names`` on the 3^N block of ``frame`` around ``anchor`` (N ints), or
+        None where a gradient or Hessian entry of the block is not finite.  A
+        name is a :class:`JetField` array name, or an axis (an int) for that
+        gradient column, gathered on its own as the contraction reads it."""
+        if (self.passes, frame, anchor) != self._key:
+            self._key = None
+            jets, lo = self.jets_at(frame, anchor)  # may open a run: passes first, key after
+            block = tuple(slice(a - b - 1, a - b + 2) for a, b in zip(anchor, lo))
+            rows = {name: _gather(getattr(jets, name), block) for name in ("grad", "hessian")}
+            if not all(np.isfinite(r).all() for r, _ in rows.values()):
+                return None
+            self._key, self._block, self._rows = (self.passes, frame, anchor), block, rows
+        rows = self._rows
+        for name in names:
+            if name not in rows:  # the cached pass still holds the frame's jets
+                jets = self.jets[frame - self.frames.start]
+                arr = jets.grad[..., name] if isinstance(name, int) else getattr(jets, name)
+                rows[name] = _gather(arr, self._block)
+        return [rows[name] for name in names]
 
     def jets_at(self, frame: int, anchor):
         """Jets of ``frame`` exact on the 3^N block around ``anchor`` (N ints),
@@ -258,80 +330,81 @@ class _JetInterpolator:
     wherever the spatial stencils apply: a point is lost when any gradient
     or Hessian entry of its 3^N block is not finite (the border bands are
     NaN), on timed and untimed frames alike.
-    Anchors are tuples of N ints, and the bound checks and block slices run
-    on Python ints and floats.
+
+    A point is located once per request: :meth:`index` gives its fractional
+    grid index as Python floats, from which the anchor, the bound checks and
+    the weights follow.  The block's rows come from the run's block cache
+    (:meth:`_WindowRun.rows`), so the Newton steps at one anchor and the
+    velocity at the root gather and check the block once; every contraction
+    keeps the operand shapes np.tensordot would build, so the bits do not
+    depend on the cache.
     """
 
     def __init__(self, run: _WindowRun, frame: int = 0):
         self.grid = run.grid
-        self.spacing = np.asarray(self.grid.spacing)
-        self.length_scale = float(np.max(self.spacing))
+        self.spacing = self.grid.spacing
+        self.length_scale = max(self.spacing)
         self._run, self._frame = run, frame
         self._timed = run.timed[frame]
+
+    def index(self, x) -> list:
+        """Fractional grid index of ``x`` (:meth:`Grid.index_of` on Python floats)."""
+        if isinstance(x, np.ndarray):
+            x = x.tolist()
+        return [(e - o) / h for e, o, h in zip(x, self.grid.origin, self.spacing)]
 
     def _anchor(self, fid) -> tuple:
         return tuple(min(max(round(f), 1), n - 2) for f, n in zip(fid, self.grid.shape))
 
-    def anchor(self, x, locked=None) -> tuple:
-        """Anchor of the interpolant at ``x``: ``locked`` while ``x`` stays within
-        1.5 cells of it, else the nearest grid point with a full 3^N block."""
-        fid = self.grid.index_of(x).tolist()
+    def anchor(self, fid, locked=None) -> tuple:
+        """Anchor of the interpolant at the fractional index ``fid``: ``locked``
+        while ``fid`` stays within 1.5 cells of it, else the nearest grid point
+        with a full 3^N block."""
         if locked is not None and not any(abs(f - a) > 1.5 for f, a in zip(fid, locked)):
             return locked
         return self._anchor(fid)
 
-    def _block_and_weights(self, x, anchor=None):
-        fid = self.grid.index_of(x).tolist()
+    def _interpolate(self, x, names, fid=None, anchor=None) -> list:
+        """The jet arrays ``names`` (see :meth:`_WindowRun.rows`) interpolated at
+        ``x``, whose fractional index is ``fid``, on the block around ``anchor``
+        (None: the nearest full block)."""
+        if fid is None:
+            fid = self.index(x)
         if not all(0.0 <= f <= n - 1 for f, n in zip(fid, self.grid.shape)):
             raise AttributeLostError(f"point {np.asarray(x)} left the grid")
         if anchor is None:
             anchor = self._anchor(fid)
-        jets, lo = self._run.jets_at(self._frame, anchor)
-        block = tuple(slice(a - b - 1, a - b + 2) for a, b in zip(anchor, lo))
-        if not (np.isfinite(jets.grad[block]).all() and np.isfinite(jets.hessian[block]).all()):
+        operands = self._run.rows(self._frame, anchor, names)
+        if operands is None:
             raise AttributeLostError(
                 f"point {np.asarray(x)} left the valid interior of the jet field"
             )
-        # tensor product of the axis weights, multiplied left to right
-        weights = reduce(np.multiply.outer, [_quad_weights(f - a) for f, a in zip(fid, anchor)])
-        return jets, block, weights
+        weights = _block_weights(fid, anchor)
+        return [_contract(weights, rows, tail) for rows, tail in operands]
 
-    def _contract(self, arr, block, weights):
-        # the operands np.tensordot would build, without its Python overhead
-        n = self.grid.dim
-        return np.dot(weights.reshape(1, -1), arr[block].reshape(3**n, -1)).reshape(arr.shape[n:])
-
-    def gradient_hessian(self, x, anchor=None):
-        jets, block, weights = self._block_and_weights(x, anchor)
-        grad = self._contract(jets.grad, block, weights)
-        hess = self._contract(jets.hessian, block, weights)
-        return grad, hess
+    def gradient_hessian(self, x, anchor=None, fid=None):
+        return self._interpolate(x, ("grad", "hessian"), fid, anchor)
 
     def first_order_components(self, x) -> Array:
         """Order-one velocity at an off-grid point; NaN vector when singular."""
         if not self._timed:
             return np.full(self.grid.dim, np.nan)
-        jets, block, weights = self._block_and_weights(x)
-        hess = self._contract(jets.hessian, block, weights)
-        tmix = self._contract(jets.time_mixed, block, weights)
+        hess, tmix = self._interpolate(x, ("hessian", "time_mixed"))
         return _solve_order_one(hess, tmix)[0]
 
     def crossing(self, point, axis: int, level: float, near: float) -> float:
         """Crossing of ``level`` nearest to ``near`` on the grid line through
         ``point`` along ``axis`` (linear interpolation of the samples)."""
-        index = tuple(np.rint(self.grid.index_of(point)).astype(int))
+        index = tuple(round(f) for f in self.index(point))
         ray = index[:axis] + (slice(None),) + index[axis + 1 :]
         values = self._run.field.values[self._frame][ray]
-        return _linear_crossing(self.grid.axis_coordinates(axis), values, level, near)
+        return _linear_crossing(self._run.coords[axis], values, level, near)
 
     def crossing_speed_factor(self, x, axis: int) -> float:
         """``-psi_t / psi_xaxis`` at an off-grid point (N x order-zero component)."""
         if not self._timed:
             return np.nan
-        jets, block, weights = self._block_and_weights(x)
-        pt = self._contract(jets.dpsi_dt, block, weights)
-        gi = self._contract(jets.grad[..., axis], block, weights)
-        return _crossing_speed(pt, gi)
+        return _crossing_speed(*self._interpolate(x, ("dpsi_dt", axis)))
 
 
 class _ExactJets:
@@ -343,18 +416,23 @@ class _ExactJets:
     ``search_radius`` of the previous crossing.
     """
 
-    spacing = length_scale = 1.0
+    length_scale = 1.0
     _ANCHOR = ()
 
     def __init__(self, field: AnalyticField, t: float, search_radius: float):
         self._field = field
         self._t = t
         self._search_radius = search_radius
+        self.spacing = (1.0,) * field.dim
 
-    def anchor(self, x, locked=None):
+    def index(self, x):
+        """The point itself: exact jets need no grid index."""
+        return x
+
+    def anchor(self, fid, locked=None):
         return self._ANCHOR
 
-    def gradient_hessian(self, x, anchor=None):
+    def gradient_hessian(self, x, anchor=None, fid=None):
         jet = self._field.jet2(x, self._t)
         return jet.grad, jet.hessian
 
@@ -393,31 +471,40 @@ def _newton_iterations(source, x0, targets):
     fixpoint, which makes the result a function of the frame data alone,
     not of the iteration history.  Exact jets have one constant anchor, so
     their first convergence returns.
+
+    The iterate, the step and the tests run on Python floats, with the
+    source's fractional index computed once a step; ``||H||_F`` is summed in
+    numpy's pairwise order (:func:`_sum_planes`), so every decision and bit
+    is that of the same loop on numpy arrays.
     """
-    x = np.array(x0, dtype=float)
+    x = np.asarray(x0, dtype=float).tolist()
     locked = None
     polished = set()
     for iteration in range(1, NEWTON_MAX_ITER + 1):
-        anchor = source.anchor(x, locked)
+        fid = source.index(x)
+        anchor = source.anchor(fid, locked)
         if anchor is not locked:
             locked = None  # not locked, or the iterate escaped the locked cell
-        grad, hess = source.gradient_hessian(x, anchor)
+        grad, hess = source.gradient_hessian(x, anchor, fid)
         residual = grad - targets
-        frob = float(np.sqrt(np.sum(hess * hess)))
-        if np.max(np.abs(residual)) <= NEWTON_TOL * frob * source.length_scale:
-            canonical = source.anchor(x)
-            if locked is None or np.array_equal(canonical, locked) or tuple(canonical) in polished:
-                return x, iteration
-            polished.add(tuple(locked))
+        entries = hess.ravel().tolist()
+        frob = math.sqrt(_sum_planes((e * e for e in entries), len(entries)))  # np.sum's order
+        bound = NEWTON_TOL * frob * source.length_scale
+        if all(abs(r) <= bound for r in residual.tolist()):  # False on NaN, as np.max is
+            canonical = source.anchor(fid)
+            if locked is None or canonical == locked or canonical in polished:
+                return np.array(x), iteration
+            polished.add(locked)
             locked = canonical  # converged off the root's own cell; re-polish there
             continue
         step, valid, _ = _solve_order_one(hess, residual)  # step = -H^-1 r
         if not valid:
             raise SingularHessianError("singular Hessian at a Newton iterate")
-        x = x + step
-        if not np.all(np.isfinite(x)):
+        step = step.tolist()
+        x = [e + d for e, d in zip(x, step)]
+        if not all(map(math.isfinite, x)):
             raise NoConvergenceError("Newton iterate became non-finite")
-        if locked is None and np.max(np.abs(step) / source.spacing) <= 0.5:
+        if locked is None and all(abs(d) / h <= 0.5 for d, h in zip(step, source.spacing)):
             locked = anchor
     raise NoConvergenceError(f"no convergence in {NEWTON_MAX_ITER} iterations")
 
@@ -497,11 +584,16 @@ def track_attribute(
     from finite differences.  For an analytic catalog field, ``seed`` is a
     point, ``times`` supplies the (uniform) frames, and evaluation is exact;
     ``search_radius`` bounds the per-frame level-crossing search along each
-    ray.  A malformed seed, gradient target or time axis raises ``ValueError``.
+    ray.  A malformed seed, gradient target or time axis raises ``ValueError``,
+    and so does ``times`` given with a sampled field, whose frames carry their
+    own times.
     """
     if not isinstance(target, AttributeSpec):
         raise TypeError("target must be an AttributeSpec")
     if isinstance(field, SampledField):
+        if times is not None:
+            raise ValueError("times must be None for a SampledField: its frames carry "
+                             "their own times (field.times)")
         times, dt = field.times, field.dt
         x0 = _grid_seed(field.grid, seed)
         run = _WindowRun(field, spec)  # shared by the sources; its windows open lazily

@@ -128,6 +128,21 @@ class TestRejection:
         with pytest.raises(wv.FieldFormatError, match="truncated header"):
             wv.read_field(path)
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("frame", (0, 2, 4))  # first, middle, last
+    def test_nonfinite_payload(self, tmp_path, frame, bad):
+        grid = wv.make_grid(2, [5, 6], [1.0, 1.0], [0.0, 0.0])
+        field = wv.SampledField(grid, 0.0, 0.1, np.ones((5, 5, 6)))
+        path = tmp_path / "x.wvf"
+        wv.write_field(field, path)
+        data = bytearray(path.read_bytes())
+        payload = len(data) - field.values.nbytes
+        at = payload + 8 * np.ravel_multi_index((frame, 3, 2), field.values.shape)
+        data[at : at + 8] = struct.pack("<d", bad)
+        path.write_bytes(bytes(data))
+        with pytest.raises(wv.FieldFormatError, match="field values must be finite"):
+            wv.read_field(path)
+
     def test_trailing_bytes(self, tmp_path):
         path = self._write_sample(tmp_path)
         path.write_bytes(path.read_bytes() + b"\x00")

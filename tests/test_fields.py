@@ -7,6 +7,7 @@ else relies on them.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,29 @@ class TestSampledField:
         vals[-1, 4, 5] = np.nan
         with pytest.raises(ValueError, match="field values must be finite"):
             wv.SampledField(g, 0.0, 0.1, vals)
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("frame", (0, 3, 6))  # first, middle, last
+    def test_nonfinite_sample_in_any_frame_rejected(self, frame, bad):
+        g = wv.make_grid(2, [5, 6], [1.0, 1.0], [0.0, 0.0])
+        vals = np.random.default_rng(frame).standard_normal((7, 5, 6))
+        vals[frame, 2, 3] = bad
+        with pytest.raises(ValueError, match="field values must be finite"):
+            wv.SampledField(g, 0.0, 0.1, vals)
+
+    def test_finiteness_check_allocates_no_mask(self):
+        # the values are contiguous float64, so construction copies nothing; a
+        # per-frame isfinite mask would be 1/8 of a frame, 1.6% of this payload
+        g = wv.make_grid(2, [256, 256], [0.05, 0.05], [-6.4, -6.4])
+        vals = np.random.default_rng(3).standard_normal((8, 256, 256))
+        tracemalloc.start()
+        try:
+            field = wv.SampledField(g, 0.0, 0.01, vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert field.values is vals
+        assert peak < 0.01 * vals.nbytes
 
 
 class TestSample:

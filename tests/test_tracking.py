@@ -1,6 +1,7 @@
 """Tracking-oracle tests: critical points, peak tracks, level crossings."""
 
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -251,6 +252,17 @@ class TestInputChecks:
             wv.track_attribute(pw, wv.AttributeSpec.level_set(0.3), np.array(seed),
                                times=0.01 * np.arange(5))
 
+    @pytest.mark.parametrize("kind", ("gradient", "level"))
+    def test_sampled_field_rejects_times(self, kind):
+        # a sampled field's frames carry their times: times=[5, 6, 7] on this
+        # 9-frame field used to be ignored, and the field's own times returned
+        _, grid, sf = _sampled_gaussian()
+        target = PEAK if kind == "gradient" else wv.AttributeSpec.level_set(0.9)
+        seed = np.unravel_index(np.argmax(sf.values[0]), grid.shape)
+        for times in ([5.0, 6.0, 7.0], sf.times):
+            with pytest.raises(ValueError, match="times must be None for a SampledField"):
+                wv.track_attribute(sf, target, seed, times=times)
+
 
 class TestCrossingSpeed:
     def test_zero_axis_gradient_is_nan_on_both_sources(self):
@@ -298,11 +310,9 @@ def _interpolated(interp, x):
     """Interpolated gradient, Hessian, time_mixed and dpsi_dt at ``x``, or the
     AttributeLostError message when the point has no valid block."""
     try:
-        jets, block, weights = interp._block_and_weights(x)
+        return interp._interpolate(x, ("grad", "hessian", "time_mixed", "dpsi_dt"))
     except AttributeLostError as exc:
         return str(exc)
-    return [interp._contract(getattr(jets, name), block, weights)
-            for name in ("grad", "hessian", "time_mixed", "dpsi_dt")]
 
 
 def _assert_same(windowed, full):
@@ -486,17 +496,17 @@ class TestWindowRuns:
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_contraction_equals_tensordot_bitwise(n):
     rng = np.random.default_rng(n)
-    grid = wv.make_grid(n, (6,) * n, 0.1, 0.0)
-    interp = _whole(wv.analytic_jet_field(wv.StaticGaussian(1.0, (0.0,) * n), grid, 0.0))
-    block = tuple(slice(a - 1, a + 2) for a in (2, 4, 1, 3)[:n])
-    weights = np.ones((1,) * n)
-    for a in range(n):
-        shape = [1] * n
-        shape[a] = 3
-        weights = weights * tracking._quad_weights(float(rng.uniform(-0.5, 0.5))).reshape(shape)
+    anchor = (2, 4, 1, 3)[:n]
+    block = tuple(slice(a - 1, a + 2) for a in anchor)
+    fid = [a + float(rng.uniform(-0.5, 0.5)) for a in anchor]
+    weights = reduce(np.multiply.outer, [np.array(tracking._quad_weights(f - a))
+                                         for f, a in zip(fid, anchor)])
+    row = tracking._block_weights(fid, anchor)
+    assert row.shape == (1, 3**n)
+    assert np.array_equal(row.view(np.uint64), weights.reshape(1, -1).view(np.uint64))
     for tail in ((), (n,), (n, n)):
-        arr = rng.standard_normal(grid.shape + tail)
-        got = interp._contract(arr, block, weights)
+        arr = rng.standard_normal((6,) * n + tail)
+        got = tracking._contract(row, *tracking._gather(arr, block))
         want = np.tensordot(weights, arr[block], axes=n)
         assert got.shape == want.shape == tail
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -600,26 +610,33 @@ def _reference_analytic_track(field, target, seed, times, search_radius):
     return positions, computed, tracking._deviation(empirical, computed)
 
 
+def _moving_bump_track(dim, kind):
+    """A 9-frame moving bump on a 48^2 or 30^3 grid, a gradient (peak) or level
+    target and its seed index."""
+    npts = 48 if dim == 2 else 30
+    h = 0.05
+    grid = wv.make_grid(dim, (npts,) * dim, h, -(npts - 1) * h / 2)
+    velocity = (0.7, 0.3) if dim == 2 else (0.3, 0.2, -0.25)  # level rays keep crossing
+    bump = wv.TranslatingGaussian(velocity, 0.4)
+    field = wv.sample(bump, grid, 0.02 * np.arange(9) - 0.08)
+    if kind == "gradient":
+        target = wv.AttributeSpec.gradient_set((0.0,) * dim)
+        seed = np.unravel_index(np.argmax(field.values[0]), grid.shape)
+    else:
+        target = wv.AttributeSpec.level_set(0.5)
+        direction = np.array((1.0, 1.25, 0.9)[:dim])
+        point = 0.4 * np.sqrt(np.log(2.0)) * direction / np.linalg.norm(direction)
+        seed = tuple(int(i) for i in np.rint(grid.index_of(point)))
+    return field, target, seed
+
+
 class TestWindowedTracksUnchanged:
     @pytest.mark.parametrize("boundary", BOUNDARIES)
     @pytest.mark.parametrize("kind", ("gradient", "level"))
     @pytest.mark.parametrize("dim", (2, 3))
     def test_tracks_equal_full_grid_reference(self, dim, kind, boundary):
-        npts = 48 if dim == 2 else 30
-        h = 0.05
-        grid = wv.make_grid(dim, (npts,) * dim, h, -(npts - 1) * h / 2)
-        velocity = (0.7, 0.3) if dim == 2 else (0.3, 0.2, -0.25)  # level rays keep crossing
-        bump = wv.TranslatingGaussian(velocity, 0.4)
-        field = wv.sample(bump, grid, 0.02 * np.arange(9) - 0.08)
+        field, target, seed = _moving_bump_track(dim, kind)
         spec = wv.StencilSpec(4, boundary)
-        if kind == "gradient":
-            target = wv.AttributeSpec.gradient_set((0.0,) * dim)
-            seed = np.unravel_index(np.argmax(field.values[0]), grid.shape)
-        else:
-            target = wv.AttributeSpec.level_set(0.5)
-            direction = np.array((1.0, 1.25, 0.9)[:dim])
-            point = 0.4 * np.sqrt(np.log(2.0)) * direction / np.linalg.norm(direction)
-            seed = tuple(int(i) for i in np.rint(grid.index_of(point)))
         res = wv.track_attribute(field, target, seed, spec=spec)
         positions, computed, deviation = _reference_track(field, target, seed, spec)
         assert np.array_equal(res.positions, positions)
@@ -660,6 +677,234 @@ class TestWindowedTracksUnchanged:
         want = tracking._empirical_velocity(res.positions, step)
         assert np.array_equal(res.empirical_velocity.view(np.uint64), want.view(np.uint64))
         assert res.jet_points == 0
+
+
+def _same_result(got, want):
+    """Bit equality of two frame-source results: an array, a float, a list of
+    them, or the AttributeLostError message of a lost point."""
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    if isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want)
+        for g, w in zip(got, want):
+            _same_result(g, w)
+        return
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _outcome(call, source):
+    try:
+        return call(source)
+    except AttributeLostError as exc:
+        return str(exc)
+
+
+def _counting_reads(monkeypatch, run):
+    """Record every ``jets_at`` call of ``run``: a block read from its jets."""
+    reads = []
+    jets_at = run.jets_at
+    monkeypatch.setattr(run, "jets_at", lambda *args: reads.append(args) or jets_at(*args))
+    return reads
+
+
+class TestBlockCache:
+    """The run's block cache: a frame source reading cached rows gives the bits
+    of one whose run is rebuilt for every call."""
+
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize("kind", ("gradient", "level"))
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_cached_source_matches_one_rebuilt_per_call(self, dim, kind, boundary, monkeypatch):
+        field, target, seed = _moving_bump_track(dim, kind)
+        grid = field.grid
+        spec = wv.StencilSpec(4, boundary)
+        res = wv.track_attribute(field, target, seed, spec=spec)
+        run = _WindowRun(field, spec)
+        reads = _counting_reads(monkeypatch, run)
+        for frame in range(field.frames):
+            if kind == "gradient":
+                x = res.positions[frame]
+                # the nearest anchor, and neighbours as a locked anchor may be
+                nearest = np.rint(grid.index_of(x)).astype(int)
+                calls = [lambda src, a=tuple(int(i) for i in nearest + d):
+                         src.gradient_hessian(x, a) for d in (0, -1, 1)]
+                calls.append(lambda src: src.first_order_components(x))
+            else:
+                calls = []
+                jets = wv.fd_jet_field(field, frame, spec)
+                for axis in range(dim):
+                    point = grid.point(seed)
+                    point[axis] = res.positions[frame, axis]
+                    calls.append(lambda src, p=point, a=axis: src.crossing_speed_factor(p, a))
+                    if run.timed[frame]:  # and against np.tensordot on the whole grid
+                        try:
+                            pt, gi = _reference_interpolation(
+                                jets, point, (jets.dpsi_dt, jets.grad[..., axis]))
+                        except AttributeLostError:
+                            continue
+                        speed = _JetInterpolator(run, frame).crossing_speed_factor(point, axis)
+                        _same_result(speed, tracking._crossing_speed(pt, gi))
+            for call in calls:
+                want = _outcome(call, _JetInterpolator(_WindowRun(field, spec), frame))
+                first = _outcome(call, _JetInterpolator(run, frame))
+                read = len(reads)
+                again = _outcome(call, _JetInterpolator(run, frame))
+                _same_result(first, want)
+                _same_result(again, want)
+                if not isinstance(want, str) and run.timed[frame]:
+                    assert len(reads) == read  # the repeat was served from the cache
+        assert run.passes >= 1
+
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_non_finite_block_raises_on_every_request(self, dim, monkeypatch):
+        field = _random_field(dim)
+        spec = wv.StencilSpec(4, "shrink-to-valid")
+        run = _WindowRun(field, spec)
+        reads = _counting_reads(monkeypatch, run)
+        source = _JetInterpolator(run, 4)
+        mid = (np.asarray(field.grid.shape) - 1.0) / 2
+        inside = field.grid.point(mid + 0.3)
+        border = field.grid.point(np.where(np.arange(dim) == 0, 0.4, mid))  # NaN band
+        want = _interpolated(_whole(wv.fd_jet_field(field, 4, spec)), inside)
+        for _ in range(2):
+            _assert_same(_interpolated(source, inside), want)
+            for _ in range(3):
+                read = len(reads)
+                with pytest.raises(AttributeLostError, match="valid interior"):
+                    source.gradient_hessian(border)
+                assert len(reads) == read + 1  # a failure is gathered and checked again
+                assert run._key is None
+                with pytest.raises(AttributeLostError, match="valid interior"):
+                    source.first_order_components(border)
+                with pytest.raises(AttributeLostError, match="valid interior"):
+                    source.crossing_speed_factor(border, 0)
+
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_reopened_run_never_serves_the_old_rows(self, dim, monkeypatch):
+        monkeypatch.setattr(tracking, "_RUN_POINTS", 1)  # one frame a run
+        field = _random_field(dim)
+        spec = wv.StencilSpec(4, "one-sided")
+        run = _WindowRun(field, spec)
+        x = field.grid.point((np.asarray(field.grid.shape) - 1.0) / 2 + 0.3)
+        far = field.grid.point(np.full(dim, 3.2))
+        for frame in (3, 4):
+            want = _interpolated(_whole(wv.fd_jet_field(field, frame, spec)), x)
+            source = _JetInterpolator(run, frame)
+            anchor = source.anchor(source.index(x))
+
+            def poison():
+                for rows, _ in run._rows.values():
+                    rows[...] = 1e300
+
+            _assert_same(_interpolated(source, x), want)
+            passes = run.passes
+            poison()
+            run._open(frame, anchor)  # the same frame and block in a new pass
+            _assert_same(_interpolated(source, x), want)
+            assert run.passes == passes + 1
+            poison()
+            run.jets_at(frame + 1, anchor)  # another frame: a new run
+            _assert_same(_interpolated(source, x), want)  # and one more, gathered anew
+            assert run.passes == passes + 3
+            poison()
+            source.gradient_hessian(far)  # the same frame, out of the exact zone: a new run
+            assert run.passes == passes + 4
+            _assert_same(_interpolated(source, x), want)
+
+
+def _reference_anchor(grid, x, locked=None):
+    """The interpolation anchor of ``x`` on numpy arrays: ``locked`` while ``x``
+    stays within 1.5 cells of it, else the nearest index with a full block."""
+    fid = grid.index_of(x)
+    if locked is not None and not np.any(np.abs(fid - np.asarray(locked)) > 1.5):
+        return locked
+    return tuple(int(a) for a in np.clip(np.rint(fid), 1, np.asarray(grid.shape) - 2))
+
+
+def _reference_interpolation(jets, x, arrays, anchor=None):
+    """``arrays`` (of ``jets``) at ``x`` by np.tensordot of the 3^N block around
+    ``anchor`` with weights multiplied by np.multiply.outer."""
+    grid = jets.grid
+    n = grid.dim
+    fid = grid.index_of(x)
+    if not np.all((fid >= 0.0) & (fid <= np.asarray(grid.shape) - 1)):
+        raise AttributeLostError("left the grid")
+    if anchor is None:
+        anchor = _reference_anchor(grid, x)
+    block = tuple(slice(a - 1, a + 2) for a in anchor)
+    if not (np.isfinite(jets.grad[block]).all() and np.isfinite(jets.hessian[block]).all()):
+        raise AttributeLostError("left the valid interior")
+    s = fid - np.asarray(anchor)
+    weights = reduce(np.multiply.outer, [
+        np.array([0.5 * s[a] * (s[a] - 1.0), 1.0 - s[a] * s[a], 0.5 * s[a] * (s[a] + 1.0)])
+        for a in range(n)])
+    return [np.tensordot(weights, arr[block], axes=n) for arr in arrays]
+
+
+def _reference_sampled_newton(jets, x0, targets):
+    """The Newton loop of the sampled trackers on numpy arrays: anchor locking
+    and re-polishing, and np.tensordot interpolation on a whole-grid jet field
+    (the loop tracking._newton_iterations must reproduce bit for bit, with its
+    iteration count)."""
+    spacing = np.asarray(jets.grid.spacing)
+
+    def anchor_of(x, locked=None):
+        return _reference_anchor(jets.grid, x, locked)
+
+    def interpolate(x, anchor):
+        return _reference_interpolation(jets, x, (jets.grad, jets.hessian), anchor)
+
+    x = np.array(x0, dtype=float)
+    locked = None
+    polished = set()
+    for iteration in range(1, tracking.NEWTON_MAX_ITER + 1):
+        anchor = anchor_of(x, locked)
+        if anchor is not locked:
+            locked = None
+        grad, hess = interpolate(x, anchor)
+        residual = grad - targets
+        frob = float(np.sqrt(np.sum(hess * hess)))
+        if np.max(np.abs(residual)) <= tracking.NEWTON_TOL * frob * float(np.max(spacing)):
+            canonical = anchor_of(x)
+            if locked is None or canonical == locked or canonical in polished:
+                return x, iteration
+            polished.add(locked)
+            locked = canonical
+            continue
+        step, valid, _ = _solve_order_one(hess, residual)
+        if not valid:
+            raise wv.SingularHessianError("singular Hessian at a Newton iterate")
+        x = x + step
+        if not np.all(np.isfinite(x)):
+            raise wv.NoConvergenceError("Newton iterate became non-finite")
+        if locked is None and np.max(np.abs(step) / spacing) <= 0.5:
+            locked = anchor
+    raise wv.NoConvergenceError("no convergence")
+
+
+class TestSampledNewton:
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize("order", (2, 4))
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_tracks_equal_numpy_newton_reference(self, dim, order, boundary):
+        field, target, seed = _moving_bump_track(dim, "gradient")
+        spec = wv.StencilSpec(order, boundary)
+        res = wv.track_attribute(field, target, seed, spec=spec)
+        targets = np.zeros(dim)
+        x = field.grid.point(seed)
+        positions = np.empty_like(res.positions)
+        iterations = np.zeros(field.frames, dtype=int)
+        for frame in range(field.frames):
+            jets = wv.fd_jet_field(field, frame, spec)
+            x, iterations[frame] = _reference_sampled_newton(jets, x, targets)
+            positions[frame] = x
+        assert np.array_equal(res.positions.view(np.uint64), positions.view(np.uint64))
+        assert np.array_equal(res.newton_iterations, iterations)
+        assert iterations.sum() > field.frames  # more than one step a frame
 
 
 # --------------------------------------------------------------------------
