@@ -282,11 +282,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavevel",
         description="Local wave velocities of scalar fields: generation, "
-        "extraction, transformation checks, tracking.",
+        "extraction, transformation checks, tracking.  --config PATH (or "
+        "--config=PATH) reads default options from a key=value file; options "
+        "given on the command line win.",
         epilog="Vector values are comma separated; when one starts with a "
         "minus sign, use the equals form, e.g. --origin=-1.5,-1.5",
     )
-    parser.add_argument("--config", help="key=value file with default options")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="sample an analytic field into a field file")
@@ -349,14 +350,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(argv: list) -> list:
-    """Insert key=value config entries as defaults before the explicit args."""
-    if "--config" not in argv:
+    """Insert the key=value entries of ``--config PATH`` (or ``--config=PATH``)
+    as defaults before the explicit args."""
+    at = next((i for i, arg in enumerate(argv) if arg.partition("=")[0] == "--config"), None)
+    if at is None:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        return argv  # let argparse report the missing value
-    path = argv[at + 1]
-    rest = argv[:at] + argv[at + 2 :]
+    _, eq, path = argv[at].partition("=")
+    if not eq and at + 1 < len(argv):
+        path = argv[at + 1]
+    if not path:
+        raise ValueError("--config expects a file path")
+    rest = argv[:at] + argv[at + (1 if eq else 2):]
     extra = []
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
@@ -375,7 +379,7 @@ def cli(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _merge_config(argv)
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     parser = _build_parser()

@@ -2,8 +2,10 @@
 
 The catalog fields know their own exact derivative jets, so every velocity
 formula can be exercised with zero discretization error before finite
-differences enter the picture.  One parameter rule (:class:`AnalyticField`)
-serves the constructors and :func:`make_field`.  Units are abstract reals
+differences enter the picture.  Each kind writes its field expression once,
+for its values and its jets alike, and every exact Hessian is symmetric to
+the bit.  One parameter rule (:class:`AnalyticField`) serves
+the constructors and :func:`make_field`.  Units are abstract reals
 throughout; the docstrings state dimensions (field, length, time) but
 nothing is enforced.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -304,23 +307,6 @@ class PlaneWave(AnalyticField):
         return s, -w * c, grad, hess, tmix
 
 
-def _gaussian_jets(u: Array, sigma: float, amplitude: float, velocity: Array):
-    """Jets of ``A * exp(-|u|^2 / sigma^2)`` where ``u = x - center - c t``."""
-    s2 = sigma * sigma
-    q = np.sum(u * u, axis=-1) / s2
-    psi = amplitude * np.exp(-q)
-    grad = (-2.0 / s2) * u * psi[..., None]
-    uc = u @ velocity
-    dpsi_dt = (2.0 / s2) * uc * psi
-    n = u.shape[-1]
-    eye = np.eye(n)
-    hess = psi[..., None, None] * (
-        (4.0 / (s2 * s2)) * u[..., :, None] * u[..., None, :] - (2.0 / s2) * eye
-    )
-    tmix = (2.0 / s2) * psi[..., None] * (velocity - (2.0 / s2) * uc[..., None] * u)
-    return psi, dpsi_dt, grad, hess, tmix
-
-
 def _sum_planes(terms, n: int) -> Array:
     """``np.sum(np.stack(terms, axis=-1), axis=-1)`` to the bit, for ``n`` arrays.
 
@@ -402,6 +388,8 @@ def _gaussian_value(coords, center, sigma: float, amplitude: float, shift=None, 
 class _GaussianBump(AnalyticField):
     """Value, jets and grid sampling shared by the Gaussian kinds.
 
+    All three evaluate :func:`_gaussian_value`; with ``a = (2 / sigma^2) u`` the
+    Hessian is ``psi (a a^T - (2 / sigma^2) I)``, symmetric by construction.
     ``|u|^2`` is a sum over the axes, so :meth:`_grid_values` builds each
     ``u_a`` from the grid's axis coordinates and broadcasts it over the frame.
     Subclasses give ``center``, ``sigma`` and ``amplitude``; a moving one
@@ -426,11 +414,17 @@ class _GaussianBump(AnalyticField):
         return _gaussian_value(coords, self.center, self.sigma, self.amplitude, self._shift(t))[()]
 
     def jet_arrays(self, points, t):
-        u = self._check_points(points) - np.asarray(self.center)
-        shift = self._shift(t)
-        if shift is None:
-            return _gaussian_jets(u, self.sigma, self.amplitude, np.zeros(self.dim))
-        return _gaussian_jets(u - shift, self.sigma, self.amplitude, np.asarray(self.velocity))
+        pts = self._check_points(points)
+        psi = self.value(pts, t)
+        u, shift = pts - np.asarray(self.center), self._shift(t)
+        u, velocity = (u, np.zeros(self.dim)) if shift is None else (u - shift, self.velocity)
+        b = 2.0 / (self.sigma * self.sigma)
+        a = b * u
+        grad = -a * psi[..., None]
+        uc = u @ velocity
+        hess = psi[..., None, None] * (a[..., :, None] * a[..., None, :] - b * np.eye(self.dim))
+        tmix = b * psi[..., None] * (velocity - b * uc[..., None] * u)
+        return psi, b * uc * psi, grad, hess, tmix
 
     def _grid_values(self, grid, times):
         n = grid.dim
@@ -500,22 +494,22 @@ class ExpandingGaussianRing(AnalyticField):
     def dim(self) -> int:
         return len(self.center)
 
-    def value(self, points, t):
-        pts = self._check_points(points)
-        r = np.linalg.norm(pts - np.asarray(self.center), axis=-1)
+    def _profile(self, points, t):
+        """``(d, r, rho, psi)``: offset from the center, radius, shell coordinate, value."""
+        d = self._check_points(points) - np.asarray(self.center)
+        r = np.linalg.norm(d, axis=-1)
         rho = r - self.radius0 - self.speed * t
-        return self.amplitude * np.exp(-(rho * rho) / self.width**2)
+        return d, r, rho, self.amplitude * np.exp(-(rho * rho) / self.width**2)
+
+    def value(self, points, t):
+        return self._profile(points, t)[3]
 
     def jet_arrays(self, points, t):
-        pts = self._check_points(points)
-        d = pts - np.asarray(self.center)
-        r = np.linalg.norm(d, axis=-1)
+        d, r, rho, psi = self._profile(points, t)
         if np.any(r == 0):
             raise ValueError("ring jets are undefined at the center point")
         w2 = self.width**2
         v = self.speed
-        rho = r - self.radius0 - v * t
-        psi = self.amplitude * np.exp(-(rho * rho) / w2)
         rhat = d / r[..., None]
         p = -2.0 * rho / w2
         grad = psi[..., None] * p[..., None] * rhat
@@ -545,7 +539,8 @@ class Polynomial(AnalyticField):
     """Multivariate polynomial in space and time.
 
     ``terms`` is a sequence of ``(coefficient, spatial_exponents, time_exponent)``
-    triples; e.g. ``(3.0, (1, 1), 0)`` is the monomial ``3 x y``.
+    triples; e.g. ``(3.0, (1, 1), 0)`` is the monomial ``3 x y``.  The value
+    and each jet entry are one :meth:`_derivative` call.
     """
 
     terms: tuple
@@ -582,40 +577,30 @@ class Polynomial(AnalyticField):
     def dim(self) -> int:
         return len(self.terms[0][1])
 
-    def _term_value(self, pts, t, exps, et, dx: dict, dt_order: int) -> Array:
-        out = np.ones(pts.shape[:-1])
-        for a in range(self.dim):
-            out = out * _power_derivative(pts[..., a], exps[a], dx.get(a, 0))
-        return out * _power_derivative(np.asarray(float(t)), et, dt_order)
-
-    def value(self, points, t):
-        pts = self._check_points(points)
+    def _derivative(self, pts, t, dx: dict, dt_order: int = 0) -> Array:
+        """The derivative ``dx`` (axis -> order) and ``dt_order`` in time, summed over the terms."""
         out = np.zeros(pts.shape[:-1])
         for coeff, exps, et in self.terms:
-            out = out + coeff * self._term_value(pts, t, exps, et, {}, 0)
+            term = np.ones(pts.shape[:-1])
+            for a in range(self.dim):
+                term = term * _power_derivative(pts[..., a], exps[a], dx.get(a, 0))
+            out = out + coeff * (term * _power_derivative(np.asarray(float(t)), et, dt_order))
         return out
+
+    def value(self, points, t):
+        return self._derivative(self._check_points(points), t, {})
 
     def jet_arrays(self, points, t):
         pts = self._check_points(points)
-        base = pts.shape[:-1]
+        d = partial(self._derivative, pts, t)
         n = self.dim
-        psi = np.zeros(base)
-        dpsi_dt = np.zeros(base)
-        grad = np.zeros(base + (n,))
-        hess = np.zeros(base + (n, n))
-        tmix = np.zeros(base + (n,))
-        for coeff, exps, et in self.terms:
-            psi += coeff * self._term_value(pts, t, exps, et, {}, 0)
-            dpsi_dt += coeff * self._term_value(pts, t, exps, et, {}, 1)
-            for i in range(n):
-                grad[..., i] += coeff * self._term_value(pts, t, exps, et, {i: 1}, 0)
-                tmix[..., i] += coeff * self._term_value(pts, t, exps, et, {i: 1}, 1)
-                hess[..., i, i] += coeff * self._term_value(pts, t, exps, et, {i: 2}, 0)
-                for j in range(i + 1, n):
-                    mixed = coeff * self._term_value(pts, t, exps, et, {i: 1, j: 1}, 0)
-                    hess[..., i, j] += mixed
-                    hess[..., j, i] += mixed
-        return psi, dpsi_dt, grad, hess, tmix
+        hess = np.empty(pts.shape[:-1] + (n, n))
+        for i in range(n):
+            for j in range(i, n):
+                hess[..., i, j] = hess[..., j, i] = d({i: 2} if i == j else {i: 1, j: 1})
+        grad = np.stack([d({i: 1}) for i in range(n)], axis=-1)
+        tmix = np.stack([d({i: 1}, 1) for i in range(n)], axis=-1)
+        return d({}), d({}, 1), grad, hess, tmix
 
 
 FIELD_KINDS = {

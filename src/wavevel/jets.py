@@ -117,7 +117,7 @@ class JetField:
 
     Shapes are component-last: ``grad`` has shape ``(*grid.shape, N)``,
     ``hessian`` has ``(*grid.shape, N, N)``.  The grid kernels store the
-    component planes contiguously, so ``grad[..., a]`` and (for N <= 3)
+    component planes contiguously, so ``grad[..., a]`` and
     ``hessian[..., i, j]`` are C-contiguous planes and the arrays themselves
     are non-contiguous views: do not assume C order.  Every consumer gives
     the same bits on any layout.  Entries may be NaN wherever ``valid`` is

@@ -575,7 +575,7 @@ def track_attribute(
     seed,
     times=None,
     spec: StencilSpec = DEFAULT_STENCIL,
-    search_radius: float = 0.5,
+    search_radius: float | None = None,
 ) -> TrackResult:
     """Track an attribute point across frames and compare velocities.
 
@@ -583,10 +583,11 @@ def track_attribute(
     at the first frame (N integer indices inside the grid) and jets come
     from finite differences.  For an analytic catalog field, ``seed`` is a
     point, ``times`` supplies the (uniform) frames, and evaluation is exact;
-    ``search_radius`` bounds the per-frame level-crossing search along each
-    ray.  A malformed seed, gradient target or time axis raises ``ValueError``,
-    and so does ``times`` given with a sampled field, whose frames carry their
-    own times.
+    ``search_radius`` (finite and > 0; None means 0.5) bounds the per-frame
+    level-crossing search along each ray.  A malformed seed, gradient target,
+    time axis or search radius raises ``ValueError``, and so do ``times`` and
+    ``search_radius`` given with a sampled field, whose frames carry their own
+    times and whose crossings are searched along whole grid lines.
     """
     if not isinstance(target, AttributeSpec):
         raise TypeError("target must be an AttributeSpec")
@@ -594,6 +595,9 @@ def track_attribute(
         if times is not None:
             raise ValueError("times must be None for a SampledField: its frames carry "
                              "their own times (field.times)")
+        if search_radius is not None:
+            raise ValueError("search_radius must be None for a SampledField: its level "
+                             "crossings are searched along whole grid lines")
         times, dt = field.times, field.dt
         x0 = _grid_seed(field.grid, seed)
         run = _WindowRun(field, spec)  # shared by the sources; its windows open lazily
@@ -606,8 +610,11 @@ def track_attribute(
         x0 = np.asarray(seed, dtype=float)
         if x0.shape != (field.dim,) or not np.all(np.isfinite(x0)):
             raise ValueError(f"seed must be a finite point of dimension {field.dim}")
+        radius = 0.5 if search_radius is None else search_radius
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError(f"search_radius must be finite and > 0, got {radius!r}")
         run = None
-        frames = [_ExactJets(field, t, search_radius) for t in times]
+        frames = [_ExactJets(field, t, radius) for t in times]
     else:
         raise TypeError(f"cannot track on a {type(field).__name__}")
     if times.size < 3:

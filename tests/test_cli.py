@@ -163,6 +163,14 @@ class TestVelocityScalar:
         assert median == pytest.approx(2.0, abs=1e-2)
 
 
+    def test_one_sided_boundary_keeps_the_border(self, tmp_path, capsys):
+        # shrink-to-valid leaves the order-4 border band invalid; one-sided fills it
+        path = _generate(tmp_path, GAUSS, shape="32,32", origin="-0.775")
+        assert cli(["velocity", str(path), "--order", "0"]) == 0
+        assert "784/1024 valid points" in capsys.readouterr().out
+        assert cli(["velocity", str(path), "--order", "0", "--boundary", "one-sided"]) == 0
+        assert "1024/1024 valid points" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", [["velocity", "--order", "1"], ["scalar"]])
     @pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
     def test_bad_singularity_threshold_is_usage_error(self, tmp_path, capsys, command, eps):
@@ -350,6 +358,60 @@ class TestConfigAndUsage:
                     "--spacing", "0.05", "--origin", "-1.175", "--frames", "7",
                     "--out", str(out)]) == 0
         assert wv.read_field(out).frames == 7
+
+    @pytest.mark.parametrize("spelling", [["--config", "{cfg}"], ["--config={cfg}"]])
+    def test_config_spellings_take_effect(self, tmp_path, capsys, spelling):
+        # --config=PATH used to be swallowed by an option nothing read: order 4 ran
+        path = _generate(tmp_path, GAUSS)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("fd-order=3\n")
+        flag = [arg.format(cfg=cfg) for arg in spelling]
+        assert cli([*flag, "velocity", str(path), "--order", "0"]) == 2
+        assert "invalid choice: 3" in capsys.readouterr().err
+        cfg.write_text("order=1\n")
+        assert cli([*flag, "velocity", str(path)]) == 0
+        assert "order-1 velocities" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--conf", "--con", "--configs"])
+    def test_other_config_spellings_are_unrecognised(self, tmp_path, capsys, flag):
+        path = _generate(tmp_path, GAUSS)
+        cfg = tmp_path / "good.cfg"
+        cfg.write_text("order=1\n")
+        capsys.readouterr()
+        assert cli([flag, str(cfg), "velocity", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "wavevel: error:" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["info", "f.wvf", "--config"], ["--config="]])
+    def test_config_without_a_path_is_usage_error(self, argv, capsys):
+        assert cli(argv) == 2
+        assert "error: --config expects a file path" in capsys.readouterr().err
+
+    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
+        assert cli(["--config", str(tmp_path / "absent.cfg"), "info", "f.wvf"]) == 2
+        assert "absent.cfg" in capsys.readouterr().err
+
+    def test_help_names_config(self, capsys):
+        assert cli(["-h"]) == 0
+        assert "--config PATH" in " ".join(capsys.readouterr().out.split())
+
+    def test_param_without_equals_is_usage_error(self, tmp_path, capsys):
+        out = str(tmp_path / "x.wvf")
+        assert cli(["generate", "--kind", "static-gaussian", "--param", "sigma",
+                    "--shape", "8,8", "--spacing", "0.1", "--origin", "0", "--out", out]) == 2
+        assert "--param expects KEY=VALUE, got 'sigma'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--spacing", "--origin"])
+    def test_grid_vector_count_mismatch_is_usage_error(self, tmp_path, capsys, option):
+        argv = {"--shape": "8,8", "--spacing": "0.1", "--origin": "0"}
+        argv[option] = "0.1,0.2,0.3"
+        flat = [item for pair in argv.items() for item in pair]
+        assert cli(["generate", *GAUSS, *flat, "--out", str(tmp_path / "x.wvf")]) == 2
+        assert f"{option} needs 1 or 2 values, got 3" in capsys.readouterr().err
+
+    def test_offset_count_mismatch_is_usage_error(self, capsys):
+        assert cli(["covcheck", *GAUSS, "--matrix", "1,0,0,1", "--offset", "0.1,0.2,0.3"]) == 2
+        assert "--offset needs 1 or 2 values, got 3" in capsys.readouterr().err
 
     def test_no_command_is_usage_error(self):
         assert cli([]) == 2

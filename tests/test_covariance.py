@@ -23,6 +23,16 @@ class TestAffineMap:
         with pytest.raises(ValueError):
             wv.AffineMap(np.eye(2), np.zeros(3))
 
+    @pytest.mark.parametrize("matrix, offset", [
+        ([[1.0, np.nan], [0.0, 1.0]], None),
+        ([[np.inf, 0.0], [0.0, 1.0]], None),
+        (np.eye(2), [0.0, np.nan]),
+        (np.eye(2), [-np.inf, 0.0]),
+    ])
+    def test_nonfinite_entries_rejected(self, matrix, offset):
+        with pytest.raises(ValueError, match="map entries must be finite"):
+            wv.AffineMap(np.asarray(matrix), offset)
+
     def test_inverse_residual(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -135,10 +145,13 @@ class TestPullback:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_composed_jets_are_pullbacks_bitwise(self, n):
-        # one pullback serves both; the Gaussian kinds are left out because
-        # their exact Hessians are asymmetric by an ulp and Jet2 mirrors them
+        # one pullback serves both; Jet2 mirrors the upper triangle, so every
+        # kind's exact Hessian must be symmetric to the bit
         rng = np.random.default_rng(60 + n)
         bases = (wv.PlaneWave(tuple(rng.standard_normal(n)), 1.7, amplitude=1.3),
+                 wv.TranslatingGaussian(tuple(rng.standard_normal(n)), 0.9,
+                                        center=tuple(0.1 * rng.standard_normal(n)), amplitude=1.4),
+                 wv.StaticGaussian(1.3, center=tuple(0.1 * rng.standard_normal(n))),
                  wv.ExpandingGaussianRing(0.3, 0.4, center=tuple(0.05 * rng.standard_normal(n))),
                  wv.Polynomial(((0.4, (2,) * n, 0), (0.3, (1,) * n, 1), (2.0, (0,) * n, 1))))
         for base in bases:
@@ -223,6 +236,13 @@ class TestTwoPathChecks:
         pts = np.array([[0.2, 0.1]])
         report = wv.check_first_order_covariance(pw, amap, pts, 0.0)
         assert report.checked == 0 and report.skipped == 1
+
+
+    @pytest.mark.parametrize("h, dt", [(0.0, 1e-3), (-1e-3, 1e-3), (1e-3, 0.0),
+                                       (1e-3, -1e-3), (np.nan, 1e-3)])
+    def test_fd_steps_must_be_positive(self, h, dt):
+        with pytest.raises(ValueError, match="h and dt must be positive"):
+            wv.make_fd_jet2_fn(h=h, dt=dt)
 
 
 class TestMirror:

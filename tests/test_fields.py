@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import wavevel as wv
+from wavevel.fields import canonical_time_axis
 
 ALL_KINDS = [
     wv.PlaneWave((2.0, 1.0), 3.0),
@@ -50,6 +51,17 @@ class TestGrid:
         with pytest.raises(ValueError):
             wv.make_grid(0, [], [], [])
 
+    def test_axis_lengths_must_match(self):
+        with pytest.raises(ValueError, match="must have equal length"):
+            wv.Grid((8, 8), (0.1,), (0.0, 0.0))
+        with pytest.raises(ValueError, match="must have equal length"):
+            wv.Grid((8, 8), (0.1, 0.1), (0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("origin", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_origin(self, origin):
+        with pytest.raises(ValueError, match="origin must be finite"):
+            wv.make_grid(2, [8, 8], 0.1, [0.0, origin])
+
     def test_npoints_does_not_wrap(self):
         # 2^21 * 2^21 * 2^22 = 2^64 points: 0 in int64 arithmetic
         g = wv.Grid((2**21, 2**21, 2**22), (1.0,) * 3, (0.0,) * 3)
@@ -75,6 +87,33 @@ class TestSampledField:
             wv.SampledField.from_times(g, [0.0, 0.1, 0.25], np.zeros((3, 5)))
         with pytest.raises(ValueError):
             wv.SampledField.from_times(g, [0.0, 0.1, 0.1], np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("t0, dt", [(np.nan, 0.1), (np.inf, 0.1), (0.0, np.nan),
+                                        (0.0, -np.inf)])
+    def test_nonfinite_time_axis_rejected(self, t0, dt):
+        grid = wv.make_grid(1, [8], [0.1], [0.0])
+        with pytest.raises(ValueError, match="t0 and dt must be finite"):
+            wv.SampledField(grid, t0, dt, np.zeros((3, 8)))
+
+    @pytest.mark.parametrize("frames, dt, message", [
+        (3, 0.0, "dt must be positive for multi-frame fields"),
+        (3, -0.1, "dt must be positive for multi-frame fields"),
+        (1, -0.1, "dt must be non-negative"),
+    ])
+    def test_time_step_sign(self, frames, dt, message):
+        grid = wv.make_grid(1, [8], [0.1], [0.0])
+        with pytest.raises(ValueError, match=message):
+            wv.SampledField(grid, 0.0, dt, np.zeros((frames, 8)))
+        assert wv.SampledField(grid, 0.0, 0.0, np.zeros((1, 8))).frames == 1
+
+    @pytest.mark.parametrize("times, message", [
+        ([], "times must be a non-empty 1-d sequence"),
+        ([0.0, np.nan, 0.2], "times must be finite"),
+        ([np.inf], "times must be finite"),
+    ])
+    def test_time_stamps_rejected(self, times, message):
+        with pytest.raises(ValueError, match=message):
+            canonical_time_axis(times)
 
     def test_shape_mismatch_rejected(self):
         g = wv.make_grid(1, [5], [1.0], [0.0])
@@ -191,6 +230,18 @@ class TestSample:
             wv.make_field("polynomial", terms=terms)
         assert "(coefficient, spatial_exponents, time_exponent) triples" in str(info.value)
 
+    @pytest.mark.parametrize("terms, message", [
+        (((1.0, (1, 0), 0), (1.0, (1,), 0)), "all terms must share the spatial dimension"),
+        (((1.0, (1, -1), 0),), "exponents must be non-negative"),
+        (((1.0, (1, 1), -1),), "exponents must be non-negative"),
+        (((np.nan, (1, 1), 0),), "coefficients must be finite"),
+        (((np.inf, (1, 1), 0),), "coefficients must be finite"),
+        ((), "polynomial needs at least one term"),
+    ])
+    def test_polynomial_term_rules(self, terms, message):
+        with pytest.raises(ValueError, match=message):
+            wv.Polynomial(terms)
+
     def test_nonfinite_parameter(self):
         with pytest.raises(ValueError):
             wv.make_field("translating-gaussian", velocity=(np.nan, 0.0), sigma=1.0)
@@ -261,6 +312,23 @@ class TestAnalyticJets:
                 continue  # exact (e.g. static time derivatives); nothing to refine
             order = np.log2(e1 / e2)
             assert order >= 1.9, (field.kind, comp, e1, e2, order)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_jet_value_is_value_bitwise(self, n):
+        # value and jet_arrays share one expression per kind
+        rng = np.random.default_rng(90 + n)
+        kinds = (wv.PlaneWave(tuple(rng.standard_normal(n)), 1.7, amplitude=1.3, phase=0.2),
+                 wv.TranslatingGaussian(tuple(rng.standard_normal(n)), 0.9,
+                                        center=tuple(0.1 * rng.standard_normal(n))),
+                 wv.StaticGaussian(0.8, center=tuple(0.1 * rng.standard_normal(n))),
+                 wv.ExpandingGaussianRing(0.3, 0.4, radius0=0.6, center=(0.05,) * n),
+                 wv.Polynomial(((0.4, (2,) * n, 0), (-1.1, tuple(range(n)), 2),
+                                (2.0, (0,) * n, 1))))
+        pts = rng.uniform(-1.2, 1.2, size=(40, n))
+        pts[3, 0] = -0.0
+        for field in kinds:
+            for t in (-0.37, 0.0, 0.51):
+                assert np.array_equal(field.jet_arrays(pts, t)[0], field.value(pts, t))
 
     def test_plane_wave_closed_form(self):
         # hand differentiation: grad = (2 cos, 1 cos), psi_t = -3 cos at theta

@@ -264,6 +264,68 @@ class TestInputChecks:
                 wv.track_attribute(sf, target, seed, times=times)
 
 
+    @pytest.mark.parametrize("radius", [-5.0, 0.0, np.nan, np.inf])
+    def test_analytic_search_radius_must_be_finite_and_positive(self, radius):
+        # -5 tracked like +5, and NaN failed inside brentq
+        pw = wv.PlaneWave((2.0, 1.0), 3.0)
+        with pytest.raises(ValueError, match="search_radius must be finite and > 0"):
+            wv.track_attribute(pw, wv.AttributeSpec.level_set(0.3), np.array([0.2, 0.1]),
+                               times=0.01 * np.arange(5), search_radius=radius)
+
+    def test_default_search_radius_is_one_half(self):
+        pw = wv.PlaneWave((2.0, 1.0), 3.0)
+        args = (pw, wv.AttributeSpec.level_set(0.3), np.array([0.2, 0.1]))
+        default = wv.track_attribute(*args, times=0.01 * np.arange(9))
+        half = wv.track_attribute(*args, times=0.01 * np.arange(9), search_radius=0.5)
+        assert np.array_equal(default.positions, half.positions)
+        assert np.array_equal(default.computed_velocity, half.computed_velocity)
+
+    @pytest.mark.parametrize("radius", [0.5, -5.0])
+    def test_sampled_field_rejects_search_radius(self, radius):
+        # a sampled level track searches whole grid lines: the radius was ignored
+        _, grid, sf = _sampled_gaussian()
+        seed = np.unravel_index(np.argmax(sf.values[0]), grid.shape)
+        with pytest.raises(ValueError, match="search_radius must be None for a SampledField"):
+            wv.track_attribute(sf, wv.AttributeSpec.level_set(0.9), seed, search_radius=radius)
+
+    def test_target_must_be_an_attribute_spec(self):
+        _, _, sf = _sampled_gaussian()
+        with pytest.raises(TypeError, match="target must be an AttributeSpec"):
+            wv.track_attribute(sf, (0.0, 0.0), (32, 32))
+
+    def test_unsupported_field_type(self):
+        _, _, sf = _sampled_gaussian()
+        with pytest.raises(TypeError, match="cannot track on a JetField"):
+            wv.track_attribute(wv.fd_jet_field(sf, 4), PEAK, (32, 32))
+
+    def test_analytic_track_needs_three_times(self):
+        with pytest.raises(ValueError, match="tracking needs at least 3 frames"):
+            wv.track_attribute(wv.StaticGaussian(1.0), PEAK, np.array([0.1, 0.0]),
+                               times=[0.0, 0.1])
+
+    def test_rank_one_hessian_is_singular(self):
+        # a plane wave's Hessian -A sin(theta) k k^T has rank 1 everywhere
+        with pytest.raises(wv.SingularHessianError, match="singular Hessian"):
+            wv.track_attribute(wv.PlaneWave((2.0, 1.0), 3.0), PEAK, np.array([0.3, 0.1]),
+                               times=0.01 * np.arange(5))
+
+
+class TestLostCrossingSpeed:
+    def test_crossing_outside_the_valid_jets_leaves_a_nan_speed(self):
+        # psi = x + y - 2 t: the crossing of 0.7 on the y ray through x = 0.2
+        # reaches y = 0.7 .. 0.9 at frames 2-4, next to the NaN border band of
+        # the order-4 jets; those speeds stay NaN while the x ray's are exact
+        field = wv.Polynomial(((1.0, (1, 0), 0), (1.0, (0, 1), 0), (-2.0, (0, 0), 1)))
+        sf = wv.sample(field, wv.make_grid(2, (12, 12), 0.1, 0.0), 0.05 * np.arange(7))
+        res = wv.track_attribute(sf, wv.AttributeSpec.level_set(0.7), (2, 6))
+        assert res.positions[:, 1] == pytest.approx(0.5 + 0.1 * np.arange(7))
+        assert res.computed_velocity[2:5, 0] == pytest.approx([2.0] * 3)
+        assert np.isnan(res.computed_velocity[:, 1]).all()
+        source = _JetInterpolator(_WindowRun(sf, wv.StencilSpec()), 3)
+        with pytest.raises(AttributeLostError, match="valid interior"):
+            source.crossing_speed_factor(np.array([0.2, res.positions[3, 1]]), 1)
+
+
 class TestCrossingSpeed:
     def test_zero_axis_gradient_is_nan_on_both_sources(self):
         # psi = t + x/2: psi_x = 1/2 and psi_y = 0 everywhere, so the axis-1 speed is undefined
