@@ -307,48 +307,24 @@ class PlaneWave(AnalyticField):
         return s, -w * c, grad, hess, tmix
 
 
-def _sum_planes(terms, n: int) -> Array:
-    """``np.sum(np.stack(terms, axis=-1), axis=-1)`` to the bit, for ``n`` arrays.
+def _sum_planes(terms, out=None) -> Array:
+    """The terms summed left to right from +0.0: ``((0.0 + t0) + t1) + ...``.
 
-    The terms are added in numpy's pairwise order (see :func:`_pairwise_sum`)
-    and the total is added to +0.0, so a sum of -0 terms is +0 as numpy's is.
-    Terms are consumed in order and some are overwritten; at most eight
-    partial sums and one term are held at a time.
+    This is the one rounding rule for sums over components, so a sum gives
+    the same bits on any memory layout and at a single point, and a sum of
+    -0 terms is +0.  The first term is added to +0.0 into ``out`` when it is
+    given, else in place (arrays only: a float is never changed); each later
+    term is then added in place and dropped before the next is made.
     """
-    total = _pairwise_sum(iter(terms), n)
-    if n >= 8:  # shorter sums already start from +0.0
-        total += 0.0
-    return total
-
-
-def _pairwise_sum(terms, n: int):
-    """The next ``n`` terms summed as numpy's ``pairwise_sum`` orders them.
-
-    Fewer than 8 terms are added one by one from +0.0.  Up to 128 go into 8
-    interleaved partial sums, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-    and the remainder is added one by one.  Longer runs are split at a
-    multiple of 8 near their middle and the two halves summed recursively.
-    """
-    if n < 8:
+    terms = iter(terms)
+    if out is None:
         total = next(terms)
         total += 0.0
-        for _ in range(n - 1):
-            total += next(terms)
-        return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        total = _pairwise_sum(terms, half)
-        total += _pairwise_sum(terms, n - half)
-        return total
-    r = [next(terms) for _ in range(8)]
-    for k in range(8, n - n % 8):
-        r[k % 8] += next(terms)
-    for step in (1, 2, 4):
-        for k in range(0, 8, 2 * step):
-            r[k] += r[k + step]
-    total = r[0]
-    for _ in range(n % 8):
-        total += next(terms)
+    else:
+        total = np.add(next(terms), 0.0, out=out)
+    for term in terms:
+        total += term
+        del term  # freed before the next term is made: one temporary at a time
     return total
 
 
@@ -358,27 +334,18 @@ def _gaussian_value(coords, center, sigma: float, amplitude: float, shift=None, 
     Each ``coords[a]`` broadcasts to the result: a plane of a point array, or
     one grid axis shaped as a column, so a grid needs no point array.  The
     squares ``u_a^2`` are made one at a time, each on the shape of its
-    ``coords[a]``, and summed in :func:`_sum_planes` order.  Only the terms
-    that sum accumulates into are copied to full size (the first, and from
-    eight axes on the first eight); the first goes to ``out``, which holds
-    the result.
+    ``coords[a]``, and :func:`_sum_planes` adds them left to right into
+    ``out``, which holds the result.
     """
-    n = len(coords)
     shape = np.broadcast_shapes(*(np.shape(x) for x in coords))
-    out = np.empty(shape) if out is None else out
 
     def square(a):
         u = np.subtract(coords[a], center[a], out=np.empty(np.shape(coords[a])))
         if shift is not None:
             u -= shift[a]
-        np.multiply(u, u, out=u)
-        if a == 0 or a < 8 <= n:
-            acc = out if a == 0 else np.empty(shape)
-            np.copyto(acc, u)
-            return acc
-        return u
+        return np.multiply(u, u, out=u)
 
-    q = _sum_planes(map(square, range(n)), n)  # q is out
+    q = _sum_planes(map(square, range(len(coords))), np.empty(shape) if out is None else out)
     np.divide(q, -(sigma**2), out=q)  # the bits of -q / sigma^2: rounding is sign-symmetric
     np.exp(q, out=q)
     q *= amplitude

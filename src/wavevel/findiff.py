@@ -138,12 +138,26 @@ def fornberg_weights(nodes, x0: float, deriv: int) -> Array:
 
 @lru_cache(maxsize=None)
 def _taps_cached(deriv: int, order: int, d_low: int, d_high: int, h: float, boundary: str):
+    """The taps of :func:`stencil_taps`; ``ValueError`` when the step ``h`` is so
+    small or so large that ``h**deriv`` under- or overflows or a tap is not finite."""
     hw = order // 2
-    scale = h**deriv
-    if d_low >= hw and d_high >= hw:
-        return tuple((off, coeff / scale) for off, coeff in _CENTRAL[(deriv, order)])
-    if boundary == BOUNDARY_SHRINK:
-        return None
+    try:
+        if d_low >= hw and d_high >= hw:
+            scale = h**deriv
+            taps = tuple((off, coeff / scale) for off, coeff in _CENTRAL[(deriv, order)])
+        elif boundary == BOUNDARY_SHRINK:
+            return None
+        else:
+            taps = _one_sided_taps(deriv, order, d_low, d_high, h)
+    except (ZeroDivisionError, OverflowError):  # h**deriv underflows to 0 or overflows
+        taps = ()
+    if not taps or not all(np.isfinite(coeff) for _, coeff in taps):
+        raise ValueError(f"step {h!r} is out of range for a derivative-{deriv} stencil: "
+                         f"h**{deriv} or a tap under- or overflows")
+    return taps
+
+
+def _one_sided_taps(deriv: int, order: int, d_low: int, d_high: int, h: float):
     nw = deriv + order
     if d_low + d_high + 1 < nw:
         raise ValueError(
@@ -153,7 +167,8 @@ def _taps_cached(deriv: int, order: int, d_low: int, d_high: int, h: float, boun
     # window of nw contiguous offsets, as centered as the boundary allows
     a = max(-d_low, min(-(nw - 1) // 2, d_high - (nw - 1)))
     offsets = np.arange(a, a + nw)
-    weights = fornberg_weights(offsets * h, 0.0, deriv)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked by the caller
+        weights = fornberg_weights(offsets * h, 0.0, deriv)
     return tuple((int(off), float(w)) for off, w in zip(offsets, weights))
 
 
@@ -401,33 +416,37 @@ def fd_jet_fields(
             hess[..., b, a] = hess[..., a, b]
         return ok
 
-    axis_valid = []
-    for b in range(n):
-        v1 = _diff_into(grad[..., b], cur, b + 1, grid.spacing[b], 1, spec)
-        axis_valid.append(v1 & hessian_entry(b, b, cur, 2))
-        # the mixed derivatives of axis b from its contiguous d/dx_b plane
-        for a in range(b):
-            hessian_entry(a, b, grad[..., b], 1)
+    # the input is finite, so a non-finite entry can only come from an overflow
+    # or an invalid operation in a pass; entries are scanned only if one happened
+    faults = []
+    with np.errstate(over="call", invalid="call", call=lambda err, flag: faults.append(err)):
+        axis_valid = []
+        for b in range(n):
+            v1 = _diff_into(grad[..., b], cur, b + 1, grid.spacing[b], 1, spec)
+            axis_valid.append(v1 & hessian_entry(b, b, cur, 2))
+            # the mixed derivatives of axis b from its contiguous d/dx_b plane
+            for a in range(b):
+                hessian_entry(a, b, grad[..., b], 1)
 
-    dpsi_dt = np.empty(stack)  # frames without a time window are masked below
-    start = 0
-    for taps, group in groupby(ttaps):
-        stop = start + len(list(group))
-        if taps is not None:
-            lo, hi = frames.start + start, frames.start + stop
-            out = dpsi_dt[start:stop].reshape(-1)
-            _stencil_sum(out,
-                         [(coeff, field.values[lo + off : hi + off].reshape(-1))
-                          for off, coeff in taps],
-                         np.empty(min(out.size, STRIP_POINTS)))
-        start = stop
-    # a time window needs half a stencil of frames on each side, so the
-    # frames that have one are contiguous
-    timed = np.flatnonzero(time_valid)
-    if timed.size:
-        timed = slice(timed[0], timed[-1] + 1)
-        for a in range(n):
-            _diff_into(tmix[timed, ..., a], dpsi_dt[timed], a + 1, grid.spacing[a], 1, spec)
+        dpsi_dt = np.empty(stack)  # frames without a time window are masked below
+        start = 0
+        for taps, group in groupby(ttaps):
+            stop = start + len(list(group))
+            if taps is not None:
+                lo, hi = frames.start + start, frames.start + stop
+                out = dpsi_dt[start:stop].reshape(-1)
+                _stencil_sum(out,
+                             [(coeff, field.values[lo + off : hi + off].reshape(-1))
+                              for off, coeff in taps],
+                             np.empty(min(out.size, STRIP_POINTS)))
+            start = stop
+        # a time window needs half a stencil of frames on each side, so the
+        # frames that have one are contiguous
+        timed = np.flatnonzero(time_valid)
+        if timed.size:
+            timed = slice(timed[0], timed[-1] + 1)
+            for a in range(n):
+                _diff_into(tmix[timed, ..., a], dpsi_dt[timed], a + 1, grid.spacing[a], 1, spec)
 
     # invalid points: whole frames without a time window, whose time parts
     # are NaN, and the border bands of each axis, whose entries are NaN
@@ -440,6 +459,10 @@ def fd_jet_fields(
         valid[band] = False
         for arr in (dpsi_dt, grad, hess, tmix):
             arr[band] = np.nan
+    if faults:
+        valid &= np.isfinite(dpsi_dt)
+        for arr, axes in ((grad, -1), (tmix, -1), (hess, (-2, -1))):
+            valid &= np.isfinite(arr).all(axis=axes)
 
     return [JetField(grid, field.time(frame), frame, psi[k], dpsi_dt[k], grad[k], hess[k],
                      tmix[k], valid[k])

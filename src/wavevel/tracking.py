@@ -473,9 +473,9 @@ def _newton_iterations(source, x0, targets):
     their first convergence returns.
 
     The iterate, the step and the tests run on Python floats, with the
-    source's fractional index computed once a step; ``||H||_F`` is summed in
-    numpy's pairwise order (:func:`_sum_planes`), so every decision and bit
-    is that of the same loop on numpy arrays.
+    source's fractional index computed once a step; ``||H||_F`` is summed
+    left to right (:func:`_sum_planes`), as the grid kernels sum it, so every
+    decision and bit is that of the same loop on numpy arrays.
     """
     x = np.asarray(x0, dtype=float).tolist()
     locked = None
@@ -487,8 +487,7 @@ def _newton_iterations(source, x0, targets):
             locked = None  # not locked, or the iterate escaped the locked cell
         grad, hess = source.gradient_hessian(x, anchor, fid)
         residual = grad - targets
-        entries = hess.ravel().tolist()
-        frob = math.sqrt(_sum_planes((e * e for e in entries), len(entries)))  # np.sum's order
+        frob = math.sqrt(_sum_planes(e * e for e in hess.ravel().tolist()))
         bound = NEWTON_TOL * frob * source.length_scale
         if all(abs(r) <= bound for r in residual.tolist()):  # False on NaN, as np.max is
             canonical = source.anchor(fid)

@@ -25,8 +25,8 @@ The order-one map calls its kernel on blocks of :data:`BLOCK_POINTS` points
 and stores its output planes-first behind a component-last view; the other
 two kernels run on the whole grid and keep the memory order of their input
 (planes-first on fd jets).  The kernels read their inputs plane by plane and
-sum in numpy's pairwise order, so they give the same bits on any layout and
-at one point, as their trailing-axis formulation does on C-ordered input.
+sum over components left to right from +0.0 (:func:`_sum_planes`), so they
+give the same bits on any layout and at one point.
 """
 
 from __future__ import annotations
@@ -233,9 +233,8 @@ def _solve_order_one(h: Array, b: Array, ok=True, eps_singular: float = EPS_SING
         pivoted = n > 3
     # the entries of H: floats at one point, plane views on a stack
     rows = h.tolist() if one else [[h[..., i, j] for j in range(n)] for i in range(n)]
-    # ||H||_F ** N summed as numpy sums a contiguous trailing axis, so every
-    # layout of the stack rounds alike
-    frob_n = _sum_planes((e * e for row in rows for e in row), n * n)
+    # ||H||_F ** N summed left to right, so every layout of the stack rounds alike
+    frob_n = _sum_planes(e * e for row in rows for e in row)
     frob_n = (np.float64(frob_n) if one else frob_n) ** (n / 2)  # a float power raises on overflow
     if pivoted:
         det = np.zeros(np.shape(ok))
@@ -298,8 +297,8 @@ def _contract(reciprocal: Array, components: Array, ok=True):
     n = reciprocal.shape[-1]
     valid = ok & np.isfinite(reciprocal).all(axis=-1)
     with np.errstate(invalid="ignore"):
-        values = np.asarray(_sum_planes((reciprocal[..., a] * components[..., a]
-                                         for a in range(n)), n))
+        values = np.asarray(_sum_planes(reciprocal[..., a] * components[..., a]
+                                        for a in range(n)))
     values[~valid] = np.nan
     return values, valid
 

@@ -171,6 +171,31 @@ class TestVelocityScalar:
         assert cli(["velocity", str(path), "--order", "0", "--boundary", "one-sided"]) == 0
         assert "1024/1024 valid points" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("spacing, dt, message", [
+        (1e-200, 0.1, "step 1e-200 is out of range for a derivative-2 stencil"),
+        (0.1, 5e-324, "step 5e-324 is out of range for a derivative-1 stencil"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["velocity", "--order", "0"],
+        ["track", "--attribute", "gradient-set", "--seed", "8,8"],
+    ])
+    def test_out_of_range_step_is_usage_error(self, tmp_path, capsys, spacing, dt, message,
+                                              command):
+        # a spacing of 1e-200 raised ZeroDivisionError; a dt of 5e-324 gave NaN rows as valid
+        values = np.random.default_rng(0).standard_normal((5, 16, 16))
+        path = tmp_path / "tiny.wvf"
+        wv.write_field(wv.SampledField(wv.make_grid(2, (16, 16), spacing, 0.0), 0.0, dt, values),
+                       path)
+        assert cli([command[0], str(path), *command[1:]]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_overflowing_jets_are_not_valid(self, tmp_path, capsys):
+        # 144 of 256 points were reported valid, every one of them NaN
+        path = _generate(tmp_path, [*WAVE, "--param", "amplitude=1e308"], shape="16,16",
+                         origin="0")
+        assert cli(["velocity", str(path), "--order", "0"]) == 0
+        assert "0/256 valid points" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", [["velocity", "--order", "1"], ["scalar"]])
     @pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
     def test_bad_singularity_threshold_is_usage_error(self, tmp_path, capsys, command, eps):

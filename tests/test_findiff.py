@@ -1,5 +1,7 @@
 """Finite-difference jet tests: exactness, masks, equivalence, convergence."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,9 @@ class TestStencils:
     def test_spacing_scaling(self):
         taps = dict(stencil_taps(2, 2, 5, 11, 0.5, "shrink-to-valid"))
         assert taps == {-1: 4.0, 0: -8.0, 1: 4.0}
+        # a tiny step is fine while its taps stay finite
+        taps = dict(stencil_taps(1, 2, 5, 11, 1e-200, "shrink-to-valid"))
+        assert taps == {-1: -0.5 / 1e-200, 1: 0.5 / 1e-200}
 
     def test_fornberg_reproduces_central(self):
         assert fornberg_weights([-1, 0, 1], 0.0, 1) == pytest.approx([-0.5, 0, 0.5])
@@ -42,6 +47,17 @@ class TestStencils:
     def test_position_out_of_range(self):
         with pytest.raises(IndexError):
             stencil_taps(1, 2, 20, 20, 1.0, "one-sided")
+
+    @pytest.mark.parametrize("deriv, pos, h, boundary", [
+        (2, 5, 1e-200, "shrink-to-valid"),  # h**2 underflows to 0
+        (1, 5, 5e-324, "shrink-to-valid"),  # 1/h overflows
+        (2, 5, 1e200, "shrink-to-valid"),  # h**2 overflows
+        (1, 0, 1e-100, "one-sided"),  # Fornberg's node products underflow
+    ])
+    def test_out_of_range_step_is_rejected(self, deriv, pos, h, boundary):
+        message = f"step {h!r} is out of range for a derivative-{deriv} stencil"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            stencil_taps(deriv, 4, pos, 11, h, boundary)
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
@@ -253,6 +269,19 @@ class TestFdJetFields:
             assert jets.grad.base.shape == (2, 3) + g.shape
             assert jets.hessian.base is run[0].hessian.base
             assert jets.hessian.base.shape == (2, 2, 3) + g.shape
+
+    def test_overflow_clears_valid(self):
+        # finite samples near 1e308 overflow in the stencil sums near them;
+        # those jets are not valid, and every other interior jet still is
+        g = wv.make_grid(2, (16, 16), 0.05, 0.0)
+        values = np.random.default_rng(3).standard_normal((5, 16, 16))
+        interior = wv.fd_jet_field(wv.SampledField(g, 0.0, 0.01, values), 2).valid
+        values[:, :5, :5] = 1e308
+        jets = wv.fd_jet_field(wv.SampledField(g, 0.0, 0.01, values), 2)
+        finite = (np.isfinite(jets.dpsi_dt) & np.isfinite(jets.grad).all(-1)
+                  & np.isfinite(jets.time_mixed).all(-1) & np.isfinite(jets.hessian).all((-2, -1)))
+        assert np.array_equal(jets.valid, interior & finite)
+        assert 0 < np.count_nonzero(jets.valid) < np.count_nonzero(interior)
 
     def test_frame_range_checked(self):
         _, g, sf = _poly_field()

@@ -1,14 +1,17 @@
 """The grid kernels against their straightforward formulas, bit for bit.
 
 The ``_ref_*`` functions below are the trailing-axis formulations the grid
-kernels replaced: ``np.stack`` + ``np.sum(axis=-1)`` sampling, the
-boolean-mask ``fd_jet_field``, the broadcasting order-zero map and
-contraction, and the unblocked eye-substituting pivoted solve.  The kernels
-work on component planes and blocks of points but must round exactly like
-these references: same values, same NaN positions, same sign of zero.
+kernels replaced: point-array sampling, the boolean-mask ``fd_jet_field``,
+the broadcasting order-zero map and contraction, and the unblocked
+eye-substituting pivoted solve.  Their sums over components run left to
+right from +0.0 (``reduce(np.add, terms, 0.0)``), the package's one rule.
+The kernels work on component planes and blocks of points but must round
+exactly like these references: same values, same NaN positions, same sign
+of zero.
 """
 
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -41,7 +44,8 @@ def _ref_value(field, points, t):
         u = points - np.asarray(field.center)
     else:
         return field.value(points, t)
-    return field.amplitude * np.exp(-np.sum(u * u, axis=-1) / field.sigma**2)
+    q = reduce(np.add, np.moveaxis(u * u, -1, 0), 0.0)
+    return field.amplitude * np.exp(-q / field.sigma**2)
 
 
 def _ref_sample(field, grid, times):
@@ -143,14 +147,14 @@ def _ref_zero_order(jets):
 def _ref_contraction(reciprocal, components, valid0, valid1):
     valid = valid0 & valid1 & np.all(np.isfinite(reciprocal), axis=-1)
     with np.errstate(invalid="ignore"):
-        vals = np.sum(reciprocal * components, axis=-1)
+        vals = reduce(np.add, np.moveaxis(reciprocal * components, -1, 0), 0.0)
     return np.where(valid, vals, np.nan), valid
 
 
 def _ref_pivoted_stack(h, b, ok, eps_singular=EPS_SINGULAR):
     n = h.shape[-1]
-    h = np.ascontiguousarray(h)  # numpy's sum over the trailing axes rounds by layout
-    frob_n = (h * h).sum(axis=(-2, -1)) ** (n / 2)
+    squares = (h * h).reshape(h.shape[:-2] + (n * n,))  # row by row, as the kernel sums
+    frob_n = reduce(np.add, np.moveaxis(squares, -1, 0), 0.0) ** (n / 2)
     h = np.where(ok[..., None, None], h, np.eye(n))
     det = np.linalg.det(h)
     valid = ok & (abs(det) > eps_singular * frob_n)
@@ -305,8 +309,8 @@ def test_fd_jets_in_strips_match_reference(n, strip, monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9])
 @pytest.mark.parametrize("kind", ["translating", "static"])
 def test_gaussian_sampling_matches_reference(n, kind):
-    # the grid path sums per-axis squares without a point array; at eight
-    # axes and more the sum takes numpy's pairwise order.  Centers sit on
+    # the grid path sums per-axis squares without a point array, left to
+    # right as the reference sums a point's components.  Centers sit on
     # grid points and frame 0 is at t = 0 (a -0 shift where a velocity
     # component is negative), so some offsets u_a are exactly 0
     grid = wv.make_grid(n, (5,) * n, 0.25, -0.5)
@@ -397,13 +401,13 @@ def test_cramer_route_is_block_independent(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", list(range(1, 11)))
-def test_sum_planes_rounds_like_numpy(n):
+def test_sum_planes_is_a_left_to_right_sum(n):
     rng = np.random.default_rng(n)
     terms = rng.standard_normal((n, 500)) * 10.0 ** rng.integers(-12, 12, (n, 500))
     terms[:, :50] = -0.0
     terms[rng.random((n, 500)) < 0.1] = -0.0
-    want = np.sum(terms.T.copy(), axis=-1)  # a contiguous trailing axis, as of a product array
-    got = _sum_planes(list(terms.copy()), n)
+    want = reduce(np.add, terms, 0.0)
+    got = _sum_planes(list(terms.copy()))
     assert_same_bits(got, want)
 
 

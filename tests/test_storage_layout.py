@@ -9,6 +9,7 @@ component-last copies of them, the layout ``analytic_jet_field`` produces.
 """
 
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def _special_terms(n, size, seed):
     terms = rng.standard_normal((n, size)) * 10.0 ** rng.integers(-12, 12, (n, size))
     terms[rng.random((n, size)) < 0.15] = 0.0
     terms[rng.random((n, size)) < 0.15] = -0.0
-    terms[:, :8] = -0.0  # every term -0: numpy's sum is +0
+    terms[:, :8] = -0.0  # every term -0: the sum from +0.0 is +0
     terms[:, 8:16] = 0.0
     terms[rng.integers(n), 16] = np.nan
     terms[rng.integers(n), 17] = np.inf
@@ -118,21 +119,23 @@ def _special_terms(n, size, seed):
 
 
 @pytest.mark.parametrize("n", list(range(1, 41)) + [128, 129, 300])
-def test_sum_planes_rounds_like_numpy(n):
+def test_sum_planes_adds_left_to_right(n):
     terms = _special_terms(n, 400, n)
     with np.errstate(invalid="ignore"):
-        want = np.sum(np.stack(list(terms), -1), -1)
-        got = _sum_planes([t.copy() for t in terms], n)
+        want = reduce(np.add, terms, 0.0)
+        got = _sum_planes([t.copy() for t in terms])
+        into = _sum_planes([t.copy() for t in terms], np.empty(400))
     assert_same_bits(got, want)
+    assert_same_bits(into, want)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 25])
-def test_sum_planes_of_floats_rounds_like_numpy(n):
+def test_sum_planes_of_floats_adds_left_to_right(n):
     # the order-one kernel sums plain floats at a single point
     terms = _special_terms(n, 40, 100 + n)[:, 20:]
-    want = np.sum(terms.T.copy(), axis=-1)
+    want = reduce(np.add, terms, 0.0)
     for k in range(terms.shape[1]):
-        got = _sum_planes([float(t) for t in terms[:, k]], n)
+        got = _sum_planes([float(t) for t in terms[:, k]])
         assert_same_bits(np.float64(got), want[k])
 
 

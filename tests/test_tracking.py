@@ -619,7 +619,7 @@ def _reference_newton(probe, x0, targets):
     for _ in range(tracking.NEWTON_MAX_ITER):
         grad, hess = probe(x)
         residual = grad - targets
-        frob = float(np.sqrt(np.sum(hess * hess)))
+        frob = float(np.sqrt(reduce(np.add, (hess * hess).ravel(), 0.0)))
         if np.max(np.abs(residual)) <= tracking.NEWTON_TOL * frob * 1.0:
             return x
         step, valid, _ = _solve_order_one(hess, residual)
@@ -929,7 +929,7 @@ def _reference_sampled_newton(jets, x0, targets):
             locked = None
         grad, hess = interpolate(x, anchor)
         residual = grad - targets
-        frob = float(np.sqrt(np.sum(hess * hess)))
+        frob = float(np.sqrt(reduce(np.add, (hess * hess).ravel(), 0.0)))
         if np.max(np.abs(residual)) <= tracking.NEWTON_TOL * frob * float(np.max(spacing)):
             canonical = anchor_of(x)
             if locked is None or canonical == locked or canonical in polished:
