@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .covariance import AffineMap, check_transformation_laws
-from .fieldio import _write_csv, csv_cells, export_csv, read_field, read_header, write_field
+from .fieldio import _write_csv, export_csv, read_field, read_header, write_field
 from .fields import SampledField, make_field, make_grid, sample
 from .findiff import StencilSpec, fd_jet_field
 from .tracking import TrackingError, track_attribute
@@ -212,7 +212,7 @@ def _write_track_csv(path, result) -> None:
     )
     columns = [result.times, *result.positions.T,
                *result.empirical_velocity.T, *result.computed_velocity.T]
-    _write_csv(path, names, [[csv_cells(c) for c in columns]])
+    _write_csv(path, names, [columns])
 
 
 def _cmd_covcheck(args) -> int:

@@ -292,7 +292,8 @@ def fd_jet2_at(
 
     Returns None when the ``shrink-to-valid`` policy cannot meet the
     requested order at this point, spatially or in time (the end frames of
-    ``shrink-to-valid`` have no time window, so no jet at all).
+    ``shrink-to-valid`` have no time window, so no jet at all), and when a
+    stencil sum overflows, where :func:`fd_jet_field` marks the point invalid.
     """
     grid = field.grid
     n = grid.dim
@@ -317,46 +318,48 @@ def fd_jet2_at(
         staps_1.append(t1)
         staps_2.append(t2)
 
-    cur = field.values[frame]
-    psi = float(cur[idx])
-    grad = np.empty(n)
-    hess = np.zeros((n, n))
-    for a in range(n):
-        grad[a] = _apply_taps_pointwise(cur, idx, a, staps_1[a])
-        hess[a, a] = _apply_taps_pointwise(cur, idx, a, staps_2[a])
-    for a in range(n):
-        for b in range(a + 1, n):
-            # outer taps along the lower axis, inner along the higher one,
-            # matching the composition order of the grid-level path
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        cur = field.values[frame]
+        psi = float(cur[idx])
+        grad = np.empty(n)
+        hess = np.zeros((n, n))
+        for a in range(n):
+            grad[a] = _apply_taps_pointwise(cur, idx, a, staps_1[a])
+            hess[a, a] = _apply_taps_pointwise(cur, idx, a, staps_2[a])
+        for a in range(n):
+            for b in range(a + 1, n):
+                # outer taps along the lower axis, inner along the higher one,
+                # matching the composition order of the grid-level path
+                acc = 0.0
+                work = list(idx)
+                for off_a, ca in staps_1[a]:
+                    work[a] = idx[a] + off_a
+                    inner = 0.0
+                    for off_b, cb in staps_1[b]:
+                        work[b] = idx[b] + off_b
+                        inner = inner + cb * cur[tuple(work)]
+                    work[b] = idx[b]
+                    acc = acc + ca * inner
+                hess[a, b] = acc
+                hess[b, a] = acc
+
+        dpsi_dt = 0.0
+        for off_t, ct in ttaps:
+            dpsi_dt = dpsi_dt + ct * field.values[frame + off_t][idx]
+        tmix = np.empty(n)
+        for a in range(n):
             acc = 0.0
             work = list(idx)
             for off_a, ca in staps_1[a]:
                 work[a] = idx[a] + off_a
+                widx = tuple(work)
                 inner = 0.0
-                for off_b, cb in staps_1[b]:
-                    work[b] = idx[b] + off_b
-                    inner = inner + cb * cur[tuple(work)]
-                work[b] = idx[b]
+                for off_t, ct in ttaps:
+                    inner = inner + ct * field.values[frame + off_t][widx]
                 acc = acc + ca * inner
-            hess[a, b] = acc
-            hess[b, a] = acc
-
-    dpsi_dt = 0.0
-    for off_t, ct in ttaps:
-        dpsi_dt = dpsi_dt + ct * field.values[frame + off_t][idx]
-    tmix = np.empty(n)
-    for a in range(n):
-        acc = 0.0
-        work = list(idx)
-        for off_a, ca in staps_1[a]:
-            work[a] = idx[a] + off_a
-            widx = tuple(work)
-            inner = 0.0
-            for off_t, ct in ttaps:
-                inner = inner + ct * field.values[frame + off_t][widx]
-            acc = acc + ca * inner
-        tmix[a] = acc
-
+            tmix[a] = acc
+    if not all(np.isfinite(v).all() for v in (dpsi_dt, grad, hess, tmix)):
+        return None  # an overflow in a sum: no jet, as on the grid
     return Jet2(Jet1(psi, float(dpsi_dt), grad), hess, tmix)
 
 

@@ -309,6 +309,27 @@ class TestCsv:
 
         assert peak(128) <= 1.5 * peak(32)
 
+    def test_memory_of_one_export(self, tmp_path):
+        # one 256^2 export of the four `velocity --order 1` columns: the
+        # per-value formatter peaked at 2.60 MiB, the formatter's fixed working
+        # set must not add to that
+        grid = wv.make_grid(2, [256, 256], [0.02, 0.02], [-2.55, -2.55])
+        rng = np.random.default_rng(256)
+        pairs = rng.standard_normal(grid.shape + (2,))
+        columns = {
+            "v1_1": pairs[..., 0],
+            "v1_2": pairs[..., 1],
+            "cond": np.abs(rng.standard_normal(grid.shape)) * 1e6,
+            "valid": rng.random(grid.shape) > 0.5,
+        }
+        tracemalloc.start()
+        try:
+            wv.export_csv(tmp_path / "v1.csv", grid, columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * 2**20
+
     def test_empty_columns_rejected(self, tmp_path):
         grid = wv.make_grid(1, [5], [1.0], [0.0])
         with pytest.raises(ValueError):
@@ -318,3 +339,72 @@ class TestCsv:
         grid = wv.make_grid(1, [5], [1.0], [0.0])
         with pytest.raises(ValueError):
             wv.export_csv(tmp_path / "e.csv", grid, {"a": np.zeros(4)})
+
+
+def _format_reference(values):
+    if values.dtype == bool:
+        return [str(int(v)) for v in values.tolist()]
+    return [format(float(v), ".17g") for v in values.tolist()]
+
+
+def _assert_cells_match(values):
+    got = wv.fieldio.csv_cells(values)
+    want = _format_reference(values)
+    assert len(got) == len(want)
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not bad, bad[:5]
+
+
+class TestNumberCells:
+    """``csv_cells`` against ``format(float(v), ".17g")``, byte for byte."""
+
+    def test_matches_format(self):
+        rng = np.random.default_rng(1990)
+        tab = wv.fieldio._tables()
+        pow10 = np.array([float(f"1e{k}") for k in range(-13, 19)])
+        # odd multiples of 2**-k, k <= 40
+        odd = rng.integers(0, 2**24, 100_000) * 2 + 1
+        multiples = np.ldexp(odd.astype(float), -rng.integers(1, 41, odd.size))
+        # exact ties for 17 digits: o * 2**-k with o odd has the digits of
+        # o * 5**k, so pick o with 10**17 <= o * 5**k < 10**18 and keep those
+        # of 18 digits
+        k = rng.integers(2, 26, 50_000)
+        low = -(-10**17 // 5**k.astype(object)).astype(np.int64)
+        high = np.minimum((10**18 // 5**k.astype(object)).astype(np.int64), 2**53)
+        tie_odd = (low + rng.integers(0, 2**62, k.size) % (high - low)) | 1
+        ties = np.ldexp(tie_odd.astype(float), -k)
+        ties = ties[np.array([len(str(int(o) * 5**int(e))) == 18
+                              for o, e in zip(tie_odd, k)])]
+        # integers with 0-16 trailing zeros
+        ints = (rng.integers(1, 10**6, 50_000) * 10.0 ** rng.integers(0, 17, 50_000)).round()
+        values = np.concatenate([
+            rng.uniform(1.0, 10.0, 200_000) * 10.0 ** rng.uniform(-13, 18, 200_000),
+            pow10, np.nextafter(pow10, 0), np.nextafter(pow10, np.inf),
+            [tab.low, tab.high, np.nextafter(tab.low, 0), np.nextafter(tab.high, 0)],
+            multiples, ties, ints, [-7.0, 7.0, 1e15, 9999999999999998.0],
+            np.ldexp(rng.uniform(0.5, 1.0, 1000), rng.integers(-1074, -1021, 1000)),  # subnormal
+            [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308],
+        ])
+        values *= rng.choice([-1.0, 1.0], values.size)
+        assert ties.size > 40_000
+        assert wv.fieldio.csv_cells(np.array([0.00100040435791015625])) == ["0.0010004043579101562"]
+        assert wv.fieldio.csv_cells(np.array([-7.0, 1200.0])) == ["-7", "1200"]
+        _assert_cells_match(values)
+
+    def test_other_dtypes(self):
+        rng = np.random.default_rng(32)
+        _assert_cells_match(rng.standard_normal(10_000).astype(np.float32))
+        singles = np.array([np.nan, -0.0, np.inf, 1e-40, 3.4e38, 16777217], dtype=np.float32)
+        _assert_cells_match(singles)
+        ints = rng.integers(-(2**63), 2**63 - 1, 10_000, dtype=np.int64, endpoint=True)
+        ints[:6] = [0, -1, 2**53 + 1, 10**15, 10**16 - 1, -(2**63)]
+        _assert_cells_match(ints)
+        _assert_cells_match(rng.random(1000) > 0.5)
+        _assert_cells_match(np.array([], dtype=float))
+
+    def test_exact_range_is_the_powers_of_ten(self):
+        # low is the least double >= 1e-11 (the nearest double is below it)
+        tab = wv.fieldio._tables()
+        assert tab.high == 1e16
+        assert tab.low == np.nextafter(1e-11, 1)
+        assert (1e-11).as_integer_ratio()[0] * 10**11 < (1e-11).as_integer_ratio()[1]

@@ -1,6 +1,7 @@
 """Finite-difference jet tests: exactness, masks, equivalence, convergence."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -282,6 +283,25 @@ class TestFdJetFields:
                   & np.isfinite(jets.time_mixed).all(-1) & np.isfinite(jets.hessian).all((-2, -1)))
         assert np.array_equal(jets.valid, interior & finite)
         assert 0 < np.count_nonzero(jets.valid) < np.count_nonzero(interior)
+
+    def test_pointwise_overflow_gives_no_jet(self):
+        # fd_jet2_at used to warn and then raise "jet entries must be finite"
+        # where fd_jet_field marks the point invalid; now both give no jet
+        g = wv.make_grid(2, (16, 16), 0.05, 0.0)
+        wave = wv.make_field("plane-wave", wave_vector=[2.0, 1.0], angular_frequency=3.0,
+                             amplitude=1e308)
+        values = np.random.default_rng(3).standard_normal((5, 16, 16))
+        values[:, :5, :5] = 1e308
+        for field in (wv.sample(wave, g, 0.01 * np.arange(5)),
+                      wv.SampledField(g, 0.0, 0.01, values)):
+            valid = wv.fd_jet_field(field, 2).valid
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = np.array([wv.fd_jet2_at(field, 2, idx) is not None
+                                for idx in np.ndindex(g.shape)]).reshape(g.shape)
+            assert np.array_equal(got, valid)
+        assert wv.fd_jet2_at(wv.sample(wave, g, 0.01 * np.arange(5)), 2, (8, 8)) is None
+        assert 0 < np.count_nonzero(valid) < g.npoints
 
     def test_frame_range_checked(self):
         _, g, sf = _poly_field()
