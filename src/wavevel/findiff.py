@@ -141,14 +141,15 @@ def _taps_cached(deriv: int, order: int, d_low: int, d_high: int, h: float, boun
     """The taps of :func:`stencil_taps`; ``ValueError`` when the step ``h`` is so
     small or so large that ``h**deriv`` under- or overflows or a tap is not finite."""
     hw = order // 2
-    try:
-        if d_low >= hw and d_high >= hw:
-            scale = h**deriv
-            taps = tuple((off, coeff / scale) for off, coeff in _CENTRAL[(deriv, order)])
-        elif boundary == BOUNDARY_SHRINK:
-            return None
-        else:
-            taps = _one_sided_taps(deriv, order, d_low, d_high, h)
+    if d_low >= hw and d_high >= hw:
+        weights = _CENTRAL[(deriv, order)]
+    elif boundary == BOUNDARY_SHRINK:
+        return None
+    else:
+        weights = _one_sided_weights(deriv, order, d_low, d_high)
+    try:  # one rule: integer-offset weights over h**deriv
+        scale = h**deriv
+        taps = tuple((off, coeff / scale) for off, coeff in weights)
     except (ZeroDivisionError, OverflowError):  # h**deriv underflows to 0 or overflows
         taps = ()
     if not taps or not all(np.isfinite(coeff) for _, coeff in taps):
@@ -157,19 +158,15 @@ def _taps_cached(deriv: int, order: int, d_low: int, d_high: int, h: float, boun
     return taps
 
 
-def _one_sided_taps(deriv: int, order: int, d_low: int, d_high: int, h: float):
+def _one_sided_weights(deriv: int, order: int, d_low: int, d_high: int):
     nw = deriv + order
     if d_low + d_high + 1 < nw:
-        raise ValueError(
-            f"axis too short for one-sided order-{order} derivative-{deriv} stencil "
-            f"({nw} points needed)"
-        )
+        raise ValueError(f"axis too short for one-sided order-{order} derivative-{deriv} "
+                         f"stencil ({nw} points needed)")
     # window of nw contiguous offsets, as centered as the boundary allows
     a = max(-d_low, min(-(nw - 1) // 2, d_high - (nw - 1)))
-    offsets = np.arange(a, a + nw)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked by the caller
-        weights = fornberg_weights(offsets * h, 0.0, deriv)
-    return tuple((int(off), float(w)) for off, w in zip(offsets, weights))
+    offsets = range(a, a + nw)
+    return tuple(zip(offsets, fornberg_weights(offsets, 0.0, deriv).tolist()))
 
 
 def stencil_taps(deriv: int, order: int, pos: int, n: int, h: float, boundary: str):

@@ -45,9 +45,11 @@ and the level crossings read axis coordinates the run computes once.  The
 floats and the contractions reproduce the numpy loop's operations and
 operand shapes, so the cache and the floats change no output bit.
 
-The level crossing on an analytic field is refined with
-``scipy.optimize.brentq``, which is imported on first use, so importing
-the package and every CLI command load numpy only.
+Both level trackers take a crossing by one rule: the linear crossing in the
+cell nearest to the previous crossing where ``value - level`` changes sign.
+An analytic ray's cell, first one of 64 across the search radius, is
+re-sampled 64-fold (one vectorised ``value`` call a round) until it is no
+wider than ``1e-14 + 8.9e-16 |x|``, brentq's tolerances (Brent 1973, ch. 4).
 """
 
 from __future__ import annotations
@@ -443,9 +445,9 @@ class _ExactJets:
     def crossing(self, point, axis: int, level: float, near: float) -> float:
         """Crossing of ``level`` nearest to ``near`` on the line through ``point`` along ``axis``."""
         def profile(s):
-            p = point.copy()
-            p[axis] = s
-            return float(self._field.value(p, self._t) - level)
+            p = np.tile(point, (s.size, 1))  # one (samples, N) point stack per round
+            p[:, axis] = s
+            return self._field.value(p, self._t) - level
 
         return _bracketed_root(profile, near, self._search_radius)
 
@@ -663,8 +665,7 @@ def _track_level(frames: list, seed: Array, level: float, positions: Array,
 def _crossing_cell(coords: Array, f: Array, near: float, lost: str) -> int:
     """Index ``k`` of the cell ``coords[k]..coords[k+1]`` nearest to ``near`` in which
     ``f`` changes sign (or starts at zero); AttributeLostError(lost) if there is none."""
-    lo = f[:-1]
-    hi = f[1:]
+    lo, hi = f[:-1], f[1:]
     cells = np.nonzero((lo == 0.0) | (np.sign(lo) != np.sign(hi)))[0]
     if cells.size == 0:
         raise AttributeLostError(lost)
@@ -672,27 +673,29 @@ def _crossing_cell(coords: Array, f: Array, near: float, lost: str) -> int:
     return int(cells[np.argmin(np.abs(mid - near))])
 
 
-def _linear_crossing(coords: Array, values: Array, level: float, near: float) -> float:
-    """Crossing of a sampled 1-d profile through ``level`` nearest to ``near``.
-
-    Piecewise-linear interpolation; returns the crossing coordinate.
-    """
-    f = values - level
-    k = _crossing_cell(coords, f, near, f"no crossing of level {level} on the ray")
+def _cell_crossing(coords: Array, f: Array, k: int) -> float:
+    """The linear zero of ``f`` in the cell ``coords[k]..coords[k+1]``, fraction first
+    so that a large step times a large value cannot overflow."""
     if f[k] == 0.0:
         return float(coords[k])
-    return float(coords[k] + (coords[k + 1] - coords[k]) * f[k] / (f[k] - f[k + 1]))
+    return float(coords[k] + (coords[k + 1] - coords[k]) * (f[k] / (f[k] - f[k + 1])))
+
+
+def _linear_crossing(coords: Array, values: Array, level: float, near: float) -> float:
+    """Crossing of a sampled 1-d profile through ``level`` nearest to ``near``."""
+    f = values - level
+    k = _crossing_cell(coords, f, near, f"no crossing of level {level} on the ray")
+    return _cell_crossing(coords, f, k)
 
 
 def _bracketed_root(fn, near: float, radius: float) -> float:
-    """Root of a scalar function nearest to ``near`` within ``radius``."""
-    samples = np.linspace(near - radius, near + radius, 65)
-    values = np.array([fn(s) for s in samples])
-    k = _crossing_cell(samples, values, near, "no level crossing within the search radius")
-    if values[k] == 0.0:
-        return float(samples[k])
-    # deferred: scipy.optimize is most of the package's import time, and
-    # only level tracks on analytic fields reach this line
-    from scipy.optimize import brentq
-
-    return float(brentq(fn, samples[k], samples[k + 1], xtol=1e-14, rtol=8.9e-16))
+    """Root of the vectorised ``fn`` nearest to ``near`` within ``radius``.  A round
+    keeps the cell's end values, so rounding cannot lose its sign change."""
+    s = np.linspace(near - radius, near + radius, 65)
+    f = fn(s)
+    while True:
+        k = _crossing_cell(s, f, near, "no level crossing within the search radius")
+        if f[k] == 0.0 or s[k + 1] - s[k] <= 1e-14 + 8.9e-16 * abs(s[k]):
+            return _cell_crossing(s, f, k)
+        s = np.linspace(s[k], s[k + 1], 65)
+        f = np.concatenate(([f[k]], fn(s[1:-1]), [f[k + 1]]))

@@ -1,9 +1,9 @@
-"""Cold start: importing the package and running CLI commands loads no scipy.
+"""numpy only: no scipy module is loaded by importing the package, by any CLI
+command, or by an analytic level track.
 
-scipy.optimize is most of the package's import time; it is imported on first
-use by the one caller that needs it, the level crossing on analytic fields.
-Each check runs in a fresh interpreter, since the test process has scipy
-loaded already.
+Each check runs in a fresh interpreter, since the test process may have scipy
+loaded by another package; that interpreter's level-track positions must
+equal the in-process ones bit for bit.
 """
 
 import json
@@ -28,6 +28,7 @@ import wavevel, wavevel.cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+loaded = [scipy_modules()]  # after import, after each command, after the track
 path = sys.argv[1]
 commands = [
     ["generate", "--kind", "translating-gaussian", "--param", "velocity=0.7,0",
@@ -35,19 +36,25 @@ commands = [
      "--origin=-0.775", "--frames", "9", "--dt", "0.02", "--out", path],
     ["info", path],
     ["velocity", path, "--order", "1"],
+    ["scalar", path],
     ["track", path, "--attribute", "gradient-set", "--targets", "0,0", "--seed", "16,16"],
+    ["track", path, "--attribute", "level-set", "--level", "0.9", "--seed", "20,16"],
+    ["covcheck", "--kind", "translating-gaussian", "--param", "velocity=0.7,0",
+     "--param", "sigma=1.0", "--matrix", "2,0.3,0.1,1.5", "--samples", "20"],
 ]
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [wavevel.cli.cli(argv) for argv in commands]
-after_cli = scipy_modules()
+codes = []
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(wavevel.cli.cli(argv))
+    loaded.append(scipy_modules())
 
 res = wavevel.track_attribute(
     wavevel.PlaneWave((2.0, 1.0), 3.0), wavevel.AttributeSpec.level_set(0.3),
     np.array([0.2, 0.1]), times=0.01 * np.arange(9), search_radius=0.6)
+loaded.append(scipy_modules())
 print(json.dumps({
     "codes": codes,
-    "after_cli": after_cli,
-    "optimize_loaded": "scipy.optimize" in sys.modules,
+    "loaded": loaded,
     "positions": [float(v).hex() for v in res.positions.ravel()],
 }))
 """
@@ -61,12 +68,11 @@ def _fresh_interpreter(*args):
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def test_cli_commands_load_no_scipy_and_analytic_levels_load_it_on_use(tmp_path):
+def test_no_scipy_after_import_cli_commands_and_analytic_level_tracks(tmp_path):
     got = _fresh_interpreter(str(tmp_path / "f.wvf"))
-    assert got["codes"] == [0, 0, 0, 0]
-    assert got["after_cli"] == []
-    assert got["optimize_loaded"]
-    # the deferred brentq refines the same crossings, bit for bit
+    assert got["codes"] == [0] * 7
+    assert got["loaded"] == [[]] * 9
+    # a fresh interpreter finds the same crossings, bit for bit
     ref = wv.track_attribute(
         wv.PlaneWave((2.0, 1.0), 3.0), wv.AttributeSpec.level_set(0.3),
         np.array([0.2, 0.1]), times=0.01 * np.arange(9), search_radius=0.6)

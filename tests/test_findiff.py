@@ -53,12 +53,20 @@ class TestStencils:
         (2, 5, 1e-200, "shrink-to-valid"),  # h**2 underflows to 0
         (1, 5, 5e-324, "shrink-to-valid"),  # 1/h overflows
         (2, 5, 1e200, "shrink-to-valid"),  # h**2 overflows
-        (1, 0, 1e-100, "one-sided"),  # Fornberg's node products underflow
+        (2, 0, 1e-200, "one-sided"),  # h**2 underflows to 0
     ])
     def test_out_of_range_step_is_rejected(self, deriv, pos, h, boundary):
         message = f"step {h!r} is out of range for a derivative-{deriv} stencil"
         with pytest.raises(ValueError, match=re.escape(message)):
             stencil_taps(deriv, 4, pos, 11, h, boundary)
+
+    def test_tiny_step_gives_finite_one_sided_taps(self):
+        # one-sided taps are integer-offset weights over h**deriv, as the central
+        # taps are: at h = 1e-100 they are about 1e100, finite, not rejected
+        taps = stencil_taps(1, 4, 0, 20, 1e-100, "one-sided")
+        unit = stencil_taps(1, 4, 0, 20, 1.0, "one-sided")
+        assert taps == tuple((off, coeff / 1e-100) for off, coeff in unit)
+        assert all(np.isfinite(coeff) and abs(coeff) > 1e99 for _, coeff in taps)
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):

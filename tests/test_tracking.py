@@ -1,6 +1,8 @@
 """Tracking-oracle tests: critical points, peak tracks, level crossings."""
 
+import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from functools import reduce
 
 import numpy as np
@@ -183,6 +185,37 @@ class TestLevelSetTracking:
         assert res.deviation <= 1e-10
         assert res.empirical_velocity[4] == pytest.approx([1.5, 3.0], rel=1e-10)
 
+    def test_plane_wave_crossings_meet_the_root_tolerance(self):
+        # every analytic crossing lies within brentq's 1e-14 + 8.9e-16 |x| of the
+        # exact root of sin(k.x - w t) = c, also where the coordinates are near 1e6
+        # (the seeds there sit half a radian past the level's phase, as (0.2, 0.1) does)
+        k, w, level = (2.0, 1.0), 3.0, 0.3
+        pw = wv.PlaneWave(k, w)
+        seeds = [(0.2, 0.1)]
+        for x1 in (1e6, -1e6, 1012345.678, 4e6):
+            n = round(3.0 * x1 / (2.0 * math.pi))
+            seeds.append(((0.5 + 2.0 * math.pi * n - x1) / 2.0, x1))
+        for seed in seeds:
+            res = wv.track_attribute(pw, wv.AttributeSpec.level_set(level), np.array(seed),
+                                     times=0.01 * np.arange(9), search_radius=0.6)
+            for t, row in zip(res.times.tolist(), res.positions.tolist()):
+                for axis, x in enumerate(row):
+                    gap = _plane_wave_root_gap(k, w, level, seed, axis, t, x)
+                    assert gap <= 1e-14 + 8.9e-16 * abs(x), (seed, t, axis, gap)
+
+    def test_huge_amplitude_crossings_equal_unit_amplitude_bitwise(self):
+        # the linear crossing forms its fraction before the product with the step:
+        # (coords[k+1] - coords[k]) * f[k] overflowed at h = 1e10 and amplitude 2**996
+        grid = wv.make_grid(1, (41,), 1e10, 0.0)
+
+        def track(amplitude):
+            sf = wv.sample(wv.PlaneWave((1e-11,), 0.05, amplitude), grid, np.arange(9.0))
+            return wv.track_attribute(sf, wv.AttributeSpec.level_set(0.0), (31,))
+
+        huge, unit = track(2.0**996), track(1.0)
+        assert np.array_equal(huge.positions.view(np.uint64), unit.positions.view(np.uint64))
+        assert huge.deviation <= 1e-2
+
     def test_sampled_plane_wave(self):
         pw = wv.PlaneWave((2.0, 1.0), 3.0)
         grid = wv.make_grid(2, (64, 64), 0.05, -1.575)
@@ -201,6 +234,24 @@ class TestLevelSetTracking:
         pw = wv.PlaneWave((2.0, 1.0), 3.0)
         with pytest.raises(ValueError):
             wv.track_attribute(pw, wv.AttributeSpec.level_set(0.3), np.array([0.2, 0.1]))
+
+
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def _plane_wave_root_gap(k, w, level, seed, axis, t, x) -> float:
+    """Distance from ``x`` to the nearest exact root of sin(k.y - w t) = level on the
+    axis-``axis`` line through ``seed``, in 60-digit decimals (asin to one rounding)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        rest = sum(Decimal(kj) * Decimal(sj) for j, (kj, sj) in enumerate(zip(k, seed))
+                   if j != axis) - Decimal(w) * Decimal(t)
+        ki, x = Decimal(k[axis]), Decimal(x)
+        gaps = []
+        for branch in (Decimal(math.asin(level)), _PI - Decimal(math.asin(level))):
+            n = ((ki * x + rest - branch) / (2 * _PI)).to_integral_value()
+            gaps += [abs((branch + 2 * _PI * m - rest) / ki - x) for m in (n - 1, n, n + 1)]
+        return float(min(gaps))
 
 
 class TestInputChecks:
@@ -656,10 +707,10 @@ def _reference_analytic_track(field, target, seed, times, search_radius):
         for axis in range(n):
             near = float(seed[axis])
             for frame, t in enumerate(frame_times):
-                def profile(s, axis=axis, t=t):
-                    p = seed.copy()
-                    p[axis] = s
-                    return float(field.value(p, t) - target.level)
+                def profile(s, axis=axis, t=t):  # vectorised over the samples s
+                    p = np.tile(seed, (s.size, 1))
+                    p[:, axis] = s
+                    return field.value(p, t) - target.level
                 s = tracking._bracketed_root(profile, near, search_radius)
                 positions[frame, axis] = near = s
                 point = seed.copy()
