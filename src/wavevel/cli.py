@@ -16,9 +16,10 @@ import numpy as np
 from .covariance import AffineMap, check_transformation_laws
 from .fieldio import _write_csv, export_csv, read_field, read_header, write_field
 from .fields import SampledField, make_field, make_grid, sample
-from .findiff import StencilSpec, fd_jet_field
+from .findiff import BOUNDARY_ONE_SIDED, BOUNDARY_SHRINK, DEFAULT_STENCIL, StencilSpec, fd_jet_field
 from .tracking import TrackingError, track_attribute
 from .velocities import (
+    EPS_SINGULAR,
     AttributeSpec,
     contraction_scalar_field,
     velocity_field,
@@ -177,7 +178,7 @@ def _cmd_scalar(args) -> int:
 
 def _cmd_track(args) -> int:
     field = read_field(args.file)
-    if args.attribute == "gradient-set":
+    if args.attribute == AttributeSpec.GRADIENT_SET:
         targets = _floats(args.targets) if args.targets else [0.0] * field.grid.dim
         attr = AttributeSpec.gradient_set(targets)
     else:
@@ -260,11 +261,11 @@ def _add_param_options(p) -> None:
 
 
 def _add_stencil_options(p) -> None:
-    p.add_argument("--fd-order", type=int, default=4, choices=(2, 4))
+    p.add_argument("--fd-order", type=int, default=DEFAULT_STENCIL.order, choices=(2, 4))
     p.add_argument(
         "--boundary",
-        default="shrink-to-valid",
-        choices=("one-sided", "shrink-to-valid"),
+        default=DEFAULT_STENCIL.boundary,
+        choices=(BOUNDARY_ONE_SIDED, BOUNDARY_SHRINK),
     )
 
 
@@ -272,7 +273,7 @@ def _add_singularity_option(p) -> None:
     p.add_argument(
         "--eps-singular",
         type=float,
-        default=1e-10,
+        default=EPS_SINGULAR,
         help="Hessian singularity threshold relative to ||H||_F^N, finite and "
         ">= 0; raise to the jet error scale (e.g. 1e-5) for finite-difference data",
     )
@@ -325,7 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("track", help="track an attribute point across frames")
     p.add_argument("file")
-    p.add_argument("--attribute", required=True, choices=("level-set", "gradient-set"))
+    p.add_argument("--attribute", required=True,
+                   choices=(AttributeSpec.LEVEL_SET, AttributeSpec.GRADIENT_SET))
     p.add_argument("--level", type=float, default=None, help="traced field value")
     p.add_argument("--targets", default=None, help="traced gradient values, e.g. 0,0")
     p.add_argument("--seed", required=True, help="starting grid index, e.g. 32,32")

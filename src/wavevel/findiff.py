@@ -7,8 +7,12 @@ instead.  Mixed derivatives are compositions of one-dimensional stencils,
 which keeps them symmetric by construction and preserves the order.
 
 The pointwise (:func:`fd_jet2_at`) and grid-level (:func:`fd_jet_field`)
-paths share one tap table and accumulate in the same order, so they produce
-bit-identical values.
+paths share one tap table and one composition order, so they produce
+bit-identical values: every entry is a stencil sum from 0.0 in tap order, a
+mixed Hessian entry runs the lower axis's pass over the higher axis's, and a
+mixed time row runs the spatial pass over the time derivative.
+:func:`_apply_taps_pointwise` is the one pointwise sum, nested once for the
+mixed entries.
 
 The grid path works on contiguous planes: :func:`diff_along_axis` shifts the
 flattened array by whole strides and accumulates each tap from +0.0.  Every
@@ -43,6 +47,7 @@ their time parts are NaN and no point is valid, as both velocities need them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -191,13 +196,21 @@ def _axis_taps(deriv: int, order: int, n: int, h: float, boundary: str):
     return central, edges
 
 
-def _apply_taps_pointwise(values: Array, index: tuple, axis: int, taps) -> float:
+def _apply_taps_pointwise(values: Array, index, axis: int, taps, inner=None) -> float:
+    """The one pointwise stencil sum: ``sum(coeff * term)`` over ``taps`` along
+    ``axis`` at ``index``, from 0.0 in tap order.  ``term`` is the value at the
+    shifted index or, with ``inner = (axis, taps)``, that inner sum there, so a
+    mixed entry runs its outer pass over its inner one as the grid path does.
+    The sum runs on plain floats: an overflow gives inf or NaN and no warning."""
     acc = 0.0
     idx = list(index)
     for off, coeff in taps:
         idx[axis] = index[axis] + off
-        acc = acc + coeff * values[tuple(idx)]
-    return float(acc)
+        if inner is None:
+            acc = acc + coeff * values.item(tuple(idx))
+        else:
+            acc = acc + coeff * _apply_taps_pointwise(values, idx, *inner)
+    return acc
 
 
 def diff_along_axis(arr: Array, axis: int, h: float, deriv: int, spec: StencilSpec):
@@ -305,59 +318,30 @@ def fd_jet2_at(
     if ttaps is None:
         return None
 
-    staps_1 = []
-    staps_2 = []
+    taps = []  # (d/dx_a, d2/dx_a2) taps per axis
     for a in range(n):
-        t1 = stencil_taps(1, spec.order, idx[a], grid.shape[a], grid.spacing[a], spec.boundary)
-        t2 = stencil_taps(2, spec.order, idx[a], grid.shape[a], grid.spacing[a], spec.boundary)
-        if t1 is None or t2 is None:
+        pair = tuple(stencil_taps(deriv, spec.order, idx[a], grid.shape[a], grid.spacing[a],
+                                  spec.boundary) for deriv in (1, 2))
+        if None in pair:
             return None
-        staps_1.append(t1)
-        staps_2.append(t2)
+        taps.append(pair)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        cur = field.values[frame]
-        psi = float(cur[idx])
-        grad = np.empty(n)
-        hess = np.zeros((n, n))
-        for a in range(n):
-            grad[a] = _apply_taps_pointwise(cur, idx, a, staps_1[a])
-            hess[a, a] = _apply_taps_pointwise(cur, idx, a, staps_2[a])
-        for a in range(n):
-            for b in range(a + 1, n):
-                # outer taps along the lower axis, inner along the higher one,
-                # matching the composition order of the grid-level path
-                acc = 0.0
-                work = list(idx)
-                for off_a, ca in staps_1[a]:
-                    work[a] = idx[a] + off_a
-                    inner = 0.0
-                    for off_b, cb in staps_1[b]:
-                        work[b] = idx[b] + off_b
-                        inner = inner + cb * cur[tuple(work)]
-                    work[b] = idx[b]
-                    acc = acc + ca * inner
-                hess[a, b] = acc
-                hess[b, a] = acc
-
-        dpsi_dt = 0.0
-        for off_t, ct in ttaps:
-            dpsi_dt = dpsi_dt + ct * field.values[frame + off_t][idx]
-        tmix = np.empty(n)
-        for a in range(n):
-            acc = 0.0
-            work = list(idx)
-            for off_a, ca in staps_1[a]:
-                work[a] = idx[a] + off_a
-                widx = tuple(work)
-                inner = 0.0
-                for off_t, ct in ttaps:
-                    inner = inner + ct * field.values[frame + off_t][widx]
-                acc = acc + ca * inner
-            tmix[a] = acc
-    if not all(np.isfinite(v).all() for v in (dpsi_dt, grad, hess, tmix)):
+    # time is axis 0 of field.values and spatial axis a is axis a + 1; each
+    # entry composes as the grid's passes do: the lower axis outside on mixed
+    # Hessian entries, space outside time on the mixed time rows
+    values, at = field.values, (frame, *idx)
+    dpsi_dt = _apply_taps_pointwise(values, at, 0, ttaps)
+    grad = [_apply_taps_pointwise(values, at, a + 1, taps[a][0]) for a in range(n)]
+    tmix = [_apply_taps_pointwise(values, at, a + 1, taps[a][0], (0, ttaps)) for a in range(n)]
+    hess = [[0.0] * n for _ in range(n)]
+    for a in range(n):
+        hess[a][a] = _apply_taps_pointwise(values, at, a + 1, taps[a][1])
+        for b in range(a + 1, n):
+            hess[a][b] = hess[b][a] = _apply_taps_pointwise(values, at, a + 1, taps[a][0],
+                                                            (b + 1, taps[b][0]))
+    if not all(map(math.isfinite, (dpsi_dt, *grad, *tmix, *(e for row in hess for e in row)))):
         return None  # an overflow in a sum: no jet, as on the grid
-    return Jet2(Jet1(psi, float(dpsi_dt), grad), hess, tmix)
+    return Jet2(Jet1(values.item(at), dpsi_dt, grad), hess, tmix)
 
 
 def fd_jet_field(field: SampledField, frame: int, spec: StencilSpec = DEFAULT_STENCIL) -> JetField:
@@ -409,13 +393,6 @@ def fd_jet_fields(
     tmix = _component_planes(stack, n)
     hess = _component_planes(stack, n, 2)
 
-    def hessian_entry(a, b, source, deriv):
-        """H_ab = H_ba, differentiating ``source`` along axis a."""
-        ok = _diff_into(hess[..., a, b], source, a + 1, grid.spacing[a], deriv, spec)
-        if a != b:
-            hess[..., b, a] = hess[..., a, b]
-        return ok
-
     # the input is finite, so a non-finite entry can only come from an overflow
     # or an invalid operation in a pass; entries are scanned only if one happened
     faults = []
@@ -423,10 +400,12 @@ def fd_jet_fields(
         axis_valid = []
         for b in range(n):
             v1 = _diff_into(grad[..., b], cur, b + 1, grid.spacing[b], 1, spec)
-            axis_valid.append(v1 & hessian_entry(b, b, cur, 2))
+            v2 = _diff_into(hess[..., b, b], cur, b + 1, grid.spacing[b], 2, spec)
+            axis_valid.append(v1 & v2)
             # the mixed derivatives of axis b from its contiguous d/dx_b plane
             for a in range(b):
-                hessian_entry(a, b, grad[..., b], 1)
+                _diff_into(hess[..., a, b], grad[..., b], a + 1, grid.spacing[a], 1, spec)
+                hess[..., b, a] = hess[..., a, b]
 
         dpsi_dt = np.empty(stack)  # frames without a time window are masked below
         start = 0

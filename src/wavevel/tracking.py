@@ -97,7 +97,8 @@ class AttributeLostError(TrackingError):
 
 
 class SingularHessianError(TrackingError):
-    """The (interpolated) Hessian is singular at a Newton iterate."""
+    """The (interpolated) Hessian is singular, or the Newton step overflows,
+    at a Newton iterate."""
 
 
 @dataclass
@@ -500,7 +501,7 @@ def _newton_iterations(source, x0, targets):
             continue
         step, valid, _ = _solve_order_one(hess, residual)  # step = -H^-1 r
         if not valid:
-            raise SingularHessianError("singular Hessian at a Newton iterate")
+            raise SingularHessianError("singular Hessian or overflowed step at a Newton iterate")
         step = step.tolist()
         x = [e + d for e, d in zip(x, step)]
         if not all(map(math.isfinite, x)):

@@ -218,12 +218,14 @@ def _solve_order_one(h: Array, b: Array, ok=True, eps_singular: float = EPS_SING
     Cramer is taken wherever it applies.  Returns ``(components, valid,
     hessian_condition)``: components are NaN where not valid, and the
     condition is ``||H||_F**N / |det H|``, inf where ``det H == 0`` or the
-    input is invalid.  A single point runs on plain floats and skips the
-    masking a stack needs.  The pivoted route gathers the points it works on:
-    LAPACK's determinant sees the valid input points only (the others may
-    hold NaN), and its solve the non-singular ones.  ``eps_singular`` must be
-    finite and non-negative, else ``ValueError``: a negative one passes
-    singular Hessians, a NaN or infinite one rejects every point.
+    input is invalid.  A point is valid only where its components are
+    finite: a solve that overflows gives NaN components, not ±inf.  A single
+    point runs on plain floats and skips the masking a stack needs.  The
+    pivoted route gathers the points it works on: LAPACK's determinant sees
+    the valid input points only (the others may hold NaN), and its solve the
+    non-singular ones.  ``eps_singular`` must be finite and non-negative,
+    else ``ValueError``: a negative one passes singular Hessians, a NaN or
+    infinite one rejects every point.
     """
     if not 0.0 <= eps_singular < np.inf:
         raise ValueError(f"eps_singular must be finite and non-negative, got {eps_singular!r}")
@@ -257,9 +259,21 @@ def _solve_order_one(h: Array, b: Array, ok=True, eps_singular: float = EPS_SING
     if pivoted:
         comps = np.full(b.shape, np.nan)
         comps[valid] = np.linalg.solve(h[valid], -b[valid][..., None])[..., 0]
-        return comps, valid, cond
-    comps = [-_cramer_det(cols[:j] + [rhs] + cols[j + 1 :]) / det for j in range(n)]
-    return (np.array(comps) if one else np.stack(comps, axis=-1)), valid, cond
+    else:
+        comps = [-_cramer_det(cols[:j] + [rhs] + cols[j + 1 :]) / det for j in range(n)]
+        if one:  # plain floats, tested before they become an array
+            if all(map(math.isfinite, comps)):
+                return np.array(comps), valid, cond
+            return np.full(n, np.nan), False, cond
+        comps = np.stack(comps, axis=-1)
+    # an overflowed solve gives no velocity (the invalid points are NaN already);
+    # tested plane by plane, as numpy reduces a short last axis slowly
+    finite = np.isfinite(comps[..., 0])
+    for j in range(1, n):
+        finite &= np.isfinite(comps[..., j])
+    overflowed = valid & ~finite
+    comps[overflowed] = np.nan
+    return comps, valid & finite, cond
 
 
 def _pointwise_order_one(jet: Jet2, eps_singular: float, pivoted: bool) -> FirstOrderVelocity:
@@ -292,13 +306,14 @@ def first_order_velocity_nd(jet: Jet2, eps_singular: float = EPS_SINGULAR) -> Fi
 
 def _contract(reciprocal: Array, components: Array, ok=True):
     """The contraction at one point or on a stack of points: ``(values, valid)``,
-    valid where ``ok`` marks valid velocities and every reciprocal is finite,
-    NaN elsewhere.  The products are summed in :func:`_sum_planes` order."""
+    valid where ``ok`` marks valid velocities, every reciprocal is finite and
+    the value is finite, NaN elsewhere.  The products are summed in
+    :func:`_sum_planes` order."""
     n = reciprocal.shape[-1]
-    valid = ok & np.isfinite(reciprocal).all(axis=-1)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         values = np.asarray(_sum_planes(reciprocal[..., a] * components[..., a]
                                         for a in range(n)))
+    valid = ok & np.isfinite(reciprocal).all(axis=-1) & np.isfinite(values)
     values[~valid] = np.nan
     return values, valid
 
@@ -374,11 +389,12 @@ def first_order_velocity_field(
     comps = _component_planes(ok.shape, n)
     valid = np.empty(ok.shape, dtype=bool)
     cond = np.empty(ok.shape)
-    for start in range(0, ok.size, BLOCK_POINTS):
-        block = slice(start, start + BLOCK_POINTS)
-        comps[block], valid[block], cond[block] = _solve_order_one(
-            h[block], b[block], ok[block], eps_singular
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed solve is masked
+        for start in range(0, ok.size, BLOCK_POINTS):
+            block = slice(start, start + BLOCK_POINTS)
+            comps[block], valid[block], cond[block] = _solve_order_one(
+                h[block], b[block], ok[block], eps_singular
+            )
     return FirstOrderVelocityField(
         jets.grid, comps.reshape(shape + (n,)), valid.reshape(shape), cond.reshape(shape)
     )

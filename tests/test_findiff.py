@@ -184,24 +184,41 @@ class TestFdJetField:
         assert np.abs(jf.time_mixed[m]).max() < 1e-14
 
     def test_matches_pointwise_bitwise(self):
-        f = wv.TranslatingGaussian((0.7, 0.3), 1.0)
-        g = wv.make_grid(2, [20, 17], [0.11, 0.09], [-1.0, -0.8])
-        sf = wv.sample(f, g, 0.02 * np.arange(5))
+        # every frame of a 7-frame field (the end frames take one-sided time taps
+        # or have no time window), N = 1-4 on axes of at least 6 points (a
+        # one-sided order-4 second derivative needs 6), both orders and
+        # boundaries; every point for N <= 2, the corners and a sample above
+        shapes = {1: (9,), 2: (8, 7), 3: (6, 7, 6), 4: (6, 6, 7, 6)}
+        specs = [wv.StencilSpec(order, boundary) for order in (2, 4)
+                 for boundary in ("one-sided", "shrink-to-valid")]
         rng = np.random.default_rng(2)
-        for spec in (wv.StencilSpec(4, "shrink-to-valid"), wv.StencilSpec(2, "one-sided"),
-                     wv.StencilSpec(4, "one-sided")):
-            jf = wv.fd_jet_field(sf, 2, spec)
-            for _ in range(30):
-                idx = (int(rng.integers(0, 20)), int(rng.integers(0, 17)))
-                j = wv.fd_jet2_at(sf, 2, idx, spec)
-                if j is None:
-                    assert not jf.valid[idx]
-                    continue
-                ref = jf.jet2_at(idx)
-                assert np.array_equal(j.grad, ref.grad)
-                assert np.array_equal(j.hessian, ref.hessian)
-                assert np.array_equal(j.time_mixed, ref.time_mixed)
-                assert j.dpsi_dt == ref.dpsi_dt
+
+        def bits(x):
+            return np.asarray(x, dtype=float).view(np.uint64)
+
+        for n, shape in shapes.items():
+            grid = wv.make_grid(n, shape, (0.11, 0.09, 0.13, 0.07)[:n], -0.3)
+            values = rng.standard_normal((7,) + shape)
+            values[3, (0,) * n] = -0.0  # signed zeros sum from +0.0 on both paths
+            sf = wv.SampledField(grid, 0.1, 0.03, values)
+            points = list(np.ndindex(shape))
+            if n > 2:
+                corners = [tuple(k * (m - 1) for k, m in zip(c, shape))
+                           for c in np.ndindex((2,) * n)]
+                sample = rng.choice(len(points), 24, replace=False)
+                points = corners + [points[i] for i in sample]
+            for spec in specs:
+                for frame in range(7):
+                    jf = wv.fd_jet_field(sf, frame, spec)
+                    for idx in points:
+                        j = wv.fd_jet2_at(sf, frame, idx, spec)
+                        assert (j is None) == (not jf.valid[idx]), (n, spec, frame, idx)
+                        if j is None:
+                            continue
+                        ref = jf.jet2_at(idx)
+                        for name in ("psi", "dpsi_dt", "grad", "hessian", "time_mixed"):
+                            got, want = getattr(j, name), getattr(ref, name)
+                            assert np.array_equal(bits(got), bits(want)), (n, spec, frame, idx)
 
     def test_mixed_partials_stored_symmetric(self):
         f = wv.TranslatingGaussian((0.7, 0.3), 1.0)

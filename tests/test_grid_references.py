@@ -161,7 +161,10 @@ def _ref_pivoted_stack(h, b, ok, eps_singular=EPS_SINGULAR):
     cond = np.divide(frob_n, abs(det), out=np.full(det.shape, np.inf), where=ok & (det != 0.0))
     h[~valid] = np.eye(n)
     b = np.where(valid[..., None], b, np.nan)
-    return np.linalg.solve(h, -b[..., None])[..., 0], valid, cond
+    components = np.linalg.solve(h, -b[..., None])[..., 0]
+    valid &= np.isfinite(components).all(-1)  # an overflowed solve is not valid
+    components[~valid] = np.nan
+    return components, valid, cond
 
 
 def _ref_order_one_field(jets):

@@ -1,5 +1,7 @@
 """Velocity formula tests: worked cases, defining identities, dual routes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -426,6 +428,28 @@ class TestVelocityFields:
         _, v1 = self._maps_on((13, 12), 0.1)
         with pytest.raises(ValueError, match="grid mismatch"):
             wv.contraction_scalar_field(v0, v1)
+
+    @pytest.mark.parametrize("n, dt", [(2, 1e-300), (3, 1e-295)])
+    def test_overflowed_solve_is_invalid(self, n, dt):
+        # finite, valid fd jets of a noise field whose Cramer numerators
+        # overflow: no order-one point may be valid with ±inf components, and
+        # no contraction valid and NaN
+        grid = wv.make_grid(n, (9,) * n, 0.001, 0.0)
+        values = np.random.default_rng(0).standard_normal((7,) + (9,) * n)
+        jets = wv.fd_jet_field(wv.SampledField(grid, 0.0, dt, values), 3)
+        assert jets.valid.sum() == 5**n
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            v0, v1 = wv.velocity_field(jets, 0), wv.velocity_field(jets, 1)
+            vals, valid = wv.contraction_scalar_field(v0, v1)
+            assert np.isfinite(v0.reciprocal[jets.valid]).all()
+            assert not v1.valid.any() and np.isnan(v1.components).all()
+            assert not valid.any() and np.isnan(vals).all()
+            # the pointwise Cramer route agrees (the pivoted one does not overflow here)
+            solve = getattr(wv, f"first_order_velocity_{n}d")
+            for idx in zip(*np.nonzero(jets.valid)):
+                v = solve(jets.jet2_at(idx))
+                assert not v.valid and np.isnan(v.components).all()
 
     def test_order_validated(self):
         jets, _ = self._jets(wv.StaticGaussian(1.0))
