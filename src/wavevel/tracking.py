@@ -15,8 +15,12 @@ Both trackers read each frame through a frame source with one interface:
 :class:`_JetInterpolator` for a :class:`SampledField` (finite-difference
 jets, quadratically interpolated) and :class:`_ExactJets` for an analytic
 catalog field (exact evaluation, mainly for calibration at machine
-accuracy).  There is one Newton loop, :func:`_newton_iterations`, and
-one frame loop per attribute kind.  On a sampled field the jets are
+accuracy).  A source hands out jets and evaluates no formula:
+``jets(x, names, anchor=None, fid=None)`` reads jet parts at ``x`` and
+``timed`` says whether the frame has time derivatives.  Each formula runs
+once, in its loop: the Newton step in :func:`_newton_iterations`, the
+order-one solve (:func:`_solve_order_one`, as in the maps) and the crossing
+speed in the frame loops, on timed frames.  On a sampled field the jets are
 computed only on a small window of the grid around the tracked point, so a
 track costs O(frames) whatever the grid size; the window's jets are
 bit-identical to the full-grid jets where they are read.
@@ -62,7 +66,7 @@ import numpy as np
 from .fields import AnalyticField, Grid, SampledField, _sum_planes, canonical_time_axis
 from .findiff import DEFAULT_STENCIL, StencilSpec, _time_taps, fd_jet_fields
 from .jets import JetField
-from .velocities import AttributeSpec, _solve_order_one, first_order_velocity_nd
+from .velocities import AttributeSpec, _solve_order_one
 
 Array = np.ndarray
 
@@ -327,8 +331,8 @@ class _JetInterpolator:
     Frame ``frame`` of a :class:`_WindowRun`: the source reads its jets
     through the run it shares with the other frame sources of a track, or
     through :meth:`_WindowRun.whole` for one jet field on the whole grid.
-    The run says whether the frame has a time window; without one (an end
-    frame under shrink-to-valid) the velocities it computes are NaN.  The
+    The run says whether the frame has a time window (``timed``); without
+    one (an end frame under shrink-to-valid) its velocities stay NaN.  The
     Newton loop reads the gradient and the Hessian, which every frame has
     wherever the spatial stencils apply: a point is lost when any gradient
     or Hessian entry of its 3^N block is not finite (the border bands are
@@ -348,7 +352,7 @@ class _JetInterpolator:
         self.spacing = self.grid.spacing
         self.length_scale = max(self.spacing)
         self._run, self._frame = run, frame
-        self._timed = run.timed[frame]
+        self.timed = run.timed[frame]
 
     def index(self, x) -> list:
         """Fractional grid index of ``x`` (:meth:`Grid.index_of` on Python floats)."""
@@ -356,18 +360,15 @@ class _JetInterpolator:
             x = x.tolist()
         return [(e - o) / h for e, o, h in zip(x, self.grid.origin, self.spacing)]
 
-    def _anchor(self, fid) -> tuple:
-        return tuple(min(max(round(f), 1), n - 2) for f, n in zip(fid, self.grid.shape))
-
     def anchor(self, fid, locked=None) -> tuple:
         """Anchor of the interpolant at the fractional index ``fid``: ``locked``
         while ``fid`` stays within 1.5 cells of it, else the nearest grid point
         with a full 3^N block."""
         if locked is not None and not any(abs(f - a) > 1.5 for f, a in zip(fid, locked)):
             return locked
-        return self._anchor(fid)
+        return tuple(min(max(round(f), 1), n - 2) for f, n in zip(fid, self.grid.shape))
 
-    def _interpolate(self, x, names, fid=None, anchor=None) -> list:
+    def jets(self, x, names, anchor=None, fid=None) -> list:
         """The jet arrays ``names`` (see :meth:`_WindowRun.rows`) interpolated at
         ``x``, whose fractional index is ``fid``, on the block around ``anchor``
         (None: the nearest full block)."""
@@ -376,7 +377,7 @@ class _JetInterpolator:
         if not all(0.0 <= f <= n - 1 for f, n in zip(fid, self.grid.shape)):
             raise AttributeLostError(f"point {np.asarray(x)} left the grid")
         if anchor is None:
-            anchor = self._anchor(fid)
+            anchor = self.anchor(fid)
         operands = self._run.rows(self._frame, anchor, names)
         if operands is None:
             raise AttributeLostError(
@@ -385,16 +386,6 @@ class _JetInterpolator:
         weights = _block_weights(fid, anchor)
         return [_contract(weights, rows, tail) for rows, tail in operands]
 
-    def gradient_hessian(self, x, anchor=None, fid=None):
-        return self._interpolate(x, ("grad", "hessian"), fid, anchor)
-
-    def first_order_components(self, x) -> Array:
-        """Order-one velocity at an off-grid point; NaN vector when singular."""
-        if not self._timed:
-            return np.full(self.grid.dim, np.nan)
-        hess, tmix = self._interpolate(x, ("hessian", "time_mixed"))
-        return _solve_order_one(hess, tmix)[0]
-
     def crossing(self, point, axis: int, level: float, near: float) -> float:
         """Crossing of ``level`` nearest to ``near`` on the grid line through
         ``point`` along ``axis`` (linear interpolation of the samples)."""
@@ -402,12 +393,6 @@ class _JetInterpolator:
         ray = index[:axis] + (slice(None),) + index[axis + 1 :]
         values = self._run.field.values[self._frame][ray]
         return _linear_crossing(self._run.coords[axis], values, level, near)
-
-    def crossing_speed_factor(self, x, axis: int) -> float:
-        """``-psi_t / psi_xaxis`` at an off-grid point (N x order-zero component)."""
-        if not self._timed:
-            return np.nan
-        return _crossing_speed(*self._interpolate(x, ("dpsi_dt", axis)))
 
 
 class _ExactJets:
@@ -420,6 +405,7 @@ class _ExactJets:
     """
 
     length_scale = 1.0
+    timed = True
     _ANCHOR = ()
 
     def __init__(self, field: AnalyticField, t: float, search_radius: float):
@@ -435,13 +421,11 @@ class _ExactJets:
     def anchor(self, fid, locked=None):
         return self._ANCHOR
 
-    def gradient_hessian(self, x, anchor=None, fid=None):
+    def jets(self, x, names, anchor=None, fid=None) -> list:
+        """The jet parts ``names`` at ``x`` from one exact jet: a :class:`Jet2`
+        attribute name, or an axis (an int) for that gradient entry."""
         jet = self._field.jet2(x, self._t)
-        return jet.grad, jet.hessian
-
-    def first_order_components(self, x) -> Array:
-        """Order-one velocity (pivoted route); NaN vector when singular."""
-        return first_order_velocity_nd(self._field.jet2(x, self._t)).components
+        return [jet.grad[name] if isinstance(name, int) else getattr(jet, name) for name in names]
 
     def crossing(self, point, axis: int, level: float, near: float) -> float:
         """Crossing of ``level`` nearest to ``near`` on the line through ``point`` along ``axis``."""
@@ -451,11 +435,6 @@ class _ExactJets:
             return self._field.value(p, self._t) - level
 
         return _bracketed_root(profile, near, self._search_radius)
-
-    def crossing_speed_factor(self, x, axis: int) -> float:
-        """``-psi_t / psi_xaxis`` at ``x`` (N x order-zero component)."""
-        jet = self._field.jet2(x, self._t)
-        return _crossing_speed(jet.dpsi_dt, jet.grad[axis])
 
 
 def _newton_iterations(source, x0, targets):
@@ -488,7 +467,7 @@ def _newton_iterations(source, x0, targets):
         anchor = source.anchor(fid, locked)
         if anchor is not locked:
             locked = None  # not locked, or the iterate escaped the locked cell
-        grad, hess = source.gradient_hessian(x, anchor, fid)
+        grad, hess = source.jets(x, ("grad", "hessian"), anchor, fid)
         residual = grad - targets
         frob = math.sqrt(_sum_planes(e * e for e in hess.ravel().tolist()))
         bound = NEWTON_TOL * frob * source.length_scale
@@ -550,14 +529,6 @@ def find_critical_point(jets: JetField, seed_index, target) -> Array:
 
 # --------------------------------------------------------------------------
 # frame-by-frame tracking
-
-
-def _empirical_velocity(positions: Array, dt: float) -> Array:
-    emp = np.empty_like(positions)
-    emp[1:-1] = (positions[2:] - positions[:-2]) / (2.0 * dt)
-    emp[0] = (positions[1] - positions[0]) / dt
-    emp[-1] = (positions[-1] - positions[-2]) / dt
-    return emp
 
 
 def _deviation(empirical: Array, computed: Array) -> float:
@@ -629,7 +600,7 @@ def track_attribute(
                         iterations)
     else:
         _track_level(frames, x0, target.level, positions, computed)
-    empirical = _empirical_velocity(positions, dt)
+    empirical = np.gradient(positions, dt, axis=0)
     return TrackResult(
         target.kind, times, positions, empirical, computed,
         _deviation(empirical, computed), iterations, run.passes if run else 0,
@@ -643,7 +614,8 @@ def _track_gradient(frames: list, x, targets: Array, positions: Array, computed:
     for frame, source in enumerate(frames):
         x, iterations[frame] = _newton_iterations(source, x, targets)
         positions[frame] = x
-        computed[frame] = source.first_order_components(x)
+        if source.timed:
+            computed[frame] = _solve_order_one(*source.jets(x, ("hessian", "time_mixed")))[0]
 
 
 def _track_level(frames: list, seed: Array, level: float, positions: Array,
@@ -658,7 +630,8 @@ def _track_level(frames: list, seed: Array, level: float, positions: Array,
             point = seed.copy()
             point[axis] = s
             try:
-                computed[frame, axis] = source.crossing_speed_factor(point, axis)
+                if source.timed:
+                    computed[frame, axis] = _crossing_speed(*source.jets(point, ("dpsi_dt", axis)))
             except AttributeLostError:
                 pass  # no valid jet block at the crossing: the speed stays NaN
 

@@ -341,6 +341,51 @@ class TestCovcheck:
                     "--samples", "50", "--tol", "1e-18"])
         assert code == 1
 
+    # the benchmark's cli covcheck at seed 23: a well-conditioned map and Hessian, but
+    # psi_t near 0 makes the reciprocals large, and the contraction's rounding with
+    # them (4.1e-11 where the rounding bound is 6.3e-11; 1626 x it with v off by 1e-12)
+    SEED_23 = ["covcheck", "--kind", "translating-gaussian",
+               "--param", "velocity=0.42,0.5599999999999999", "--param", "sigma=1.0",
+               "--param", "center=0.0026000000000000003,0.0062",
+               "--matrix=0.2834139691753482,-0.545672654832703,0.8489577079935345,"
+               "-0.2397134373173192", "--offset=0.5014543853610188,-0.6450139061015544",
+               "--samples", "250", "--box=-0.5,0.5", "--rng-seed", "23"]
+
+    def test_contraction_within_its_rounding_bound_passes(self, capsys):
+        assert cli(self.SEED_23) == 0
+        out = capsys.readouterr().out
+        assert "contraction scalar: max deviation 4.106e-11 (at most 1.07 x" in out
+        assert out.splitlines()[-1].startswith("OK: all deviations within")
+        # an explicit --tol is one absolute tolerance for every law
+        assert cli([*self.SEED_23, "--tol", "1e-11"]) == 1
+        assert "FAIL: worst deviation 4.106e-11 > tolerance 1.000e-11" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, fixed_tol_code", [
+        (SEED_23, 1),
+        (["covcheck", *GAUSS, "--matrix", "2,0.3,0.1,1.5", "--offset", "0.2,-0.1",
+          "--samples", "50", "--t", "0.3"], 0),
+    ])
+    def test_order_one_error_of_1e12_fails_the_bound(self, argv, fixed_tol_code, monkeypatch,
+                                                     capsys):
+        # a relative error of 1e-12 in the composed field's mixed time rows, and so
+        # in its order-one velocity: the fixed 1e-11 reads the same verdict with
+        # and without it, the rounding bound catches it
+        def jets_off_by_1e12(field, points, t):
+            psi, dpsi_dt, grad, hess, tmix = field.jet_arrays(points, t)
+            if isinstance(field, wv.AffineReparamField):
+                tmix = tmix * (1.0 + 1e-12)
+            return psi, dpsi_dt, grad, hess, tmix
+
+        check = wavevel.cli.check_transformation_laws
+        monkeypatch.setattr(wavevel.cli, "check_transformation_laws",
+                            lambda *args: check(*args, jet2_fn=jets_off_by_1e12))
+        assert cli(argv) == 1
+        assert "FAIL: contraction deviation" in capsys.readouterr().err
+        assert cli([*argv, "--tol", "1e-11"]) == fixed_tol_code
+        monkeypatch.setattr(wavevel.cli, "check_transformation_laws", check)
+        assert cli(argv) == 0
+        assert cli([*argv, "--tol", "1e-11"]) == fixed_tol_code
+
     def test_wrong_matrix_size_is_usage_error(self):
         assert cli(["covcheck", *GAUSS, "--matrix", "1,0,0"]) == 2
 

@@ -374,7 +374,7 @@ class TestLostCrossingSpeed:
         assert np.isnan(res.computed_velocity[:, 1]).all()
         source = _JetInterpolator(_WindowRun(sf, wv.StencilSpec()), 3)
         with pytest.raises(AttributeLostError, match="valid interior"):
-            source.crossing_speed_factor(np.array([0.2, res.positions[3, 1]]), 1)
+            source.jets(np.array([0.2, res.positions[3, 1]]), ("dpsi_dt", 1))
 
 
 class TestCrossingSpeed:
@@ -386,8 +386,9 @@ class TestCrossingSpeed:
         sources = (_whole(wv.analytic_jet_field(poly, grid, 0.0)),
                    tracking._ExactJets(poly, 0.0, 0.5))
         for source in sources:
-            assert np.isnan(source.crossing_speed_factor(x, 1))
-            assert source.crossing_speed_factor(x, 0) == pytest.approx(-2.0, rel=1e-14)
+            assert np.isnan(tracking._crossing_speed(*source.jets(x, ("dpsi_dt", 1))))
+            assert tracking._crossing_speed(*source.jets(x, ("dpsi_dt", 0))) == pytest.approx(
+                -2.0, rel=1e-14)
 
 
 class TestAttributeSpec:
@@ -423,7 +424,7 @@ def _interpolated(interp, x):
     """Interpolated gradient, Hessian, time_mixed and dpsi_dt at ``x``, or the
     AttributeLostError message when the point has no valid block."""
     try:
-        return interp._interpolate(x, ("grad", "hessian", "time_mixed", "dpsi_dt"))
+        return interp.jets(x, ("grad", "hessian", "time_mixed", "dpsi_dt"))
     except AttributeLostError as exc:
         return str(exc)
 
@@ -641,7 +642,8 @@ def _reference_track(field, target, seed, spec):
             x = tracking._newton_iterations(_whole(jets), x, targets)[0]
             positions[frame] = x
             if np.any(jets.valid):
-                computed[frame] = _whole(jets).first_order_components(x)
+                computed[frame] = _solve_order_one(
+                    *_whole(jets).jets(x, ("hessian", "time_mixed")))[0]
     else:
         for axis in range(n):
             coords = grid.axis_coordinates(axis)
@@ -655,11 +657,11 @@ def _reference_track(field, target, seed, spec):
                     point = grid.point(seed)
                     point[axis] = s
                     try:
-                        computed[frame, axis] = _whole(jets).crossing_speed_factor(
-                            point, axis)
+                        computed[frame, axis] = tracking._crossing_speed(
+                            *_whole(jets).jets(point, ("dpsi_dt", axis)))
                     except AttributeLostError:
                         pass
-    empirical = tracking._empirical_velocity(positions, field.dt)
+    empirical = np.gradient(positions, field.dt, axis=0)
     return positions, computed, tracking._deviation(empirical, computed)
 
 
@@ -700,9 +702,8 @@ def _reference_analytic_track(field, target, seed, times, search_radius):
                 return jet.grad, jet.hessian
             x = _reference_newton(probe, x, targets)
             positions[frame] = x
-            v1 = wv.first_order_velocity_nd(field.jet2(x, t))
-            if v1.valid:
-                computed[frame] = v1.components
+            jet = field.jet2(x, t)
+            computed[frame] = _solve_order_one(jet.hessian, jet.time_mixed)[0]
     else:
         for axis in range(n):
             near = float(seed[axis])
@@ -719,7 +720,7 @@ def _reference_analytic_track(field, target, seed, times, search_radius):
                 gi = jet.grad[axis]
                 if gi != 0.0:
                     computed[frame, axis] = -jet.dpsi_dt / gi
-    empirical = tracking._empirical_velocity(positions, dt)
+    empirical = np.gradient(positions, dt, axis=0)
     return positions, computed, tracking._deviation(empirical, computed)
 
 
@@ -777,6 +778,18 @@ class TestWindowedTracksUnchanged:
         assert res.deviation == deviation
         assert res.deviation <= 0.1  # a real track, not a lost one
 
+    def test_analytic_order_one_is_the_map_kernel(self):
+        # the analytic oracle checks the solve the velocity maps and the
+        # sampled oracle run (Cramer at N = 3), bit for bit
+        bump = wv.TranslatingGaussian((0.3, 0.2, -0.25), 0.9)
+        times = 0.02 * np.arange(9) - 0.08
+        res = wv.track_attribute(bump, wv.AttributeSpec.gradient_set((0.0,) * 3),
+                                 np.array((0.02, 0.01, -0.01)), times=times)
+        for x, t, got in zip(res.positions, res.times, res.computed_velocity):
+            jet = bump.jet2(x, t)
+            want = _solve_order_one(jet.hessian, jet.time_mixed)[0]
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     @pytest.mark.parametrize("kind", ("gradient", "level"))
     def test_analytic_tracks_difference_over_the_canonical_step(self, kind):
         bump = wv.TranslatingGaussian((0.7, 0.3), 0.4)
@@ -787,7 +800,7 @@ class TestWindowedTracksUnchanged:
         else:
             target, seed = wv.AttributeSpec.level_set(0.5), np.array((0.21, 0.26))
         res = wv.track_attribute(bump, target, seed, times=times, search_radius=0.3)
-        want = tracking._empirical_velocity(res.positions, step)
+        want = np.gradient(res.positions, step, axis=0)
         assert np.array_equal(res.empirical_velocity.view(np.uint64), want.view(np.uint64))
         assert res.jet_points == 0
 
@@ -844,22 +857,25 @@ class TestBlockCache:
                 # the nearest anchor, and neighbours as a locked anchor may be
                 nearest = np.rint(grid.index_of(x)).astype(int)
                 calls = [lambda src, a=tuple(int(i) for i in nearest + d):
-                         src.gradient_hessian(x, a) for d in (0, -1, 1)]
-                calls.append(lambda src: src.first_order_components(x))
+                         src.jets(x, ("grad", "hessian"), a) for d in (0, -1, 1)]
+                calls.append(
+                    lambda src: _solve_order_one(*src.jets(x, ("hessian", "time_mixed")))[0])
             else:
                 calls = []
                 jets = wv.fd_jet_field(field, frame, spec)
                 for axis in range(dim):
                     point = grid.point(seed)
                     point[axis] = res.positions[frame, axis]
-                    calls.append(lambda src, p=point, a=axis: src.crossing_speed_factor(p, a))
+                    calls.append(lambda src, p=point, a=axis:
+                                 tracking._crossing_speed(*src.jets(p, ("dpsi_dt", a))))
                     if run.timed[frame]:  # and against np.tensordot on the whole grid
                         try:
                             pt, gi = _reference_interpolation(
                                 jets, point, (jets.dpsi_dt, jets.grad[..., axis]))
                         except AttributeLostError:
                             continue
-                        speed = _JetInterpolator(run, frame).crossing_speed_factor(point, axis)
+                        speed = tracking._crossing_speed(
+                            *_JetInterpolator(run, frame).jets(point, ("dpsi_dt", axis)))
                         _same_result(speed, tracking._crossing_speed(pt, gi))
             for call in calls:
                 want = _outcome(call, _JetInterpolator(_WindowRun(field, spec), frame))
@@ -888,13 +904,13 @@ class TestBlockCache:
             for _ in range(3):
                 read = len(reads)
                 with pytest.raises(AttributeLostError, match="valid interior"):
-                    source.gradient_hessian(border)
+                    source.jets(border, ("grad", "hessian"))
                 assert len(reads) == read + 1  # a failure is gathered and checked again
                 assert run._key is None
                 with pytest.raises(AttributeLostError, match="valid interior"):
-                    source.first_order_components(border)
+                    source.jets(border, ("hessian", "time_mixed"))
                 with pytest.raises(AttributeLostError, match="valid interior"):
-                    source.crossing_speed_factor(border, 0)
+                    source.jets(border, ("dpsi_dt", 0))
 
     @pytest.mark.parametrize("dim", (2, 3))
     def test_reopened_run_never_serves_the_old_rows(self, dim, monkeypatch):
@@ -924,7 +940,7 @@ class TestBlockCache:
             _assert_same(_interpolated(source, x), want)  # and one more, gathered anew
             assert run.passes == passes + 3
             poison()
-            source.gradient_hessian(far)  # the same frame, out of the exact zone: a new run
+            source.jets(far, ("grad", "hessian"))  # the same frame, out of the exact zone: a new run
             assert run.passes == passes + 4
             _assert_same(_interpolated(source, x), want)
 
