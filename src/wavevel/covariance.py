@@ -245,7 +245,7 @@ class CovarianceReport:
 
 
 def _frame_velocities(source, field: AnalyticField, points: Array, t: float):
-    """``(moving, reciprocals, order-one components, solved, hessian condition,
+    """``(moving, reciprocals, order-one components, solved, kappa_2(H),
     contractions, contracted)`` of one frame's jets: ``moving`` marks psi_t != 0,
     ``solved`` a non-singular Hessian and ``contracted`` a defined contraction."""
     psi, dpsi_dt, grad, hess, tmix = source(field, points, t)
@@ -253,9 +253,10 @@ def _frame_velocities(source, field: AnalyticField, points: Array, t: float):
     ok = np.ones(len(points), dtype=bool)
     # pivoted, not Cramer as in the maps: Cramer's forward error would read as
     # a deviation of the laws (7x LU's at kappa(H) = 1e4; ROADMAP, "Earlier probes")
-    comps, solved, cond = _solve_order_one(_mirror_upper(hess), tmix, ok, pivoted=True)
+    comps, solved, _ = _solve_order_one(h := _mirror_upper(hess), tmix, ok, pivoted=True)
     reciprocals = _order_zero(grad, dpsi_dt, ok)[0]
-    return (dpsi_dt != 0.0, reciprocals, comps, solved, cond) + _contract(reciprocals, comps, solved)
+    kappa = np.linalg.cond(h)
+    return (dpsi_dt != 0.0, reciprocals, comps, solved, kappa) + _contract(reciprocals, comps, solved)
 
 
 def _relative_deviations(a: Array, b: Array) -> Array:
@@ -276,9 +277,10 @@ def check_transformation_laws(
     contraction where it is undefined.  Non-finite jets raise ``ValueError``.
     The contraction report's ``max_bound_ratio`` (None on the others) is the
     worst deviation over its rounding bound ``2^-53 (|w_x| |v_x| c_x + |w_X|
-    |v_X| c_X)``, 0 where the deviation is: 2-norms of the reciprocals and the
-    components, ``c`` the solve's ``hessian_condition`` (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 7).
+    |v_X| c_X)``, 0 where the deviation is 0, else inf where the bound is not
+    finite: 2-norms of the reciprocals and the components, ``c`` the Hessian's
+    2-norm condition number (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 2002, ch. 7).
     """
     if field.dim != amap.dim:
         raise ValueError(f"dimension mismatch: field {field.dim}, map {amap.dim}")
@@ -288,30 +290,31 @@ def check_transformation_laws(
     pts = pts.reshape(-1, field.dim)
     source = jet2_fn or (lambda fld, pts, when: fld.jet_arrays(pts, when))
     composed = AffineReparamField(field, amap)
-    worst, checked = [0.0] * 4, [0] * 4  # the laws, then the contraction's bound ratio
+    worst, checked, ratio = [0.0] * 3, [0] * 3, 0.0
     for start in range(0, len(pts), BLOCK_POINTS):
         x = pts[start : start + BLOCK_POINTS]
-        # only skipped points divide by 0; an overflowed bound is inf, its ratio 0
+        # only skipped points divide by 0; an overflowed bound is inf
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            moving_x, w_x, v_x, solved_x, cond_x, c_x, contracted_x = _frame_velocities(
+            moving_x, w_x, v_x, solved_x, kappa_x, c_x, contracted_x = _frame_velocities(
                 source, composed, x, t)
-            moving_X, w_X, v_X, solved_X, cond_X, c_X, contracted_X = _frame_velocities(
+            moving_X, w_X, v_X, solved_X, kappa_X, c_X, contracted_X = _frame_velocities(
                 source, field, amap.apply(x), t)
-            dev = np.abs(c_x - c_X)
             nw_x, nv_x, nw_X, nv_X = (np.linalg.norm(a, axis=-1) for a in (w_x, v_x, w_X, v_X))
-            bound = 2.0**-53 * (nw_x * nv_x * cond_x + nw_X * nv_X * cond_X)
+            bound = 2.0**-53 * (nw_x * nv_x * kappa_x + nw_X * nv_X * kappa_X)
             laws = (
                 (moving_x & moving_X, _relative_deviations(w_x, transform_covector(w_X, amap))),
                 (solved_x & solved_X, _relative_deviations(v_x, transform_vector(v_X, amap))),
-                (contracted_x & contracted_X, dev),
-                (contracted_x & contracted_X, np.divide(dev, bound, out=np.zeros_like(dev),
-                                                        where=dev != 0.0)),
+                (contracted_x & contracted_X, np.abs(c_x - c_X)),
             )
+            # a deviation beside a bound that is not finite fails: no point goes unjudged
+            mask, dev = laws[2]
+            ratio = max(ratio, float(np.where(dev == 0.0, 0.0, np.where(
+                np.isfinite(bound), dev / bound, np.inf)).max(initial=0.0, where=mask)))
         for k, (mask, dev) in enumerate(laws):
             checked[k] += int(np.count_nonzero(mask))
             worst[k] = max(worst[k], float(dev.max(initial=0.0, where=mask)))
     return tuple(CovarianceReport(worst[k], checked[k], len(pts) - checked[k],
-                                  worst[3] if k == 2 else None) for k in range(3))
+                                  ratio if k == 2 else None) for k in range(3))
 
 
 def check_zero_order_covariance(

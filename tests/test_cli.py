@@ -343,7 +343,7 @@ class TestCovcheck:
 
     # the benchmark's cli covcheck at seed 23: a well-conditioned map and Hessian, but
     # psi_t near 0 makes the reciprocals large, and the contraction's rounding with
-    # them (4.1e-11 where the rounding bound is 6.3e-11; 1626 x it with v off by 1e-12)
+    # them (4.1e-11 where the rounding bound is 6.3e-11; 3016 x it with v off by 1e-12)
     SEED_23 = ["covcheck", "--kind", "translating-gaussian",
                "--param", "velocity=0.42,0.5599999999999999", "--param", "sigma=1.0",
                "--param", "center=0.0026000000000000003,0.0062",
@@ -354,22 +354,23 @@ class TestCovcheck:
     def test_contraction_within_its_rounding_bound_passes(self, capsys):
         assert cli(self.SEED_23) == 0
         out = capsys.readouterr().out
-        assert "contraction scalar: max deviation 4.106e-11 (at most 1.07 x" in out
-        assert out.splitlines()[-1].startswith("OK: all deviations within")
-        # an explicit --tol is one absolute tolerance for every law
-        assert cli([*self.SEED_23, "--tol", "1e-11"]) == 1
-        assert "FAIL: worst deviation 4.106e-11 > tolerance 1.000e-11" in capsys.readouterr().err
+        assert "contraction scalar: max deviation 4.106e-11 (at most 1.78 x" in out
+        assert out.splitlines()[-1].startswith("OK: all deviations within 1.0e-11")
 
-    @pytest.mark.parametrize("argv, fixed_tol_code", [
-        (SEED_23, 1),
-        (["covcheck", *GAUSS, "--matrix", "2,0.3,0.1,1.5", "--offset", "0.2,-0.1",
-          "--samples", "50", "--t", "0.3"], 0),
+    @pytest.mark.parametrize("argv", [
+        SEED_23,
+        ["covcheck", *GAUSS, "--matrix", "2,0.3,0.1,1.5", "--offset", "0.2,-0.1",
+         "--samples", "50", "--t", "0.3"],
+        # 3-D, singular values (1, 0.1, 0.1): the composed Hessian's kappa is 100,
+        # ||H||_F^3 / |det H| 1e4, and that reading would pass the error below
+        ["covcheck", "--kind", "translating-gaussian", "--param", "velocity=0.3,0.2,-0.25",
+         "--param", "sigma=0.9", "--matrix", "0.6,0.08,0,-0.8,0.06,0,0,0,0.1",
+         "--offset", "0.1,-0.05,0.02", "--samples", "50", "--box=-0.3,0.3", "--t", "0.3"],
     ])
-    def test_order_one_error_of_1e12_fails_the_bound(self, argv, fixed_tol_code, monkeypatch,
-                                                     capsys):
+    def test_order_one_error_of_1e12_fails_the_bound(self, argv, monkeypatch, capsys):
         # a relative error of 1e-12 in the composed field's mixed time rows, and so
-        # in its order-one velocity: the fixed 1e-11 reads the same verdict with
-        # and without it, the rounding bound catches it
+        # in its order-one velocity: within the vector law's 1e-11, but the
+        # contraction's rounding bound catches it
         def jets_off_by_1e12(field, points, t):
             psi, dpsi_dt, grad, hess, tmix = field.jet_arrays(points, t)
             if isinstance(field, wv.AffineReparamField):
@@ -381,10 +382,8 @@ class TestCovcheck:
                             lambda *args: check(*args, jet2_fn=jets_off_by_1e12))
         assert cli(argv) == 1
         assert "FAIL: contraction deviation" in capsys.readouterr().err
-        assert cli([*argv, "--tol", "1e-11"]) == fixed_tol_code
         monkeypatch.setattr(wavevel.cli, "check_transformation_laws", check)
         assert cli(argv) == 0
-        assert cli([*argv, "--tol", "1e-11"]) == fixed_tol_code
 
     def test_wrong_matrix_size_is_usage_error(self):
         assert cli(["covcheck", *GAUSS, "--matrix", "1,0,0"]) == 2

@@ -520,6 +520,22 @@ class TestBatchedChecks:
         assert (wv.check_transformation_laws(field, amap, pts, 0.3, scrambled)
                 == wv.check_transformation_laws(field, amap, pts, 0.3))
 
+    @pytest.mark.parametrize("off, ratio", [(0.0, 0.0), (1e-12, np.inf)])
+    def test_contraction_without_a_finite_bound_is_judged(self, off, ratio):
+        # psi_t = 1e-306: the contraction (1.01e308) is finite, |w| |v| kappa_2(H)
+        # (1.4e310) is not; a deviation there has no bound to pass, so it fails
+        def tiny_psi_t(field, points, t):
+            n = len(points)
+            tmix = np.ones((n, 2)) * (1.0 + off if isinstance(field, wv.AffineReparamField) else 1.0)
+            return (np.ones(n), np.full(n, 1e-306), np.full((n, 2), 0.5),
+                    np.broadcast_to(np.diag([1.0, 0.01]), (n, 2, 2)), tmix)
+
+        reports = wv.check_transformation_laws(wv.TranslatingGaussian((0.7, 0.2), 2.0),
+                                               wv.AffineMap.identity(2), np.zeros((3, 2)), 0.0,
+                                               tiny_psi_t)
+        assert reports[2].checked == 3 and np.isfinite(reports[2].max_deviation)
+        assert reports[2].max_bound_ratio == ratio
+
 
 class TestFdJetSource:
     @pytest.mark.parametrize("n", [2, 3])
