@@ -7,6 +7,7 @@ calls.  Exit codes: 0 success, 1 failed check, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -285,6 +286,7 @@ def _add_singularity_option(p) -> None:
     )
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavevel",
@@ -377,7 +379,7 @@ def _merge_config(argv: list) -> list:
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
-        extra += [f"--{key.strip()}", value.strip()]
+        extra.append(f"--{key.strip()}={value.strip()}")  # a value may start with "-"
     if not rest:
         return extra
     # defaults go right after the subcommand so explicit flags win

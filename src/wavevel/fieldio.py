@@ -21,10 +21,15 @@ and picks each cell's bytes from a table of layouts keyed by sign, decimal
 exponent and kept digits; NaN, the infinities and the zeros are fixed
 cells, and other values fall back to ``"%.17g" % v`` one by one.  Cells sit
 in fixed slots of a row matrix whose zero padding is dropped when the rows
-are written.  :func:`_write_csv` is the one writer, shared with the CLI's
-track CSV, and :func:`csv_cells` decodes the same cells to strings.  Rows
-are written in chunks of a fixed number of rows through one workspace per
-call, so memory beyond the inputs does not grow with the grid.
+are written.  On a grid of two or more axes the coordinate cells are
+formatted once per axis and packed: each cell's bytes and its ``,``,
+left-aligned in as few words as the axis's longest cell needs (3 for
+``-2.5499999999999998,``, not 6), and rows gather them by index; a 1-D
+grid's axis is a number column.  :func:`_write_csv` is the one writer,
+shared with the CLI's track CSV, and :func:`csv_cells` decodes the same
+cells to strings.  Rows are written in chunks of a fixed number of rows
+through one workspace per call, so memory beyond the inputs does not grow
+with the grid.
 """
 
 from __future__ import annotations
@@ -157,6 +162,7 @@ _FIRST_X, _LAST_X = -11, 15  # the decimal exponents of the exact range
 _LAYOUTS = (_LAST_X - _FIRST_X + 1) * 17
 _ZERO, _INF, _NAN, _FALLBACK = range(_LAYOUTS, _LAYOUTS + 4)
 _LOW32 = _U(0xFFFFFFFF)
+_COMMA = _U(ord(",")) << _U(56)  # a separator in a cell's last byte
 _NO_ROWS = np.empty(0, np.intp)
 
 
@@ -366,19 +372,29 @@ def _number_cells(values, out, ws: _Workspace) -> None:
         out[fallback, :3] = cells.view(_U).reshape(-1, 3)
 
 
-def _cells(values) -> np.ndarray:
-    """The cells of 1-D numbers as a (6 words, len) table, for :class:`_Gather`."""
+def _packed_cells(values) -> np.ndarray:
+    """The cells of 1-D numbers for :class:`_Gather`: each cell's bytes and a
+    ``,``, left-aligned in as many words as the longest needs, as a (words,
+    len) table."""
     values = np.asarray(values)
-    out = np.empty((values.size, _CELL_WORDS), _U)
+    table = np.empty((values.size, _CELL_WORDS), _U)
     ws = _Workspace(min(values.size, _CSV_CHUNK_ROWS))
+    longest = 0
     for start in range(0, values.size, _CSV_CHUNK_ROWS):
         stop = start + _CSV_CHUNK_ROWS
-        _number_cells(values[start:stop], out[start:stop], ws)
-    return np.ascontiguousarray(out.T)
+        cells = table[start:stop]
+        _number_cells(values[start:stop], cells, ws)
+        cells[:, -1] |= _COMMA
+        # a stable sort on "is padding" moves each cell's bytes to its front, in order
+        b = cells.view(np.uint8)
+        b[...] = np.take_along_axis(b, np.argsort(b == 0, axis=1, kind="stable"), axis=1)
+        longest = max(longest, int(np.count_nonzero(b, axis=1).max()))
+    return np.ascontiguousarray(table[:, :-(-longest // 8)].T)
 
 
 class _Gather:
-    """A column of cells taken by row index from a table made by :func:`_cells`."""
+    """A column of cells taken by row index from a table made by
+    :func:`_packed_cells`; the cells carry their ``,``."""
 
     def __init__(self, table: np.ndarray, index: np.ndarray):
         self.table, self.index = table, index
@@ -389,13 +405,15 @@ class _Gather:
 
 class _Rows:
     """The row matrix of a chunk: each column's cells in a fixed slot of
-    words, six for a number and one for a boolean, with the separator in the
-    slot's last byte.  The rows are its bytes without the zero padding."""
+    words, six for a number, one for a boolean and the table's width for a
+    :class:`_Gather`, with the separator in the slot's last byte (a gathered
+    cell carries its own).  The rows are its bytes without the zero padding."""
 
     _BLOCK_BYTES = 1 << 15  # the matrix is compacted this much at a time
 
     def __init__(self, columns, size: int):
-        widths = [1 if getattr(c, "dtype", None) == bool else _CELL_WORDS for c in columns]
+        widths = [len(c.table) if isinstance(c, _Gather) else 1 if c.dtype == bool
+                  else _CELL_WORDS for c in columns]
         ends = np.cumsum(widths)
         self.slots = [slice(stop - w, stop) for stop, w in zip(ends, widths)]
         self.seps = [_U(ord(sep)) << _U(56) for sep in "," * (len(columns) - 1) + "\n"]
@@ -412,7 +430,8 @@ class _Rows:
             if isinstance(col, _Gather):
                 for word, table in enumerate(col.table):
                     np.take(table, col.index, out=cells[:, word], mode="clip")
-            elif col.dtype == bool:
+                continue
+            if col.dtype == bool:
                 np.add(col, _U(ord("0")), out=cells[:, 0])
             else:
                 _number_cells(col, cells, self.ws)
@@ -441,8 +460,10 @@ def export_csv(path, grid: Grid, columns) -> None:
     ``columns`` maps column names to arrays shaped like the grid.  The header
     row is ``x1..xN`` then the column names in mapping order; one row follows
     per grid point in row-major order, cells as :func:`csv_cells` writes them
-    (``format(v, ".17g")``, booleans as 0/1).  Each axis's coordinates are
-    formatted once; rows are written in chunks of ``_CSV_CHUNK_ROWS``.
+    (``format(v, ".17g")``, booleans as 0/1).  On a grid of two or more
+    axes each axis's coordinate cells are formatted once and packed (see
+    :func:`_packed_cells`), and rows gather them; rows are written in chunks
+    of ``_CSV_CHUNK_ROWS``.
     """
     if not columns:
         raise ValueError("need at least one column to export")
@@ -455,7 +476,12 @@ def export_csv(path, grid: Grid, columns) -> None:
                 f"column {name!r} has shape {arr.shape}, expected {grid.shape}"
             )
         arrays.append(arr)
-    axes = [_cells(grid.axis_coordinates(a)) for a in range(grid.dim)]
+    # a 1-D grid uses each coordinate cell once, so its axis is a number column
+    if grid.dim == 1:
+        arrays.insert(0, grid.axis_coordinates(0))
+        axes = []
+    else:
+        axes = [_packed_cells(grid.axis_coordinates(a)) for a in range(grid.dim)]
 
     def chunk(start):
         stop = min(start + _CSV_CHUNK_ROWS, grid.npoints)

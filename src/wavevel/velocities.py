@@ -150,15 +150,28 @@ class AttributeSpec:
 # pointwise operations
 
 
+def _divide(a: float, b: float) -> float:
+    """``a / b`` on plain floats as numpy divides them: ``b == 0`` gives ±inf or NaN."""
+    return a / b if b else a * math.copysign(math.inf, b)
+
+
 def _order_zero(grad: Array, dpsi_dt, ok=True):
     """The order-zero formula at one point or on a stack of points.
 
     ``grad`` is ``...xN``, ``dpsi_dt`` is ``...`` and ``ok`` marks the valid
     input jets (True at one point).  Returns ``(reciprocal, components,
     valid)`` by the rules of :func:`zero_order_velocity`; stationary-degenerate
-    and invalid points are not valid and NaN throughout.
+    and invalid points are not valid and NaN throughout.  A single point runs
+    the stack's steps on plain floats.
     """
     n = grad.shape[-1]
+    if grad.ndim == 1:
+        g, pt = grad.tolist(), float(dpsi_dt)
+        valid = bool(ok) and (pt != 0.0 or any(g))
+        pt = pt if valid else math.nan
+        reciprocal = [_divide(-n * x, pt) for x in g]
+        components = [_divide(-(pt / n), x) if x else _divide(-pt, 0.0) for x in g]
+        return np.array(reciprocal), np.array(components), valid
     flat = grad == 0.0
     valid = ok & ((dpsi_dt != 0.0) | ~flat.all(axis=-1))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -238,7 +251,9 @@ def _solve_order_one(h: Array, b: Array, ok=True, eps_singular: float = EPS_SING
     # ||H||_F ** N summed left to right, so every layout of the stack rounds alike
     frob_n = _sum_planes(e * e for row in rows for e in row)
     frob_n = (np.float64(frob_n) if one else frob_n) ** (n / 2)  # a float power raises on overflow
-    if pivoted:
+    if pivoted and one:
+        det = np.linalg.det(h) if ok else 0.0
+    elif pivoted:
         det = np.zeros(np.shape(ok))
         det[ok] = np.linalg.det(h[ok])
     else:
@@ -256,15 +271,18 @@ def _solve_order_one(h: Array, b: Array, ok=True, eps_singular: float = EPS_SING
         cond = np.divide(frob_n, abs(det), out=np.full(det.shape, np.inf), where=ok & (det != 0.0))
         if not pivoted:  # a NaN denominator gives the invalid points NaN components
             det = np.where(valid, det, np.nan)
-    if pivoted:
+    if pivoted and one:
+        comps = np.linalg.solve(h, -b[:, None])[:, 0].tolist()
+    elif pivoted:
         comps = np.full(b.shape, np.nan)
         comps[valid] = np.linalg.solve(h[valid], -b[valid][..., None])[..., 0]
     else:
         comps = [-_cramer_det(cols[:j] + [rhs] + cols[j + 1 :]) / det for j in range(n)]
-        if one:  # plain floats, tested before they become an array
-            if all(map(math.isfinite, comps)):
-                return np.array(comps), valid, cond
-            return np.full(n, np.nan), False, cond
+    if one:  # plain floats, tested before they become an array
+        if all(map(math.isfinite, comps)):
+            return np.array(comps), valid, cond
+        return np.full(n, np.nan), False, cond
+    if not pivoted:
         comps = np.stack(comps, axis=-1)
     # an overflowed solve gives no velocity (the invalid points are NaN already);
     # tested plane by plane, as numpy reduces a short last axis slowly

@@ -441,6 +441,21 @@ class TestConfigAndUsage:
         assert cli([*flag, "velocity", str(path)]) == 0
         assert "order-1 velocities" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("line, argv", [
+        ("origin=-1.175,-1.175", ["generate", *GAUSS, "--shape", "48,48", "--spacing", "0.05"]),
+        ("box=-0.5,0.5", ["covcheck", *GAUSS, "--matrix", "2,0.3,0.1,1.5"]),
+        ("matrix=-2,0.3,0.1,-1.5", ["covcheck", *GAUSS]),
+    ])
+    def test_config_values_may_start_with_a_minus(self, tmp_path, capsys, line, argv):
+        # "--origin", "-1.175,-1.175" read the value as an option: exit 2
+        cfg = tmp_path / "minus.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o.wvf"
+        argv = [*argv, "--out", str(out)] if argv[0] == "generate" else argv
+        assert cli(["--config", str(cfg), *argv]) == 0, capsys.readouterr().err
+        if argv[0] == "generate":
+            assert wv.read_field(out).grid.origin == (-1.175, -1.175)
+
     @pytest.mark.parametrize("flag", ["--conf", "--con", "--configs"])
     def test_other_config_spellings_are_unrecognised(self, tmp_path, capsys, flag):
         path = _generate(tmp_path, GAUSS)
@@ -490,3 +505,40 @@ class TestConfigAndUsage:
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert cli(["info", str(tmp_path / "absent.wvf")]) == 2
+
+
+class TestOneParser:
+    """One parser serves every ``cli()`` call of a process; no call leaves state in it."""
+
+    def test_parser_is_built_once(self):
+        assert wavevel.cli._build_parser() is wavevel.cli._build_parser()
+
+    def test_config_defaults_do_not_outlive_their_call(self, tmp_path):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("frames=3\n")
+        grid = ["--shape", "48,48", "--spacing", "0.05", "--origin", "-1.175"]
+        assert cli(["--config", str(cfg), "generate", *GAUSS, *grid,
+                    "--out", str(tmp_path / "a.wvf")]) == 0
+        assert cli(["generate", *GAUSS, *grid, "--out", str(tmp_path / "b.wvf")]) == 0
+        assert wv.read_field(tmp_path / "a.wvf").frames == 3
+        assert wv.read_field(tmp_path / "b.wvf").frames == 5
+
+    def test_param_lists_start_empty(self, tmp_path):
+        parse = wavevel.cli._build_parser().parse_args
+        grid = ["--shape", "8,8", "--spacing", "0.1", "--origin", "0", "--out", "x.wvf"]
+        assert parse(["generate", *GAUSS, *grid]).param == ["velocity=0.7,0", "sigma=2.0"]
+        assert parse(["generate", *WAVE, *grid]).param == ["wave_vector=2,1",
+                                                          "angular_frequency=3"]
+        assert parse(["generate", "--kind", "static-gaussian", *grid]).param is None
+        # a plane wave given the Gaussian's parameters as well would exit 2
+        _generate(tmp_path, GAUSS, name="g.wvf")
+        _generate(tmp_path, WAVE, name="w.wvf")
+
+    def test_a_usage_error_leaves_the_next_call_alone(self, tmp_path, capsys):
+        path = _generate(tmp_path, GAUSS)
+        capsys.readouterr()
+        assert cli(["velocity", str(path), "--order", "5"]) == 2
+        assert "invalid choice: 5" in capsys.readouterr().err
+        assert cli(["velocity", str(path), "--order", "1"]) == 0
+        captured = capsys.readouterr()
+        assert "order-1 velocities" in captured.out and captured.err == ""

@@ -238,12 +238,17 @@ def _mixed_columns(grid, rng):
 
 
 # 1-D smaller than a chunk, 2-D exactly one chunk, 2-D and 3-D ending in a
-# partial chunk; the other three have non-zero, non-integer origins
+# partial chunk; the other three have non-zero, non-integer origins.  Then
+# packed coordinate cells that take the "%.17g" fallback (below 1e-11), cells
+# of mixed widths on one axis, and a 1-D grid longer than one chunk
 CSV_GRIDS = [
     ((37,), (0.1,), (-1.3,)),
     ((64, 64), (0.05, 0.2), (0.0, 0.0)),
     ((67, 73), (0.05, 0.3), (-1.175, 2.0 / 3.0)),
     ((17, 19, 23), (0.1, 0.07, 1.9), (-0.35, 1e-3, 12.5)),
+    ((41, 29), (1e-13, 1e-13), (0.0, 0.0)),
+    ((53, 47), (0.3, 0.3), (-1e15, -1e15)),
+    ((5000,), (0.01,), (-3.7,)),
 ]
 
 
