@@ -114,7 +114,7 @@ class AffineMap:
         return cls(np.array([[c, -s], [s, c]]))
 
 
-def random_affine(rng, dim: int, max_condition: float = 50.0, offset_scale: float = 1.0) -> AffineMap:
+def random_affine(rng, dim: int, max_condition: float = 50.0) -> AffineMap:
     """Random invertible map with condition number at most ``max_condition``.
 
     Built from two random orthogonal factors and a geometric singular-value
@@ -127,8 +127,7 @@ def random_affine(rng, dim: int, max_condition: float = 50.0, offset_scale: floa
     cond = rng.uniform(1.0, max_condition)
     svals = np.geomspace(1.0, 1.0 / cond, dim)
     matrix = (q1 * svals) @ q2
-    offset = offset_scale * rng.standard_normal(dim)
-    return AffineMap(matrix, offset)
+    return AffineMap(matrix, rng.standard_normal(dim))
 
 
 def transform_covector(w, amap: AffineMap) -> Array:

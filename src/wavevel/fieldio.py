@@ -21,11 +21,10 @@ and picks each cell's bytes from a table of layouts keyed by sign, decimal
 exponent and kept digits; NaN, the infinities and the zeros are fixed
 cells, and other values fall back to ``"%.17g" % v`` one by one.  Cells sit
 in fixed slots of a row matrix whose zero padding is dropped when the rows
-are written.  On a grid of two or more axes the coordinate cells are
-formatted once per axis and packed: each cell's bytes and its ``,``,
-left-aligned in as few words as the axis's longest cell needs (3 for
-``-2.5499999999999998,``, not 6), and rows gather them by index; a 1-D
-grid's axis is a number column.  :func:`_write_csv` is the one writer,
+are written.  The coordinate cells are formatted once per axis and
+packed: each cell's bytes and its ``,``, left-aligned in as few words as
+the axis's longest cell needs (3 for ``-2.5499999999999998,``, not 6), and
+rows gather them by index.  :func:`_write_csv` is the one writer,
 shared with the CLI's track CSV, and :func:`csv_cells` decodes the same
 cells to strings.  Rows are written in chunks of a fixed number of rows
 through one workspace per call, so memory beyond the inputs does not grow
@@ -460,10 +459,9 @@ def export_csv(path, grid: Grid, columns) -> None:
     ``columns`` maps column names to arrays shaped like the grid.  The header
     row is ``x1..xN`` then the column names in mapping order; one row follows
     per grid point in row-major order, cells as :func:`csv_cells` writes them
-    (``format(v, ".17g")``, booleans as 0/1).  On a grid of two or more
-    axes each axis's coordinate cells are formatted once and packed (see
-    :func:`_packed_cells`), and rows gather them; rows are written in chunks
-    of ``_CSV_CHUNK_ROWS``.
+    (``format(v, ".17g")``, booleans as 0/1).  Each axis's coordinate cells
+    are formatted once and packed (see :func:`_packed_cells`), and rows gather
+    them; rows are written in chunks of ``_CSV_CHUNK_ROWS``.
     """
     if not columns:
         raise ValueError("need at least one column to export")
@@ -476,12 +474,7 @@ def export_csv(path, grid: Grid, columns) -> None:
                 f"column {name!r} has shape {arr.shape}, expected {grid.shape}"
             )
         arrays.append(arr)
-    # a 1-D grid uses each coordinate cell once, so its axis is a number column
-    if grid.dim == 1:
-        arrays.insert(0, grid.axis_coordinates(0))
-        axes = []
-    else:
-        axes = [_packed_cells(grid.axis_coordinates(a)) for a in range(grid.dim)]
+    axes = [_packed_cells(grid.axis_coordinates(a)) for a in range(grid.dim)]
 
     def chunk(start):
         stop = min(start + _CSV_CHUNK_ROWS, grid.npoints)

@@ -6,10 +6,10 @@ differenced in time; the measured motion is compared against the order-one
 velocity evaluated at the tracked points.
 
 Value attributes are tracked per coordinate axis: the crossing of the level
-along a ray through the seed, holding the other coordinates fixed.  That
-per-axis crossing speed equals ``-psi_t / psi_xi``, i.e. N times the
-order-zero component (the 1/N coefficient splits the attribute motion
-across axes; a single-axis crossing undoes the split).
+along a ray through the seed, holding the other coordinates fixed.  Its
+speed is compared against N times the axis's order-zero component (the 1/N
+coefficient splits the attribute motion across axes; a single-axis
+crossing undoes the split), NaN where that is not finite.
 
 Both trackers read each frame through a frame source with one interface:
 :class:`_JetInterpolator` for a :class:`SampledField` (finite-difference
@@ -18,12 +18,12 @@ catalog field (exact evaluation, mainly for calibration at machine
 accuracy).  A source hands out jets and evaluates no formula:
 ``jets(x, names, anchor=None, fid=None)`` reads jet parts at ``x`` and
 ``timed`` says whether the frame has time derivatives.  Each formula runs
-once, in its loop: the Newton step in :func:`_newton_iterations`, the
-order-one solve (:func:`_solve_order_one`, as in the maps) and the crossing
-speed in the frame loops, on timed frames.  On a sampled field the jets are
-computed only on a small window of the grid around the tracked point, so a
-track costs O(frames) whatever the grid size; the window's jets are
-bit-identical to the full-grid jets where they are read.
+once, in its loop: the Newton step in :func:`_newton_iterations`, and the
+velocities in the frame loops, on timed frames, with the kernels the maps
+run (:func:`_solve_order_one` and :func:`_order_zero`).  On a sampled field
+the jets are computed only on a small window of the grid around the tracked
+point, so a track costs O(frames) whatever the grid size; the window's jets
+are bit-identical to the full-grid jets where they are read.
 
 A sampled frame source is a pair (window run, frame): the frame sources of
 one track share one :class:`_WindowRun`, which decides once, from the
@@ -66,7 +66,7 @@ import numpy as np
 from .fields import AnalyticField, Grid, SampledField, _sum_planes, canonical_time_axis
 from .findiff import DEFAULT_STENCIL, StencilSpec, _time_taps, fd_jet_fields
 from .jets import JetField
-from .velocities import AttributeSpec, _solve_order_one
+from .velocities import AttributeSpec, _order_zero, _solve_order_one
 
 Array = np.ndarray
 
@@ -167,11 +167,6 @@ def _contract(weights: Array, rows: Array, tail: tuple) -> Array:
     return np.dot(weights, rows).reshape(tail)
 
 
-def _crossing_speed(psi_t, grad_axis) -> float:
-    """``-psi_t / psi_xaxis`` (N x order-zero component); NaN where psi_xaxis is 0."""
-    return float(-psi_t / grad_axis) if grad_axis != 0.0 else np.nan
-
-
 class _WindowRun:
     """Window jets of a run of frames, shared by the frame sources of a track.
 
@@ -264,11 +259,10 @@ class _WindowRun:
         return run
 
     def rows(self, frame: int, anchor, names) -> list | None:
-        """The ``(rows, tail)`` operands (see :func:`_gather`) of the jet arrays
-        ``names`` on the 3^N block of ``frame`` around ``anchor`` (N ints), or
-        None where a gradient or Hessian entry of the block is not finite.  A
-        name is a :class:`JetField` array name, or an axis (an int) for that
-        gradient column, gathered on its own as the contraction reads it."""
+        """The ``(rows, tail)`` operands (see :func:`_gather`) of the
+        :class:`JetField` arrays ``names`` on the 3^N block of ``frame`` around
+        ``anchor`` (N ints), or None where a gradient or Hessian entry of the
+        block is not finite."""
         if (self.passes, frame, anchor) != self._key:
             self._key = None
             jets, lo = self.jets_at(frame, anchor)  # may open a run: passes first, key after
@@ -280,9 +274,7 @@ class _WindowRun:
         rows = self._rows
         for name in names:
             if name not in rows:  # the cached pass still holds the frame's jets
-                jets = self.jets[frame - self.frames.start]
-                arr = jets.grad[..., name] if isinstance(name, int) else getattr(jets, name)
-                rows[name] = _gather(arr, self._block)
+                rows[name] = _gather(getattr(self.jets[frame - self.frames.start], name), self._block)
         return [rows[name] for name in names]
 
     def jets_at(self, frame: int, anchor):
@@ -422,10 +414,9 @@ class _ExactJets:
         return self._ANCHOR
 
     def jets(self, x, names, anchor=None, fid=None) -> list:
-        """The jet parts ``names`` at ``x`` from one exact jet: a :class:`Jet2`
-        attribute name, or an axis (an int) for that gradient entry."""
+        """The :class:`Jet2` attributes ``names`` of the exact jet at ``x``."""
         jet = self._field.jet2(x, self._t)
-        return [jet.grad[name] if isinstance(name, int) else getattr(jet, name) for name in names]
+        return [getattr(jet, name) for name in names]
 
     def crossing(self, point, axis: int, level: float, near: float) -> float:
         """Crossing of ``level`` nearest to ``near`` on the line through ``point`` along ``axis``."""
@@ -600,7 +591,8 @@ def track_attribute(
                         iterations)
     else:
         _track_level(frames, x0, target.level, positions, computed)
-    empirical = np.gradient(positions, dt, axis=0)
+    with np.errstate(over="ignore"):  # crossings far apart over a tiny dt: +-inf speeds
+        empirical = np.gradient(positions, dt, axis=0)
     return TrackResult(
         target.kind, times, positions, empirical, computed,
         _deviation(empirical, computed), iterations, run.passes if run else 0,
@@ -620,8 +612,10 @@ def _track_gradient(frames: list, x, targets: Array, positions: Array, computed:
 
 def _track_level(frames: list, seed: Array, level: float, positions: Array,
                  computed: Array) -> None:
-    """Follow the level crossing on each axis ray through ``seed``, frame by frame."""
-    for axis in range(seed.size):
+    """Follow the level crossing on each axis ray through ``seed``, frame by frame,
+    with N times the axis component of :func:`_order_zero` at each crossing."""
+    n = seed.size
+    for axis in range(n):
         near = seed[axis]
         for frame, source in enumerate(frames):
             s = source.crossing(seed, axis, level, near)
@@ -631,7 +625,11 @@ def _track_level(frames: list, seed: Array, level: float, positions: Array,
             point[axis] = s
             try:
                 if source.timed:
-                    computed[frame, axis] = _crossing_speed(*source.jets(point, ("dpsi_dt", axis)))
+                    # time rows hold +-inf where |psi| / dt overflowed: a quiet NaN or inf
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        grad, psi_t = source.jets(point, ("grad", "dpsi_dt"))
+                    speed = n * float(_order_zero(grad, psi_t)[1][axis])
+                    computed[frame, axis] = speed if math.isfinite(speed) else np.nan
             except AttributeLostError:
                 pass  # no valid jet block at the crossing: the speed stays NaN
 

@@ -250,7 +250,10 @@ def _solve_order_one(h: Array, b: Array, ok=True, eps_singular: float = EPS_SING
     rows = h.tolist() if one else [[h[..., i, j] for j in range(n)] for i in range(n)]
     # ||H||_F ** N summed left to right, so every layout of the stack rounds alike
     frob_n = _sum_planes(e * e for row in rows for e in row)
-    frob_n = (np.float64(frob_n) if one else frob_n) ** (n / 2)  # a float power raises on overflow
+    try:
+        frob_n = frob_n ** (n / 2)
+    except OverflowError:  # a plain float's power raises where numpy's gives inf
+        frob_n = math.inf
     if pivoted and one:
         det = np.linalg.det(h) if ok else 0.0
     elif pivoted:

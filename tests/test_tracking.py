@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
 from functools import reduce
 
@@ -12,7 +13,7 @@ import wavevel as wv
 from wavevel import tracking
 from wavevel.fields import canonical_time_axis
 from wavevel.tracking import AttributeLostError, _JetInterpolator, _WindowRun
-from wavevel.velocities import _solve_order_one
+from wavevel.velocities import _order_zero, _solve_order_one
 
 PEAK = wv.AttributeSpec.gradient_set((0.0, 0.0))
 BOUNDARIES = ("shrink-to-valid", "one-sided")
@@ -21,6 +22,13 @@ BOUNDARIES = ("shrink-to-valid", "one-sided")
 def _whole(jets):
     """The frame source of one jet field on its whole grid."""
     return _JetInterpolator(_WindowRun.whole(jets))
+
+
+def _level_speed(grad, psi_t, axis) -> float:
+    """A level track's computed speed: N times the order-zero kernel's axis
+    component, NaN where that is not finite."""
+    speed = len(grad) * float(_order_zero(np.asarray(grad, dtype=float), psi_t)[1][axis])
+    return speed if math.isfinite(speed) else math.nan
 
 
 def _sampled_gaussian(sigma=3.0, c=(0.7, 0.0), h=0.05, dt=0.02, npts=64, frames=9):
@@ -374,7 +382,7 @@ class TestLostCrossingSpeed:
         assert np.isnan(res.computed_velocity[:, 1]).all()
         source = _JetInterpolator(_WindowRun(sf, wv.StencilSpec()), 3)
         with pytest.raises(AttributeLostError, match="valid interior"):
-            source.jets(np.array([0.2, res.positions[3, 1]]), ("dpsi_dt", 1))
+            source.jets(np.array([0.2, res.positions[3, 1]]), ("grad", "dpsi_dt"))
 
 
 class TestCrossingSpeed:
@@ -386,9 +394,93 @@ class TestCrossingSpeed:
         sources = (_whole(wv.analytic_jet_field(poly, grid, 0.0)),
                    tracking._ExactJets(poly, 0.0, 0.5))
         for source in sources:
-            assert np.isnan(tracking._crossing_speed(*source.jets(x, ("dpsi_dt", 1))))
-            assert tracking._crossing_speed(*source.jets(x, ("dpsi_dt", 0))) == pytest.approx(
-                -2.0, rel=1e-14)
+            source.crossing = lambda point, axis, level, near: x[axis]  # every ray crosses at x
+            positions, computed = np.empty((1, 2)), np.empty((1, 2))
+            tracking._track_level([source], x, 0.0, positions, computed)
+            assert np.array_equal(positions[0], x)
+            assert np.isnan(computed[0, 1])
+            want = _level_speed(*source.jets(x, ("grad", "dpsi_dt")), 0)
+            assert computed[0, 0] == want == pytest.approx(-2.0, rel=1e-14)
+
+
+class TestLevelOracleKernel:
+    """A level track's computed speed is N times the component of the public
+    order-zero velocity at the frame source's jets, bit for bit."""
+
+    @staticmethod
+    def _assert_kernel_speeds(res, seed, sources):
+        n = len(seed)
+        for frame, source in enumerate(sources):
+            for axis in range(n):
+                point = np.array(seed, dtype=float)
+                point[axis] = res.positions[frame, axis]
+                want = math.nan
+                if source.timed:
+                    try:
+                        grad, psi_t = source.jets(point, ("grad", "dpsi_dt"))
+                        jet = wv.Jet1(0.0, psi_t, grad)
+                        want = n * float(wv.zero_order_velocity(jet).components[axis])
+                    except (AttributeLostError, ValueError):  # no jets, or no velocity
+                        pass
+                want = want if math.isfinite(want) else math.nan
+                got = res.computed_velocity[frame, axis]
+                assert np.array_equal(np.float64(got).view(np.uint64),
+                                      np.float64(want).view(np.uint64)), (frame, axis, got, want)
+
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_sampled_level_tracks(self, dim, boundary):
+        field, target, seed = _moving_bump_track(dim, "level")
+        spec = wv.StencilSpec(4, boundary)
+        res = wv.track_attribute(field, target, seed, spec=spec)
+        assert res.deviation <= 0.1  # a real track
+        run = _WindowRun(field, spec)
+        sources = [_JetInterpolator(run, frame) for frame in range(field.frames)]
+        self._assert_kernel_speeds(res, field.grid.point(seed), sources)
+
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_analytic_level_tracks(self, dim):
+        velocity = (0.7, 0.3) if dim == 2 else (0.3, 0.2, -0.25)
+        bump = wv.TranslatingGaussian(velocity, 0.4)
+        direction = np.array((1.0, 1.25, 0.9)[:dim])
+        seed = 0.4 * np.sqrt(np.log(2.0)) * direction / np.linalg.norm(direction)
+        res = wv.track_attribute(bump, wv.AttributeSpec.level_set(0.5), seed,
+                                 times=0.02 * np.arange(9) - 0.08, search_radius=0.3)
+        assert res.deviation <= 0.1
+        self._assert_kernel_speeds(res, seed, [tracking._ExactJets(bump, t, 0.3)
+                                               for t in res.times])
+
+
+class TestNoRuntimeWarning:
+    """Overflowing fields fail as tracking errors, never as a RuntimeWarning."""
+
+    @staticmethod
+    def _huge_noise(dim, scale, h, dt):
+        values = scale * np.random.default_rng(0).standard_normal((7,) + (9,) * dim)
+        return wv.SampledField(wv.make_grid(dim, (9,) * dim, h, 0.0), 0.0, dt, values)
+
+    def _tracks(self):
+        # time rows of +-inf where |psi| / dt overflows, interpolated at a crossing
+        yield (self._huge_noise(2, 6.4e223, 690.0, 7.3e-151),
+               wv.AttributeSpec.level_set(0.0), (4, 4))
+        # ||H||_F ** N overflows at a Newton iterate
+        yield (self._huge_noise(3, 6.4e138, 1.5e7, 1.4e217),
+               wv.AttributeSpec.gradient_set((0.0,) * 3), (4, 4, 4))
+        # crossings 1e150 apart over dt = 1e-160: the empirical speeds overflow
+        grid = wv.make_grid(2, (15, 15), 1.0, -7.0)
+        values = wv.sample(wv.TranslatingGaussian((0.3, 0.2), 3.0), grid, np.arange(7.0)).values
+        h = 1e150
+        yield (wv.SampledField(wv.make_grid(2, (15, 15), h, -7 * h), 0.0, 1e-160, values),
+               wv.AttributeSpec.level_set(0.5), (9, 9))
+
+    def test_overflowing_tracks_raise_no_runtime_warning(self):
+        for field, target, seed in self._tracks():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    wv.track_attribute(field, target, seed)
+                except wv.TrackingError:
+                    pass
 
 
 class TestAttributeSpec:
@@ -657,8 +749,8 @@ def _reference_track(field, target, seed, spec):
                     point = grid.point(seed)
                     point[axis] = s
                     try:
-                        computed[frame, axis] = tracking._crossing_speed(
-                            *_whole(jets).jets(point, ("dpsi_dt", axis)))
+                        computed[frame, axis] = _level_speed(
+                            *_whole(jets).jets(point, ("grad", "dpsi_dt")), axis)
                     except AttributeLostError:
                         pass
     empirical = np.gradient(positions, field.dt, axis=0)
@@ -717,9 +809,7 @@ def _reference_analytic_track(field, target, seed, times, search_radius):
                 point = seed.copy()
                 point[axis] = s
                 jet = field.jet2(point, t)
-                gi = jet.grad[axis]
-                if gi != 0.0:
-                    computed[frame, axis] = -jet.dpsi_dt / gi
+                computed[frame, axis] = _level_speed(jet.grad, jet.dpsi_dt, axis)
     empirical = np.gradient(positions, dt, axis=0)
     return positions, computed, tracking._deviation(empirical, computed)
 
@@ -867,16 +957,15 @@ class TestBlockCache:
                     point = grid.point(seed)
                     point[axis] = res.positions[frame, axis]
                     calls.append(lambda src, p=point, a=axis:
-                                 tracking._crossing_speed(*src.jets(p, ("dpsi_dt", a))))
+                                 _level_speed(*src.jets(p, ("grad", "dpsi_dt")), a))
                     if run.timed[frame]:  # and against np.tensordot on the whole grid
                         try:
-                            pt, gi = _reference_interpolation(
-                                jets, point, (jets.dpsi_dt, jets.grad[..., axis]))
+                            parts = _reference_interpolation(jets, point, (jets.grad, jets.dpsi_dt))
                         except AttributeLostError:
                             continue
-                        speed = tracking._crossing_speed(
-                            *_JetInterpolator(run, frame).jets(point, ("dpsi_dt", axis)))
-                        _same_result(speed, tracking._crossing_speed(pt, gi))
+                        speed = _level_speed(
+                            *_JetInterpolator(run, frame).jets(point, ("grad", "dpsi_dt")), axis)
+                        _same_result(speed, _level_speed(*parts, axis))
             for call in calls:
                 want = _outcome(call, _JetInterpolator(_WindowRun(field, spec), frame))
                 first = _outcome(call, _JetInterpolator(run, frame))
@@ -910,7 +999,7 @@ class TestBlockCache:
                 with pytest.raises(AttributeLostError, match="valid interior"):
                     source.jets(border, ("hessian", "time_mixed"))
                 with pytest.raises(AttributeLostError, match="valid interior"):
-                    source.jets(border, ("dpsi_dt", 0))
+                    source.jets(border, ("grad", "dpsi_dt"))
 
     @pytest.mark.parametrize("dim", (2, 3))
     def test_reopened_run_never_serves_the_old_rows(self, dim, monkeypatch):
