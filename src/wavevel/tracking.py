@@ -31,14 +31,19 @@ field and the stencil, which frames have a time window, and holds a box, a
 run of frames and their jets from one :func:`fd_jet_fields` pass.  A run
 goes through frames with and without a time window alike; a point is lost
 where its interpolation block has a non-finite gradient or Hessian entry.
-The box reaches half a stencil and ``_WINDOW_SLACK`` cells beyond the
-interpolation block (11^N points at order 4), so the tracked point can move
-``_WINDOW_SLACK`` cells before the run misses.  A run holds at most
-``_RUN_POINTS`` box points (box size times frames), which bounds a track's
-memory whatever its frame count, and the run opened after the point left
-the last one holds one frame more than that one served, so a moving point
-costs few frames it never reads.  A :class:`TrackResult` reports the
-passes, the box points and the Newton iterations a track spent.
+A run holds at most ``_RUN_POINTS`` box points (box size times frames),
+which bounds a track's memory whatever its frame count.  A level track
+finds every crossing first (crossings read only the samples) and then plans
+its runs around the known blocks: a box is the hull of the blocks of
+consecutive requests plus half a stencil, either one run sequence per ray
+or one shared by all rays, frame by frame, whichever takes fewer passes.
+A Newton track cannot know its next point, so its boxes reach half a
+stencil and ``_WINDOW_SLACK`` cells beyond the interpolation block (11^N
+points at order 4): the tracked point can move ``_WINDOW_SLACK`` cells
+before the run misses, and the run opened after the point left the last
+one holds one frame more than that one served, so a moving point costs few
+frames it never reads.  A :class:`TrackResult` reports the passes, the box
+points and the Newton iterations a track spent.
 
 The fixed costs of a request are paid once: a run caches the rows of the
 last interpolation block it served, so the Newton steps at one anchor and
@@ -60,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -83,7 +89,10 @@ NEWTON_TOL = 1e-8
 # the point moves; more make every box larger.  At 2**14 points a 2-D box of
 # slack 2 (11^2) takes 135 frames and a 3-D one (11^3) 12 frames, and a 3-D
 # run peaks at about 2.5 MB; at 2**15 and more the cap no longer binds on a
-# 21-frame 3-D track, whose memory then grows with its frame count.
+# 21-frame 3-D track, whose memory then grows with its frame count.  These
+# timings were taken while level tracks still ran slack windows; level tracks
+# now plan their runs (see _WindowRun.plan), which uses no slack and the same
+# point cap.  Neither value was re-tuned after that change.
 _WINDOW_SLACK = 2
 _RUN_POINTS = 2**14
 
@@ -167,6 +176,12 @@ def _contract(weights: Array, rows: Array, tail: tuple) -> Array:
     return np.dot(weights, rows).reshape(tail)
 
 
+def _serves(frames: range, exact, frame: int, anchor) -> bool:
+    """Whether a run of ``frames`` whose exact zone is ``exact`` (inclusive index
+    bounds) holds ``frame`` and the 3^N block around ``anchor``."""
+    return frame in frames and all(low < a < high for a, low, high in zip(anchor, *exact))
+
+
 class _WindowRun:
     """Window jets of a run of frames, shared by the frame sources of a track.
 
@@ -179,8 +194,8 @@ class _WindowRun:
 
     A run is an index box of the grid, a range of frames and the jets of
     those frames on the box, from one :func:`fd_jet_fields` pass.  The box
-    reaches ``hw + _WINDOW_SLACK`` cells beyond the interpolation block on
-    each side (``hw`` is half a stencil, ``spec.half_width``), clipped to
+    reaches at least ``hw`` cells beyond the interpolation blocks it serves
+    on each side (``hw`` is half a stencil, ``spec.half_width``), clipped to
     the grid, and its exact zone is the box less ``hw`` cells at each cut
     face.  In the exact zone the jets are bit-identical to the full-grid
     jets:
@@ -198,9 +213,11 @@ class _WindowRun:
     * ``stencil_taps`` caps edge distances at ``deriv + order``, which
       matters only for the one-sided taps within ``hw`` cells of a real
       grid face: those taps do not depend on the far side of the axis once
-      it is at least 3 cells away, and such a point is at least
-      ``3 + _WINDOW_SLACK`` cells from the far end of its box, or the box
-      spans the whole axis;
+      it is at least 3 cells away, and a block point there is at least 3
+      cells from the far end of its box (its anchor is at least 1 and the
+      box reaches ``hw`` beyond the block), or the box spans the whole axis;
+      a box cut on one side of an axis holds at least ``order + 2`` points
+      along it, so the one-sided taps at its cut face exist;
     * the sub-field holds the run's frames and ``spec.order`` frames on
       each side, clipped to the field: a time stencil reads ``order + 1``
       consecutive frames, its own among them, and ``stencil_taps`` picks
@@ -208,12 +225,20 @@ class _WindowRun:
       run frame keeps the full field's time taps and time window.
 
     A request misses when its frame is outside the run or its 3^N block
-    leaves the exact zone; the run then drops its jets and opens a new run
-    at that frame over the following frames.  After a position miss at
-    frame ``f`` the new run holds ``f - start + 1`` frames, one more than
-    the old run served before the point left it, so the run length follows
-    the point's motion; the first run, and a run opened for a frame outside
-    the old one, take as many frames as ``_RUN_POINTS`` box points allow.
+    leaves the exact zone; the run then drops its jets and opens a new run.
+    Planned runs come first: :meth:`plan` takes the known requests of a
+    level track and forms its boxes, each the hull of the blocks of
+    consecutive requests plus ``hw`` over the frames of those requests,
+    within ``_RUN_POINTS`` box points; a miss opens the first planned box
+    that serves it.  Any request outside the plan (every Newton request)
+    keeps the slack rule: a box reaching ``hw + _WINDOW_SLACK`` cells beyond
+    the block, opened at the request's frame over the following frames.
+    After a position miss at frame ``f`` it holds ``f - start + 1`` frames,
+    one more than the old run served before the point left it, so the run
+    length follows the point's motion; the first run, and a run opened for
+    a frame outside the old one, take as many frames as ``_RUN_POINTS`` box
+    points allow.  Every request passes the exact-zone check whichever box
+    serves it, so a plan can cost passes but never changes a bit.
     ``passes`` counts the :func:`fd_jet_fields` calls and ``points`` the box
     points times frames they computed.
 
@@ -246,6 +271,7 @@ class _WindowRun:
         self._key = None  # (passes, frame, anchor) of the cached block
         self._block = None  # its slices in the run's box
         self._rows = {}  # its gathered rows, by jet array name
+        self._plan = []  # planned (frames, lo, hi) boxes not yet opened
 
     @classmethod
     def whole(cls, jets: JetField) -> "_WindowRun":
@@ -257,6 +283,64 @@ class _WindowRun:
         run.frames, run.jets, run.lo = range(1), [jets], (0,) * jets.dim
         run._exact = (run.lo, tuple(n - 1 for n in jets.grid.shape))
         return run
+
+    def plan(self, requests: list) -> list:
+        """Plan the runs of known requests; the requests in the order to serve them.
+
+        ``requests`` are ``(frame, anchor, ray, ...)`` tuples listed ray by ray.
+        Two plans are formed from them: a run sequence per ray, in that order,
+        and one sequence shared by all rays, frame by frame (a stable sort: rays
+        keep their order within a frame).  The plan with fewer passes wins, then
+        the one with fewer box points; its boxes wait for the misses they serve.
+        """
+        rays = [self._planned_boxes(list(ray)) for _, ray in groupby(requests, lambda r: r[2])]
+        shared = sorted(requests, key=lambda r: r[0])
+        plans = [(sum(rays, []), requests), (self._planned_boxes(shared), shared)]
+        self._plan, order = min(plans, key=lambda p: (len(p[0]),
+                                                      sum(self._points(*box) for box in p[0])))
+        return order
+
+    def _planned_boxes(self, visits) -> list:
+        """The ``(frames, lo, hi)`` runs of ``visits`` in their order: each box is
+        the hull of the 3^N blocks of consecutive visits plus half a stencil,
+        over the frames of those visits, while its points times frames stay
+        within ``_RUN_POINTS`` (a lone visit's box may exceed it)."""
+        groups = []  # (frames, low and high corner of the anchors)
+        for frame, anchor, *_ in visits:
+            if groups:
+                frames, low, high = groups[-1]
+                frames = range(min(frames.start, frame), max(frames.stop, frame + 1))
+                low, high = tuple(map(min, low, anchor)), tuple(map(max, high, anchor))
+                if self._points(frames, *self._box(low, high, 0)) <= _RUN_POINTS:
+                    groups[-1] = frames, low, high
+                    continue
+            groups.append((range(frame, frame + 1), anchor, anchor))
+        return [(frames, *self._box(low, high, 0)) for frames, low, high in groups]
+
+    @staticmethod
+    def _points(frames: range, lo, hi) -> int:
+        return len(frames) * math.prod(b - a for a, b in zip(lo, hi))
+
+    def _box(self, low, high, slack: int) -> tuple:
+        """Index bounds ``lo, hi`` (hi exclusive) of the box reaching half a stencil
+        and ``slack`` cells beyond the blocks around the anchors ``low``..``high``
+        (N ints each), clipped to the grid.  Along an axis cut on one side only
+        it holds at least ``spec.order + 2`` points, the widest one-sided stencil,
+        so that every one-sided stencil of its edges exists."""
+        reach = 1 + self._spec.half_width + slack
+        width = self._spec.order + 2
+        lo, hi = [], []
+        for a, b, n in zip(low, high, self.field.grid.shape):
+            start, stop = max(a - reach, 0), min(b + reach + 1, n)
+            lo.append(min(start, max(stop - width, 0)))
+            hi.append(max(stop, min(start + width, n)))
+        return tuple(lo), tuple(hi)
+
+    def _zone(self, lo, hi) -> tuple:
+        """Inclusive index bounds of the exact zone of the box ``lo``..``hi``."""
+        reach, shape = self._spec.half_width, self.field.grid.shape
+        return (tuple(a + reach if a > 0 else 0 for a in lo),
+                tuple(b - 1 - reach if b < n else n - 1 for b, n in zip(hi, shape)))
 
     def rows(self, frame: int, anchor, names) -> list | None:
         """The ``(rows, tail)`` operands (see :func:`_gather`) of the
@@ -280,41 +364,43 @@ class _WindowRun:
     def jets_at(self, frame: int, anchor):
         """Jets of ``frame`` exact on the 3^N block around ``anchor`` (N ints),
         and the box's index offset (N ints)."""
-        frames = self.frames
-        if frame not in frames:
+        if not _serves(self.frames, self._exact, frame, anchor):
             self._open(frame, anchor)
-        elif not all(low < a < high for a, low, high in zip(anchor, *self._exact)):
-            self._open(frame, anchor, frame - frames.start + 1)
         return self.jets[frame - self.frames.start], self.lo
 
-    def _open(self, frame: int, anchor, count: int | None = None) -> None:
-        """Open a run at ``frame`` around ``anchor`` of at most ``count`` frames
-        (None: as many as ``_RUN_POINTS`` allows)."""
+    def _open(self, frame: int, anchor) -> None:
+        """Open the run of a missed request: the first planned box that serves
+        it (the boxes before it are spent), else a box of the slack rule."""
+        for i, (frames, lo, hi) in enumerate(self._plan):
+            if _serves(frames, self._zone(lo, hi), frame, anchor):
+                del self._plan[: i + 1]
+                self._compute(frames, lo, hi)
+                return
+        # the slack rule: after a position miss, one frame more than the run served
+        count = frame - self.frames.start + 1 if frame in self.frames else None
+        lo, hi = self._box(anchor, anchor, _WINDOW_SLACK)
+        cap = max(1, _RUN_POINTS // self._points(range(1), lo, hi))
+        frames = range(frame, min(frame + (cap if count is None else min(count, cap)),
+                                  self.field.frames))
+        self._compute(frames, lo, hi)
+
+    def _compute(self, frames: range, lo, hi) -> None:
+        """Make the run of ``frames`` on the box ``lo``..``hi``: one fd pass."""
         self.jets = []  # free the old run before the new one is allocated: never both at once
         field, spec = self.field, self._spec
-        shape = field.grid.shape
-        reach = spec.half_width
-        half = 1 + reach + _WINDOW_SLACK
-        lo = tuple(max(a - half, 0) for a in anchor)
-        hi = tuple(min(a + half + 1, n) for a, n in zip(anchor, shape))
-        size = math.prod(b - a for a, b in zip(lo, hi))
-        cap = max(1, _RUN_POINTS // size)
-        m = field.frames
-        frames = range(frame, min(frame + (cap if count is None else min(count, cap)), m))
         # the run's frames +- order, at least min_frames of them: every run
         # frame keeps its time taps and time window (see the class docstring)
-        first, stop = max(frame - spec.order, 0), min(frames.stop + spec.order, m)
+        first, stop = max(frames.start - spec.order, 0), min(frames.stop + spec.order, field.frames)
         box = (slice(first, stop),) + tuple(slice(a, b) for a, b in zip(lo, hi))
         grid = Grid(tuple(b - a for a, b in zip(lo, hi)), field.grid.spacing,
                     tuple(field.grid.point(lo)))
         sub = SampledField(grid, field.time(first), field.dt, field.values[box])
-        self.jets = fd_jet_fields(sub, range(frame - first, frames.stop - first), spec)
+        self.jets = fd_jet_fields(sub, range(frames.start - first, frames.stop - first), spec)
         self.passes += 1
-        self.points += size * len(frames)
+        self.points += self._points(frames, lo, hi)
         self.frames = frames
         self.lo = lo
-        self._exact = (tuple(a + reach if a > 0 else 0 for a in lo),
-                       tuple(b - 1 - reach if b < n else n - 1 for b, n in zip(hi, shape)))
+        self._exact = self._zone(lo, hi)
 
 
 class _JetInterpolator:
@@ -590,7 +676,7 @@ def track_attribute(
         _track_gradient(frames, x0, _gradient_targets(target, x0.size), positions, computed,
                         iterations)
     else:
-        _track_level(frames, x0, target.level, positions, computed)
+        _track_level(frames, x0, target.level, positions, computed, run)
     with np.errstate(over="ignore"):  # crossings far apart over a tiny dt: +-inf speeds
         empirical = np.gradient(positions, dt, axis=0)
     return TrackResult(
@@ -611,27 +697,37 @@ def _track_gradient(frames: list, x, targets: Array, positions: Array, computed:
 
 
 def _track_level(frames: list, seed: Array, level: float, positions: Array,
-                 computed: Array) -> None:
+                 computed: Array, run: _WindowRun | None = None) -> None:
     """Follow the level crossing on each axis ray through ``seed``, frame by frame,
-    with N times the axis component of :func:`_order_zero` at each crossing."""
+    with N times the axis component of :func:`_order_zero` at each crossing.
+
+    Every crossing is found first: crossings read the samples (or the field),
+    never the jets.  The jets at the crossings of the timed frames are read
+    after, around known anchors, in the order ``run`` plans (the window run
+    of sampled frames; None serves them ray by ray).
+    """
     n = seed.size
+    requests = []  # (frame, anchor, axis, point, fid) of the timed crossings, ray by ray
     for axis in range(n):
         near = seed[axis]
         for frame, source in enumerate(frames):
-            s = source.crossing(seed, axis, level, near)
-            positions[frame, axis] = s
-            near = s
-            point = seed.copy()
-            point[axis] = s
-            try:
-                if source.timed:
-                    # time rows hold +-inf where |psi| / dt overflowed: a quiet NaN or inf
-                    with np.errstate(invalid="ignore", over="ignore"):
-                        grad, psi_t = source.jets(point, ("grad", "dpsi_dt"))
-                    speed = n * float(_order_zero(grad, psi_t)[1][axis])
-                    computed[frame, axis] = speed if math.isfinite(speed) else np.nan
-            except AttributeLostError:
-                pass  # no valid jet block at the crossing: the speed stays NaN
+            positions[frame, axis] = near = source.crossing(seed, axis, level, near)
+            if source.timed:
+                point = seed.copy()
+                point[axis] = near
+                fid = source.index(point)
+                requests.append((frame, source.anchor(fid), axis, point, fid))
+    if run is not None:
+        requests = run.plan(requests)
+    for frame, anchor, axis, point, fid in requests:
+        try:
+            # time rows hold +-inf where |psi| / dt overflowed: a quiet NaN or inf
+            with np.errstate(invalid="ignore", over="ignore"):
+                grad, psi_t = frames[frame].jets(point, ("grad", "dpsi_dt"), anchor, fid)
+            speed = n * float(_order_zero(grad, psi_t)[1][axis])
+            computed[frame, axis] = speed if math.isfinite(speed) else np.nan
+        except AttributeLostError:
+            pass  # no valid jet block at the crossing: the speed stays NaN
 
 
 def _crossing_cell(coords: Array, f: Array, near: float, lost: str) -> int:

@@ -651,52 +651,63 @@ class TestWindowRuns:
         assert analytic.jet_passes == 0 and np.all(analytic.newton_iterations >= 1)
 
     def test_runs_follow_the_motion(self, monkeypatch):
-        # a 2-D level crossing moving about 0.7 cells a frame leaves a run's
-        # exact zone every few frames; runs sized by the frames the last run
-        # served compute 67 frames for 34 reads, runs of as many frames as the
-        # point cap allows 92
+        # a 2-D level crossing moving about 0.7 cells a frame: runs planned
+        # around the known crossings take 1 pass of 6069 points for 34 reads,
+        # where runs sized by the frames the last run served took 9 passes of
+        # 9559 points (67 frames) and runs of as many frames as the point cap
+        # allows 92 frames
         grid = wv.make_grid(2, (64, 64), 0.02, -0.63)
         bump = wv.TranslatingGaussian((0.5, 0.4), 0.4)
         field = wv.sample(bump, grid, 0.02 * np.arange(21))
         direction = np.array((1.0, 1.25)) / np.linalg.norm((1.0, 1.25))
         seed = tuple(np.rint(grid.index_of(0.4 * np.sqrt(np.log(2.0)) * direction)).astype(int))
-        runs, reads = [], []
-        fd_jet_fields, jets_at = tracking.fd_jet_fields, tracking._WindowRun.jets_at
-        monkeypatch.setattr(tracking, "fd_jet_fields",
-                            lambda *args: runs.append(args) or fd_jet_fields(*args))
-        monkeypatch.setattr(tracking._WindowRun, "jets_at",
-                            lambda run, frame, *args: reads.append(frame)
-                            or jets_at(run, frame, *args))
+        runs, reads = _recording(monkeypatch)
         res = wv.track_attribute(field, wv.AttributeSpec.level_set(0.5), seed)
         assert res.deviation <= 0.01  # a real track
         moves = np.abs(np.diff(res.positions, axis=0)) / 0.02
         assert 0.5 <= moves.mean() <= 0.9
-        computed = sum(len(frames) for _, frames, *_ in runs)
-        assert computed <= 2.5 * len(reads)
-        assert res.jet_passes == len(runs)
-        assert res.jet_points == sum(sub.grid.npoints * len(frames) for sub, frames, *_ in runs)
+        assert len(reads) == 34
+        assert sum(len(frames) for _, frames in runs) <= 2.5 * len(reads)
+        assert res.jet_passes == len(runs) == 1
+        assert res.jet_points == sum(sub.grid.npoints * len(frames) for sub, frames in runs) == 6069
+        _without_plan(monkeypatch)
+        slack = wv.track_attribute(field, wv.AttributeSpec.level_set(0.5), seed)
+        assert (slack.jet_passes, slack.jet_points) == (9, 9559)
+        _assert_same_track(res, slack)
 
     def test_run_memory_does_not_grow_with_frames(self):
         # 3-D 40^3 level track: a run holds at most _RUN_POINTS box points, so
-        # the traced peak is 2.5 MB at both 21 and 41 frames; one window per
-        # frame peaked at 29.1 and 63.3 MB
+        # the traced peak stays below the cap's jets at any frame count: 2.2,
+        # 2.6 and 2.7 MB at 21, 41 and 81 frames, of 2.8 MB.  At 21 frames one
+        # planned run of 13770 points serves the track, below the cap; at 41
+        # and 81 the cap binds.  One window per frame peaked at 29.1 MB at 21
+        # frames and 63.3 MB at 41
         n = 3
-        grid = wv.make_grid(n, (40,) * n, 0.04, -0.78)
-        bump = wv.TranslatingGaussian((0.4, 0.3, -0.2), 0.5)
-        direction = np.array((1.0, 1.2, 0.9)) / np.linalg.norm((1.0, 1.2, 0.9))
-        seed = tuple(np.rint(grid.index_of(0.5 * np.sqrt(np.log(2.0)) * direction)).astype(int))
+        jet_bytes = 8 * (2 + 2 * n + n * n) + 1  # one point's jets and validity
         peaks = []
-        for frames in (21, 41):
-            field = wv.sample(bump, grid, 0.01 * np.arange(frames))
+        for frames in (21, 41, 81):
+            field, target, seed = _memory_track(frames)
             tracemalloc.start()
             try:
-                wv.track_attribute(field, wv.AttributeSpec.level_set(0.5), seed)
+                wv.track_attribute(field, target, seed)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        jet_bytes = 8 * (2 + 2 * n + n * n) + 1  # one point's jets and validity
-        assert peaks[1] <= 1.05 * peaks[0]
-        assert peaks[1] <= 1.25 * tracking._RUN_POINTS * jet_bytes  # 2.5 of 2.8 MB
+            del field
+        assert peaks[2] <= 1.05 * peaks[1]
+        assert max(peaks) <= 1.25 * tracking._RUN_POINTS * jet_bytes
+
+
+def _memory_track(frames):
+    """A 3-D 40^3 level track over ``frames`` frames whose axis crossings lie a
+    few cells apart: field, target and seed."""
+    n = 3
+    grid = wv.make_grid(n, (40,) * n, 0.04, -0.78)
+    bump = wv.TranslatingGaussian((0.4, 0.3, -0.2), 0.5)
+    direction = np.array((1.0, 1.2, 0.9)) / np.linalg.norm((1.0, 1.2, 0.9))
+    seed = tuple(np.rint(grid.index_of(0.5 * np.sqrt(np.log(2.0)) * direction)).astype(int))
+    field = wv.sample(bump, grid, 0.01 * np.arange(frames))
+    return field, wv.AttributeSpec.level_set(0.5), seed
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
@@ -834,6 +845,44 @@ def _moving_bump_track(dim, kind):
     return field, target, seed
 
 
+def _centre_seeded_track(dim):
+    """A moving bump seeded at its centre with a level-0.5 target: the axis rays
+    cross the level 33 (2-D, 21 frames) or 14 cells (3-D, 9 frames) from the
+    seed, so the crossings of one frame lie far apart.  The grid starts 5
+    cells below the centre, so each ray crosses once."""
+    h = 0.05
+    if dim == 2:
+        npts, sigma, frames, velocity = 56, 2.0, 21, (0.7, 0.3)
+    else:
+        npts, sigma, frames, velocity = 30, 0.85, 9, (0.3, 0.2, -0.25)
+    grid = wv.make_grid(dim, (npts,) * dim, h, -5 * h)
+    field = wv.sample(wv.TranslatingGaussian(velocity, sigma), grid, 0.02 * np.arange(frames))
+    return field, wv.AttributeSpec.level_set(0.5), (5,) * dim
+
+
+def _recording(monkeypatch):
+    """Record the ``(sub-field, frames)`` of every fd pass and the frame of
+    every block read from a run's jets."""
+    runs, reads = [], []
+    fd_jet_fields, jets_at = tracking.fd_jet_fields, _WindowRun.jets_at
+    monkeypatch.setattr(tracking, "fd_jet_fields",
+                        lambda *args: runs.append(args[:2]) or fd_jet_fields(*args))
+    monkeypatch.setattr(_WindowRun, "jets_at",
+                        lambda run, frame, *args: reads.append(frame) or jets_at(run, frame, *args))
+    return runs, reads
+
+
+def _without_plan(monkeypatch):
+    """Serve every request by the slack rule, in ray order."""
+    monkeypatch.setattr(_WindowRun, "plan", lambda run, requests: requests)
+
+
+def _assert_same_track(got, want):
+    for name in ("positions", "empirical_velocity", "computed_velocity"):
+        _same_result(getattr(got, name), getattr(want, name))
+    assert got.deviation == want.deviation
+
+
 class TestWindowedTracksUnchanged:
     @pytest.mark.parametrize("boundary", BOUNDARIES)
     @pytest.mark.parametrize("kind", ("gradient", "level"))
@@ -847,6 +896,70 @@ class TestWindowedTracksUnchanged:
         assert np.array_equal(res.computed_velocity, computed, equal_nan=True)
         assert res.deviation == deviation
         assert res.deviation <= 0.1  # a real track, not a lost one
+        if kind == "level":
+            assert res.jet_passes <= dim  # at most one pass per ray
+
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize("order", (2, 4))
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_planned_runs_keep_every_bit(self, dim, order, boundary, monkeypatch):
+        # crossings far apart: a box over all of a frame's crossings holds one
+        # or two frames, so the ray-by-ray plan wins, with at most one pass a ray
+        field, target, seed = _centre_seeded_track(dim)
+        spec = wv.StencilSpec(order, boundary)
+        runs, reads = _recording(monkeypatch)
+        res = wv.track_attribute(field, target, seed, spec=spec)
+        positions, computed, deviation = _reference_track(field, target, seed, spec)
+        assert np.array_equal(res.positions, positions)
+        assert np.array_equal(res.computed_velocity, computed, equal_nan=True)
+        assert res.deviation == deviation <= 0.1
+        assert any(b < a for a, b in zip(reads, reads[1:]))  # frames restart at each ray
+        assert res.jet_passes == len(runs) <= dim
+        assert all(sub.grid.npoints * len(frames) <= tracking._RUN_POINTS for sub, frames in runs)
+        _without_plan(monkeypatch)
+        slack = wv.track_attribute(field, target, seed, spec=spec)
+        _assert_same_track(res, slack)
+        assert res.jet_points < slack.jet_points
+
+    def test_close_crossings_share_runs(self, monkeypatch):
+        # 3-D, 41 frames, crossings a few cells apart: runs shared by all rays,
+        # frame by frame, take fewer passes than runs ray by ray
+        field, target, seed = _memory_track(41)
+        runs, reads = _recording(monkeypatch)
+        res = wv.track_attribute(field, target, seed)
+        assert reads == sorted(reads) and len(reads) > len(set(reads))  # frame by frame
+        assert res.jet_passes == len(runs) == 3
+        assert all(sub.grid.npoints * len(frames) <= tracking._RUN_POINTS for sub, frames in runs)
+        _without_plan(monkeypatch)
+        _assert_same_track(res, wv.track_attribute(field, target, seed))
+
+    def test_one_sided_box_at_a_grid_face(self, monkeypatch):
+        # the seed's row is one cell from a grid face, so every block of the
+        # axis-1 ray sits at that face; its runs (one per ray: the crossings are
+        # far apart) hold the order + 2 points an order-4 one-sided stencil at
+        # the box's cut face needs
+        field, target, _ = _centre_seeded_track(2)
+        seed, spec = (1, 5), wv.StencilSpec(4, "one-sided")
+        runs, _ = _recording(monkeypatch)
+        res = wv.track_attribute(field, target, seed, spec=spec)
+        assert min(sub.grid.shape[0] for sub, _ in runs) == spec.order + 2
+        positions, computed, deviation = _reference_track(field, target, seed, spec)
+        assert np.array_equal(res.positions, positions)
+        assert np.array_equal(res.computed_velocity, computed, equal_nan=True)
+        assert res.deviation == deviation <= 0.1
+
+    def test_lost_crossing_raises_before_any_pass(self, monkeypatch):
+        # every crossing is found before the jets are read: the second ray
+        # losing its crossing at a later frame raises the same message, and no
+        # pass ran
+        field, target, seed = _moving_bump_track(2, "level")
+        values = field.values.copy()
+        values[6, seed[0], :] = 1.0  # frame 6 of the axis-1 ray stays above the level
+        lost = wv.SampledField(field.grid, field.t0, field.dt, values)
+        runs, _ = _recording(monkeypatch)
+        with pytest.raises(AttributeLostError, match=r"^no crossing of level 0.5 on the ray$"):
+            wv.track_attribute(lost, target, seed)
+        assert runs == []
 
     @pytest.mark.parametrize("kind", ("gradient", "level"))
     @pytest.mark.parametrize("dim", (2, 3))
