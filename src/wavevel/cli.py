@@ -404,7 +404,7 @@ def cli(argv=None) -> int:
     except TrackingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: an input too large
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

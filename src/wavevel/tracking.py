@@ -11,13 +11,15 @@ speed is compared against N times the axis's order-zero component (the 1/N
 coefficient splits the attribute motion across axes; a single-axis
 crossing undoes the split), NaN where that is not finite.
 
-Both trackers read each frame through a frame source with one interface:
-:class:`_JetInterpolator` for a :class:`SampledField` (finite-difference
-jets, quadratically interpolated) and :class:`_ExactJets` for an analytic
-catalog field (exact evaluation, mainly for calibration at machine
-accuracy).  A source hands out jets and evaluates no formula:
-``jets(x, names, anchor=None, fid=None)`` reads jet parts at ``x`` and
-``timed`` says whether the frame has time derivatives.  Each formula runs
+Both trackers read a track's frames through one frame source, with the
+frame as an argument: a :class:`_WindowRun` for a :class:`SampledField`
+(finite-difference jets, quadratically interpolated) and :class:`_ExactJets`
+for an analytic catalog field (exact evaluation, mainly for calibration at
+machine accuracy).  A source hands out jets and evaluates no formula:
+``jets(frame, x, names, anchor=None, fid=None)`` reads jet parts at ``x``,
+``timed[frame]`` says whether the frame has time derivatives,
+``crossing(frame, point, axis, level, near)`` finds a level crossing and
+``plan(requests)`` orders a level track's jet requests.  Each formula runs
 once, in its loop: the Newton step in :func:`_newton_iterations`, and the
 velocities in the frame loops, on timed frames, with the kernels the maps
 run (:func:`_solve_order_one` and :func:`_order_zero`).  On a sampled field
@@ -25,16 +27,15 @@ the jets are computed only on a small window of the grid around the tracked
 point, so a track costs O(frames) whatever the grid size; the window's jets
 are bit-identical to the full-grid jets where they are read.
 
-A sampled frame source is a pair (window run, frame): the frame sources of
-one track share one :class:`_WindowRun`, which decides once, from the
-field and the stencil, which frames have a time window, and holds a box, a
-run of frames and their jets from one :func:`fd_jet_fields` pass.  A run
-goes through frames with and without a time window alike; a point is lost
-where its interpolation block has a non-finite gradient or Hessian entry.
-A run holds at most ``_RUN_POINTS`` box points (box size times frames),
-which bounds a track's memory whatever its frame count.  A level track
-finds every crossing first (crossings read only the samples) and then plans
-its runs around the known blocks: a box is the hull of the blocks of
+The window run of a sampled track decides once, from the field and the
+stencil, which frames have a time window, and holds a box, a run of frames
+and their jets from one :func:`fd_jet_fields` pass.  A run goes through
+frames with and without a time window alike; a point is lost where its
+interpolation block has a non-finite gradient or Hessian entry.  A run
+holds at most ``_RUN_POINTS`` box points (box size times frames), which
+bounds a track's memory whatever its frame count.  A level track finds
+every crossing first (crossings read only the samples) and then plans its
+runs around the known blocks: a box is the hull of the blocks of
 consecutive requests plus half a stencil, either one run sequence per ray
 or one shared by all rays, frame by frame, whichever takes fewer passes.
 A Newton track cannot know its next point, so its boxes reach half a
@@ -183,14 +184,20 @@ def _serves(frames: range, exact, frame: int, anchor) -> bool:
 
 
 class _WindowRun:
-    """Window jets of a run of frames, shared by the frame sources of a track.
+    """Frame source on sampled data: window jets of runs of frames,
+    tensor-quadratically interpolated.
 
-    The run owns the time windows: ``timed[f]`` says whether frame ``f`` has
-    one (the end frames of shrink-to-valid have none), decided once when
-    the run is made; a field with too few frames for the time stencil
-    raises :class:`InsufficientFramesError` there.  A run goes through
-    frames with and without one alike: every frame's jets have the gradient
-    and the Hessian, and an untimed frame's time parts are NaN.
+    One run serves every frame of a track, or (:meth:`whole`) the one frame
+    of a jet field on its whole grid.  The run owns the time windows:
+    ``timed[f]`` says whether frame ``f`` has one (the end frames of
+    shrink-to-valid have none), decided once when the run is made; a field
+    with too few frames for the time stencil raises
+    :class:`InsufficientFramesError` there.  Without one a frame's
+    velocities stay NaN.  A run goes through frames with and without one
+    alike: every frame's jets have the gradient and the Hessian, which the
+    Newton loop reads, and an untimed frame's time parts are NaN.  A point
+    is lost when any gradient or Hessian entry of its 3^N block is not
+    finite (the border bands are NaN), on timed and untimed frames alike.
 
     A run is an index box of the grid, a range of frames and the jets of
     those frames on the box, from one :func:`fd_jet_fields` pass.  The box
@@ -242,14 +249,19 @@ class _WindowRun:
     ``passes`` counts the :func:`fd_jet_fields` calls and ``points`` the box
     points times frames they computed.
 
-    :meth:`rows` serves the interpolation blocks: the first request for a
-    frame and an anchor in a pass gathers the block's gradient and Hessian
-    rows and decides once whether they are finite; later requests for that
-    block in the same pass read the copies.  The cache holds one block, keyed
-    on ``passes``, the frame and the anchor, so a reopened run never serves
-    the old pass's rows; it holds copies, never a :class:`JetField`, so an
-    old run's jets are freed when a new run opens; and a non-finite block is
-    not kept, so every request for it fails.
+    A point is located once per request: :meth:`index` gives its fractional
+    grid index as Python floats, from which the anchor, the bound checks and
+    the weights follow.  :meth:`rows` serves the interpolation blocks: the
+    first request for a frame and an anchor in a pass gathers the block's
+    gradient and Hessian rows and decides once whether they are finite;
+    later requests for that block in the same pass read the copies, so the
+    Newton steps at one anchor and the velocity at the root gather and check
+    the block once.  The cache holds one block, keyed on ``passes``, the
+    frame and the anchor, so a reopened run never serves the old pass's
+    rows; it holds copies, never a :class:`JetField`, so an old run's jets
+    are freed when a new run opens; and a non-finite block is not kept, so
+    every request for it fails.  Every contraction keeps the operand shapes
+    np.tensordot would build, so the bits do not depend on the cache.
     """
 
     def __init__(self, field: SampledField, spec: StencilSpec):
@@ -260,12 +272,14 @@ class _WindowRun:
 
     def _start(self, grid: Grid, timed: list) -> None:
         self.grid = grid
+        self.spacing = grid.spacing
+        self.length_scale = max(self.spacing)
         self.timed = timed
         self.coords = [grid.axis_coordinates(a) for a in range(grid.dim)]  # for level crossings
         self.passes = 0  # fd_jet_fields calls
         self.points = 0  # box points times frames over all passes
         self.frames = range(0)
-        self.jets = []
+        self.frame_jets = []  # the JetField of each run frame
         self.lo = None  # index offset of the box
         self._exact = None  # inclusive index bounds of the exact zone
         self._key = None  # (passes, frame, anchor) of the cached block
@@ -280,9 +294,48 @@ class _WindowRun:
         run = cls.__new__(cls)
         run.field = None
         run._start(jets.grid, [bool(jets.valid.any())])
-        run.frames, run.jets, run.lo = range(1), [jets], (0,) * jets.dim
+        run.frames, run.frame_jets, run.lo = range(1), [jets], (0,) * jets.dim
         run._exact = (run.lo, tuple(n - 1 for n in jets.grid.shape))
         return run
+
+    def index(self, x) -> list:
+        """Fractional grid index of ``x`` (:meth:`Grid.index_of` on Python floats)."""
+        if isinstance(x, np.ndarray):
+            x = x.tolist()
+        return [(e - o) / h for e, o, h in zip(x, self.grid.origin, self.spacing)]
+
+    def anchor(self, fid, locked=None) -> tuple:
+        """Anchor of the interpolant at the fractional index ``fid``: ``locked``
+        while ``fid`` stays within 1.5 cells of it, else the nearest grid point
+        with a full 3^N block."""
+        if locked is not None and not any(abs(f - a) > 1.5 for f, a in zip(fid, locked)):
+            return locked
+        return tuple(min(max(round(f), 1), n - 2) for f, n in zip(fid, self.grid.shape))
+
+    def jets(self, frame: int, x, names, anchor=None, fid=None) -> list:
+        """The jet arrays ``names`` (see :meth:`rows`) of ``frame`` interpolated
+        at ``x``, whose fractional index is ``fid``, on the block around
+        ``anchor`` (None: the nearest full block)."""
+        if fid is None:
+            fid = self.index(x)
+        if not all(0.0 <= f <= n - 1 for f, n in zip(fid, self.grid.shape)):
+            raise AttributeLostError(f"point {np.asarray(x)} left the grid")
+        if anchor is None:
+            anchor = self.anchor(fid)
+        operands = self.rows(frame, anchor, names)
+        if operands is None:
+            raise AttributeLostError(
+                f"point {np.asarray(x)} left the valid interior of the jet field"
+            )
+        weights = _block_weights(fid, anchor)
+        return [_contract(weights, rows, tail) for rows, tail in operands]
+
+    def crossing(self, frame: int, point, axis: int, level: float, near: float) -> float:
+        """Crossing of ``level`` nearest to ``near`` on the grid line of ``frame``
+        through ``point`` along ``axis`` (linear interpolation of the samples)."""
+        index = tuple(round(f) for f in self.index(point))
+        ray = index[:axis] + (slice(None),) + index[axis + 1 :]
+        return _linear_crossing(self.coords[axis], self.field.values[frame][ray], level, near)
 
     def plan(self, requests: list) -> list:
         """Plan the runs of known requests; the requests in the order to serve them.
@@ -358,7 +411,8 @@ class _WindowRun:
         rows = self._rows
         for name in names:
             if name not in rows:  # the cached pass still holds the frame's jets
-                rows[name] = _gather(getattr(self.jets[frame - self.frames.start], name), self._block)
+                jets = self.frame_jets[frame - self.frames.start]
+                rows[name] = _gather(getattr(jets, name), self._block)
         return [rows[name] for name in names]
 
     def jets_at(self, frame: int, anchor):
@@ -366,7 +420,7 @@ class _WindowRun:
         and the box's index offset (N ints)."""
         if not _serves(self.frames, self._exact, frame, anchor):
             self._open(frame, anchor)
-        return self.jets[frame - self.frames.start], self.lo
+        return self.frame_jets[frame - self.frames.start], self.lo
 
     def _open(self, frame: int, anchor) -> None:
         """Open the run of a missed request: the first planned box that serves
@@ -386,7 +440,7 @@ class _WindowRun:
 
     def _compute(self, frames: range, lo, hi) -> None:
         """Make the run of ``frames`` on the box ``lo``..``hi``: one fd pass."""
-        self.jets = []  # free the old run before the new one is allocated: never both at once
+        self.frame_jets = []  # free the old run before the new one is allocated: never both at once
         field, spec = self.field, self._spec
         # the run's frames +- order, at least min_frames of them: every run
         # frame keeps its time taps and time window (see the class docstring)
@@ -395,7 +449,7 @@ class _WindowRun:
         grid = Grid(tuple(b - a for a, b in zip(lo, hi)), field.grid.spacing,
                     tuple(field.grid.point(lo)))
         sub = SampledField(grid, field.time(first), field.dt, field.values[box])
-        self.jets = fd_jet_fields(sub, range(frames.start - first, frames.stop - first), spec)
+        self.frame_jets = fd_jet_fields(sub, range(frames.start - first, frames.stop - first), spec)
         self.passes += 1
         self.points += self._points(frames, lo, hi)
         self.frames = frames
@@ -403,94 +457,27 @@ class _WindowRun:
         self._exact = self._zone(lo, hi)
 
 
-class _JetInterpolator:
-    """Frame source on sampled data: tensor-quadratic interpolation of jets.
-
-    Frame ``frame`` of a :class:`_WindowRun`: the source reads its jets
-    through the run it shares with the other frame sources of a track, or
-    through :meth:`_WindowRun.whole` for one jet field on the whole grid.
-    The run says whether the frame has a time window (``timed``); without
-    one (an end frame under shrink-to-valid) its velocities stay NaN.  The
-    Newton loop reads the gradient and the Hessian, which every frame has
-    wherever the spatial stencils apply: a point is lost when any gradient
-    or Hessian entry of its 3^N block is not finite (the border bands are
-    NaN), on timed and untimed frames alike.
-
-    A point is located once per request: :meth:`index` gives its fractional
-    grid index as Python floats, from which the anchor, the bound checks and
-    the weights follow.  The block's rows come from the run's block cache
-    (:meth:`_WindowRun.rows`), so the Newton steps at one anchor and the
-    velocity at the root gather and check the block once; every contraction
-    keeps the operand shapes np.tensordot would build, so the bits do not
-    depend on the cache.
-    """
-
-    def __init__(self, run: _WindowRun, frame: int = 0):
-        self.grid = run.grid
-        self.spacing = self.grid.spacing
-        self.length_scale = max(self.spacing)
-        self._run, self._frame = run, frame
-        self.timed = run.timed[frame]
-
-    def index(self, x) -> list:
-        """Fractional grid index of ``x`` (:meth:`Grid.index_of` on Python floats)."""
-        if isinstance(x, np.ndarray):
-            x = x.tolist()
-        return [(e - o) / h for e, o, h in zip(x, self.grid.origin, self.spacing)]
-
-    def anchor(self, fid, locked=None) -> tuple:
-        """Anchor of the interpolant at the fractional index ``fid``: ``locked``
-        while ``fid`` stays within 1.5 cells of it, else the nearest grid point
-        with a full 3^N block."""
-        if locked is not None and not any(abs(f - a) > 1.5 for f, a in zip(fid, locked)):
-            return locked
-        return tuple(min(max(round(f), 1), n - 2) for f, n in zip(fid, self.grid.shape))
-
-    def jets(self, x, names, anchor=None, fid=None) -> list:
-        """The jet arrays ``names`` (see :meth:`_WindowRun.rows`) interpolated at
-        ``x``, whose fractional index is ``fid``, on the block around ``anchor``
-        (None: the nearest full block)."""
-        if fid is None:
-            fid = self.index(x)
-        if not all(0.0 <= f <= n - 1 for f, n in zip(fid, self.grid.shape)):
-            raise AttributeLostError(f"point {np.asarray(x)} left the grid")
-        if anchor is None:
-            anchor = self.anchor(fid)
-        operands = self._run.rows(self._frame, anchor, names)
-        if operands is None:
-            raise AttributeLostError(
-                f"point {np.asarray(x)} left the valid interior of the jet field"
-            )
-        weights = _block_weights(fid, anchor)
-        return [_contract(weights, rows, tail) for rows, tail in operands]
-
-    def crossing(self, point, axis: int, level: float, near: float) -> float:
-        """Crossing of ``level`` nearest to ``near`` on the grid line through
-        ``point`` along ``axis`` (linear interpolation of the samples)."""
-        index = tuple(round(f) for f in self.index(point))
-        ray = index[:axis] + (slice(None),) + index[axis + 1 :]
-        values = self._run.field.values[self._frame][ray]
-        return _linear_crossing(self._run.coords[axis], values, level, near)
-
-
 class _ExactJets:
-    """Frame source on an analytic field: exact jets at one time.
+    """Frame source on an analytic field: exact jets at each frame's time.
 
-    The counterpart of :class:`_JetInterpolator` without a grid: the length
-    scale is 1 and there is one constant anchor, so Newton's anchor locking
-    never re-anchors.  Level crossings are bracketed roots within
-    ``search_radius`` of the previous crossing.
+    The counterpart of :class:`_WindowRun` without a grid: the length scale
+    is 1 and there is one constant anchor, so Newton's anchor locking never
+    re-anchors.  Every frame is timed, and level crossings are bracketed
+    roots within ``search_radius`` of the previous crossing.  It needs no
+    runs: :meth:`plan` keeps the requests' order, and ``passes`` and
+    ``points`` stay 0.
     """
 
     length_scale = 1.0
-    timed = True
+    passes = points = 0
     _ANCHOR = ()
 
-    def __init__(self, field: AnalyticField, t: float, search_radius: float):
+    def __init__(self, field: AnalyticField, times: Array, search_radius: float):
         self._field = field
-        self._t = t
+        self._times = times
         self._search_radius = search_radius
         self.spacing = (1.0,) * field.dim
+        self.timed = [True] * len(times)
 
     def index(self, x):
         """The point itself: exact jets need no grid index."""
@@ -499,23 +486,29 @@ class _ExactJets:
     def anchor(self, fid, locked=None):
         return self._ANCHOR
 
-    def jets(self, x, names, anchor=None, fid=None) -> list:
+    def plan(self, requests: list) -> list:
+        """The requests unchanged."""
+        return requests
+
+    def jets(self, frame: int, x, names, anchor=None, fid=None) -> list:
         """The :class:`Jet2` attributes ``names`` of the exact jet at ``x``."""
-        jet = self._field.jet2(x, self._t)
+        jet = self._field.jet2(x, self._times[frame])
         return [getattr(jet, name) for name in names]
 
-    def crossing(self, point, axis: int, level: float, near: float) -> float:
+    def crossing(self, frame: int, point, axis: int, level: float, near: float) -> float:
         """Crossing of ``level`` nearest to ``near`` on the line through ``point`` along ``axis``."""
+        t = self._times[frame]
+
         def profile(s):
             p = np.tile(point, (s.size, 1))  # one (samples, N) point stack per round
             p[:, axis] = s
-            return self._field.value(p, self._t) - level
+            return self._field.value(p, t) - level
 
         return _bracketed_root(profile, near, self._search_radius)
 
 
-def _newton_iterations(source, x0, targets):
-    """Newton iteration for grad(psi)(x) = targets on one frame source.
+def _newton_iterations(source, frame: int, x0, targets):
+    """Newton iteration for grad(psi)(x) = targets on ``frame`` of a frame source.
 
     Returns the root and the number of iterations (jet evaluations) spent.
 
@@ -544,7 +537,7 @@ def _newton_iterations(source, x0, targets):
         anchor = source.anchor(fid, locked)
         if anchor is not locked:
             locked = None  # not locked, or the iterate escaped the locked cell
-        grad, hess = source.jets(x, ("grad", "hessian"), anchor, fid)
+        grad, hess = source.jets(frame, x, ("grad", "hessian"), anchor, fid)
         residual = grad - targets
         frob = math.sqrt(_sum_planes(e * e for e in hess.ravel().tolist()))
         bound = NEWTON_TOL * frob * source.length_scale
@@ -601,7 +594,7 @@ def find_critical_point(jets: JetField, seed_index, target) -> Array:
     """
     targets = _gradient_targets(target, jets.dim)
     x0 = _grid_seed(jets.grid, seed_index)
-    return _newton_iterations(_JetInterpolator(_WindowRun.whole(jets)), x0, targets)[0]
+    return _newton_iterations(_WindowRun.whole(jets), 0, x0, targets)[0]
 
 
 # --------------------------------------------------------------------------
@@ -650,8 +643,7 @@ def track_attribute(
                              "crossings are searched along whole grid lines")
         times, dt = field.times, field.dt
         x0 = _grid_seed(field.grid, seed)
-        run = _WindowRun(field, spec)  # shared by the sources; its windows open lazily
-        frames = [_JetInterpolator(run, frame) for frame in range(field.frames)]
+        source = _WindowRun(field, spec)  # its windows open lazily
     elif isinstance(field, AnalyticField):
         if times is None:
             raise ValueError("analytic tracking needs explicit times")
@@ -663,8 +655,7 @@ def track_attribute(
         radius = 0.5 if search_radius is None else search_radius
         if not (math.isfinite(radius) and radius > 0):
             raise ValueError(f"search_radius must be finite and > 0, got {radius!r}")
-        run = None
-        frames = [_ExactJets(field, t, radius) for t in times]
+        source = _ExactJets(field, times, radius)
     else:
         raise TypeError(f"cannot track on a {type(field).__name__}")
     if times.size < 3:
@@ -673,57 +664,54 @@ def track_attribute(
     computed = np.full_like(positions, np.nan)
     iterations = np.zeros(times.size, dtype=int)
     if target.kind == AttributeSpec.GRADIENT_SET:
-        _track_gradient(frames, x0, _gradient_targets(target, x0.size), positions, computed,
+        _track_gradient(source, x0, _gradient_targets(target, x0.size), positions, computed,
                         iterations)
     else:
-        _track_level(frames, x0, target.level, positions, computed, run)
+        _track_level(source, x0, target.level, positions, computed)
     with np.errstate(over="ignore"):  # crossings far apart over a tiny dt: +-inf speeds
         empirical = np.gradient(positions, dt, axis=0)
     return TrackResult(
         target.kind, times, positions, empirical, computed,
-        _deviation(empirical, computed), iterations, run.passes if run else 0,
-        run.points if run else 0,
+        _deviation(empirical, computed), iterations, source.passes, source.points,
     )
 
 
-def _track_gradient(frames: list, x, targets: Array, positions: Array, computed: Array,
+def _track_gradient(source, x, targets: Array, positions: Array, computed: Array,
                     iterations: Array) -> None:
     """Locate the fixed-gradient point in each frame, seeded at the previous one."""
-    for frame, source in enumerate(frames):
-        x, iterations[frame] = _newton_iterations(source, x, targets)
+    for frame in range(len(positions)):
+        x, iterations[frame] = _newton_iterations(source, frame, x, targets)
         positions[frame] = x
-        if source.timed:
-            computed[frame] = _solve_order_one(*source.jets(x, ("hessian", "time_mixed")))[0]
+        if source.timed[frame]:
+            computed[frame] = _solve_order_one(*source.jets(frame, x, ("hessian", "time_mixed")))[0]
 
 
-def _track_level(frames: list, seed: Array, level: float, positions: Array,
-                 computed: Array, run: _WindowRun | None = None) -> None:
+def _track_level(source, seed: Array, level: float, positions: Array,
+                 computed: Array) -> None:
     """Follow the level crossing on each axis ray through ``seed``, frame by frame,
     with N times the axis component of :func:`_order_zero` at each crossing.
 
     Every crossing is found first: crossings read the samples (or the field),
     never the jets.  The jets at the crossings of the timed frames are read
-    after, around known anchors, in the order ``run`` plans (the window run
-    of sampled frames; None serves them ray by ray).
+    after, around known anchors, in the order the source plans (a window run
+    plans its runs; exact jets keep the ray-by-ray order).
     """
     n = seed.size
     requests = []  # (frame, anchor, axis, point, fid) of the timed crossings, ray by ray
     for axis in range(n):
         near = seed[axis]
-        for frame, source in enumerate(frames):
-            positions[frame, axis] = near = source.crossing(seed, axis, level, near)
-            if source.timed:
+        for frame in range(len(positions)):
+            positions[frame, axis] = near = source.crossing(frame, seed, axis, level, near)
+            if source.timed[frame]:
                 point = seed.copy()
                 point[axis] = near
                 fid = source.index(point)
                 requests.append((frame, source.anchor(fid), axis, point, fid))
-    if run is not None:
-        requests = run.plan(requests)
-    for frame, anchor, axis, point, fid in requests:
+    for frame, anchor, axis, point, fid in source.plan(requests):
         try:
             # time rows hold +-inf where |psi| / dt overflowed: a quiet NaN or inf
             with np.errstate(invalid="ignore", over="ignore"):
-                grad, psi_t = frames[frame].jets(point, ("grad", "dpsi_dt"), anchor, fid)
+                grad, psi_t = source.jets(frame, point, ("grad", "dpsi_dt"), anchor, fid)
             speed = n * float(_order_zero(grad, psi_t)[1][axis])
             computed[frame, axis] = speed if math.isfinite(speed) else np.nan
         except AttributeLostError:

@@ -182,7 +182,7 @@ def _order_zero(grad: Array, dpsi_dt, ok=True):
     return reciprocal, components, valid
 
 
-def zero_order_velocity(jet, dim: int = None) -> ZeroOrderVelocity:
+def zero_order_velocity(jet) -> ZeroOrderVelocity:
     """Order-zero velocity from a first-order jet (Jet1 or Jet2).
 
     Raises :class:`StationaryDegenerateError` when both psi_t and the whole
@@ -192,10 +192,8 @@ def zero_order_velocity(jet, dim: int = None) -> ZeroOrderVelocity:
     representation).  Axes where both psi_t and the gradient component are
     zero get NaN in both representations.
     """
-    g = np.asarray(jet.grad, dtype=float)
-    if dim is not None and dim != g.shape[0]:
-        raise ValueError(f"jet has dimension {g.shape[0]}, expected {dim}")
-    reciprocal, components, valid = _order_zero(g, float(jet.dpsi_dt))
+    reciprocal, components, valid = _order_zero(np.asarray(jet.grad, dtype=float),
+                                                float(jet.dpsi_dt))
     if not valid:
         raise StationaryDegenerateError(
             "psi_t = 0 and grad psi = 0: no attribute velocity is defined"

@@ -507,6 +507,31 @@ class TestConfigAndUsage:
         assert cli(["info", str(tmp_path / "absent.wvf")]) == 2
 
 
+class TestFailedAllocation:
+    """An input too large to allocate is an input error (exit 2), not a
+    MemoryError traceback.  Every size exceeds 2**47 bytes, the 64-bit user
+    address space, so the allocation fails whatever the machine's memory and
+    overcommit mode."""
+
+    def test_covcheck_samples(self, capsys):
+        samples = 10**13
+        assert samples * 2 * 8 > 2**47  # the (samples, 2) float points: 146 TiB
+        argv = ["covcheck", *GAUSS, "--matrix", "2,0.3,0.1,1.5", "--samples", str(samples)]
+        assert cli(argv) == 2
+        assert "error: Unable to allocate" in capsys.readouterr().err
+
+    def test_generate_shape(self, tmp_path, capsys):
+        shape = (100_000,) * 3
+        assert 5 * np.prod(shape, dtype=float) * 8 > 2**47  # 5 frames of floats: 35.5 PiB
+        out = tmp_path / "huge.wvf"
+        assert cli(["generate", "--kind", "translating-gaussian", "--param", "velocity=0.7,0,0",
+                    "--param", "sigma=1.0", "--shape", ",".join(map(str, shape)),
+                    "--spacing", "0.05", "--origin", "0", "--frames", "5",
+                    "--out", str(out)]) == 2
+        assert "error: Unable to allocate" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestOneParser:
     """One parser serves every ``cli()`` call of a process; no call leaves state in it."""
 

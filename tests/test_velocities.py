@@ -97,10 +97,6 @@ class TestZeroOrder:
             v = -c * jet.dpsi_dt / jet.grad
             assert jet.grad @ v == pytest.approx(-jet.dpsi_dt, rel=1e-12)
 
-    def test_dim_argument_checked(self):
-        with pytest.raises(ValueError):
-            wv.zero_order_velocity(_plane_wave_jet(), dim=3)
-
 
 class TestFirstOrder2d:
     def test_translating_gaussian_gives_c(self):
