@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -85,8 +86,26 @@ def _broadcast(values, dim: int, name: str) -> list:
     return values
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory; inf where the platform cannot say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no os.sysconf, or no such name
+        return math.inf
+
+
+def _check_fits(nbytes: int, options: str) -> None:
+    """ValueError naming ``options`` when ``nbytes`` exceed physical memory, so a
+    size the machine cannot hold is an input error before it is allocated."""
+    memory = _physical_memory()
+    if nbytes > memory:
+        raise ValueError(f"{nbytes:,} bytes for {options}, more than the "
+                         f"{memory:,} bytes of physical memory")
+
+
 def _cmd_generate(args) -> int:
     shape = _ints(args.shape)
+    _check_fits(math.prod(shape) * args.frames * 8, "--shape and --frames")
     dim = len(shape)
     spacing = _broadcast(_floats(args.spacing), dim, "--spacing")
     origin = _broadcast(_floats(args.origin), dim, "--origin")
@@ -198,6 +217,9 @@ def _cmd_track(args) -> int:
         emp = ", ".join(f"{v:.6g}" for v in result.empirical_velocity[m])
         print(f"  t={t:.6g}  position=({pos})  empirical=({emp})")
     print(f"deviation (empirical vs computed): {result.deviation:.6e}")
+    iterations = result.newton_iterations
+    print(f"newton iterations: {int(iterations.sum())} total, at most {int(iterations.max())} "
+          f"on one frame; jet passes: {result.jet_passes}, jet points: {result.jet_points}")
     if args.csv:
         _write_track_csv(args.csv, result)
         print(f"wrote {args.csv}")
@@ -236,6 +258,7 @@ def _cmd_covcheck(args) -> int:
     if len(box) != 2 or not (box[0] < box[1] and math.isfinite(box[1] - box[0])):
         raise ValueError(f"--box expects LO,HI with LO < HI and a finite width, got {args.box!r}")
     lo, hi = box
+    _check_fits(args.samples * n * 8, "--samples")
     rng = np.random.default_rng(args.rng_seed)
     points = rng.uniform(lo, hi, size=(args.samples, n))
     reports = check_transformation_laws(field, amap, points, args.t)

@@ -3,7 +3,9 @@
 Gradient attributes (peaks, troughs, saddles, or any fixed-gradient point)
 are located per frame by Newton iteration on the frame's jets, then
 differenced in time; the measured motion is compared against the order-one
-velocity evaluated at the tracked points.
+velocity evaluated at the tracked points.  From frame 2 on, Newton starts at
+the linear extrapolation of the last two roots, O(dt^2) from the new root,
+so a frame mostly takes 2-3 iterations; the prediction reads no velocity.
 
 Value attributes are tracked per coordinate axis: the crossing of the level
 along a ray through the seed, holding the other coordinates fixed.  Its
@@ -18,14 +20,15 @@ for an analytic catalog field (exact evaluation, mainly for calibration at
 machine accuracy).  A source hands out jets and evaluates no formula:
 ``jets(frame, x, names, anchor=None, fid=None)`` reads jet parts at ``x``,
 ``timed[frame]`` says whether the frame has time derivatives,
-``crossing(frame, point, axis, level, near)`` finds a level crossing and
-``plan(requests)`` orders a level track's jet requests.  Each formula runs
-once, in its loop: the Newton step in :func:`_newton_iterations`, and the
-velocities in the frame loops, on timed frames, with the kernels the maps
-run (:func:`_solve_order_one` and :func:`_order_zero`).  On a sampled field
-the jets are computed only on a small window of the grid around the tracked
-point, so a track costs O(frames) whatever the grid size; the window's jets
-are bit-identical to the full-grid jets where they are read.
+``crossings(point, axis, level, near)`` finds a ray's level crossing on
+every frame and ``plan(requests)`` orders a level track's jet requests.
+Each formula runs once, in its loop: the Newton step in
+:func:`_newton_iterations`, and the velocities in the frame loops, on timed
+frames, with the kernels the maps run (:func:`_solve_order_one` and
+:func:`_order_zero`).  On a sampled field the jets are computed only on a
+small window of the grid around the tracked point, so a track costs
+O(frames) whatever the grid size; the window's jets are bit-identical to
+the full-grid jets where they are read.
 
 The window run of a sampled track decides once, from the field and the
 stencil, which frames have a time window, and holds a box, a run of frames
@@ -57,6 +60,8 @@ operand shapes, so the cache and the floats change no output bit.
 
 Both level trackers take a crossing by one rule: the linear crossing in the
 cell nearest to the previous crossing where ``value - level`` changes sign.
+A sampled ray finds the sign changes of all its frames in one scan of its
+``(frames, n)`` samples; the nearest cell is then picked frame by frame.
 An analytic ray's cell, first one of 64 across the search radius, is
 re-sampled 64-fold (one vectorised ``value`` call a round) until it is no
 wider than ``1e-14 + 8.9e-16 |x|``, brentq's tolerances (Brent 1973, ch. 4).
@@ -188,7 +193,11 @@ class _WindowRun:
     tensor-quadratically interpolated.
 
     One run serves every frame of a track, or (:meth:`whole`) the one frame
-    of a jet field on its whole grid.  The run owns the time windows:
+    of a jet field on its whole grid.  It hands out :meth:`jets` at a point
+    of a frame, ``timed``, :meth:`crossings` (a level ray's crossing on every
+    frame, from the samples, in one sign scan) and :meth:`plan`; a whole run
+    has no field to scan and no stencil to plan with, so it serves jets
+    only.  The run owns the time windows:
     ``timed[f]`` says whether frame ``f`` has one (the end frames of
     shrink-to-valid have none), decided once when the run is made; a field
     with too few frames for the time stencil raises
@@ -330,12 +339,26 @@ class _WindowRun:
         weights = _block_weights(fid, anchor)
         return [_contract(weights, rows, tail) for rows, tail in operands]
 
-    def crossing(self, frame: int, point, axis: int, level: float, near: float) -> float:
-        """Crossing of ``level`` nearest to ``near`` on the grid line of ``frame``
-        through ``point`` along ``axis`` (linear interpolation of the samples)."""
+    def crossings(self, point, axis: int, level: float, near: float) -> list:
+        """The crossing of ``level`` on every frame's grid line through ``point``
+        along ``axis`` (linear interpolation of the samples), each nearest to the
+        one before it, the first nearest to ``near``.  One sign scan serves the
+        ray: the level is subtracted from its ``(frames, n)`` slab, and the cells
+        where each frame changes sign and their midpoints are found at once."""
         index = tuple(round(f) for f in self.index(point))
-        ray = index[:axis] + (slice(None),) + index[axis + 1 :]
-        return _linear_crossing(self.coords[axis], self.field.values[frame][ray], level, near)
+        ray = (slice(None),) + index[:axis] + (slice(None),) + index[axis + 1 :]
+        f = self.field.values[ray] - level
+        coords, lost = self.coords[axis], f"no crossing of level {level} on the ray"
+        changes = _sign_changes(f)
+        rows, cells = np.divmod(np.flatnonzero(changes), changes.shape[1])  # frame-major
+        mids = _midpoints(coords, cells)
+        cells = cells.tolist()
+        bounds = np.searchsorted(rows, np.arange(len(f) + 1)).tolist()  # each frame's cells
+        found = []
+        for row, a, b in zip(f, bounds, bounds[1:]):
+            near = _cell_crossing(coords, row, _nearest_cell(cells[a:b], mids[a:b], near, lost))
+            found.append(near)
+        return found
 
     def plan(self, requests: list) -> list:
         """Plan the runs of known requests; the requests in the order to serve them.
@@ -462,10 +485,10 @@ class _ExactJets:
 
     The counterpart of :class:`_WindowRun` without a grid: the length scale
     is 1 and there is one constant anchor, so Newton's anchor locking never
-    re-anchors.  Every frame is timed, and level crossings are bracketed
-    roots within ``search_radius`` of the previous crossing.  It needs no
-    runs: :meth:`plan` keeps the requests' order, and ``passes`` and
-    ``points`` stay 0.
+    re-anchors.  Every frame is timed, and :meth:`crossings` takes a ray's
+    crossing on every frame, each a bracketed root within ``search_radius``
+    of the previous crossing.  It needs no runs: :meth:`plan` keeps the
+    requests' order, and ``passes`` and ``points`` stay 0.
     """
 
     length_scale = 1.0
@@ -495,16 +518,19 @@ class _ExactJets:
         jet = self._field.jet2(x, self._times[frame])
         return [getattr(jet, name) for name in names]
 
-    def crossing(self, frame: int, point, axis: int, level: float, near: float) -> float:
-        """Crossing of ``level`` nearest to ``near`` on the line through ``point`` along ``axis``."""
-        t = self._times[frame]
+    def crossings(self, point, axis: int, level: float, near: float) -> list:
+        """The crossing of ``level`` on every frame's line through ``point`` along
+        ``axis``, each nearest to the one before it, the first nearest to ``near``."""
+        found = []
+        for t in self._times:
+            def profile(s, t=t):
+                p = np.tile(point, (s.size, 1))  # one (samples, N) point stack per round
+                p[:, axis] = s
+                return self._field.value(p, t) - level
 
-        def profile(s):
-            p = np.tile(point, (s.size, 1))  # one (samples, N) point stack per round
-            p[:, axis] = s
-            return self._field.value(p, t) - level
-
-        return _bracketed_root(profile, near, self._search_radius)
+            near = _bracketed_root(profile, near, self._search_radius)
+            found.append(near)
+        return found
 
 
 def _newton_iterations(source, frame: int, x0, targets):
@@ -520,9 +546,13 @@ def _newton_iterations(source, frame: int, x0, targets):
     by O(h^3) across cell midplanes, which would otherwise stall the
     residual below its tolerance).  On convergence the anchor is re-derived
     from the root and polishing repeats until the anchor is its own
-    fixpoint, which makes the result a function of the frame data alone,
-    not of the iteration history.  Exact jets have one constant anchor, so
-    their first convergence returns.
+    fixpoint, which makes the result a function of the frame data alone to
+    the Newton tolerance, not to the bit: the root depends on its start at
+    the 1e-10 level.  Within the interpolant's O(h^3) jump of a cell
+    midplane the anchors on both sides can each hold a root of their own
+    (0.01 cells from the midplane on a peak lying on it), and the start
+    picks one.  Exact jets have one constant anchor, so their first
+    convergence returns.
 
     The iterate, the step and the tests run on Python floats, with the
     source's fractional index computed once a step; ``||H||_F`` is summed
@@ -678,8 +708,14 @@ def track_attribute(
 
 def _track_gradient(source, x, targets: Array, positions: Array, computed: Array,
                     iterations: Array) -> None:
-    """Locate the fixed-gradient point in each frame, seeded at the previous one."""
+    """Locate the fixed-gradient point in each frame.  Frame 0 starts Newton at
+    the seed and frame 1 at frame 0's root; a later frame starts at the linear
+    extrapolation of the last two roots, O(dt^2) from its own root where the
+    previous root is O(dt) away.  The prediction reads no velocity, so the
+    path does not depend on the formula the track checks."""
     for frame in range(len(positions)):
+        if frame >= 2:
+            x = positions[frame - 1] + (positions[frame - 1] - positions[frame - 2])
         x, iterations[frame] = _newton_iterations(source, frame, x, targets)
         positions[frame] = x
         if source.timed[frame]:
@@ -699,12 +735,11 @@ def _track_level(source, seed: Array, level: float, positions: Array,
     n = seed.size
     requests = []  # (frame, anchor, axis, point, fid) of the timed crossings, ray by ray
     for axis in range(n):
-        near = seed[axis]
+        positions[:, axis] = source.crossings(seed, axis, level, seed[axis])
         for frame in range(len(positions)):
-            positions[frame, axis] = near = source.crossing(frame, seed, axis, level, near)
             if source.timed[frame]:
                 point = seed.copy()
-                point[axis] = near
+                point[axis] = positions[frame, axis]
                 fid = source.index(point)
                 requests.append((frame, source.anchor(fid), axis, point, fid))
     for frame, anchor, axis, point, fid in source.plan(requests):
@@ -718,15 +753,25 @@ def _track_level(source, seed: Array, level: float, positions: Array,
             pass  # no valid jet block at the crossing: the speed stays NaN
 
 
-def _crossing_cell(coords: Array, f: Array, near: float, lost: str) -> int:
-    """Index ``k`` of the cell ``coords[k]..coords[k+1]`` nearest to ``near`` in which
-    ``f`` changes sign (or starts at zero); AttributeLostError(lost) if there is none."""
-    lo, hi = f[:-1], f[1:]
-    cells = np.nonzero((lo == 0.0) | (np.sign(lo) != np.sign(hi)))[0]
-    if cells.size == 0:
+def _sign_changes(f: Array) -> Array:
+    """Mask of the cells ``k`` (along the last axis of ``f``) in which ``f`` changes
+    sign from sample ``k`` to ``k + 1``, or starts at zero."""
+    sign = np.sign(f)
+    lo, hi = sign[..., :-1], sign[..., 1:]
+    return (lo == 0.0) | (lo != hi)
+
+
+def _midpoints(coords: Array, cells: Array) -> list:
+    """Midpoints of the cells ``coords[k]..coords[k+1]``, as Python floats."""
+    return (0.5 * (coords[cells] + coords[cells + 1])).tolist()
+
+
+def _nearest_cell(cells: list, mids: list, near: float, lost: str) -> int:
+    """The cell of ``cells`` whose midpoint (``mids``) is nearest to ``near``, the
+    first on ties; AttributeLostError(lost) if there is none."""
+    if not cells:
         raise AttributeLostError(lost)
-    mid = 0.5 * (coords[cells] + coords[cells + 1])
-    return int(cells[np.argmin(np.abs(mid - near))])
+    return cells[min(range(len(cells)), key=lambda i: abs(mids[i] - near))]
 
 
 def _cell_crossing(coords: Array, f: Array, k: int) -> float:
@@ -737,20 +782,15 @@ def _cell_crossing(coords: Array, f: Array, k: int) -> float:
     return float(coords[k] + (coords[k + 1] - coords[k]) * (f[k] / (f[k] - f[k + 1])))
 
 
-def _linear_crossing(coords: Array, values: Array, level: float, near: float) -> float:
-    """Crossing of a sampled 1-d profile through ``level`` nearest to ``near``."""
-    f = values - level
-    k = _crossing_cell(coords, f, near, f"no crossing of level {level} on the ray")
-    return _cell_crossing(coords, f, k)
-
-
 def _bracketed_root(fn, near: float, radius: float) -> float:
     """Root of the vectorised ``fn`` nearest to ``near`` within ``radius``.  A round
     keeps the cell's end values, so rounding cannot lose its sign change."""
     s = np.linspace(near - radius, near + radius, 65)
     f = fn(s)
     while True:
-        k = _crossing_cell(s, f, near, "no level crossing within the search radius")
+        cells = np.flatnonzero(_sign_changes(f))
+        k = _nearest_cell(cells.tolist(), _midpoints(s, cells), near,
+                          "no level crossing within the search radius")
         if f[k] == 0.0 or s[k + 1] - s[k] <= 1e-14 + 8.9e-16 * abs(s[k]):
             return _cell_crossing(s, f, k)
         s = np.linspace(s[k], s[k + 1], 65)

@@ -238,6 +238,31 @@ class TestTrack:
         assert lines[0] == "t,pos_1,pos_2,emp_1,emp_2,comp_1,comp_2"
         assert len(lines) == 10
 
+    @pytest.mark.parametrize("attribute, seed", [
+        (["gradient-set"], "23,23"),
+        (["level-set", "--level", "0.8"], "30,23"),
+    ])
+    def test_track_reports_its_work(self, tmp_path, monkeypatch, capsys, attribute, seed):
+        path = _generate(tmp_path, GAUSS, frames=9, dt=0.02)
+        results = []
+        track = wv.track_attribute
+        monkeypatch.setattr(wavevel.cli, "track_attribute",
+                            lambda *args, **kwargs: results.append(track(*args, **kwargs))
+                            or results[-1])
+        assert cli(["track", str(path), "--attribute", *attribute, "--seed", seed]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].startswith("deviation (empirical vs computed):")
+        result = results[0]
+        iterations = result.newton_iterations
+        assert lines[-1] == (
+            f"newton iterations: {iterations.sum()} total, at most {iterations.max()} on one "
+            f"frame; jet passes: {result.jet_passes}, jet points: {result.jet_points}")
+        assert result.jet_passes >= 1 and result.jet_points > 0
+        if attribute[0] == "level-set":
+            assert lines[-1].startswith("newton iterations: 0 total, at most 0 on one frame;")
+        else:
+            assert iterations.sum() > iterations.size
+
     def test_track_csv_bytes_match_row_writer(self, tmp_path, monkeypatch):
         path = _generate(tmp_path, GAUSS, frames=5, dt=0.02)
         results = []
@@ -508,17 +533,16 @@ class TestConfigAndUsage:
 
 
 class TestFailedAllocation:
-    """An input too large to allocate is an input error (exit 2), not a
-    MemoryError traceback.  Every size exceeds 2**47 bytes, the 64-bit user
-    address space, so the allocation fails whatever the machine's memory and
-    overcommit mode."""
+    """An input too large to allocate is an input error (exit 2) that names its
+    option, not a MemoryError traceback.  Every size here exceeds 2**47 bytes,
+    the 64-bit user address space, so it can be allocated on no machine."""
 
     def test_covcheck_samples(self, capsys):
         samples = 10**13
         assert samples * 2 * 8 > 2**47  # the (samples, 2) float points: 146 TiB
         argv = ["covcheck", *GAUSS, "--matrix", "2,0.3,0.1,1.5", "--samples", str(samples)]
         assert cli(argv) == 2
-        assert "error: Unable to allocate" in capsys.readouterr().err
+        assert "error: 160,000,000,000,000 bytes for --samples," in capsys.readouterr().err
 
     def test_generate_shape(self, tmp_path, capsys):
         shape = (100_000,) * 3
@@ -528,8 +552,43 @@ class TestFailedAllocation:
                     "--param", "sigma=1.0", "--shape", ",".join(map(str, shape)),
                     "--spacing", "0.05", "--origin", "0", "--frames", "5",
                     "--out", str(out)]) == 2
-        assert "error: Unable to allocate" in capsys.readouterr().err
+        assert "for --shape and --frames, more than the" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestMemoryBound:
+    """A size above the machine's physical memory is an input error before
+    anything is allocated; the tests shrink the memory to 1 MiB, so no size
+    here comes near the real machine's."""
+
+    @pytest.fixture(autouse=True)
+    def one_mebibyte(self, monkeypatch):
+        monkeypatch.setattr(wavevel.cli, "_physical_memory", lambda: 2**20)
+
+    def test_generate_shape_and_frames(self, tmp_path, monkeypatch, capsys):
+        sampled = []
+        monkeypatch.setattr(wavevel.cli, "sample", lambda *args: sampled.append(args))
+        out = tmp_path / "big.wvf"
+        assert cli(["generate", *GAUSS, "--shape", "512,512", "--spacing", "0.05",
+                    "--origin", "0", "--frames", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("error: 10,485,760 bytes for --shape and --frames, more than the "
+                "1,048,576 bytes of physical memory") in err
+        assert sampled == [] and not out.exists()
+
+    def test_covcheck_samples(self, monkeypatch, capsys):
+        checked = []
+        monkeypatch.setattr(wavevel.cli, "check_transformation_laws",
+                            lambda *args: checked.append(args))
+        assert cli(["covcheck", *GAUSS, "--matrix", "2,0.3,0.1,1.5",
+                    "--samples", "100000"]) == 2
+        assert ("error: 1,600,000 bytes for --samples, more than the 1,048,576 bytes "
+                "of physical memory") in capsys.readouterr().err
+        assert checked == []
+
+    def test_sizes_within_memory_run(self, tmp_path):
+        _generate(tmp_path, GAUSS, frames=5, shape="16,16")  # 10,240 bytes
+        assert cli(["covcheck", *GAUSS, "--matrix", "2,0.3,0.1,1.5", "--samples", "100"]) == 0
 
 
 class TestOneParser:

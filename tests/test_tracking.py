@@ -395,7 +395,7 @@ class TestCrossingSpeed:
                    tracking._ExactJets(poly, np.array([0.0]), 0.5))
         for source in sources:
             # every ray crosses at x; a whole run has no stencil to plan runs with
-            source.crossing = lambda frame, point, axis, level, near: x[axis]
+            source.crossings = lambda point, axis, level, near: [x[axis]]
             source.plan = lambda requests: requests
             positions, computed = np.empty((1, 2)), np.empty((1, 2))
             tracking._track_level(source, x, 0.0, positions, computed)
@@ -725,6 +725,32 @@ def test_contraction_equals_tensordot_bitwise(n):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def _predicted_seed(positions, frame, previous):
+    """The Newton start of ``frame`` of a gradient track: ``previous`` (the seed,
+    or frame 0's root) at frames 0 and 1, then the linear extrapolation of the
+    last two roots, in the tracker's floating-point order."""
+    if frame < 2:
+        return previous
+    return positions[frame - 1] + (positions[frame - 1] - positions[frame - 2])
+
+
+def _linear_crossing(coords, values, level, near) -> float:
+    """The crossing rule on one sampled profile, one frame at a time: the linear
+    zero of ``values - level`` in the cell whose midpoint is nearest to ``near``
+    among the cells where it changes sign (or starts at zero), the first on ties,
+    its fraction formed first."""
+    f = values - level
+    lo, hi = f[:-1], f[1:]
+    cells = np.nonzero((lo == 0.0) | (np.sign(lo) != np.sign(hi)))[0]
+    if cells.size == 0:
+        raise AttributeLostError(f"no crossing of level {level} on the ray")
+    mid = 0.5 * (coords[cells] + coords[cells + 1])
+    k = int(cells[np.argmin(np.abs(mid - near))])
+    if f[k] == 0.0:
+        return float(coords[k])
+    return float(coords[k] + (coords[k + 1] - coords[k]) * (f[k] / (f[k] - f[k + 1])))
+
+
 def _reference_track(field, target, seed, spec):
     """The sampled trackers on full-grid fd jets of every frame (the result
     windowed tracking must reproduce bit for bit)."""
@@ -738,7 +764,8 @@ def _reference_track(field, target, seed, spec):
         targets = np.asarray(target.gradient_targets, dtype=float)
         x = grid.point(seed)
         for frame, jets in enumerate(jet_fields):
-            x = tracking._newton_iterations(_whole(jets), 0, x, targets)[0]
+            x = tracking._newton_iterations(_whole(jets), 0, _predicted_seed(positions, frame, x),
+                                            targets)[0]
             positions[frame] = x
             if np.any(jets.valid):
                 computed[frame] = _solve_order_one(
@@ -749,8 +776,7 @@ def _reference_track(field, target, seed, spec):
             ray = seed[:axis] + (slice(None),) + seed[axis + 1:]
             near = coords[seed[axis]]
             for frame, jets in enumerate(jet_fields):
-                s = tracking._linear_crossing(coords, field.values[frame][ray],
-                                              target.level, near)
+                s = _linear_crossing(coords, field.values[frame][ray], target.level, near)
                 positions[frame, axis] = near = s
                 if np.any(jets.valid):
                     point = grid.point(seed)
@@ -799,7 +825,7 @@ def _reference_analytic_track(field, target, seed, times, search_radius):
             def probe(p, t=t):
                 jet = field.jet2(p, t)
                 return jet.grad, jet.hessian
-            x = _reference_newton(probe, x, targets)
+            x = _reference_newton(probe, _predicted_seed(positions, frame, x), targets)
             positions[frame] = x
             jet = field.jet2(x, t)
             computed[frame] = _solve_order_one(jet.hessian, jet.time_mixed)[0]
@@ -1227,11 +1253,178 @@ class TestSampledNewton:
         iterations = np.zeros(field.frames, dtype=int)
         for frame in range(field.frames):
             jets = wv.fd_jet_field(field, frame, spec)
-            x, iterations[frame] = _reference_sampled_newton(jets, x, targets)
+            x, iterations[frame] = _reference_sampled_newton(
+                jets, _predicted_seed(positions, frame, x), targets)
             positions[frame] = x
         assert np.array_equal(res.positions.view(np.uint64), positions.view(np.uint64))
         assert np.array_equal(res.newton_iterations, iterations)
         assert iterations.sum() > field.frames  # more than one step a frame
+
+
+def _previous_root_track(field, spec, seed):
+    """Newton on every frame of a window run, each seeded at the previous root
+    (the seed rule before predicted seeds): the roots and the iterations of the
+    frames reached, and the frame whose Newton iteration raised with its
+    TrackingError (None, None when every frame converged)."""
+    source = _WindowRun(field, spec)
+    x = field.grid.point(seed)
+    positions, iterations = [], []
+    for frame in range(field.frames):
+        try:
+            x, count = tracking._newton_iterations(source, frame, x, np.zeros(field.grid.dim))
+        except wv.TrackingError as exc:
+            return np.array(positions), iterations, frame, exc
+        positions.append(x)
+        iterations.append(count)
+    return np.array(positions), iterations, None, None
+
+
+def _assert_same_roots(got, want, grid):
+    """Roots of each frame's Newton iteration on an isotropic peak, from two
+    starts, agree to the Newton tolerance where they have one canonical anchor:
+    a root's residual r has max-norm at most NEWTON_TOL ||H||_F h, so it lies
+    within |r|_2 / sigma_min(H) <= N NEWTON_TOL h of the interpolant's root
+    (||H||_F / sigma_min(H) = sqrt(N) on an isotropic peak).  Within the interpolant's O(h^3) jump of a cell
+    midplane, the anchors on both sides hold a root of their own and the start
+    picks one: there each root lies within 0.02 cells of the midplane between
+    their anchors, and the roots within 0.04 cells of each other."""
+    tol = 2.0 * grid.dim * tracking.NEWTON_TOL * max(grid.spacing)
+    for g, w in zip(got, want):
+        gi, wi = grid.index_of(g), grid.index_of(w)
+        if np.array_equal(np.rint(gi), np.rint(wi)):
+            assert np.max(np.abs(g - w)) <= tol
+            continue
+        assert np.max(np.abs(gi - wi)) <= 0.04
+        split = np.rint(gi) != np.rint(wi)
+        assert np.all(np.abs(gi[split] - 0.5 * (np.rint(gi) + np.rint(wi))[split]) <= 0.02)
+
+
+def _true_loss_frame(field, bump, spec):
+    """The first frame whose exact peak has no valid jet block (None: none)."""
+    source = _WindowRun(field, spec)
+    for frame, t in enumerate(field.times):
+        try:
+            source.jets(frame, np.asarray(bump.center) + t * np.asarray(bump.velocity),
+                        ("grad", "hessian"))
+        except AttributeLostError:
+            return frame
+    return None
+
+
+class TestPredictedSeeds:
+    """Frames from 2 on start Newton at the linear extrapolation of the last two
+    roots, which reads no velocity."""
+
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize("order", (2, 4))
+    @pytest.mark.parametrize("dim", (1, 2, 3, 4))
+    def test_fewer_iterations_than_previous_root_seeds(self, dim, order, boundary):
+        field, target, seed = _moving_bump_track(dim, "gradient")
+        spec = wv.StencilSpec(order, boundary)
+        res = wv.track_attribute(field, target, seed, spec=spec)
+        positions, iterations, lost, _ = _previous_root_track(field, spec, seed)
+        assert lost is None
+        assert res.newton_iterations[:2].tolist() == iterations[:2]  # the same seeds
+        assert np.array_equal(res.positions[:2], positions[:2])
+        assert res.newton_iterations[2:].sum() < sum(iterations[2:])
+        _assert_same_roots(res.positions, positions, field.grid)
+
+    def test_grid_edge_loses_the_peak_where_it_leaves(self, monkeypatch):
+        # 2-D peaks running toward the grid edge in 8 directions at 3 speeds:
+        # predicted seeds lose a peak at the first frame whose exact peak has no
+        # valid block, and complete the track when there is none; previous-root
+        # seeds lose it there too, or earlier where their first Newton step
+        # overshoots the peak into the border band, never later
+        grid = wv.make_grid(2, (32, 32), 0.05, -0.775)
+        frames = []
+        newton = tracking._newton_iterations
+        monkeypatch.setattr(tracking, "_newton_iterations",
+                            lambda source, frame, *args: frames.append(frame)
+                            or newton(source, frame, *args))
+        outcomes = []
+        for speed in (1.0, 2.0, 3.0):
+            for angle in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
+                bump = wv.TranslatingGaussian((speed * np.cos(angle), speed * np.sin(angle)), 0.3)
+                field = wv.sample(bump, grid, 0.04 * np.arange(9))
+                seed = np.unravel_index(np.argmax(field.values[0]), grid.shape)
+                for boundary in BOUNDARIES:
+                    spec = wv.StencilSpec(4, boundary)
+                    true = _true_loss_frame(field, bump, spec)
+                    positions, _, old, old_exc = _previous_root_track(field, spec, seed)
+                    frames.clear()
+                    try:
+                        res = wv.track_attribute(field, PEAK, seed, spec=spec)
+                    except wv.TrackingError as exc:
+                        assert isinstance(exc, AttributeLostError), exc
+                        assert frames[-1] == true
+                        assert isinstance(old_exc, AttributeLostError), old_exc
+                        assert old <= true
+                        outcomes.append("lost")
+                    else:
+                        assert true is None
+                        assert old is None or isinstance(old_exc, AttributeLostError)
+                        _assert_same_roots(res.positions[:len(positions)], positions, grid)
+                        outcomes.append("kept")
+        assert outcomes.count("lost") >= 8 and outcomes.count("kept") >= 8
+
+
+class TestRayScan:
+    """One sign scan per level ray gives the crossings a chain of per-frame
+    crossings gives, bit for bit."""
+
+    @staticmethod
+    def _chain(field, index, axis, level, near):
+        coords = field.grid.axis_coordinates(axis)
+        ray = tuple(index[:axis]) + (slice(None),) + tuple(index[axis + 1:])
+        found = []
+        for frame in range(field.frames):
+            near = _linear_crossing(coords, field.values[frame][ray], level, near)
+            found.append(near)
+        return found
+
+    @pytest.mark.parametrize("dim", (1, 2, 3))
+    def test_random_rays_equal_per_frame_crossings(self, dim):
+        # white noise: many crossings per ray, the nearest one moving from frame to frame
+        rng = np.random.default_rng(dim)
+        n = {1: 64, 2: 24, 3: 12}[dim]
+        grid = wv.make_grid(dim, (n,) * dim, 0.05, -0.3)
+        field = wv.SampledField(grid, 0.0, 0.02, rng.standard_normal((7,) + grid.shape))
+        run = _WindowRun(field, wv.StencilSpec())
+        for _ in range(12):
+            index = tuple(int(i) for i in rng.integers(0, n, dim))
+            for axis in range(dim):
+                level = float(rng.uniform(-0.5, 0.5))
+                near = float(rng.uniform(-0.3, -0.3 + 0.05 * (n - 1)))
+                got = run.crossings(grid.point(index), axis, level, near)
+                _same_result(got, self._chain(field, index, axis, level, near))
+
+    def test_adversarial_rays(self):
+        level = 0.25
+        frames = [
+            [1, -1, -1, -1, -1, 1, 1, 1],  # cells 0 and 4 equidistant from near 2.5: cell 0
+            [0, -1, -1, -1, -1, 1, 1, 1],  # the nearest cell starts exactly at the level
+            [1, -1, 1, -1, 1, -1, 1, -1],  # a crossing in every cell
+            [-1, -1, 1, 1, -1, 1, -1, -1],
+            [-1, -1, -1, -1, -1, -1, -1, -1],  # the crossing is lost
+        ]
+        values = level + np.array(frames, dtype=float)
+        grid = wv.make_grid(1, (8,), 1.0, 0.0)
+        spec = wv.StencilSpec(2)
+        kept = wv.SampledField(grid, 0.0, 0.1, values[[0, 1, 2, 3, 3]])
+        got = _WindowRun(kept, spec).crossings(np.zeros(1), 0, level, 2.5)
+        want = self._chain(kept, (), 0, level, 2.5)
+        _same_result(got, want)
+        assert got[:2] == [0.5, 0.0]
+        lost = wv.SampledField(grid, 0.0, 0.1, values)
+        message = r"^no crossing of level 0.25 on the ray$"
+        with pytest.raises(AttributeLostError, match=message):
+            self._chain(lost, (), 0, level, 2.5)
+        with pytest.raises(AttributeLostError, match=message):
+            _WindowRun(lost, spec).crossings(np.zeros(1), 0, level, 2.5)
+
+    def test_no_per_frame_crossing_method(self):
+        assert not hasattr(_WindowRun, "crossing")
+        assert not hasattr(tracking._ExactJets, "crossing")
 
 
 # --------------------------------------------------------------------------
