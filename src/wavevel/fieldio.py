@@ -473,14 +473,14 @@ def export_csv(path, grid: Grid, columns) -> None:
             raise ValueError(
                 f"column {name!r} has shape {arr.shape}, expected {grid.shape}"
             )
-        arrays.append(arr)
+        arrays.append(arr.reshape(-1))  # a view where arr is contiguous: chunks slice it
     axes = [_packed_cells(grid.axis_coordinates(a)) for a in range(grid.dim)]
 
     def chunk(start):
         stop = min(start + _CSV_CHUNK_ROWS, grid.npoints)
         index = np.unravel_index(np.arange(start, stop), grid.shape)
         return ([_Gather(axis, i) for axis, i in zip(axes, index)]
-                + [arr.flat[start:stop] for arr in arrays])
+                + [arr[start:stop] for arr in arrays])
 
     names = [f"x{a + 1}" for a in range(grid.dim)] + names
     _write_csv(path, names, map(chunk, range(0, grid.npoints, _CSV_CHUNK_ROWS)))

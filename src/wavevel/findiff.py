@@ -361,10 +361,10 @@ def fd_jet_fields(
     """:func:`fd_jet_field` of every frame of ``frames`` (a range of step 1),
     bit for bit, in one pass over the frames.
 
-    Every frame gets psi, the gradient and the Hessian wherever the spatial
-    stencils apply.  A frame without a time window gets NaN ``dpsi_dt`` and
-    ``time_mixed`` and is valid nowhere: ``valid`` marks the points where
-    the whole jet is defined.
+    Every frame gets psi (a read-only view of its samples), the gradient and
+    the Hessian wherever the spatial stencils apply.  A frame without a time
+    window gets NaN ``dpsi_dt`` and ``time_mixed`` and is valid nowhere:
+    ``valid`` marks the points where the whole jet is defined.
 
     The K frames are differentiated as one ``(K, *shape)`` stack along its
     axes 1..N, and the frames that share time taps (every interior frame)
@@ -388,7 +388,8 @@ def fd_jet_fields(
     time_valid = np.array([taps is not None for taps in ttaps])
 
     cur = field.values[frames.start : frames.stop]
-    psi = cur.copy()
+    psi = cur.view()  # the frames themselves, read-only: no jet array is written through it
+    psi.flags.writeable = False
     grad = _component_planes(stack, n)
     tmix = _component_planes(stack, n)
     hess = _component_planes(stack, n, 2)

@@ -196,8 +196,8 @@ class _WindowRun:
     of a jet field on its whole grid.  It hands out :meth:`jets` at a point
     of a frame, ``timed``, :meth:`crossings` (a level ray's crossing on every
     frame, from the samples, in one sign scan) and :meth:`plan`; a whole run
-    has no field to scan and no stencil to plan with, so it serves jets
-    only.  The run owns the time windows:
+    scans its frame's psi and plans nothing, as it holds every point of its
+    grid.  The run owns the time windows:
     ``timed[f]`` says whether frame ``f`` has one (the end frames of
     shrink-to-valid have none), decided once when the run is made; a field
     with too few frames for the time stencil raises
@@ -277,10 +277,11 @@ class _WindowRun:
         self.field = field
         self._spec = spec
         self._start(field.grid, [_time_taps(field, f, spec) is not None
-                                 for f in range(field.frames)])
+                                 for f in range(field.frames)], field.values)
 
-    def _start(self, grid: Grid, timed: list) -> None:
+    def _start(self, grid: Grid, timed: list, samples: Array) -> None:
         self.grid = grid
+        self.samples = samples  # the (frames, *shape) values level rays scan
         self.spacing = grid.spacing
         self.length_scale = max(self.spacing)
         self.timed = timed
@@ -302,7 +303,7 @@ class _WindowRun:
         misses, and its frame is timed where its jets are valid somewhere."""
         run = cls.__new__(cls)
         run.field = None
-        run._start(jets.grid, [bool(jets.valid.any())])
+        run._start(jets.grid, [bool(jets.valid.any())], jets.psi[None])
         run.frames, run.frame_jets, run.lo = range(1), [jets], (0,) * jets.dim
         run._exact = (run.lo, tuple(n - 1 for n in jets.grid.shape))
         return run
@@ -347,7 +348,7 @@ class _WindowRun:
         where each frame changes sign and their midpoints are found at once."""
         index = tuple(round(f) for f in self.index(point))
         ray = (slice(None),) + index[:axis] + (slice(None),) + index[axis + 1 :]
-        f = self.field.values[ray] - level
+        f = self.samples[ray] - level
         coords, lost = self.coords[axis], f"no crossing of level {level} on the ray"
         changes = _sign_changes(f)
         rows, cells = np.divmod(np.flatnonzero(changes), changes.shape[1])  # frame-major
@@ -369,6 +370,8 @@ class _WindowRun:
         keep their order within a frame).  The plan with fewer passes wins, then
         the one with fewer box points; its boxes wait for the misses they serve.
         """
+        if self.field is None:  # a whole run never misses: the requests' order
+            return requests
         rays = [self._planned_boxes(list(ray)) for _, ray in groupby(requests, lambda r: r[2])]
         shared = sorted(requests, key=lambda r: r[0])
         plans = [(sum(rays, []), requests), (self._planned_boxes(shared), shared)]

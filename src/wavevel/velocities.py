@@ -32,7 +32,8 @@ give the same bits on any layout and at one point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -172,14 +173,36 @@ def _order_zero(grad: Array, dpsi_dt, ok=True):
         reciprocal = [_divide(-n * x, pt) for x in g]
         components = [_divide(-(pt / n), x) if x else _divide(-pt, 0.0) for x in g]
         return np.array(reciprocal), np.array(components), valid
-    flat = grad == 0.0
-    valid = ok & ((dpsi_dt != 0.0) | ~flat.all(axis=-1))
+    reciprocal, valid = _reciprocals(grad, dpsi_dt, ok)
+    return reciprocal, _zero_components(grad, dpsi_dt, valid), valid
+
+
+def _reciprocals(grad: Array, dpsi_dt: Array, ok):
+    """``(reciprocal, valid)`` of :func:`_order_zero` on a stack, in the layout of
+    ``grad``, plane by plane: no full-size temporary.  A NaN counts as nonzero."""
+    n = grad.shape[-1]
+    moving = dpsi_dt != 0.0
+    for a in range(n):
+        moving |= grad[..., a] != 0.0
+    valid = ok & moving
+    w, invalid = np.empty_like(grad), ~valid
     with np.errstate(divide="ignore", invalid="ignore"):
-        pt = np.where(valid, dpsi_dt, np.nan)[..., None]  # the NaN carries into both outputs
-        reciprocal = -n * grad / pt
-        components = -(pt / n) / grad
-        np.copyto(components, -pt / 0.0, where=flat)  # ±inf with the sign of -psi_t, or NaN
-    return reciprocal, components, valid
+        for a in range(n):
+            np.divide(np.multiply(-n, grad[..., a], out=w[..., a]), dpsi_dt, out=w[..., a])
+            np.copyto(w[..., a], np.nan, where=invalid)
+    return w, valid
+
+
+def _zero_components(grad: Array, dpsi_dt: Array, valid: Array) -> Array:
+    """The components of :func:`_order_zero` on a stack, in the layout of ``grad``."""
+    v, invalid = np.empty_like(grad), ~valid
+    with np.errstate(divide="ignore", invalid="ignore"):
+        speed, pole = -(dpsi_dt / grad.shape[-1]), -dpsi_dt / 0.0
+        for a in range(grad.shape[-1]):
+            np.divide(speed, grad[..., a], out=v[..., a])
+            np.copyto(v[..., a], pole, where=grad[..., a] == 0.0)
+            np.copyto(v[..., a], np.nan, where=invalid)
+    return v
 
 
 def zero_order_velocity(jet) -> ZeroOrderVelocity:
@@ -201,22 +224,25 @@ def zero_order_velocity(jet) -> ZeroOrderVelocity:
     return ZeroOrderVelocity(reciprocal, components)
 
 
-def _det3(c0, c1, c2):
-    """3x3 determinants from their columns, each a list of three entries."""
-    return (
-        c0[0] * (c1[1] * c2[2] - c2[1] * c1[2])
-        - c1[0] * (c0[1] * c2[2] - c2[1] * c0[2])
-        + c2[0] * (c0[1] * c1[2] - c1[1] * c0[2])
-    )
+def _minor(a, b):
+    """The 2x2 minor of the columns ``a`` and ``b`` on their last two rows."""
+    return a[-2] * b[-1] - b[-2] * a[-1]
 
 
-def _cramer_det(cols):
-    """Determinants of N x N matrices (N <= 3) given as a list of N columns."""
-    if len(cols) == 3:
-        return _det3(*cols)
+def _cramer(cols, rhs):
+    """``det H`` and the numerators ``det(H, column j := rhs)`` (N <= 3) from the
+    columns of H, on floats or planes; the 7 minors at N = 3 are formed once."""
+    if len(cols) == 1:
+        return cols[0][0], [rhs[0]]
     if len(cols) == 2:
-        return cols[0][0] * cols[1][1] - cols[1][0] * cols[0][1]
-    return cols[0][0]
+        return _minor(*cols), [_minor(rhs, cols[1]), _minor(cols[0], rhs)]
+    (a, b, c), r = cols, rhs
+    bc, ac, ab = _minor(b, c), _minor(a, c), _minor(a, b)
+    rc, rb, ar, br = _minor(r, c), _minor(r, b), _minor(a, r), _minor(b, r)
+    return (a[0] * bc - b[0] * ac + c[0] * ab,
+            [r[0] * bc - b[0] * rc + c[0] * rb,
+             a[0] * rc - r[0] * ac + c[0] * ar,
+             a[0] * br - b[0] * ar + r[0] * ab])
 
 
 def _solve_order_one(h: Array, b: Array, ok=True, eps_singular: float = EPS_SINGULAR,
@@ -232,11 +258,10 @@ def _solve_order_one(h: Array, b: Array, ok=True, eps_singular: float = EPS_SING
     input is invalid.  A point is valid only where its components are
     finite: a solve that overflows gives NaN components, not ±inf.  A single
     point runs on plain floats and skips the masking a stack needs.  The
-    pivoted route gathers the points it works on: LAPACK's determinant sees
-    the valid input points only (the others may hold NaN), and its solve the
-    non-singular ones.  ``eps_singular`` must be finite and non-negative,
-    else ``ValueError``: a negative one passes singular Hessians, a NaN or
-    infinite one rejects every point.
+    pivoted route gathers the valid input points once (the others may hold
+    NaN) for LAPACK's determinant and solve.  ``eps_singular`` must be finite
+    and non-negative, else ``ValueError``: a negative one passes singular
+    Hessians, a NaN or infinite one rejects every point.
     """
     if not 0.0 <= eps_singular < np.inf:
         raise ValueError(f"eps_singular must be finite and non-negative, got {eps_singular!r}")
@@ -255,12 +280,12 @@ def _solve_order_one(h: Array, b: Array, ok=True, eps_singular: float = EPS_SING
     if pivoted and one:
         det = np.linalg.det(h) if ok else 0.0
     elif pivoted:
+        gathered = h[ok]
         det = np.zeros(np.shape(ok))
-        det[ok] = np.linalg.det(h[ok])
+        det[ok] = np.linalg.det(gathered)
     else:
-        cols = [list(col) for col in zip(*rows)]
-        rhs = b.tolist() if one else [b[..., i] for i in range(n)]
-        det = _cramer_det(cols)
+        det, numerators = _cramer([list(col) for col in zip(*rows)],
+                                  b.tolist() if one else [b[..., i] for i in range(n)])
     if one:
         frob_n, det = float(frob_n), float(det)
     valid = ok & (abs(det) > eps_singular * frob_n)
@@ -276,9 +301,10 @@ def _solve_order_one(h: Array, b: Array, ok=True, eps_singular: float = EPS_SING
         comps = np.linalg.solve(h, -b[:, None])[:, 0].tolist()
     elif pivoted:
         comps = np.full(b.shape, np.nan)
-        comps[valid] = np.linalg.solve(h[valid], -b[valid][..., None])[..., 0]
+        gathered[~valid[ok]] = np.eye(n)  # singular: solved as the identity and dropped
+        comps[valid] = np.linalg.solve(gathered, -b[ok][..., None])[valid[ok], :, 0]
     else:
-        comps = [-_cramer_det(cols[:j] + [rhs] + cols[j + 1 :]) / det for j in range(n)]
+        comps = [-num / det for num in numerators]
     if one:  # plain floats, tested before they become an array
         if all(map(math.isfinite, comps)):
             return np.array(comps), valid, cond
@@ -357,16 +383,21 @@ def contraction_scalar(v0: ZeroOrderVelocity, v1: FirstOrderVelocity) -> float:
 
 @dataclass
 class ZeroOrderVelocityField:
-    """Order-zero velocities at every valid grid point."""
+    """Order-zero velocities at every valid grid point.  ``components`` is
+    derived from the jets' gradient and psi_t on first read and cached."""
 
     grid: Grid
     reciprocal: Array
-    components: Array
     valid: Array
+    _sources: tuple = field(repr=False, compare=False)  # (grad, dpsi_dt) of the jets
 
     @property
     def dim(self) -> int:
         return self.grid.dim
+
+    @cached_property
+    def components(self) -> Array:
+        return _zero_components(*self._sources, self.valid)
 
 
 @dataclass
@@ -389,7 +420,8 @@ def zero_order_velocity_field(jets: JetField) -> ZeroOrderVelocityField:
     Stationary-degenerate points (psi_t = 0 with a fully vanishing gradient)
     are marked invalid instead of raising.
     """
-    return ZeroOrderVelocityField(jets.grid, *_order_zero(jets.grad, jets.dpsi_dt, jets.valid))
+    return ZeroOrderVelocityField(jets.grid, *_reciprocals(jets.grad, jets.dpsi_dt, jets.valid),
+                                  (jets.grad, jets.dpsi_dt))
 
 
 def first_order_velocity_field(

@@ -423,3 +423,14 @@ def test_convergence_order(name, field, bounds, order):
                 continue  # exact on this component (zero or below rounding)
             observed = np.log2(e1 / e2)
             assert observed >= order - 0.2, (name, order, comp, seq)
+
+
+def test_psi_is_a_read_only_view_of_the_frame():
+    field = _poly_field()[2]
+    for jets, frame in zip(wv.fd_jet_fields(field, range(1, 4)), range(1, 4)):
+        assert np.shares_memory(jets.psi, field.values[frame])
+        assert np.array_equal(jets.psi, field.values[frame])
+        with pytest.raises(ValueError):
+            jets.psi[0, 0] = 1.0
+    jets = wv.fd_jet_field(field, 2)
+    assert np.shares_memory(jets.psi, field.values[2]) and not jets.psi.flags.writeable

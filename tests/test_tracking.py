@@ -394,9 +394,7 @@ class TestCrossingSpeed:
         sources = (_whole(wv.analytic_jet_field(poly, grid, 0.0)),
                    tracking._ExactJets(poly, np.array([0.0]), 0.5))
         for source in sources:
-            # every ray crosses at x; a whole run has no stencil to plan runs with
-            source.crossings = lambda point, axis, level, near: [x[axis]]
-            source.plan = lambda requests: requests
+            source.crossings = lambda point, axis, level, near: [x[axis]]  # every ray crosses at x
             positions, computed = np.empty((1, 2)), np.empty((1, 2))
             tracking._track_level(source, x, 0.0, positions, computed)
             assert np.array_equal(positions[0], x)
@@ -1425,6 +1423,30 @@ class TestRayScan:
     def test_no_per_frame_crossing_method(self):
         assert not hasattr(_WindowRun, "crossing")
         assert not hasattr(tracking._ExactJets, "crossing")
+
+    @pytest.mark.parametrize("dim", (1, 2, 3))
+    def test_whole_run_scans_its_frame(self, dim):
+        # a whole run scans its frame's psi by the sampled run's rule
+        rng = np.random.default_rng(10 + dim)
+        n = {1: 64, 2: 24, 3: 12}[dim]
+        grid = wv.make_grid(dim, (n,) * dim, 0.05, -0.3)
+        field = wv.SampledField(grid, 0.0, 0.02, rng.standard_normal((5,) + grid.shape))
+        spec = wv.StencilSpec()
+        run, whole = _WindowRun(field, spec), _whole(wv.fd_jet_field(field, 0, spec))
+        for _ in range(12):
+            point = grid.point(tuple(int(i) for i in rng.integers(0, n, dim)))
+            for axis in range(dim):
+                level = float(rng.uniform(-0.5, 0.5))
+                near = float(rng.uniform(-0.3, -0.3 + 0.05 * (n - 1)))
+                got = whole.crossings(point, axis, level, near)
+                assert len(got) == 1
+                _same_result(got, run.crossings(point, axis, level, near)[:1])
+
+    def test_whole_run_plans_nothing(self):
+        whole = _whole(wv.fd_jet_field(_moving_bump_track(2, "level")[0], 2, wv.StencilSpec()))
+        requests = [(0, (5, 5), 0, None, None), (0, (3, 9), 1, None, None)]
+        assert whole.plan(requests) is requests
+        assert whole.passes == 0
 
 
 # --------------------------------------------------------------------------

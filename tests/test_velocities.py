@@ -1,11 +1,13 @@
 """Velocity formula tests: worked cases, defining identities, dual routes."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import wavevel as wv
+from wavevel.velocities import _order_zero, _solve_order_one
 
 
 #: The coordinate of node 12 on the axes of ``TestVelocityFields._jets``.
@@ -490,3 +492,65 @@ class TestSingularityThreshold:
         assert not wv.first_order_velocity_2d(_singular_jet(2), eps_singular=0.0).valid
         jet = wv.Jet2(wv.Jet1(0.0, 1.0, [1.0, 1.0]), np.diag([1.0, 1e-300]), [0.1, 0.2])
         assert wv.first_order_velocity_2d(jet, eps_singular=0.0).valid
+
+
+class TestOrderZeroMap:
+    """The order-zero map stores the reciprocals and the mask; the components
+    are derived from the jets on first read."""
+
+    def test_map_allocates_reciprocals_mask_and_one_plane(self):
+        grid = wv.make_grid(2, (128, 128), 0.05, -3.1)
+        field = wv.TranslatingGaussian((0.4, 0.3), 0.7)
+        jets = wv.fd_jet_field(wv.sample(field, grid, 0.02 * np.arange(5)), 2)
+        tracemalloc.start()
+        try:
+            v0 = wv.velocities.zero_order_velocity_field(jets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "components" not in vars(v0)  # not derived yet
+        assert peak <= v0.reciprocal.nbytes + v0.valid.nbytes + grid.npoints * 8
+
+    @pytest.mark.parametrize("field, t, special", [
+        (wv.TranslatingGaussian((0.4, 0.3), 1.0), 0.2, ()),
+        # psi_t = 0 where x = NODE, grad_y = 0 where y = NODE, both at the node
+        (wv.TranslatingGaussian((0.4, 0.0), 1.0, center=(NODE, NODE)), 0.0,
+         ("pole", "degenerate")),
+        # psi_t = 0 everywhere, stationary degenerate at the node
+        (wv.StaticGaussian(1.0, center=(NODE, NODE, NODE)), 0.0, ("degenerate",)),
+    ])
+    def test_components_are_derived_once_by_the_kernel(self, field, t, special, monkeypatch):
+        n = field.dim
+        grid = wv.make_grid(n, [24] * n, [0.1] * n, [-1.15] * n)
+        jets = wv.analytic_jet_field(field, grid, t)
+        calls = []
+        derive = wv.velocities._zero_components
+        monkeypatch.setattr(wv.velocities, "_zero_components",
+                            lambda *args: calls.append(1) or derive(*args))
+        v0 = wv.velocity_field(jets, 0)
+        assert not calls
+        first = v0.components
+        assert v0.components is first and len(calls) == 1
+        reciprocal, components, valid = _order_zero(jets.grad, jets.dpsi_dt, jets.valid)
+        _assert_same_bits(first, components)
+        _assert_same_bits(v0.reciprocal, reciprocal)
+        assert np.array_equal(v0.valid, valid)
+        # the pole axes (grad_i = 0) and the degenerate points are in the comparison
+        assert np.isinf(first).any() == ("pole" in special)
+        assert valid.all() != ("degenerate" in special)
+
+
+class TestCramerMinors:
+    @pytest.mark.parametrize("n, minors", [(2, 3), (3, 7)])
+    @pytest.mark.parametrize("one", [True, False])
+    def test_each_minor_is_formed_once(self, n, minors, one, monkeypatch):
+        calls = []
+        minor = wv.velocities._minor
+        monkeypatch.setattr(wv.velocities, "_minor", lambda a, b: calls.append(1) or minor(a, b))
+        rng = np.random.default_rng(n)
+        h = rng.standard_normal((n, n) if one else (50, n, n))
+        b = rng.standard_normal(h.shape[:-1])
+        v, valid, _ = _solve_order_one(h, b, True if one else np.ones(50, dtype=bool))
+        assert len(calls) == minors
+        assert np.all(valid)
+        assert np.allclose(np.einsum("...ij,...j->...i", h, v), -b, rtol=0, atol=1e-9)
