@@ -355,6 +355,17 @@ def fd_jet_field(field: SampledField, frame: int, spec: StencilSpec = DEFAULT_ST
     return fd_jet_fields(field, range(frame, frame + 1), spec)[0]
 
 
+class _PassJets(list):
+    """The :class:`JetField` of each frame of one :func:`fd_jet_fields` pass, and
+    ``stacks``: by jet array name, the ``(K, *shape, ...)`` array whose frame ``k``
+    the ``k``-th JetField holds (a component-last view of the pass's planes-first
+    buffer), so that a reader of many frames' points gathers them in one step."""
+
+    def __init__(self, frames: list, stacks: dict):
+        super().__init__(frames)
+        self.stacks = stacks
+
+
 def fd_jet_fields(
     field: SampledField, frames: range, spec: StencilSpec = DEFAULT_STENCIL
 ) -> list[JetField]:
@@ -372,7 +383,8 @@ def fd_jet_fields(
     frames costs about one call's fixed cost instead of K.  Frame ``k``'s
     arrays are views of stacked planes-first buffers: ``(N, K, *shape)`` for
     the gradient and the mixed time rows, ``(N, N, K, *shape)`` for the
-    Hessian.
+    Hessian; the returned list (a :class:`_PassJets`) holds their stacked
+    views as ``stacks``.
     """
     grid = field.grid
     n = grid.dim
@@ -444,6 +456,8 @@ def fd_jet_fields(
         for arr, axes in ((grad, -1), (tmix, -1), (hess, (-2, -1))):
             valid &= np.isfinite(arr).all(axis=axes)
 
-    return [JetField(grid, field.time(frame), frame, psi[k], dpsi_dt[k], grad[k], hess[k],
-                     tmix[k], valid[k])
-            for k, frame in enumerate(frames)]
+    stacks = {"psi": psi, "dpsi_dt": dpsi_dt, "grad": grad, "hessian": hess,
+              "time_mixed": tmix, "valid": valid}
+    return _PassJets([JetField(grid, field.time(frame), frame, psi[k], dpsi_dt[k], grad[k],
+                               hess[k], tmix[k], valid[k])
+                      for k, frame in enumerate(frames)], stacks)

@@ -35,6 +35,13 @@ def _component_planes(shape, n: int, k: int = 1) -> Array:
     return np.moveaxis(np.empty((n,) * k + tuple(shape)), range(k), range(-k, 0))
 
 
+def _jet_shapes(shape: tuple, n: int) -> dict:
+    """The shape of each :class:`JetField` array, by name, on points of ``shape``
+    in N dimensions."""
+    return {"psi": shape, "dpsi_dt": shape, "grad": shape + (n,), "hessian": shape + (n, n),
+            "time_mixed": shape + (n,), "valid": shape}
+
+
 def _require_finite(*entries) -> None:
     """Reject jets with a non-finite entry, at one point or on a stack."""
     # math.isfinite on Python floats: np.isfinite costs microseconds a call
@@ -139,17 +146,7 @@ class JetField:
     valid: Array = field(repr=False)
 
     def __post_init__(self):
-        shape = tuple(self.grid.shape)
-        n = self.grid.dim
-        expect = {
-            "psi": shape,
-            "dpsi_dt": shape,
-            "grad": shape + (n,),
-            "hessian": shape + (n, n),
-            "time_mixed": shape + (n,),
-            "valid": shape,
-        }
-        for name, want in expect.items():
+        for name, want in _jet_shapes(tuple(self.grid.shape), self.grid.dim).items():
             arr = getattr(self, name)
             if arr.shape != want:
                 raise ValueError(f"{name} must have shape {want}, got {arr.shape}")

@@ -21,14 +21,16 @@ machine accuracy).  A source hands out jets and evaluates no formula:
 ``jets(frame, x, names, anchor=None, fid=None)`` reads jet parts at ``x``,
 ``timed[frame]`` says whether the frame has time derivatives,
 ``crossings(point, axis, level, near)`` finds a ray's level crossing on
-every frame and ``plan(requests)`` orders a level track's jet requests.
-Each formula runs once, in its loop: the Newton step in
-:func:`_newton_iterations`, and the velocities in the frame loops, on timed
-frames, with the kernels the maps run (:func:`_solve_order_one` and
-:func:`_order_zero`).  On a sampled field the jets are computed only on a
-small window of the grid around the tracked point, so a track costs
-O(frames) whatever the grid size; the window's jets are bit-identical to
-the full-grid jets where they are read.
+every frame, ``plan(requests)`` orders a level track's jet requests and
+``jets_stack(requests, names)`` reads them all, stacked.  Each formula runs
+in one place, with the kernels the maps run: the Newton step in
+:func:`_newton_iterations`, the order-one velocity
+(:func:`_solve_order_one`) in the gradient frame loop, once a timed frame,
+and the order-zero velocity (:func:`_order_zero`) once a level track, on the
+stack of its timed crossings.  On a sampled field the jets are computed
+only on a small window of the grid around the tracked point, so a track
+costs O(frames) whatever the grid size; the window's jets are bit-identical
+to the full-grid jets where they are read.
 
 The window run of a sampled track decides once, from the field and the
 stencil, which frames have a time window, and holds a box, a run of frames
@@ -49,14 +51,19 @@ one holds one frame more than that one served, so a moving point costs few
 frames it never reads.  A :class:`TrackResult` reports the passes, the box
 points and the Newton iterations a track spent.
 
-The fixed costs of a request are paid once: a run caches the rows of the
-last interpolation block it served, so the Newton steps at one anchor and
-the velocity at the root gather the block and test it for finite entries
-once per run pass; the Newton bookkeeping (fractional index, weights,
-tolerance, lock test) runs on Python floats, one fractional index a step;
-and the level crossings read axis coordinates the run computes once.  The
-floats and the contractions reproduce the numpy loop's operations and
-operand shapes, so the cache and the floats change no output bit.
+The fixed costs of a request are paid once.  A Newton track reads point by
+point: a run caches the rows of the last interpolation block it served, so
+the Newton steps at one anchor and the velocity at the root gather the
+block and test it for finite entries once per run pass, and the Newton
+bookkeeping (fractional index, weights, tolerance, lock test) runs on
+Python floats, one fractional index a step.  A level track knows every
+request before it reads, so it reads run by run: the requests one run
+serves take one gather of their blocks from the run's stacked frames, one
+finite test and one matmul, and the order-zero kernel runs once on the
+stack.  The level crossings read axis coordinates the run computes once.
+The floats, the stacks and the contractions reproduce the numpy loop's
+operations and operand shapes (each stacked product is the BLAS call of its
+one-row product), so neither path changes an output bit.
 
 Both level trackers take a crossing by one rule: the linear crossing in the
 cell nearest to the previous crossing where ``value - level`` changes sign.
@@ -77,7 +84,7 @@ import numpy as np
 
 from .fields import AnalyticField, Grid, SampledField, _sum_planes, canonical_time_axis
 from .findiff import DEFAULT_STENCIL, StencilSpec, _time_taps, fd_jet_fields
-from .jets import JetField
+from .jets import JetField, _jet_shapes
 from .velocities import AttributeSpec, _order_zero, _solve_order_one
 
 Array = np.ndarray
@@ -158,15 +165,22 @@ def _quad_weights(s: float) -> tuple:
     return (0.5 * s * (s - 1.0), 1.0 - s * s, 0.5 * s * (s + 1.0))
 
 
-def _block_weights(fid, anchor) -> Array:
-    """The ``(1, 3^N)`` row of tensor-product weights at the fractional index
-    ``fid`` of the block around ``anchor``: Python float products in the order
-    and the bits of ``reduce(np.multiply.outer, axis weights)``, flattened."""
+def _tensor_weights(fid, anchor) -> list:
+    """The 3^N tensor-product weights at the fractional index ``fid`` of the
+    block around ``anchor``: products in the order and the bits of
+    ``reduce(np.multiply.outer, axis weights)``, flattened.  On Python floats
+    at one point, or elementwise on arrays at R points (``fid`` and ``anchor``
+    as N rows of R), which gives each point the same operations."""
     axes = [_quad_weights(f - a) for f, a in zip(fid, anchor)]
     weights = axes[0]
     for axis in axes[1:]:
         weights = [p * w for p in weights for w in axis]
-    return np.array([weights])
+    return weights
+
+
+def _block_weights(fid, anchor) -> Array:
+    """The ``(1, 3^N)`` row of :func:`_tensor_weights`."""
+    return np.array([_tensor_weights(fid, anchor)])
 
 
 def _gather(arr: Array, block: tuple) -> tuple:
@@ -176,10 +190,25 @@ def _gather(arr: Array, block: tuple) -> tuple:
     return arr[block].copy().reshape(3**n, -1), arr.shape[n:]
 
 
-def _contract(weights: Array, rows: Array, tail: tuple) -> Array:
+def _contract(weights: Array, rows: Array, shape: tuple) -> Array:
     """The interpolated value: the operands and the product np.tensordot would
-    build from the block and the weights, without its Python overhead."""
-    return np.dot(weights, rows).reshape(tail)
+    build from the block and the weights, without its Python overhead.  A
+    ``(1, 3^N)`` row and ``(3^N, k)`` rows give one value, of ``shape``; an
+    ``(R, 1, 3^N)`` stack and ``(R, 3^N, k)`` rows give R values, ``shape``
+    ``(R, ...)``.  np.dot and np.matmul make the same BLAS call for one row
+    (dgemv, or ddot where k is 1), so every stacked value has the bits of its
+    one-row product; the one row keeps np.dot, which costs less a call."""
+    return (np.dot if weights.ndim == 2 else np.matmul)(weights, rows).reshape(shape)
+
+
+def _stack(frame_jets: list, name: str) -> Array:
+    """The ``(K, *box, ...)`` stack of the arrays ``name`` of a run's frames: the
+    view :func:`fd_jet_fields` hands out as ``stacks``, else (frames from
+    elsewhere: a whole run's one frame, or jets relaid by a caller) a copy."""
+    stacks = getattr(frame_jets, "stacks", None)
+    if stacks is not None:
+        return stacks[name]
+    return np.stack([getattr(jets, name) for jets in frame_jets])
 
 
 def _serves(frames: range, exact, frame: int, anchor) -> bool:
@@ -195,7 +224,8 @@ class _WindowRun:
     One run serves every frame of a track, or (:meth:`whole`) the one frame
     of a jet field on its whole grid.  It hands out :meth:`jets` at a point
     of a frame, ``timed``, :meth:`crossings` (a level ray's crossing on every
-    frame, from the samples, in one sign scan) and :meth:`plan`; a whole run
+    frame, from the samples, in one sign scan), :meth:`plan` and
+    :meth:`jets_stack` (the planned requests' jets, stacked); a whole run
     scans its frame's psi and plans nothing, as it holds every point of its
     grid.  The run owns the time windows:
     ``timed[f]`` says whether frame ``f`` has one (the end frames of
@@ -260,9 +290,16 @@ class _WindowRun:
 
     A point is located once per request: :meth:`index` gives its fractional
     grid index as Python floats, from which the anchor, the bound checks and
-    the weights follow.  :meth:`rows` serves the interpolation blocks: the
-    first request for a frame and an anchor in a pass gathers the block's
-    gradient and Hessian rows and decides once whether they are finite;
+    the weights follow.  Every request takes one serve step, :meth:`_holds`,
+    which a miss follows with :meth:`_open`.  A level track's requests are
+    read stacked, per run (:meth:`jets_stack`): the requests one run serves
+    take one gather of their blocks from the run's ``(K, *box, ...)`` stacks
+    (``stacks`` of the :func:`fd_jet_fields` pass), one finite test of their
+    gradient and Hessian blocks and one matmul of the stacked weights.
+    Newton's reads go point by point, through a block cache: :meth:`rows`
+    serves the interpolation blocks, and the first request for a frame and
+    an anchor in a pass gathers the block's gradient and Hessian rows and
+    decides once whether they are finite;
     later requests for that block in the same pass read the copies, so the
     Newton steps at one anchor and the velocity at the root gather and check
     the block once.  The cache holds one block, keyed on ``passes``, the
@@ -328,7 +365,7 @@ class _WindowRun:
         ``anchor`` (None: the nearest full block)."""
         if fid is None:
             fid = self.index(x)
-        if not all(0.0 <= f <= n - 1 for f, n in zip(fid, self.grid.shape)):
+        if not self._on_grid(fid):
             raise AttributeLostError(f"point {np.asarray(x)} left the grid")
         if anchor is None:
             anchor = self.anchor(fid)
@@ -339,6 +376,60 @@ class _WindowRun:
             )
         weights = _block_weights(fid, anchor)
         return [_contract(weights, rows, tail) for rows, tail in operands]
+
+    def _on_grid(self, fid) -> bool:
+        """Whether the fractional index ``fid`` lies on the grid, faces included."""
+        return all(0.0 <= f <= n - 1 for f, n in zip(fid, self.grid.shape))
+
+    def jets_stack(self, requests: list, names) -> tuple:
+        """The jet arrays ``names`` of every request, stacked ``(R, ...)``, and the
+        ``(R,)`` mask of the requests served.
+
+        ``requests`` are ``(frame, anchor, ray, point, fid)`` tuples in the order
+        :meth:`plan` returned them.  A request reads what :meth:`jets` reads at
+        ``point``, bit for bit, or NaN and False where :meth:`jets` raises
+        AttributeLostError.  Runs open on misses as they open for :meth:`jets`,
+        request by request (:meth:`_holds`, then :meth:`_open`); the requests one
+        run serves are read by :meth:`_read` before the next run opens.
+        """
+        shapes = _jet_shapes((len(requests),), self.grid.dim)
+        parts = [np.full(shapes[name], np.nan) for name in names]
+        ok = np.zeros(len(requests), dtype=bool)
+        batch = []  # (index, frame, anchor, fid) of the requests the open run serves
+        for i, (frame, anchor, _, _, fid) in enumerate(requests):
+            if not self._on_grid(fid):
+                continue
+            if not self._holds(frame, anchor):
+                self._read(batch, names, parts, ok)  # the old run's jets go on _open
+                batch = []
+                self._open(frame, anchor)
+            batch.append((i, frame, anchor, fid))
+        self._read(batch, names, parts, ok)
+        return parts, ok
+
+    def _read(self, batch: list, names, parts: list, ok: Array) -> None:
+        """Write the ``names`` parts and the mask of the ``batch`` requests, all held
+        by the open run, into ``parts`` and ``ok``: one gather of their 3^N blocks
+        from the run's stacks (the rows :func:`_gather` copies, request by
+        request), one finite test of the gradient and Hessian blocks and one
+        :func:`_contract` of the stacked :func:`_tensor_weights` rows."""
+        if not batch:
+            return
+        index, frames, anchors, fids = zip(*batch)
+        n, anchors = self.grid.dim, np.array(anchors)
+        corners = anchors - np.add(self.lo, 1)  # of the blocks, in the box
+        offsets = np.indices((3,) * n).reshape(n, -1)  # a block's points in C order
+        block = ((np.array(frames) - self.frames.start)[:, None],
+                 *[corners[:, a, None] + offsets[a] for a in range(n)])
+        rows = {name: _stack(self.frame_jets, name)[block].reshape(len(batch), 3**n, -1)
+                for name in {"grad", "hessian", *names}}
+        good = np.isfinite(rows["grad"]).all(axis=(1, 2))
+        good &= np.isfinite(rows["hessian"]).all(axis=(1, 2))
+        weights = np.stack(_tensor_weights(np.array(fids).T, anchors.T), axis=-1)[:, None]
+        served = np.array(index)[good]
+        for part, name in zip(parts, names):
+            part[served] = _contract(weights, rows[name], (len(batch), *part.shape[1:]))[good]
+        ok[list(index)] = good
 
     def crossings(self, point, axis: int, level: float, near: float) -> list:
         """The crossing of ``level`` on every frame's grid line through ``point``
@@ -383,18 +474,29 @@ class _WindowRun:
         """The ``(frames, lo, hi)`` runs of ``visits`` in their order: each box is
         the hull of the 3^N blocks of consecutive visits plus half a stencil,
         over the frames of those visits, while its points times frames stay
-        within ``_RUN_POINTS`` (a lone visit's box may exceed it)."""
-        groups = []  # (frames, low and high corner of the anchors)
+        within ``_RUN_POINTS`` (a lone visit's box may exceed it).
+
+        A group's box size is worked out on the running hull, axis by axis, as
+        :meth:`_box` bounds it: the blocks plus half a stencil, clipped to the
+        grid, and at least ``spec.order + 2`` points (or the whole axis); its
+        bounds are formed once, when the group is done."""
+        reach, shape = 1 + self._spec.half_width, self.field.grid.shape
+        least = [min(self._spec.order + 2, n) for n in shape]
+        groups = []  # (first and last frame, low and high corner of the anchors)
         for frame, anchor, *_ in visits:
             if groups:
-                frames, low, high = groups[-1]
-                frames = range(min(frames.start, frame), max(frames.stop, frame + 1))
+                first, last, low, high = groups[-1]
+                first, last = min(first, frame), max(last, frame)
                 low, high = tuple(map(min, low, anchor)), tuple(map(max, high, anchor))
-                if self._points(frames, *self._box(low, high, 0)) <= _RUN_POINTS:
-                    groups[-1] = frames, low, high
+                points = last - first + 1
+                for a, b, n, width in zip(low, high, shape, least):
+                    points *= max(min(b + reach + 1, n) - max(a - reach, 0), width)
+                if points <= _RUN_POINTS:
+                    groups[-1] = first, last, low, high
                     continue
-            groups.append((range(frame, frame + 1), anchor, anchor))
-        return [(frames, *self._box(low, high, 0)) for frames, low, high in groups]
+            groups.append((frame, frame, anchor, anchor))
+        return [(range(first, last + 1), *self._box(low, high, 0))
+                for first, last, low, high in groups]
 
     @staticmethod
     def _points(frames: range, lo, hi) -> int:
@@ -444,9 +546,14 @@ class _WindowRun:
     def jets_at(self, frame: int, anchor):
         """Jets of ``frame`` exact on the 3^N block around ``anchor`` (N ints),
         and the box's index offset (N ints)."""
-        if not _serves(self.frames, self._exact, frame, anchor):
+        if not self._holds(frame, anchor):
             self._open(frame, anchor)
         return self.frame_jets[frame - self.frames.start], self.lo
+
+    def _holds(self, frame: int, anchor) -> bool:
+        """Whether the open run serves ``frame`` and the block around ``anchor``:
+        the step every read takes once per request, before a miss opens a run."""
+        return _serves(self.frames, self._exact, frame, anchor)
 
     def _open(self, frame: int, anchor) -> None:
         """Open the run of a missed request: the first planned box that serves
@@ -515,6 +622,12 @@ class _ExactJets:
     def plan(self, requests: list) -> list:
         """The requests unchanged."""
         return requests
+
+    def jets_stack(self, requests: list, names) -> tuple:
+        """The :meth:`jets` of every request (see :meth:`_WindowRun.jets_stack`),
+        stacked; every request is served."""
+        parts = zip(*[self.jets(frame, point, names) for frame, _, _, point, _ in requests])
+        return [np.array(part) for part in parts], np.ones(len(requests), dtype=bool)
 
     def jets(self, frame: int, x, names, anchor=None, fid=None) -> list:
         """The :class:`Jet2` attributes ``names`` of the exact jet at ``x``."""
@@ -745,15 +858,14 @@ def _track_level(source, seed: Array, level: float, positions: Array,
                 point[axis] = positions[frame, axis]
                 fid = source.index(point)
                 requests.append((frame, source.anchor(fid), axis, point, fid))
-    for frame, anchor, axis, point, fid in source.plan(requests):
-        try:
-            # time rows hold +-inf where |psi| / dt overflowed: a quiet NaN or inf
-            with np.errstate(invalid="ignore", over="ignore"):
-                grad, psi_t = source.jets(frame, point, ("grad", "dpsi_dt"), anchor, fid)
-            speed = n * float(_order_zero(grad, psi_t)[1][axis])
-            computed[frame, axis] = speed if math.isfinite(speed) else np.nan
-        except AttributeLostError:
-            pass  # no valid jet block at the crossing: the speed stays NaN
+    order = source.plan(requests)
+    frames, axes = [r[0] for r in order], [r[2] for r in order]
+    # time rows hold +-inf where |psi| / dt overflowed: a quiet NaN or inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        (grad, psi_t), ok = source.jets_stack(order, ("grad", "dpsi_dt"))
+        # no valid jet block at a crossing (not ok): its speed is NaN
+        speed = n * _order_zero(grad, psi_t, ok)[1][range(len(order)), axes]
+    computed[frames, axes] = np.where(np.isfinite(speed), speed, np.nan)
 
 
 def _sign_changes(f: Array) -> Array:

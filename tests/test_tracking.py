@@ -884,13 +884,14 @@ def _centre_seeded_track(dim):
 
 def _recording(monkeypatch):
     """Record the ``(sub-field, frames)`` of every fd pass and the frame of
-    every block read from a run's jets."""
+    every block read from a run's jets: each request's serve step
+    (``_WindowRun._holds``), which per-point and stacked reads take alike."""
     runs, reads = [], []
-    fd_jet_fields, jets_at = tracking.fd_jet_fields, _WindowRun.jets_at
+    fd_jet_fields, holds = tracking.fd_jet_fields, _WindowRun._holds
     monkeypatch.setattr(tracking, "fd_jet_fields",
                         lambda *args: runs.append(args[:2]) or fd_jet_fields(*args))
-    monkeypatch.setattr(_WindowRun, "jets_at",
-                        lambda run, frame, *args: reads.append(frame) or jets_at(run, frame, *args))
+    monkeypatch.setattr(_WindowRun, "_holds",
+                        lambda run, frame, *args: reads.append(frame) or holds(run, frame, *args))
     return runs, reads
 
 
@@ -1165,6 +1166,178 @@ class TestBlockCache:
             run.jets(frame, far, ("grad", "hessian"))
             assert run.passes == passes + 4
             _assert_same(_interpolated(run, frame, x), want)
+
+
+class TestStackedReads:
+    """A level track reads its jets with one ``jets_stack`` call: run by run, one
+    gather, one finite test and one matmul, bit for bit the per-point
+    ``_WindowRun.jets`` reads of its requests, over the same runs."""
+
+    NAMES = ("grad", "dpsi_dt")
+
+    @staticmethod
+    def _recorded_track(field, target, seed, spec, monkeypatch):
+        """The track, the requests its plan got and the order, parts and mask of
+        its one jets_stack call."""
+        calls = []
+        plan, stack = _WindowRun.plan, _WindowRun.jets_stack
+        monkeypatch.setattr(_WindowRun, "plan", lambda run, requests:
+                            calls.append(list(requests)) or plan(run, requests))
+
+        def recording_stack(run, requests, names):
+            parts, ok = stack(run, requests, names)
+            calls.append((list(requests), names, parts, ok))
+            return parts, ok
+
+        monkeypatch.setattr(_WindowRun, "jets_stack", recording_stack)
+        res = wv.track_attribute(field, target, seed, spec=spec)
+        monkeypatch.undo()
+        requests, (order, names, parts, ok) = calls
+        return res, requests, order, names, parts, ok
+
+    @staticmethod
+    def _assert_stack_is_per_point(parts, ok, reads):
+        for r, read in enumerate(reads):
+            if isinstance(read, str):  # no valid block, or off the grid: NaN
+                assert not ok[r]
+                assert all(np.isnan(part[r]).all() for part in parts)
+                continue
+            assert ok[r]
+            for part, want in zip(parts, read):
+                _same_result(part[r], want)
+
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize("order", (2, 4))
+    @pytest.mark.parametrize("dim", (1, 2, 3, 4))
+    def test_stack_equals_per_point_reads(self, dim, order, boundary, monkeypatch):
+        cap = 2 * (3 + order) ** dim  # two frames of a one-block box a run
+        monkeypatch.setattr(tracking, "_RUN_POINTS", cap)
+        field, target, seed = _moving_bump_track(dim, "level")
+        spec = wv.StencilSpec(order, boundary)
+        res, requests, planned, names, parts, ok = self._recorded_track(
+            field, target, seed, spec, monkeypatch)
+        monkeypatch.setattr(tracking, "_RUN_POINTS", cap)  # undone with the recording
+        assert res.jet_passes >= 3 and ok.any()
+        # the same plan on a fresh run, read request by request
+        run = _WindowRun(field, spec)
+        again = run.plan(requests)
+        assert [id(r) for r in again] == [id(r) for r in planned]
+        reads = [_outcome(lambda src: src.jets(frame, point, names, anchor, fid), run)
+                 for frame, anchor, _, point, fid in planned]
+        self._assert_stack_is_per_point(parts, ok, reads)
+        assert (run.passes, run.points) == (res.jet_passes, res.jet_points)  # the same runs
+
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize("dim", (2, 3))
+    def test_lost_requests_read_nan(self, dim, boundary):
+        # a request inside, one whose block reaches the border band (NaN under
+        # shrink-to-valid), one off the grid (its clipped block is finite under
+        # one-sided; it opens no run) and one inside again, on one frame
+        field = _random_field(dim)
+        spec = wv.StencilSpec(4, boundary)
+        mid = (np.asarray(field.grid.shape) - 1.0) / 2
+        first = np.arange(dim) == 0
+        fids = (mid + 0.3, np.where(first, 0.4, mid), np.where(first, -0.5, mid), mid - 0.2)
+        run, requests = _WindowRun(field, spec), []
+        for fid in fids:
+            point = field.grid.point(fid)
+            fid = run.index(point)
+            requests.append((4, run.anchor(fid), 0, point, fid))
+        parts, ok = run.jets_stack(requests, self.NAMES)
+        assert ok.tolist() == [True, boundary == "one-sided", False, True]
+        reference = _WindowRun(field, spec)
+        reads = [_outcome(lambda src: src.jets(frame, point, self.NAMES, anchor, fid), reference)
+                 for frame, anchor, _, point, fid in requests]
+        assert "left the grid" in reads[2]
+        self._assert_stack_is_per_point(parts, ok, reads)
+        assert run.passes == reference.passes
+
+    def test_non_finite_hessian_entry_is_lost(self):
+        # a whole run (its frame as a one-frame stack): a NaN Hessian entry in a
+        # block loses the request even though its gradient block is finite
+        field = _random_field(2)
+        jets = wv.fd_jet_field(field, 4, wv.StencilSpec())
+        hessian = np.array(jets.hessian)
+        hessian[20, 21, 0, 1] = np.nan
+        broken = wv.JetField(jets.grid, jets.t, jets.frame, jets.psi, jets.dpsi_dt, jets.grad,
+                             hessian, jets.time_mixed, jets.valid)
+        run = _whole(broken)
+        requests = []
+        for fid in ((20.2, 20.6), (20.2, 24.6), (19.7, 22.3)):
+            point = field.grid.point(fid)
+            fid = run.index(point)
+            requests.append((0, run.anchor(fid), 0, point, fid))
+        parts, ok = run.jets_stack(requests, self.NAMES)
+        assert ok.tolist() == [False, True, False]
+        assert np.isfinite(broken.grad[19:22, 20:23]).all()
+        reads = [_outcome(lambda src: src.jets(frame, point, self.NAMES, anchor, fid), run)
+                 for frame, anchor, _, point, fid in requests]
+        self._assert_stack_is_per_point(parts, ok, reads)
+
+    def test_exact_jets_stack_their_points(self):
+        bump = wv.TranslatingGaussian((0.3, 0.2, -0.25), 0.4)
+        source = tracking._ExactJets(bump, 0.02 * np.arange(5), 0.3)
+        rng = np.random.default_rng(3)
+        requests = [(int(frame), (), 0, rng.uniform(-0.5, 0.5, 3), None)
+                    for frame in rng.integers(0, 5, 12)]
+        parts, ok = source.jets_stack(requests, self.NAMES)
+        assert ok.all() and parts[0].shape == (12, 3) and parts[1].shape == (12,)
+        reads = [source.jets(frame, point, self.NAMES) for frame, _, _, point, _ in requests]
+        self._assert_stack_is_per_point(parts, ok, reads)
+
+
+def _reference_planned_boxes(run, visits):
+    """The planned boxes of ``visits`` with one ``_box`` call per visit: the rule
+    ``_WindowRun._planned_boxes`` works out on the running hull."""
+    groups = []  # (frames, low and high corner of the anchors)
+    for frame, anchor, *_ in visits:
+        if groups:
+            frames, low, high = groups[-1]
+            frames = range(min(frames.start, frame), max(frames.stop, frame + 1))
+            low, high = tuple(map(min, low, anchor)), tuple(map(max, high, anchor))
+            if run._points(frames, *run._box(low, high, 0)) <= tracking._RUN_POINTS:
+                groups[-1] = frames, low, high
+                continue
+        groups.append((range(frame, frame + 1), anchor, anchor))
+    return [(frames, *run._box(low, high, 0)) for frames, low, high in groups]
+
+
+class TestPlannedBoxes:
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize("order", (2, 4))
+    @pytest.mark.parametrize("dim", (1, 2, 3, 4))
+    def test_running_hull_equals_per_visit_boxes(self, dim, order, boundary, monkeypatch):
+        rng = np.random.default_rng(10 * dim + order)
+        shape = tuple(int(k) for k in rng.integers(7, (60, 30, 16, 10)[dim - 1], dim))
+        field = wv.SampledField(wv.make_grid(dim, shape, 0.1, 0.0), 0.0, 0.1,
+                                np.zeros((21,) + shape))
+        run = _WindowRun(field, wv.StencilSpec(order, boundary))
+        seen = set()
+        for _ in range(60):
+            cap = int(rng.choice((40, 300, 3000, 2**14)))
+            monkeypatch.setattr(tracking, "_RUN_POINTS", cap)
+            # a random walk of anchors (1 .. n - 2: full blocks), frames in order or not
+            anchor = [int(rng.integers(1, n - 1)) for n in shape]
+            frames = np.arange(21) if rng.random() < 0.5 else rng.integers(0, 21, 21)
+            visits = []
+            for frame in frames:
+                anchor = [min(max(a + int(rng.integers(-2, 3)), 1), n - 2)
+                          for a, n in zip(anchor, shape)]
+                visits.append((int(frame), tuple(anchor), 0))
+            boxes = run._planned_boxes(visits)
+            assert boxes == _reference_planned_boxes(run, visits)
+            if len(boxes) > 1 and len(boxes) < len(visits):
+                seen.add("cap binds")
+            for _, lo, hi in boxes:
+                for a, b, n in zip(lo, hi, shape):
+                    if (a == 0) != (b == n):
+                        seen.add("one side cut")
+                        if b - a == order + 2 < n:
+                            seen.add("one-sided width")
+                    elif a == 0:
+                        seen.add("whole axis")
+        want = {"cap binds", "one side cut"} | ({"one-sided width"} if order == 4 else set())
+        assert want <= seen
 
 
 def _reference_anchor(grid, x, locked=None):
