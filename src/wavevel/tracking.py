@@ -62,8 +62,8 @@ serves take one gather of their blocks from the run's stacked frames, one
 finite test and one matmul, and the order-zero kernel runs once on the
 stack.  The level crossings read axis coordinates the run computes once.
 The floats, the stacks and the contractions reproduce the numpy loop's
-operations and operand shapes (each stacked product is the BLAS call of its
-one-row product), so neither path changes an output bit.
+operations and operand shapes (one np.matmul forms a one-row product and a
+stack's alike), so neither path changes an output bit.
 
 Both level trackers take a crossing by one rule: the linear crossing in the
 cell nearest to the previous crossing where ``value - level`` changes sign.
@@ -83,7 +83,7 @@ from itertools import groupby
 import numpy as np
 
 from .fields import AnalyticField, Grid, SampledField, _sum_planes, canonical_time_axis
-from .findiff import DEFAULT_STENCIL, StencilSpec, _time_taps, fd_jet_fields
+from .findiff import DEFAULT_STENCIL, StencilSpec, _PassJets, _time_taps, fd_jet_fields
 from .jets import JetField, _jet_shapes
 from .velocities import AttributeSpec, _order_zero, _solve_order_one
 
@@ -178,11 +178,6 @@ def _tensor_weights(fid, anchor) -> list:
     return weights
 
 
-def _block_weights(fid, anchor) -> Array:
-    """The ``(1, 3^N)`` row of :func:`_tensor_weights`."""
-    return np.array([_tensor_weights(fid, anchor)])
-
-
 def _gather(arr: Array, block: tuple) -> tuple:
     """The contiguous ``(3^N, k)`` rows of ``arr[block]`` (a copy: it keeps no
     jet array alive) and the trailing shape of ``arr``."""
@@ -195,20 +190,20 @@ def _contract(weights: Array, rows: Array, shape: tuple) -> Array:
     build from the block and the weights, without its Python overhead.  A
     ``(1, 3^N)`` row and ``(3^N, k)`` rows give one value, of ``shape``; an
     ``(R, 1, 3^N)`` stack and ``(R, 3^N, k)`` rows give R values, ``shape``
-    ``(R, ...)``.  np.dot and np.matmul make the same BLAS call for one row
-    (dgemv, or ddot where k is 1), so every stacked value has the bits of its
-    one-row product; the one row keeps np.dot, which costs less a call."""
-    return (np.dot if weights.ndim == 2 else np.matmul)(weights, rows).reshape(shape)
+    ``(R, ...)``, each with the bits of its one-row product."""
+    return np.matmul(weights, rows).reshape(shape)
 
 
-def _stack(frame_jets: list, name: str) -> Array:
-    """The ``(K, *box, ...)`` stack of the arrays ``name`` of a run's frames: the
-    view :func:`fd_jet_fields` hands out as ``stacks``, else (frames from
-    elsewhere: a whole run's one frame, or jets relaid by a caller) a copy."""
-    stacks = getattr(frame_jets, "stacks", None)
-    if stacks is not None:
-        return stacks[name]
-    return np.stack([getattr(jets, name) for jets in frame_jets])
+def _span(a: int, b: int, n: int, reach: int, width: int) -> tuple:
+    """Index bounds ``lo, hi`` (hi exclusive) along an axis of ``n`` points: the
+    anchors ``a``..``b`` and ``reach`` cells on each side, clipped to the axis,
+    and at least ``width`` points where the axis has them.  Only an axis cut on
+    one side is widened: an uncut one holds ``2 reach + 1`` points or more, and
+    the callers' reach (half a stencil and 1, or more) makes that ``width``."""
+    start, stop = max(a - reach, 0), min(b + reach + 1, n)
+    if stop - start >= width:
+        return start, stop
+    return min(start, max(stop - width, 0)), max(stop, min(start + width, n))
 
 
 def _serves(frames: range, exact, frame: int, anchor) -> bool:
@@ -294,15 +289,15 @@ class _WindowRun:
     which a miss follows with :meth:`_open`.  A level track's requests are
     read stacked, per run (:meth:`jets_stack`): the requests one run serves
     take one gather of their blocks from the run's ``(K, *box, ...)`` stacks
-    (``stacks`` of the :func:`fd_jet_fields` pass), one finite test of their
-    gradient and Hessian blocks and one matmul of the stacked weights.
-    Newton's reads go point by point, through a block cache: :meth:`rows`
-    serves the interpolation blocks, and the first request for a frame and
-    an anchor in a pass gathers the block's gradient and Hessian rows and
-    decides once whether they are finite;
-    later requests for that block in the same pass read the copies, so the
-    Newton steps at one anchor and the velocity at the root gather and check
-    the block once.  The cache holds one block, keyed on ``passes``, the
+    (``stacks`` of the :func:`fd_jet_fields` pass, or of a whole run's one
+    frame), one finite test of their gradient and Hessian blocks and one
+    matmul of the stacked weights.  Newton's reads go point by point,
+    through a block cache: :meth:`rows` serves the interpolation blocks, and
+    the first request for a frame and an anchor in a pass gathers the
+    block's gradient and Hessian rows and decides once whether they are
+    finite; later requests for that block in the same pass read the copies,
+    so the Newton steps at one anchor and the velocity at the root gather and
+    check the block once.  The cache holds one block, keyed on ``passes``, the
     frame and the anchor, so a reopened run never serves the old pass's
     rows; it holds copies, never a :class:`JetField`, so an old run's jets
     are freed when a new run opens; and a non-finite block is not kept, so
@@ -337,11 +332,13 @@ class _WindowRun:
     @classmethod
     def whole(cls, jets: JetField) -> "_WindowRun":
         """A run of one frame (index 0) on the whole grid of ``jets``; it never
-        misses, and its frame is timed where its jets are valid somewhere."""
+        misses, and its frame is timed where its jets are valid somewhere.  Its
+        stacks are one-frame views of the jet arrays."""
         run = cls.__new__(cls)
         run.field = None
         run._start(jets.grid, [bool(jets.valid.any())], jets.psi[None])
-        run.frames, run.frame_jets, run.lo = range(1), [jets], (0,) * jets.dim
+        stacks = {name: getattr(jets, name)[None] for name in _jet_shapes((), jets.dim)}
+        run.frames, run.frame_jets, run.lo = range(1), _PassJets([jets], stacks), (0,) * jets.dim
         run._exact = (run.lo, tuple(n - 1 for n in jets.grid.shape))
         return run
 
@@ -374,7 +371,7 @@ class _WindowRun:
             raise AttributeLostError(
                 f"point {np.asarray(x)} left the valid interior of the jet field"
             )
-        weights = _block_weights(fid, anchor)
+        weights = np.array([_tensor_weights(fid, anchor)])
         return [_contract(weights, rows, tail) for rows, tail in operands]
 
     def _on_grid(self, fid) -> bool:
@@ -421,7 +418,7 @@ class _WindowRun:
         offsets = np.indices((3,) * n).reshape(n, -1)  # a block's points in C order
         block = ((np.array(frames) - self.frames.start)[:, None],
                  *[corners[:, a, None] + offsets[a] for a in range(n)])
-        rows = {name: _stack(self.frame_jets, name)[block].reshape(len(batch), 3**n, -1)
+        rows = {name: self.frame_jets.stacks[name][block].reshape(len(batch), 3**n, -1)
                 for name in {"grad", "hessian", *names}}
         good = np.isfinite(rows["grad"]).all(axis=(1, 2))
         good &= np.isfinite(rows["hessian"]).all(axis=(1, 2))
@@ -476,12 +473,10 @@ class _WindowRun:
         over the frames of those visits, while its points times frames stay
         within ``_RUN_POINTS`` (a lone visit's box may exceed it).
 
-        A group's box size is worked out on the running hull, axis by axis, as
-        :meth:`_box` bounds it: the blocks plus half a stencil, clipped to the
-        grid, and at least ``spec.order + 2`` points (or the whole axis); its
-        bounds are formed once, when the group is done."""
-        reach, shape = 1 + self._spec.half_width, self.field.grid.shape
-        least = [min(self._spec.order + 2, n) for n in shape]
+        A group's box size is worked out on the running hull, axis by axis, by
+        the :func:`_span` rule :meth:`_box` bounds it with; its bounds are formed
+        once, when the group is done."""
+        reach, width, shape = 1 + self._spec.half_width, self._spec.order + 2, self.field.grid.shape
         groups = []  # (first and last frame, low and high corner of the anchors)
         for frame, anchor, *_ in visits:
             if groups:
@@ -489,8 +484,9 @@ class _WindowRun:
                 first, last = min(first, frame), max(last, frame)
                 low, high = tuple(map(min, low, anchor)), tuple(map(max, high, anchor))
                 points = last - first + 1
-                for a, b, n, width in zip(low, high, shape, least):
-                    points *= max(min(b + reach + 1, n) - max(a - reach, 0), width)
+                for a, b, n in zip(low, high, shape):
+                    lo, hi = _span(a, b, n, reach, width)
+                    points *= hi - lo
                 if points <= _RUN_POINTS:
                     groups[-1] = first, last, low, high
                     continue
@@ -508,14 +504,10 @@ class _WindowRun:
         (N ints each), clipped to the grid.  Along an axis cut on one side only
         it holds at least ``spec.order + 2`` points, the widest one-sided stencil,
         so that every one-sided stencil of its edges exists."""
-        reach = 1 + self._spec.half_width + slack
-        width = self._spec.order + 2
-        lo, hi = [], []
-        for a, b, n in zip(low, high, self.field.grid.shape):
-            start, stop = max(a - reach, 0), min(b + reach + 1, n)
-            lo.append(min(start, max(stop - width, 0)))
-            hi.append(max(stop, min(start + width, n)))
-        return tuple(lo), tuple(hi)
+        reach, width = 1 + self._spec.half_width + slack, self._spec.order + 2
+        shape = self.field.grid.shape
+        lo, hi = zip(*[_span(a, b, n, reach, width) for a, b, n in zip(low, high, shape)])
+        return lo, hi
 
     def _zone(self, lo, hi) -> tuple:
         """Inclusive index bounds of the exact zone of the box ``lo``..``hi``."""

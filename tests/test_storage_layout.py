@@ -16,6 +16,8 @@ import pytest
 
 import wavevel as wv
 from wavevel.fields import _sum_planes
+from wavevel.findiff import _PassJets
+from wavevel.jets import _jet_shapes
 from wavevel.velocities import _solve_order_one
 
 SHAPES = {1: (23,), 2: (17, 13), 3: (9, 8, 10), 4: (6, 7, 5, 6), 5: (5, 6, 5, 5, 6)}
@@ -287,8 +289,14 @@ def test_sampled_tracks_do_not_depend_on_layout(n, shape, h, monkeypatch):
              level: tuple(np.rint(grid.index_of(on_level)).astype(int))}
     got = {attr: wv.track_attribute(sampled, attr, seed) for attr, seed in seeds.items()}
     fd_jet_fields = wv.tracking.fd_jet_fields
-    monkeypatch.setattr(wv.tracking, "fd_jet_fields",
-                        lambda *args: [_relaid(j, "last") for j in fd_jet_fields(*args)])
+
+    def relaid_jet_fields(*args):
+        # the frames and the stacks level tracks gather from, C-ordered component-last
+        frames = [_relaid(j, "last") for j in fd_jet_fields(*args)]
+        return _PassJets(frames, {name: np.stack([getattr(j, name) for j in frames])
+                                  for name in _jet_shapes((), n)})
+
+    monkeypatch.setattr(wv.tracking, "fd_jet_fields", relaid_jet_fields)
     for attr, seed in seeds.items():
         want = wv.track_attribute(sampled, attr, seed)
         for name in ("times", "positions", "empirical_velocity", "computed_velocity",

@@ -712,7 +712,7 @@ def test_contraction_equals_tensordot_bitwise(n):
     fid = [a + float(rng.uniform(-0.5, 0.5)) for a in anchor]
     weights = reduce(np.multiply.outer, [np.array(tracking._quad_weights(f - a))
                                          for f, a in zip(fid, anchor)])
-    row = tracking._block_weights(fid, anchor)
+    row = np.array([tracking._tensor_weights(fid, anchor)])
     assert row.shape == (1, 3**n)
     assert np.array_equal(row.view(np.uint64), weights.reshape(1, -1).view(np.uint64))
     for tail in ((), (n,), (n, n)):
