@@ -201,6 +201,8 @@ def _cmd_scalar(args) -> int:
 
 
 def _cmd_track(args) -> int:
+    if args.tol is not None and not args.tol >= 0:  # NaN too: no deviation exceeds it
+        raise ValueError(f"--tol must be >= 0, got {args.tol}")
     field = read_field(args.file)
     if args.attribute == AttributeSpec.GRADIENT_SET:
         targets = _floats(args.targets) if args.targets else [0.0] * field.grid.dim
@@ -244,6 +246,8 @@ def _write_track_csv(path, result) -> None:
 
 
 def _cmd_covcheck(args) -> int:
+    if not args.tol >= 0:
+        raise ValueError(f"--tol must be >= 0, got {args.tol}")
     field = _field_from_args(args)
     n = field.dim
     entries = _floats(args.matrix)

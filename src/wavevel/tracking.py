@@ -21,8 +21,8 @@ machine accuracy).  A source hands out jets and evaluates no formula:
 ``jets(frame, x, names, anchor=None, fid=None)`` reads jet parts at ``x``,
 ``timed[frame]`` says whether the frame has time derivatives,
 ``crossings(point, axis, level, near)`` finds a ray's level crossing on
-every frame, ``plan(requests)`` orders a level track's jet requests and
-``jets_stack(requests, names)`` reads them all, stacked.  Each formula runs
+every frame and ``jets_stack(requests, names)`` reads a level track's jet
+requests all at once, stacked in their order.  Each formula runs
 in one place, with the kernels the maps run: the Newton step in
 :func:`_newton_iterations`, the order-one velocity
 (:func:`_solve_order_one`) in the gradient frame loop, once a timed frame,
@@ -39,10 +39,11 @@ frames with and without a time window alike; a point is lost where its
 interpolation block has a non-finite gradient or Hessian entry.  A run
 holds at most ``_RUN_POINTS`` box points (box size times frames), which
 bounds a track's memory whatever its frame count.  A level track finds
-every crossing first (crossings read only the samples) and then plans its
-runs around the known blocks: a box is the hull of the blocks of
-consecutive requests plus half a stencil, either one run sequence per ray
-or one shared by all rays, frame by frame, whichever takes fewer passes.
+every crossing first (crossings read only the samples); its one stacked
+read then plans the runs around the known blocks: a box is the hull of the
+blocks of consecutive requests plus half a stencil, either one run sequence
+per ray or one shared by all rays, frame by frame, whichever takes fewer
+passes.
 A Newton track cannot know its next point, so its boxes reach half a
 stencil and ``_WINDOW_SLACK`` cells beyond the interpolation block (11^N
 points at order 4): the tracked point can move ``_WINDOW_SLACK`` cells
@@ -83,7 +84,7 @@ from itertools import groupby
 import numpy as np
 
 from .fields import AnalyticField, Grid, SampledField, _sum_planes, canonical_time_axis
-from .findiff import DEFAULT_STENCIL, StencilSpec, _PassJets, _time_taps, fd_jet_fields
+from .findiff import DEFAULT_STENCIL, StencilSpec, _time_taps, fd_jet_fields
 from .jets import JetField, _jet_shapes
 from .velocities import AttributeSpec, _order_zero, _solve_order_one
 
@@ -104,7 +105,7 @@ NEWTON_TOL = 1e-8
 # run peaks at about 2.5 MB; at 2**15 and more the cap no longer binds on a
 # 21-frame 3-D track, whose memory then grows with its frame count.  These
 # timings were taken while level tracks still ran slack windows; level tracks
-# now plan their runs (see _WindowRun.plan), which uses no slack and the same
+# now plan their runs (see _WindowRun.jets_stack), which uses no slack and the same
 # point cap.  Neither value was re-tuned after that change.
 _WINDOW_SLACK = 2
 _RUN_POINTS = 2**14
@@ -178,11 +179,11 @@ def _tensor_weights(fid, anchor) -> list:
     return weights
 
 
-def _gather(arr: Array, block: tuple) -> tuple:
-    """The contiguous ``(3^N, k)`` rows of ``arr[block]`` (a copy: it keeps no
-    jet array alive) and the trailing shape of ``arr``."""
-    n = len(block)
-    return arr[block].copy().reshape(3**n, -1), arr.shape[n:]
+def _gather(stack: Array, index: tuple) -> tuple:
+    """The contiguous ``(3^N, k)`` rows of one frame's block ``stack[index]`` (a
+    copy: it keeps no jet array alive) and the trailing shape of ``stack``."""
+    n = len(index) - 1
+    return stack[index].copy().reshape(3**n, -1), stack.shape[n + 1:]
 
 
 def _contract(weights: Array, rows: Array, shape: tuple) -> Array:
@@ -219,10 +220,9 @@ class _WindowRun:
     One run serves every frame of a track, or (:meth:`whole`) the one frame
     of a jet field on its whole grid.  It hands out :meth:`jets` at a point
     of a frame, ``timed``, :meth:`crossings` (a level ray's crossing on every
-    frame, from the samples, in one sign scan), :meth:`plan` and
-    :meth:`jets_stack` (the planned requests' jets, stacked); a whole run
-    scans its frame's psi and plans nothing, as it holds every point of its
-    grid.  The run owns the time windows:
+    frame, from the samples, in one sign scan) and :meth:`jets_stack` (known
+    requests' jets, stacked); a whole run scans its frame's psi and plans
+    nothing, as it holds every point of its grid.  The run owns the time windows:
     ``timed[f]`` says whether frame ``f`` has one (the end frames of
     shrink-to-valid have none), decided once when the run is made; a field
     with too few frames for the time stencil raises
@@ -267,21 +267,21 @@ class _WindowRun:
 
     A request misses when its frame is outside the run or its 3^N block
     leaves the exact zone; the run then drops its jets and opens a new run.
-    Planned runs come first: :meth:`plan` takes the known requests of a
-    level track and forms its boxes, each the hull of the blocks of
-    consecutive requests plus ``hw`` over the frames of those requests,
-    within ``_RUN_POINTS`` box points; a miss opens the first planned box
-    that serves it.  Any request outside the plan (every Newton request)
-    keeps the slack rule: a box reaching ``hw + _WINDOW_SLACK`` cells beyond
-    the block, opened at the request's frame over the following frames.
-    After a position miss at frame ``f`` it holds ``f - start + 1`` frames,
-    one more than the old run served before the point left it, so the run
-    length follows the point's motion; the first run, and a run opened for
-    a frame outside the old one, take as many frames as ``_RUN_POINTS`` box
-    points allow.  Every request passes the exact-zone check whichever box
-    serves it, so a plan can cost passes but never changes a bit.
-    ``passes`` counts the :func:`fd_jet_fields` calls and ``points`` the box
-    points times frames they computed.
+    Planned runs come first: :meth:`jets_stack` forms boxes from the known
+    requests of a level track, each the hull of the blocks of consecutive
+    requests plus ``hw`` over the frames of those requests, within
+    ``_RUN_POINTS`` box points; a miss opens the first planned box that
+    serves it.  A request no planned box serves (every Newton request) takes
+    the slack rule (:meth:`_open`): a box reaching ``_WINDOW_SLACK`` cells
+    beyond ``hw`` and the block, opened at the request's frame over the
+    following frames.  After a position miss at frame ``f`` it holds
+    ``f - start + 1`` frames, one more than the old run served before the
+    point left it, so the run length follows the point's motion; the first
+    run, and a run opened for a frame outside the old one, take as many
+    frames as ``_RUN_POINTS`` box points allow.  Every request passes the
+    exact-zone check whichever box serves it, so a plan can cost passes but
+    never changes a bit.  ``passes`` counts the :func:`fd_jet_fields` calls
+    and ``points`` the box points times frames they computed.
 
     A point is located once per request: :meth:`index` gives its fractional
     grid index as Python floats, from which the anchor, the bound checks and
@@ -289,20 +289,20 @@ class _WindowRun:
     which a miss follows with :meth:`_open`.  A level track's requests are
     read stacked, per run (:meth:`jets_stack`): the requests one run serves
     take one gather of their blocks from the run's ``(K, *box, ...)`` stacks
-    (``stacks`` of the :func:`fd_jet_fields` pass, or of a whole run's one
-    frame), one finite test of their gradient and Hessian blocks and one
+    (the ``stacks`` of the :func:`fd_jet_fields` pass, or of a whole run's
+    one frame), one finite test of their gradient and Hessian blocks and one
     matmul of the stacked weights.  Newton's reads go point by point,
-    through a block cache: :meth:`rows` serves the interpolation blocks, and
-    the first request for a frame and an anchor in a pass gathers the
-    block's gradient and Hessian rows and decides once whether they are
-    finite; later requests for that block in the same pass read the copies,
-    so the Newton steps at one anchor and the velocity at the root gather and
-    check the block once.  The cache holds one block, keyed on ``passes``, the
-    frame and the anchor, so a reopened run never serves the old pass's
-    rows; it holds copies, never a :class:`JetField`, so an old run's jets
-    are freed when a new run opens; and a non-finite block is not kept, so
-    every request for it fails.  Every contraction keeps the operand shapes
-    np.tensordot would build, so the bits do not depend on the cache.
+    through a block cache: the first :meth:`jets` request for a frame and an
+    anchor in a pass gathers the block's rows from the same stacks and
+    decides once whether its gradient and Hessian rows are finite; later
+    requests for that block in the same pass read the copies, so the Newton
+    steps at one anchor and the velocity at the root gather and check the
+    block once.  The cache holds one block, keyed on ``passes``, the frame
+    and the anchor, so a reopened run never serves the old pass's rows; it
+    holds copies, so an old run's jets are freed when a new run opens; and
+    a non-finite block is not kept, so every request for it fails.  Every
+    contraction keeps the operand shapes np.tensordot would build, so the
+    bits do not depend on the cache.
     """
 
     def __init__(self, field: SampledField, spec: StencilSpec):
@@ -321,13 +321,11 @@ class _WindowRun:
         self.passes = 0  # fd_jet_fields calls
         self.points = 0  # box points times frames over all passes
         self.frames = range(0)
-        self.frame_jets = []  # the JetField of each run frame
+        self.stacks = {}  # the (K, *box, ...) jet arrays of the run's frames, by name
         self.lo = None  # index offset of the box
         self._exact = None  # inclusive index bounds of the exact zone
         self._key = None  # (passes, frame, anchor) of the cached block
-        self._block = None  # its slices in the run's box
-        self._rows = {}  # its gathered rows, by jet array name
-        self._plan = []  # planned (frames, lo, hi) boxes not yet opened
+        self._rows = {}  # its gathered (rows, tail) operands, by jet array name
 
     @classmethod
     def whole(cls, jets: JetField) -> "_WindowRun":
@@ -337,8 +335,8 @@ class _WindowRun:
         run = cls.__new__(cls)
         run.field = None
         run._start(jets.grid, [bool(jets.valid.any())], jets.psi[None])
-        stacks = {name: getattr(jets, name)[None] for name in _jet_shapes((), jets.dim)}
-        run.frames, run.frame_jets, run.lo = range(1), _PassJets([jets], stacks), (0,) * jets.dim
+        run.stacks = {name: getattr(jets, name)[None] for name in _jet_shapes((), jets.dim)}
+        run.frames, run.lo = range(1), (0,) * jets.dim
         run._exact = (run.lo, tuple(n - 1 for n in jets.grid.shape))
         return run
 
@@ -357,49 +355,79 @@ class _WindowRun:
         return tuple(min(max(round(f), 1), n - 2) for f, n in zip(fid, self.grid.shape))
 
     def jets(self, frame: int, x, names, anchor=None, fid=None) -> list:
-        """The jet arrays ``names`` (see :meth:`rows`) of ``frame`` interpolated
-        at ``x``, whose fractional index is ``fid``, on the block around
-        ``anchor`` (None: the nearest full block)."""
+        """The jet arrays ``names`` (of grad, hessian, time_mixed and dpsi_dt) of
+        ``frame`` interpolated at ``x``, whose fractional index is ``fid``, on the
+        block around ``anchor`` (None: the nearest full block), through the block
+        cache."""
         if fid is None:
             fid = self.index(x)
         if not self._on_grid(fid):
             raise AttributeLostError(f"point {np.asarray(x)} left the grid")
         if anchor is None:
             anchor = self.anchor(fid)
-        operands = self.rows(frame, anchor, names)
-        if operands is None:
-            raise AttributeLostError(
-                f"point {np.asarray(x)} left the valid interior of the jet field"
-            )
+        if (self.passes, frame, anchor) != self._key:
+            self._key = None
+            if not self._holds(frame, anchor):
+                self._open(frame, anchor)  # passes first, key after
+            index = (frame - self.frames.start,
+                     *[slice(a - b - 1, a - b + 2) for a, b in zip(anchor, self.lo)])
+            self._rows = {name: _gather(self.stacks[name], index)
+                          for name in ("grad", "hessian", "time_mixed", "dpsi_dt")}
+            if not all(np.isfinite(self._rows[name][0]).all() for name in ("grad", "hessian")):
+                raise AttributeLostError(f"point {np.asarray(x)} left the valid interior "
+                                         "of the jet field")
+            self._key = (self.passes, frame, anchor)
         weights = np.array([_tensor_weights(fid, anchor)])
-        return [_contract(weights, rows, tail) for rows, tail in operands]
+        return [_contract(weights, *self._rows[name]) for name in names]
 
     def _on_grid(self, fid) -> bool:
         """Whether the fractional index ``fid`` lies on the grid, faces included."""
         return all(0.0 <= f <= n - 1 for f, n in zip(fid, self.grid.shape))
 
     def jets_stack(self, requests: list, names) -> tuple:
-        """The jet arrays ``names`` of every request, stacked ``(R, ...)``, and the
-        ``(R,)`` mask of the requests served.
+        """The jet arrays ``names`` of every request, stacked ``(R, ...)`` in the
+        requests' order, and the ``(R,)`` mask of the requests served.
 
-        ``requests`` are ``(frame, anchor, ray, point, fid)`` tuples in the order
-        :meth:`plan` returned them.  A request reads what :meth:`jets` reads at
-        ``point``, bit for bit, or NaN and False where :meth:`jets` raises
-        AttributeLostError.  Runs open on misses as they open for :meth:`jets`,
-        request by request (:meth:`_holds`, then :meth:`_open`); the requests one
-        run serves are read by :meth:`_read` before the next run opens.
+        ``requests`` are ``(frame, anchor, ray, point, fid)`` tuples listed ray by
+        ray.  A request reads what :meth:`jets` reads at ``point``, bit for bit,
+        or NaN and False where :meth:`jets` raises AttributeLostError.
+
+        The runs are planned around the known blocks (:meth:`_planned_boxes`):
+        a run sequence per ray, in the requests' order, and one sequence shared
+        by all rays, frame by frame (a stable sort: rays keep their order within
+        a frame).  The plan with fewer passes wins, then the one with fewer box
+        points; a whole run plans nothing.  The requests are served in the
+        winner's order, request by request (:meth:`_holds`): a miss opens the
+        first planned box that serves it (the boxes before it are spent), else
+        a box of the slack rule (:meth:`_open`), and the requests one run serves
+        are read by :meth:`_read` before the next run opens.
         """
         shapes = _jet_shapes((len(requests),), self.grid.dim)
         parts = [np.full(shapes[name], np.nan) for name in names]
         ok = np.zeros(len(requests), dtype=bool)
+        boxes, order = [], range(len(requests))
+        if self.field is not None:  # a whole run never misses
+            rays = [self._planned_boxes(ray) for _, ray in groupby(requests, lambda r: r[2])]
+            shared = sorted(order, key=lambda i: requests[i][0])
+            plans = [(sum(rays, []), order),
+                     (self._planned_boxes([requests[i] for i in shared]), shared)]
+            boxes, order = min(plans, key=lambda p: (len(p[0]),
+                                                     sum(self._points(*box) for box in p[0])))
         batch = []  # (index, frame, anchor, fid) of the requests the open run serves
-        for i, (frame, anchor, _, _, fid) in enumerate(requests):
+        for i in order:
+            frame, anchor, _, _, fid = requests[i]
             if not self._on_grid(fid):
                 continue
             if not self._holds(frame, anchor):
-                self._read(batch, names, parts, ok)  # the old run's jets go on _open
+                self._read(batch, names, parts, ok)  # the old run's jets go on opening
                 batch = []
-                self._open(frame, anchor)
+                spent = next((k for k, (frames, lo, hi) in enumerate(boxes)
+                              if _serves(frames, self._zone(lo, hi), frame, anchor)), None)
+                if spent is None:
+                    self._open(frame, anchor)
+                else:
+                    self._compute(*boxes[spent])
+                    del boxes[: spent + 1]
             batch.append((i, frame, anchor, fid))
         self._read(batch, names, parts, ok)
         return parts, ok
@@ -418,7 +446,7 @@ class _WindowRun:
         offsets = np.indices((3,) * n).reshape(n, -1)  # a block's points in C order
         block = ((np.array(frames) - self.frames.start)[:, None],
                  *[corners[:, a, None] + offsets[a] for a in range(n)])
-        rows = {name: self.frame_jets.stacks[name][block].reshape(len(batch), 3**n, -1)
+        rows = {name: self.stacks[name][block].reshape(len(batch), 3**n, -1)
                 for name in {"grad", "hessian", *names}}
         good = np.isfinite(rows["grad"]).all(axis=(1, 2))
         good &= np.isfinite(rows["hessian"]).all(axis=(1, 2))
@@ -448,24 +476,6 @@ class _WindowRun:
             near = _cell_crossing(coords, row, _nearest_cell(cells[a:b], mids[a:b], near, lost))
             found.append(near)
         return found
-
-    def plan(self, requests: list) -> list:
-        """Plan the runs of known requests; the requests in the order to serve them.
-
-        ``requests`` are ``(frame, anchor, ray, ...)`` tuples listed ray by ray.
-        Two plans are formed from them: a run sequence per ray, in that order,
-        and one sequence shared by all rays, frame by frame (a stable sort: rays
-        keep their order within a frame).  The plan with fewer passes wins, then
-        the one with fewer box points; its boxes wait for the misses they serve.
-        """
-        if self.field is None:  # a whole run never misses: the requests' order
-            return requests
-        rays = [self._planned_boxes(list(ray)) for _, ray in groupby(requests, lambda r: r[2])]
-        shared = sorted(requests, key=lambda r: r[0])
-        plans = [(sum(rays, []), requests), (self._planned_boxes(shared), shared)]
-        self._plan, order = min(plans, key=lambda p: (len(p[0]),
-                                                      sum(self._points(*box) for box in p[0])))
-        return order
 
     def _planned_boxes(self, visits) -> list:
         """The ``(frames, lo, hi)`` runs of ``visits`` in their order: each box is
@@ -515,47 +525,14 @@ class _WindowRun:
         return (tuple(a + reach if a > 0 else 0 for a in lo),
                 tuple(b - 1 - reach if b < n else n - 1 for b, n in zip(hi, shape)))
 
-    def rows(self, frame: int, anchor, names) -> list | None:
-        """The ``(rows, tail)`` operands (see :func:`_gather`) of the
-        :class:`JetField` arrays ``names`` on the 3^N block of ``frame`` around
-        ``anchor`` (N ints), or None where a gradient or Hessian entry of the
-        block is not finite."""
-        if (self.passes, frame, anchor) != self._key:
-            self._key = None
-            jets, lo = self.jets_at(frame, anchor)  # may open a run: passes first, key after
-            block = tuple(slice(a - b - 1, a - b + 2) for a, b in zip(anchor, lo))
-            rows = {name: _gather(getattr(jets, name), block) for name in ("grad", "hessian")}
-            if not all(np.isfinite(r).all() for r, _ in rows.values()):
-                return None
-            self._key, self._block, self._rows = (self.passes, frame, anchor), block, rows
-        rows = self._rows
-        for name in names:
-            if name not in rows:  # the cached pass still holds the frame's jets
-                jets = self.frame_jets[frame - self.frames.start]
-                rows[name] = _gather(getattr(jets, name), self._block)
-        return [rows[name] for name in names]
-
-    def jets_at(self, frame: int, anchor):
-        """Jets of ``frame`` exact on the 3^N block around ``anchor`` (N ints),
-        and the box's index offset (N ints)."""
-        if not self._holds(frame, anchor):
-            self._open(frame, anchor)
-        return self.frame_jets[frame - self.frames.start], self.lo
-
     def _holds(self, frame: int, anchor) -> bool:
         """Whether the open run serves ``frame`` and the block around ``anchor``:
-        the step every read takes once per request, before a miss opens a run."""
+        the step a stacked request or a block-cache fill takes before a miss."""
         return _serves(self.frames, self._exact, frame, anchor)
 
     def _open(self, frame: int, anchor) -> None:
-        """Open the run of a missed request: the first planned box that serves
-        it (the boxes before it are spent), else a box of the slack rule."""
-        for i, (frames, lo, hi) in enumerate(self._plan):
-            if _serves(frames, self._zone(lo, hi), frame, anchor):
-                del self._plan[: i + 1]
-                self._compute(frames, lo, hi)
-                return
-        # the slack rule: after a position miss, one frame more than the run served
+        """Open the run of a missed request by the slack rule: after a position
+        miss, one frame more than the run served."""
         count = frame - self.frames.start + 1 if frame in self.frames else None
         lo, hi = self._box(anchor, anchor, _WINDOW_SLACK)
         cap = max(1, _RUN_POINTS // self._points(range(1), lo, hi))
@@ -565,7 +542,7 @@ class _WindowRun:
 
     def _compute(self, frames: range, lo, hi) -> None:
         """Make the run of ``frames`` on the box ``lo``..``hi``: one fd pass."""
-        self.frame_jets = []  # free the old run before the new one is allocated: never both at once
+        self.stacks = {}  # free the old run before the new one is allocated: never both at once
         field, spec = self.field, self._spec
         # the run's frames +- order, at least min_frames of them: every run
         # frame keeps its time taps and time window (see the class docstring)
@@ -574,7 +551,8 @@ class _WindowRun:
         grid = Grid(tuple(b - a for a, b in zip(lo, hi)), field.grid.spacing,
                     tuple(field.grid.point(lo)))
         sub = SampledField(grid, field.time(first), field.dt, field.values[box])
-        self.frame_jets = fd_jet_fields(sub, range(frames.start - first, frames.stop - first), spec)
+        frames_in_sub = range(frames.start - first, frames.stop - first)
+        self.stacks = fd_jet_fields(sub, frames_in_sub, spec).stacks
         self.passes += 1
         self.points += self._points(frames, lo, hi)
         self.frames = frames
@@ -589,8 +567,8 @@ class _ExactJets:
     is 1 and there is one constant anchor, so Newton's anchor locking never
     re-anchors.  Every frame is timed, and :meth:`crossings` takes a ray's
     crossing on every frame, each a bracketed root within ``search_radius``
-    of the previous crossing.  It needs no runs: :meth:`plan` keeps the
-    requests' order, and ``passes`` and ``points`` stay 0.
+    of the previous crossing.  It needs no runs: ``passes`` and ``points``
+    stay 0.
     """
 
     length_scale = 1.0
@@ -610,10 +588,6 @@ class _ExactJets:
 
     def anchor(self, fid, locked=None):
         return self._ANCHOR
-
-    def plan(self, requests: list) -> list:
-        """The requests unchanged."""
-        return requests
 
     def jets_stack(self, requests: list, names) -> tuple:
         """The :meth:`jets` of every request (see :meth:`_WindowRun.jets_stack`),
@@ -837,8 +811,8 @@ def _track_level(source, seed: Array, level: float, positions: Array,
 
     Every crossing is found first: crossings read the samples (or the field),
     never the jets.  The jets at the crossings of the timed frames are read
-    after, around known anchors, in the order the source plans (a window run
-    plans its runs; exact jets keep the ray-by-ray order).
+    after, around known anchors, in one stacked read (a window run plans its
+    runs around them).
     """
     n = seed.size
     requests = []  # (frame, anchor, axis, point, fid) of the timed crossings, ray by ray
@@ -850,13 +824,12 @@ def _track_level(source, seed: Array, level: float, positions: Array,
                 point[axis] = positions[frame, axis]
                 fid = source.index(point)
                 requests.append((frame, source.anchor(fid), axis, point, fid))
-    order = source.plan(requests)
-    frames, axes = [r[0] for r in order], [r[2] for r in order]
+    frames, axes = [r[0] for r in requests], [r[2] for r in requests]
     # time rows hold +-inf where |psi| / dt overflowed: a quiet NaN or inf
     with np.errstate(invalid="ignore", over="ignore"):
-        (grad, psi_t), ok = source.jets_stack(order, ("grad", "dpsi_dt"))
+        (grad, psi_t), ok = source.jets_stack(requests, ("grad", "dpsi_dt"))
         # no valid jet block at a crossing (not ok): its speed is NaN
-        speed = n * _order_zero(grad, psi_t, ok)[1][range(len(order)), axes]
+        speed = n * _order_zero(grad, psi_t, ok)[1][range(len(requests)), axes]
     computed[frames, axes] = np.where(np.isfinite(speed), speed, np.nan)
 
 

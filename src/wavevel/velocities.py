@@ -151,28 +151,15 @@ class AttributeSpec:
 # pointwise operations
 
 
-def _divide(a: float, b: float) -> float:
-    """``a / b`` on plain floats as numpy divides them: ``b == 0`` gives ±inf or NaN."""
-    return a / b if b else a * math.copysign(math.inf, b)
-
-
 def _order_zero(grad: Array, dpsi_dt, ok=True):
-    """The order-zero formula at one point or on a stack of points.
+    """The order-zero formula on a stack of points; one point is a stack of one.
 
     ``grad`` is ``...xN``, ``dpsi_dt`` is ``...`` and ``ok`` marks the valid
     input jets (True at one point).  Returns ``(reciprocal, components,
     valid)`` by the rules of :func:`zero_order_velocity`; stationary-degenerate
-    and invalid points are not valid and NaN throughout.  A single point runs
-    the stack's steps on plain floats.
+    and invalid points are not valid and NaN throughout.
     """
-    n = grad.shape[-1]
-    if grad.ndim == 1:
-        g, pt = grad.tolist(), float(dpsi_dt)
-        valid = bool(ok) and (pt != 0.0 or any(g))
-        pt = pt if valid else math.nan
-        reciprocal = [_divide(-n * x, pt) for x in g]
-        components = [_divide(-(pt / n), x) if x else _divide(-pt, 0.0) for x in g]
-        return np.array(reciprocal), np.array(components), valid
+    dpsi_dt = np.asarray(dpsi_dt)
     reciprocal, valid = _reciprocals(grad, dpsi_dt, ok)
     return reciprocal, _zero_components(grad, dpsi_dt, valid), valid
 
@@ -186,7 +173,7 @@ def _reciprocals(grad: Array, dpsi_dt: Array, ok):
         moving |= grad[..., a] != 0.0
     valid = ok & moving
     w, invalid = np.empty_like(grad), ~valid
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for a in range(n):
             np.divide(np.multiply(-n, grad[..., a], out=w[..., a]), dpsi_dt, out=w[..., a])
             np.copyto(w[..., a], np.nan, where=invalid)
@@ -196,7 +183,7 @@ def _reciprocals(grad: Array, dpsi_dt: Array, ok):
 def _zero_components(grad: Array, dpsi_dt: Array, valid: Array) -> Array:
     """The components of :func:`_order_zero` on a stack, in the layout of ``grad``."""
     v, invalid = np.empty_like(grad), ~valid
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         speed, pole = -(dpsi_dt / grad.shape[-1]), -dpsi_dt / 0.0
         for a in range(grad.shape[-1]):
             np.divide(speed, grad[..., a], out=v[..., a])

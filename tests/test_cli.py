@@ -343,6 +343,15 @@ class TestTrack:
         assert cli(["track", str(path), "--attribute", *attribute, "--seed", "16,16"]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1e-3", "-inf"])
+    def test_bad_tolerance_is_usage_error(self, tmp_path, capsys, tol):
+        # NaN passed every check (no deviation exceeds it) and exited 0; a
+        # negative tolerance failed every check and exited 1
+        path = _generate(tmp_path, GAUSS, frames=9, dt=0.02)
+        assert cli(["track", str(path), "--attribute", "gradient-set", "--seed", "23,23",
+                    f"--tol={tol}"]) == 2
+        assert f"--tol must be >= 0, got {float(tol)}" in capsys.readouterr().err
+
     def test_missing_level_is_usage_error(self, tmp_path):
         path = _generate(tmp_path, GAUSS)
         assert cli(["track", str(path), "--attribute", "level-set",
@@ -409,6 +418,14 @@ class TestCovcheck:
         assert "FAIL: contraction deviation" in capsys.readouterr().err
         monkeypatch.setattr(wavevel.cli, "check_transformation_laws", check)
         assert cli(argv) == 0
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-3", "-inf"])
+    def test_bad_tolerance_is_usage_error(self, capsys, tol):
+        # NaN printed "OK: all deviations within nan" and exited 0 whatever the
+        # deviation; a negative tolerance failed the check and exited 1
+        assert cli(["covcheck", *GAUSS, "--matrix", "1,0,0,1", "--samples", "20",
+                    f"--tol={tol}"]) == 2
+        assert f"--tol must be >= 0, got {float(tol)}" in capsys.readouterr().err
 
     def test_wrong_matrix_size_is_usage_error(self):
         assert cli(["covcheck", *GAUSS, "--matrix", "1,0,0"]) == 2

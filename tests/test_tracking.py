@@ -560,7 +560,7 @@ class TestWindowedJets:
                 expected = _interpolated(full, 0, x)
                 _assert_same(_interpolated(run, frame, x), expected)
                 if not isinstance(expected, str):
-                    assert run.frame_jets[0].grid.npoints < field.grid.npoints
+                    assert run.stacks["psi"][0].size < field.grid.npoints
 
     @pytest.mark.parametrize("boundary", BOUNDARIES)
     @pytest.mark.parametrize("dim", (2, 3))
@@ -587,7 +587,8 @@ class TestWindowedJets:
         assert np.array_equal(x, wv.find_critical_point(jets, seed, PEAK))
         for fid in ([1.2, 1.0], [62.0, 61.7], [30.4, 2.2], [4.4, 5.6]):
             _interpolated(run, 0, grid.point(fid))
-        assert run.frame_jets[0] is jets and not any(run.lo)
+        assert all(np.shares_memory(stack, getattr(jets, name))
+                   for name, stack in run.stacks.items()) and not any(run.lo)
 
 
 class TestWindowRuns:
@@ -717,7 +718,7 @@ def test_contraction_equals_tensordot_bitwise(n):
     assert np.array_equal(row.view(np.uint64), weights.reshape(1, -1).view(np.uint64))
     for tail in ((), (n,), (n, n)):
         arr = rng.standard_normal((6,) * n + tail)
-        got = tracking._contract(row, *tracking._gather(arr, block))
+        got = tracking._contract(row, *tracking._gather(arr[None], (0, *block)))
         want = np.tensordot(weights, arr[block], axes=n)
         assert got.shape == want.shape == tail
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -896,8 +897,22 @@ def _recording(monkeypatch):
 
 
 def _without_plan(monkeypatch):
-    """Serve every request by the slack rule, in ray order."""
-    monkeypatch.setattr(_WindowRun, "plan", lambda run, requests: requests)
+    """Serve every request by the slack rule, in ray order: both plans take no
+    box, and the ray-by-ray one wins the tie."""
+    monkeypatch.setattr(_WindowRun, "_planned_boxes", lambda run, visits: [])
+
+
+def _serving(monkeypatch):
+    """Record the order stacked reads serve their requests in (the indices of
+    every ``_WindowRun._read`` batch) and the ``(frames, lo, hi)`` of every run
+    opened."""
+    served, boxes = [], []
+    read, compute = _WindowRun._read, _WindowRun._compute
+    monkeypatch.setattr(_WindowRun, "_read", lambda run, batch, *args:
+                        served.extend(i for i, *_ in batch) or read(run, batch, *args))
+    monkeypatch.setattr(_WindowRun, "_compute",
+                        lambda run, *box: boxes.append(box) or compute(run, *box))
+    return served, boxes
 
 
 def _assert_same_track(got, want):
@@ -1056,10 +1071,11 @@ def _outcome(call, source):
 
 
 def _counting_reads(monkeypatch, run):
-    """Record every ``jets_at`` call of ``run``: a block read from its jets."""
+    """Record every ``_holds`` call of ``run``: the serve step of a block read
+    from its jets, which a cached request skips."""
     reads = []
-    jets_at = run.jets_at
-    monkeypatch.setattr(run, "jets_at", lambda *args: reads.append(args) or jets_at(*args))
+    holds = run._holds
+    monkeypatch.setattr(run, "_holds", lambda *args: reads.append(args) or holds(*args))
     return reads
 
 
@@ -1158,7 +1174,7 @@ class TestBlockCache:
             _assert_same(_interpolated(run, frame, x), want)
             assert run.passes == passes + 1
             poison()
-            run.jets_at(frame + 1, anchor)  # another frame: a new run
+            run._open(frame + 1, anchor)  # another frame: a new run
             _assert_same(_interpolated(run, frame, x), want)  # and one more, gathered anew
             assert run.passes == passes + 3
             poison()
@@ -1177,12 +1193,11 @@ class TestStackedReads:
 
     @staticmethod
     def _recorded_track(field, target, seed, spec, monkeypatch):
-        """The track, the requests its plan got and the order, parts and mask of
-        its one jets_stack call."""
+        """The track, the requests, names, parts and mask of its one jets_stack
+        call, the order it served the requests in and the runs it opened."""
         calls = []
-        plan, stack = _WindowRun.plan, _WindowRun.jets_stack
-        monkeypatch.setattr(_WindowRun, "plan", lambda run, requests:
-                            calls.append(list(requests)) or plan(run, requests))
+        served, boxes = _serving(monkeypatch)
+        stack = _WindowRun.jets_stack
 
         def recording_stack(run, requests, names):
             parts, ok = stack(run, requests, names)
@@ -1192,8 +1207,8 @@ class TestStackedReads:
         monkeypatch.setattr(_WindowRun, "jets_stack", recording_stack)
         res = wv.track_attribute(field, target, seed, spec=spec)
         monkeypatch.undo()
-        requests, (order, names, parts, ok) = calls
-        return res, requests, order, names, parts, ok
+        (requests, names, parts, ok), = calls
+        return res, requests, names, parts, ok, served, boxes
 
     @staticmethod
     def _assert_stack_is_per_point(parts, ok, reads):
@@ -1214,22 +1229,28 @@ class TestStackedReads:
         monkeypatch.setattr(tracking, "_RUN_POINTS", cap)
         field, target, seed = _moving_bump_track(dim, "level")
         spec = wv.StencilSpec(order, boundary)
-        res, requests, planned, names, parts, ok = self._recorded_track(
+        res, requests, names, parts, ok, served, boxes = self._recorded_track(
             field, target, seed, spec, monkeypatch)
         monkeypatch.setattr(tracking, "_RUN_POINTS", cap)  # undone with the recording
         assert res.jet_passes >= 3 and ok.any()
-        # the same plan on a fresh run, read request by request
-        run = _WindowRun(field, spec)
-        again = run.plan(requests)
-        assert [id(r) for r in again] == [id(r) for r in planned]
-        reads = [_outcome(lambda src: src.jets(frame, point, names, anchor, fid), run)
-                 for frame, anchor, _, point, fid in planned]
-        self._assert_stack_is_per_point(parts, ok, reads)
+        # the same plan on a fresh run
+        again, _ = _serving(monkeypatch)
+        _WindowRun(field, spec).jets_stack(requests, names)
+        assert again == served
+        # its runs on a fresh run, read request by request in the order served (a
+        # request no run served is off the grid)
+        order = served + [i for i in range(len(requests)) if i not in served]
+        run, reads = _WindowRun(field, spec), []
+        for frame, anchor, _, point, fid in [requests[i] for i in order]:
+            if run._on_grid(fid) and not run._holds(frame, anchor):
+                run._compute(*boxes.pop(0))
+            reads.append(_outcome(lambda src: src.jets(frame, point, names, anchor, fid), run))
+        self._assert_stack_is_per_point([part[order] for part in parts], ok[order], reads)
         assert (run.passes, run.points) == (res.jet_passes, res.jet_points)  # the same runs
 
     @pytest.mark.parametrize("boundary", BOUNDARIES)
     @pytest.mark.parametrize("dim", (2, 3))
-    def test_lost_requests_read_nan(self, dim, boundary):
+    def test_lost_requests_read_nan(self, dim, boundary, monkeypatch):
         # a request inside, one whose block reaches the border band (NaN under
         # shrink-to-valid), one off the grid (its clipped block is finite under
         # one-sided; it opens no run) and one inside again, on one frame
@@ -1238,6 +1259,7 @@ class TestStackedReads:
         mid = (np.asarray(field.grid.shape) - 1.0) / 2
         first = np.arange(dim) == 0
         fids = (mid + 0.3, np.where(first, 0.4, mid), np.where(first, -0.5, mid), mid - 0.2)
+        _without_plan(monkeypatch)  # the stack opens runs as the per-point reads do
         run, requests = _WindowRun(field, spec), []
         for fid in fids:
             point = field.grid.point(fid)
@@ -1615,10 +1637,14 @@ class TestRayScan:
                 assert len(got) == 1
                 _same_result(got, run.crossings(point, axis, level, near)[:1])
 
-    def test_whole_run_plans_nothing(self):
+    def test_whole_run_plans_nothing(self, monkeypatch):
         whole = _whole(wv.fd_jet_field(_moving_bump_track(2, "level")[0], 2, wv.StencilSpec()))
-        requests = [(0, (5, 5), 0, None, None), (0, (3, 9), 1, None, None)]
-        assert whole.plan(requests) is requests
+        requests = [(0, (5, 5), 0, None, [5.0, 5.0]), (0, (3, 9), 1, None, [3.0, 9.0])]
+        planned, (served, _) = [], _serving(monkeypatch)
+        monkeypatch.setattr(_WindowRun, "_planned_boxes",
+                            lambda run, visits: planned.append(visits) or [])
+        whole.jets_stack(requests, ("grad",))
+        assert planned == [] and served == [0, 1]
         assert whole.passes == 0
 
 
@@ -1630,10 +1656,14 @@ JET_ARRAYS = ("psi", "dpsi_dt", "grad", "hessian", "time_mixed", "valid")
 
 
 def _window_and_full(field, spec, frame, anchor):
-    """A window run opened at ``anchor`` and the full-grid jets of ``frame``."""
+    """A window run opened at ``anchor``, its jets of ``frame`` and the full-grid
+    jets of ``frame``."""
     run = _WindowRun(field, spec)
     run._open(frame, anchor)
-    return run, run.frame_jets[frame - run.frames.start], wv.fd_jet_field(field, frame, spec)
+    arrays = [run.stacks[name][frame - run.frames.start] for name in JET_ARRAYS]
+    grid = wv.Grid(arrays[0].shape, field.grid.spacing, tuple(field.grid.point(run.lo)))
+    window = wv.JetField(grid, field.time(frame), frame, *arrays)
+    return run, window, wv.fd_jet_field(field, frame, spec)
 
 
 def _same_bits(window, full, region, lo):

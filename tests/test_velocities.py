@@ -56,6 +56,21 @@ class TestZeroOrder:
         jet = wv.Jet1(0.0, 3.0, np.array([2.0, 0.0]))
         assert wv.zero_order_velocity(jet).components[1] == -np.inf
 
+    @pytest.mark.parametrize("dpsi_dt, grad, infinite", [
+        (1e300, (1e-300, 2.0), "components"),  # -(psi_t / N) / psi_x overflows
+        (1e-300, (3e10, 2.0), "reciprocal"),  # -N psi_x / psi_t overflows
+    ])
+    def test_overflowing_ratio_is_infinite_without_warning(self, dpsi_dt, grad, infinite):
+        # a point and a stack of it give the same bits; the stack warned
+        jet = wv.Jet1(0.0, dpsi_dt, np.array(grad))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v0 = wv.zero_order_velocity(jet)
+            reciprocal, components, valid = _order_zero(jet.grad[None], np.array([dpsi_dt]))
+        assert valid.tolist() == [True] and getattr(v0, infinite)[0] == -np.inf
+        _assert_same_bits(v0.reciprocal, reciprocal[0])
+        _assert_same_bits(v0.components, components[0])
+
     def test_stationary_degenerate_raises(self):
         jet = wv.Jet1(0.5, 0.0, np.array([0.0, 0.0]))
         with pytest.raises(wv.StationaryDegenerateError):
