@@ -60,6 +60,7 @@ from .findiff import (
     fd_jet2_at,
     fd_jet_field,
     fd_jet_fields,
+    fd_jet_stacks,
     fornberg_weights,
 )
 from .jets import Jet1, Jet2, JetField

@@ -177,6 +177,19 @@ class SampledField:
             raise IndexError(f"frame {frame} out of range [0, {self.frames})")
         return self.t0 + self.dt * frame
 
+    def _window(self, frames: range, lo, hi) -> "SampledField":
+        """The ``frames`` (a range of step 1) of the index box ``lo``..``hi`` (hi
+        exclusive) as a field of their own, its values a C-ordered copy.  The
+        values are not scanned again: a window of finite values is finite."""
+        box = (slice(frames.start, frames.stop),) + tuple(slice(a, b) for a, b in zip(lo, hi))
+        grid = Grid(tuple(b - a for a, b in zip(lo, hi)), self.grid.spacing,
+                    tuple(self.grid.point(lo)))
+        sub = object.__new__(SampledField)
+        for name, value in (("grid", grid), ("t0", self.time(frames.start)), ("dt", self.dt),
+                            ("values", np.ascontiguousarray(self.values[box]))):
+            object.__setattr__(sub, name, value)
+        return sub
+
 
 # --------------------------------------------------------------------------
 # Analytic catalog

@@ -23,26 +23,30 @@ through memory about once per sum instead of about three times per tap, and
 the scratch for the products is one strip, not one plane.  Each point still
 gets the same operations in the same order, so the bits do not depend on
 the strip size.  An array of at most one strip (a tracking window) takes
-one pass.  :func:`fd_jet_field` stores the gradient, the
-mixed time rows and the Hessian planes-first, as ``(N, *shape)`` and
-``(N, N, *shape)`` buffers behind component-last views, and writes every
-derivative straight into its contiguous plane.  It differentiates one axis
-at a time and takes the mixed derivatives of that axis from its gradient
-plane; invalid points are set to NaN by slicing the border bands of each
-axis.
+one pass.  The grid path stores the gradient, the mixed time rows and the
+Hessian planes-first, as ``(N, *shape)`` and ``(N, N, *shape)`` buffers
+behind component-last views, and writes every derivative straight into its
+contiguous plane.  It differentiates one axis at a time and takes the mixed
+derivatives of that axis from its gradient plane; invalid points are set to
+NaN by slicing the border bands of each axis.
 
-:func:`fd_jet_fields` computes a run of frames in that one pass: the
-frames are stacked along a leading axis, every spatial derivative runs
-once over the ``(K, *shape)`` stack, and the frames that share time taps
-get their time derivative from one stencil sum.  Most of a small field's
-cost is the fixed cost of a pass (an 11^2 tracking window on a 2-vCPU VM,
-median of 50 calls: 0.31 ms for one frame, 0.52 ms for 20 frames stacked),
-so a tracker pays it once per run of frames, not once per frame.
-:func:`fd_jet_field` is its one-frame case.
+:func:`fd_jet_stacks` is the one grid pass: it computes a run of frames
+stacked along a leading axis, every spatial derivative runs once over the
+``(K, *shape)`` stack, and the frames that share time taps get their time
+derivative from one stencil sum.  It computes only the jet parts it is
+asked for and what they depend on: a reader of the gradient, the Hessian
+and the time derivative (a level track) runs no mixed time rows.  Most of a
+small field's cost is the fixed cost of a pass (an 11^2 tracking window on
+a 2-vCPU VM, median of 50 calls, best of 3 runs: 0.15 ms for one frame and
+0.21 ms for 20 frames stacked with every part, 0.12 and 0.18 ms with a
+level track's parts), so a tracker pays it once per run of frames, not once
+per frame.  :func:`fd_jet_fields` is the per-frame :class:`JetField` view of a
+pass of every part, and :func:`fd_jet_field` its one-frame case.
 
-Every frame gets psi, the gradient and the Hessian wherever the spatial
+Every frame of a pass gets psi and its requested parts wherever the spatial
 stencils apply.  The end frames of ``shrink-to-valid`` have no time window:
-their time parts are NaN and no point is valid, as both velocities need them.
+their time parts are NaN and no point of a pass with a time part is valid,
+as both velocities need them.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from itertools import groupby
 import numpy as np
 
 from .fields import SampledField
-from .jets import Jet1, Jet2, JetField, _component_planes
+from .jets import Jet1, Jet2, JetField, _component_planes, _jet_shapes
 
 Array = np.ndarray
 
@@ -281,15 +285,19 @@ def _diff_into(out: Array, arr: Array, axis: int, h: float, deriv: int, spec: St
     return valid
 
 
-def _time_taps(field: SampledField, frame: int, spec: StencilSpec):
+def _time_taps(field: SampledField, spec: StencilSpec) -> list:
+    """The time taps of every frame of ``field`` (None where the policy declines),
+    from one :func:`_axis_taps` lookup."""
     m = field.frames
-    if not 0 <= frame < m:
-        raise IndexError(f"frame {frame} out of range [0, {m})")
     if m < spec.min_frames:
         raise InsufficientFramesError(
             f"order-{spec.order} time derivatives need at least {spec.min_frames} frames, got {m}"
         )
-    return stencil_taps(1, spec.order, frame, m, field.dt, spec.boundary)
+    central, edges = _axis_taps(1, spec.order, m, field.dt, spec.boundary)
+    taps = [central] * m
+    for pos, edge in edges:
+        taps[pos] = edge
+    return taps
 
 
 def fd_jet2_at(
@@ -314,7 +322,9 @@ def fd_jet2_at(
         if not 0 <= idx[a] < grid.shape[a]:
             raise IndexError(f"index {idx} out of range for shape {grid.shape}")
 
-    ttaps = _time_taps(field, frame, spec)
+    if not 0 <= frame < field.frames:
+        raise IndexError(f"frame {frame} out of range [0, {field.frames})")
+    ttaps = _time_taps(field, spec)[frame]
     if ttaps is None:
         return None
 
@@ -355,109 +365,139 @@ def fd_jet_field(field: SampledField, frame: int, spec: StencilSpec = DEFAULT_ST
     return fd_jet_fields(field, range(frame, frame + 1), spec)[0]
 
 
-class _PassJets(list):
-    """The :class:`JetField` of each frame of one :func:`fd_jet_fields` pass, and
-    ``stacks``: by jet array name, the ``(K, *shape, ...)`` array whose frame ``k``
-    the ``k``-th JetField holds (a component-last view of the pass's planes-first
-    buffer), so that a reader of many frames' points gathers them in one step."""
-
-    def __init__(self, frames: list, stacks: dict):
-        super().__init__(frames)
-        self.stacks = stacks
-
-
 def fd_jet_fields(
     field: SampledField, frames: range, spec: StencilSpec = DEFAULT_STENCIL
 ) -> list[JetField]:
     """:func:`fd_jet_field` of every frame of ``frames`` (a range of step 1),
-    bit for bit, in one pass over the frames.
+    bit for bit: the per-frame :class:`JetField` views of one
+    :func:`fd_jet_stacks` pass of every jet part.
 
     Every frame gets psi (a read-only view of its samples), the gradient and
     the Hessian wherever the spatial stencils apply.  A frame without a time
     window gets NaN ``dpsi_dt`` and ``time_mixed`` and is valid nowhere:
     ``valid`` marks the points where the whole jet is defined.
+    """
+    stacks = fd_jet_stacks(field, frames, spec)
+    return [JetField(field.grid, field.time(frame), frame,
+                     **{name: stack[k] for name, stack in stacks.items()})
+            for k, frame in enumerate(frames)]
+
+
+def fd_jet_stacks(
+    field: SampledField,
+    frames: range,
+    spec: StencilSpec = DEFAULT_STENCIL,
+    names=("dpsi_dt", "grad", "hessian", "time_mixed"),
+) -> dict:
+    """The jet parts ``names`` of every frame of ``frames`` (a range of step 1)
+    in one pass, with ``psi`` (a read-only view of the samples) and ``valid``:
+    by name, the ``(K, *shape, ...)`` stack whose frame ``k`` holds that array
+    of :func:`fd_jet_field` of frame ``frames[k]``, bit for bit.
+
+    The pass computes the requested parts and what they depend on, nothing
+    else: the mixed Hessian entries run over the gradient planes, so the
+    gradient comes with the Hessian, and the mixed time rows run over the
+    time derivative; without ``time_mixed`` the N mixed time passes do not
+    run.  ``valid`` marks the points where the spatial stencils apply and
+    every requested part is finite: border bands are NaN in every part, a
+    frame without a time window has NaN time parts, and an overflow in a
+    pass leaves a non-finite entry.  A field with too few frames for the
+    time stencil raises :class:`InsufficientFramesError` whatever the names.
 
     The K frames are differentiated as one ``(K, *shape)`` stack along its
     axes 1..N, and the frames that share time taps (every interior frame)
     get their time derivative from one stencil sum, so a run of K small
-    frames costs about one call's fixed cost instead of K.  Frame ``k``'s
-    arrays are views of stacked planes-first buffers: ``(N, K, *shape)`` for
-    the gradient and the mixed time rows, ``(N, N, K, *shape)`` for the
-    Hessian; the returned list (a :class:`_PassJets`) holds their stacked
-    views as ``stacks``.
+    frames costs about one call's fixed cost instead of K.  The stacks are
+    component-last views of planes-first buffers: ``(N, K, *shape)`` for the
+    gradient and the mixed time rows, ``(N, N, K, *shape)`` for the Hessian.
     """
     grid = field.grid
     n = grid.dim
+    keep = set(names)
+    unknown = keep.difference(_jet_shapes((), n))
+    if unknown:
+        raise ValueError(f"unknown jet parts {sorted(unknown)}")
     if not isinstance(frames, range) or frames.step != 1:
         raise ValueError(f"frames must be a range of step 1, got {frames!r}")
+    stack = (len(frames),) + grid.shape
     if not frames:
-        return []
+        return {name: np.empty(shape, dtype=bool if name == "valid" else float)
+                for name, shape in _jet_shapes(stack, n).items()
+                if name in keep or name in ("psi", "valid")}
     if frames.start < 0 or frames.stop > field.frames:
         bad = frames.start if frames.start < 0 else max(frames.start, field.frames)
         raise IndexError(f"frame {bad} out of range [0, {field.frames})")
-    stack = (len(frames),) + grid.shape
-    ttaps = [_time_taps(field, frame, spec) for frame in frames]
-    time_valid = np.array([taps is not None for taps in ttaps])
+    ttaps = _time_taps(field, spec)[frames.start : frames.stop]
+    # per axis, the edge indices where the spatial stencils decline (the first
+    # and second derivatives decline at the same ones: both need hw cells a side)
+    bands = [[pos for pos, taps in _axis_taps(1, spec.order, size, h, spec.boundary)[1]
+              if taps is None] for size, h in zip(grid.shape, grid.spacing)]
 
     cur = field.values[frames.start : frames.stop]
     psi = cur.view()  # the frames themselves, read-only: no jet array is written through it
     psi.flags.writeable = False
-    grad = _component_planes(stack, n)
-    tmix = _component_planes(stack, n)
-    hess = _component_planes(stack, n, 2)
+    timed = [taps is not None for taps in ttaps]
+    time_parts = keep & {"dpsi_dt", "time_mixed"}
+    parts = {}
 
     # the input is finite, so a non-finite entry can only come from an overflow
     # or an invalid operation in a pass; entries are scanned only if one happened
     faults = []
     with np.errstate(over="call", invalid="call", call=lambda err, flag: faults.append(err)):
-        axis_valid = []
-        for b in range(n):
-            v1 = _diff_into(grad[..., b], cur, b + 1, grid.spacing[b], 1, spec)
-            v2 = _diff_into(hess[..., b, b], cur, b + 1, grid.spacing[b], 2, spec)
-            axis_valid.append(v1 & v2)
-            # the mixed derivatives of axis b from its contiguous d/dx_b plane
-            for a in range(b):
-                _diff_into(hess[..., a, b], grad[..., b], a + 1, grid.spacing[a], 1, spec)
-                hess[..., b, a] = hess[..., a, b]
+        if keep & {"grad", "hessian"}:
+            grad = _component_planes(stack, n)
+            hess = _component_planes(stack, n, 2) if "hessian" in keep else None
+            for b in range(n):
+                _diff_into(grad[..., b], cur, b + 1, grid.spacing[b], 1, spec)
+                if hess is not None:
+                    _diff_into(hess[..., b, b], cur, b + 1, grid.spacing[b], 2, spec)
+                    # the mixed derivatives of axis b from its contiguous d/dx_b plane
+                    for a in range(b):
+                        _diff_into(hess[..., a, b], grad[..., b], a + 1, grid.spacing[a], 1, spec)
+                        hess[..., b, a] = hess[..., a, b]
+            parts.update(grad=grad, hessian=hess)
 
-        dpsi_dt = np.empty(stack)  # frames without a time window are masked below
-        start = 0
-        for taps, group in groupby(ttaps):
-            stop = start + len(list(group))
-            if taps is not None:
-                lo, hi = frames.start + start, frames.start + stop
-                out = dpsi_dt[start:stop].reshape(-1)
-                _stencil_sum(out,
-                             [(coeff, field.values[lo + off : hi + off].reshape(-1))
-                              for off, coeff in taps],
-                             np.empty(min(out.size, STRIP_POINTS)))
-            start = stop
-        # a time window needs half a stencil of frames on each side, so the
-        # frames that have one are contiguous
-        timed = np.flatnonzero(time_valid)
-        if timed.size:
-            timed = slice(timed[0], timed[-1] + 1)
-            for a in range(n):
-                _diff_into(tmix[timed, ..., a], dpsi_dt[timed], a + 1, grid.spacing[a], 1, spec)
+        if time_parts:
+            dpsi_dt = np.empty(stack)  # frames without a time window are masked below
+            start = 0
+            for taps, group in groupby(ttaps):
+                stop = start + len(list(group))
+                if taps is not None:
+                    lo, hi = frames.start + start, frames.start + stop
+                    out = dpsi_dt[start:stop].reshape(-1)
+                    _stencil_sum(out,
+                                 [(coeff, field.values[lo + off : hi + off].reshape(-1))
+                                  for off, coeff in taps],
+                                 np.empty(min(out.size, STRIP_POINTS)))
+                start = stop
+            tmix = None
+            if "time_mixed" in keep:
+                tmix = _component_planes(stack, n)
+                # a time window needs half a stencil of frames on each side, so
+                # the frames that have one are contiguous
+                if any(timed):
+                    span = slice(timed.index(True), len(timed) - timed[::-1].index(True))
+                    for a in range(n):
+                        _diff_into(tmix[span, ..., a], dpsi_dt[span], a + 1, grid.spacing[a], 1,
+                                   spec)
+            parts.update(dpsi_dt=dpsi_dt, time_mixed=tmix)
+    parts = {name: arr for name, arr in parts.items() if name in keep}
 
     # invalid points: whole frames without a time window, whose time parts
     # are NaN, and the border bands of each axis, whose entries are NaN
-    valid = np.zeros(stack, dtype=bool)
-    valid[time_valid] = True
-    dpsi_dt[~time_valid] = np.nan
-    tmix[~time_valid] = np.nan
-    for a, ok in enumerate(axis_valid):
-        band = (slice(None),) * (a + 1) + (~ok,)
-        valid[band] = False
-        for arr in (dpsi_dt, grad, hess, tmix):
-            arr[band] = np.nan
+    valid = np.ones(stack, dtype=bool)
+    if time_parts and not all(timed):
+        untimed = np.logical_not(timed)
+        valid[untimed] = False
+        for name in time_parts:
+            parts[name][untimed] = np.nan
+    for a, band in enumerate(bands):
+        if band:
+            index = (slice(None),) * (a + 1) + (band,)
+            valid[index] = False
+            for arr in parts.values():
+                arr[index] = np.nan
     if faults:
-        valid &= np.isfinite(dpsi_dt)
-        for arr, axes in ((grad, -1), (tmix, -1), (hess, (-2, -1))):
-            valid &= np.isfinite(arr).all(axis=axes)
-
-    stacks = {"psi": psi, "dpsi_dt": dpsi_dt, "grad": grad, "hessian": hess,
-              "time_mixed": tmix, "valid": valid}
-    return _PassJets([JetField(grid, field.time(frame), frame, psi[k], dpsi_dt[k], grad[k],
-                               hess[k], tmix[k], valid[k])
-                      for k, frame in enumerate(frames)], stacks)
+        for arr in parts.values():
+            valid &= np.isfinite(arr).all(axis=tuple(range(len(stack), arr.ndim)))
+    return {"psi": psi, **parts, "valid": valid}

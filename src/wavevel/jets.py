@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,11 +29,19 @@ def _mirror_upper(hess: Array) -> Array:
     return out
 
 
+@lru_cache(maxsize=None)
+def _leading_to_last(ndim: int, k: int) -> tuple:
+    """The axes of ``ndarray.transpose`` that move the first ``k`` of ``ndim``
+    axes to the end, in order (what ``np.moveaxis`` builds on every call)."""
+    return (*range(k, ndim), *range(k))
+
+
 def _component_planes(shape, n: int, k: int = 1) -> Array:
     """An uninitialised array of shape ``(*shape, N)`` (``(*shape, N, N)`` for
     ``k = 2``) stored planes-first: each component plane ``[..., i]``
     (``[..., i, j]``) is C-contiguous."""
-    return np.moveaxis(np.empty((n,) * k + tuple(shape)), range(k), range(-k, 0))
+    shape = tuple(shape)
+    return np.empty((n,) * k + shape).transpose(_leading_to_last(len(shape) + k, k))
 
 
 def _jet_shapes(shape: tuple, n: int) -> dict:

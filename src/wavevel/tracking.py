@@ -34,7 +34,8 @@ to the full-grid jets where they are read.
 
 The window run of a sampled track decides once, from the field and the
 stencil, which frames have a time window, and holds a box, a run of frames
-and their jets from one :func:`fd_jet_fields` pass.  A run goes through
+and their jets from one :func:`fd_jet_stacks` pass of the parts its track
+reads, so a level track's passes run no mixed time rows.  A run goes through
 frames with and without a time window alike; a point is lost where its
 interpolation block has a non-finite gradient or Hessian entry.  A run
 holds at most ``_RUN_POINTS`` box points (box size times frames), which
@@ -84,7 +85,7 @@ from itertools import groupby
 import numpy as np
 
 from .fields import AnalyticField, Grid, SampledField, _sum_planes, canonical_time_axis
-from .findiff import DEFAULT_STENCIL, StencilSpec, _time_taps, fd_jet_fields
+from .findiff import DEFAULT_STENCIL, StencilSpec, _time_taps, fd_jet_stacks
 from .jets import JetField, _jet_shapes
 from .velocities import AttributeSpec, _order_zero, _solve_order_one
 
@@ -145,7 +146,7 @@ class TrackResult:
     The track also reports its work: ``newton_iterations[m]`` is the number
     of Newton iterations (jet evaluations) at frame ``m``, 0 on level
     tracks, ``jet_passes`` the number of finite-difference passes
-    (:func:`fd_jet_fields` calls) and ``jet_points`` the box points times
+    (:func:`fd_jet_stacks` calls) and ``jet_points`` the box points times
     frames those passes computed, both 0 on analytic fields.  All three are
     None on a result built without them.
     """
@@ -227,14 +228,19 @@ class _WindowRun:
     shrink-to-valid have none), decided once when the run is made; a field
     with too few frames for the time stencil raises
     :class:`InsufficientFramesError` there.  Without one a frame's
-    velocities stay NaN.  A run goes through frames with and without one
-    alike: every frame's jets have the gradient and the Hessian, which the
-    Newton loop reads, and an untimed frame's time parts are NaN.  A point
+    velocities stay NaN.  A run holds ``names``, its track's jet parts,
+    named once when it is made (a whole run holds every part): its passes
+    compute those and nothing else, its block cache gathers those, and a
+    request for another part raises ``ValueError``.  Every run holds the
+    gradient and the Hessian, which the Newton loop and the finite-block
+    rule read.  A run goes through frames with and without a time window
+    alike: an untimed frame's time parts are NaN.  A point
     is lost when any gradient or Hessian entry of its 3^N block is not
     finite (the border bands are NaN), on timed and untimed frames alike.
 
     A run is an index box of the grid, a range of frames and the jets of
-    those frames on the box, from one :func:`fd_jet_fields` pass.  The box
+    those frames on the box, from one :func:`fd_jet_stacks` pass over a
+    window of the field cut without a second finite scan.  The box
     reaches at least ``hw`` cells beyond the interpolation blocks it serves
     on each side (``hw`` is half a stencil, ``spec.half_width``), clipped to
     the grid, and its exact zone is the box less ``hw`` cells at each cut
@@ -280,7 +286,7 @@ class _WindowRun:
     run, and a run opened for a frame outside the old one, take as many
     frames as ``_RUN_POINTS`` box points allow.  Every request passes the
     exact-zone check whichever box serves it, so a plan can cost passes but
-    never changes a bit.  ``passes`` counts the :func:`fd_jet_fields` calls
+    never changes a bit.  ``passes`` counts the :func:`fd_jet_stacks` calls
     and ``points`` the box points times frames they computed.
 
     A point is located once per request: :meth:`index` gives its fractional
@@ -289,8 +295,8 @@ class _WindowRun:
     which a miss follows with :meth:`_open`.  A level track's requests are
     read stacked, per run (:meth:`jets_stack`): the requests one run serves
     take one gather of their blocks from the run's ``(K, *box, ...)`` stacks
-    (the ``stacks`` of the :func:`fd_jet_fields` pass, or of a whole run's
-    one frame), one finite test of their gradient and Hessian blocks and one
+    (those of the :func:`fd_jet_stacks` pass, or of a whole run's one
+    frame), one finite test of their gradient and Hessian blocks and one
     matmul of the stacked weights.  Newton's reads go point by point,
     through a block cache: the first :meth:`jets` request for a frame and an
     anchor in a pass gathers the block's rows from the same stacks and
@@ -305,20 +311,21 @@ class _WindowRun:
     bits do not depend on the cache.
     """
 
-    def __init__(self, field: SampledField, spec: StencilSpec):
+    def __init__(self, field: SampledField, spec: StencilSpec, names):
         self.field = field
         self._spec = spec
-        self._start(field.grid, [_time_taps(field, f, spec) is not None
-                                 for f in range(field.frames)], field.values)
+        self._start(field.grid, [taps is not None for taps in _time_taps(field, spec)],
+                    field.values, tuple(names))
 
-    def _start(self, grid: Grid, timed: list, samples: Array) -> None:
+    def _start(self, grid: Grid, timed: list, samples: Array, names: tuple) -> None:
         self.grid = grid
+        self.names = names  # the jet parts the run holds: its track's, or all of a whole run's
         self.samples = samples  # the (frames, *shape) values level rays scan
         self.spacing = grid.spacing
         self.length_scale = max(self.spacing)
         self.timed = timed
         self.coords = [grid.axis_coordinates(a) for a in range(grid.dim)]  # for level crossings
-        self.passes = 0  # fd_jet_fields calls
+        self.passes = 0  # fd_jet_stacks calls
         self.points = 0  # box points times frames over all passes
         self.frames = range(0)
         self.stacks = {}  # the (K, *box, ...) jet arrays of the run's frames, by name
@@ -334,7 +341,8 @@ class _WindowRun:
         stacks are one-frame views of the jet arrays."""
         run = cls.__new__(cls)
         run.field = None
-        run._start(jets.grid, [bool(jets.valid.any())], jets.psi[None])
+        run._start(jets.grid, [bool(jets.valid.any())], jets.psi[None],
+                   ("grad", "hessian", "time_mixed", "dpsi_dt"))
         run.stacks = {name: getattr(jets, name)[None] for name in _jet_shapes((), jets.dim)}
         run.frames, run.lo = range(1), (0,) * jets.dim
         run._exact = (run.lo, tuple(n - 1 for n in jets.grid.shape))
@@ -355,10 +363,10 @@ class _WindowRun:
         return tuple(min(max(round(f), 1), n - 2) for f, n in zip(fid, self.grid.shape))
 
     def jets(self, frame: int, x, names, anchor=None, fid=None) -> list:
-        """The jet arrays ``names`` (of grad, hessian, time_mixed and dpsi_dt) of
-        ``frame`` interpolated at ``x``, whose fractional index is ``fid``, on the
-        block around ``anchor`` (None: the nearest full block), through the block
-        cache."""
+        """The jet arrays ``names`` (parts the run holds) of ``frame``
+        interpolated at ``x``, whose fractional index is ``fid``, on the block
+        around ``anchor`` (None: the nearest full block), through the block
+        cache; ``ValueError`` for a part the run does not hold."""
         if fid is None:
             fid = self.index(x)
         if not self._on_grid(fid):
@@ -371,14 +379,20 @@ class _WindowRun:
                 self._open(frame, anchor)  # passes first, key after
             index = (frame - self.frames.start,
                      *[slice(a - b - 1, a - b + 2) for a, b in zip(anchor, self.lo)])
-            self._rows = {name: _gather(self.stacks[name], index)
-                          for name in ("grad", "hessian", "time_mixed", "dpsi_dt")}
+            self._rows = {name: _gather(self.stacks[name], index) for name in self.names}
             if not all(np.isfinite(self._rows[name][0]).all() for name in ("grad", "hessian")):
                 raise AttributeLostError(f"point {np.asarray(x)} left the valid interior "
                                          "of the jet field")
             self._key = (self.passes, frame, anchor)
+        try:
+            rows = [self._rows[name] for name in names]
+        except KeyError:
+            raise self._not_held(names) from None
         weights = np.array([_tensor_weights(fid, anchor)])
-        return [_contract(weights, *self._rows[name]) for name in names]
+        return [_contract(weights, *row) for row in rows]
+
+    def _not_held(self, names) -> ValueError:
+        return ValueError(f"the run holds the jet parts {self.names}, not all of {tuple(names)}")
 
     def _on_grid(self, fid) -> bool:
         """Whether the fractional index ``fid`` lies on the grid, faces included."""
@@ -390,7 +404,8 @@ class _WindowRun:
 
         ``requests`` are ``(frame, anchor, ray, point, fid)`` tuples listed ray by
         ray.  A request reads what :meth:`jets` reads at ``point``, bit for bit,
-        or NaN and False where :meth:`jets` raises AttributeLostError.
+        or NaN and False where :meth:`jets` raises AttributeLostError; ``names``
+        must be parts the run holds (``ValueError`` before any pass).
 
         The runs are planned around the known blocks (:meth:`_planned_boxes`):
         a run sequence per ray, in the requests' order, and one sequence shared
@@ -402,6 +417,8 @@ class _WindowRun:
         a box of the slack rule (:meth:`_open`), and the requests one run serves
         are read by :meth:`_read` before the next run opens.
         """
+        if not set(names) <= set(self.names):
+            raise self._not_held(names)
         shapes = _jet_shapes((len(requests),), self.grid.dim)
         parts = [np.full(shapes[name], np.nan) for name in names]
         ok = np.zeros(len(requests), dtype=bool)
@@ -547,12 +564,9 @@ class _WindowRun:
         # the run's frames +- order, at least min_frames of them: every run
         # frame keeps its time taps and time window (see the class docstring)
         first, stop = max(frames.start - spec.order, 0), min(frames.stop + spec.order, field.frames)
-        box = (slice(first, stop),) + tuple(slice(a, b) for a, b in zip(lo, hi))
-        grid = Grid(tuple(b - a for a, b in zip(lo, hi)), field.grid.spacing,
-                    tuple(field.grid.point(lo)))
-        sub = SampledField(grid, field.time(first), field.dt, field.values[box])
+        sub = field._window(range(first, stop), lo, hi)
         frames_in_sub = range(frames.start - first, frames.stop - first)
-        self.stacks = fd_jet_fields(sub, frames_in_sub, spec).stacks
+        self.stacks = fd_jet_stacks(sub, frames_in_sub, spec, self.names)
         self.passes += 1
         self.points += self._points(frames, lo, hi)
         self.frames = frames
@@ -746,6 +760,7 @@ def track_attribute(
     """
     if not isinstance(target, AttributeSpec):
         raise TypeError("target must be an AttributeSpec")
+    gradient = target.kind == AttributeSpec.GRADIENT_SET
     if isinstance(field, SampledField):
         if times is not None:
             raise ValueError("times must be None for a SampledField: its frames carry "
@@ -755,7 +770,10 @@ def track_attribute(
                              "crossings are searched along whole grid lines")
         times, dt = field.times, field.dt
         x0 = _grid_seed(field.grid, seed)
-        source = _WindowRun(field, spec)  # its windows open lazily
+        # the parts the track reads (its windows open lazily): Newton and the
+        # block rule grad and hessian, order one time_mixed, order zero dpsi_dt
+        source = _WindowRun(field, spec, ("grad", "hessian",
+                                          "time_mixed" if gradient else "dpsi_dt"))
     elif isinstance(field, AnalyticField):
         if times is None:
             raise ValueError("analytic tracking needs explicit times")
@@ -775,7 +793,7 @@ def track_attribute(
     positions = np.empty((times.size, x0.size))
     computed = np.full_like(positions, np.nan)
     iterations = np.zeros(times.size, dtype=int)
-    if target.kind == AttributeSpec.GRADIENT_SET:
+    if gradient:
         _track_gradient(source, x0, _gradient_targets(target, x0.size), positions, computed,
                         iterations)
     else:

@@ -2,11 +2,13 @@
 
 import re
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 import wavevel as wv
+from wavevel import findiff
 from wavevel.findiff import fornberg_weights, stencil_taps
 
 
@@ -339,6 +341,64 @@ class TestFdJetFields:
             wv.fd_jet_fields(sf, range(0, 5, 2))
         with pytest.raises(wv.InsufficientFramesError):
             wv.fd_jet_fields(wv.SampledField(g, 0.0, 0.1, sf.values[:3]), range(1, 2))
+
+    @pytest.mark.parametrize("overflow", (False, True))
+    @pytest.mark.parametrize("boundary", ("one-sided", "shrink-to-valid"))
+    @pytest.mark.parametrize("order", (2, 4))
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_stacks_equal_jet_fields_for_every_name_subset(self, n, order, boundary, overflow,
+                                                           monkeypatch):
+        shape = self.SHAPES[n]
+        grid = wv.make_grid(n, shape, 0.2, -0.3)
+        values = np.random.default_rng(n).standard_normal((9,) + shape)
+        if overflow:  # finite samples whose stencil sums overflow near them
+            values[(slice(None),) + (slice(0, 2),) * n] = 1e308
+        sf = wv.SampledField(grid, 0.1, 0.03, values)
+        spec = wv.StencilSpec(order, boundary)
+        # every point where the spatial stencils apply, on every frame
+        inside = np.ones((1,) + shape, dtype=bool)
+        for a, size in enumerate(shape):
+            ok = [stencil_taps(1, order, i, size, 0.2, boundary) is not None for i in range(size)]
+            inside &= np.reshape(ok, (1,) * (a + 1) + (size,) + (1,) * (n - a - 1))
+        parts = ("dpsi_dt", "grad", "hessian", "time_mixed")
+        calls = []
+        diff_into = findiff._diff_into
+        monkeypatch.setattr(findiff, "_diff_into",
+                            lambda *args: calls.append(args) or diff_into(*args))
+        # all frames (the end frames of shrink-to-valid have no time window) and a few
+        for frames in (range(9), range(1, 4)):
+            full = wv.fd_jet_fields(sf, frames, spec)
+            want = {name: np.stack([getattr(jets, name) for jets in full])
+                    for name in ("psi", *parts, "valid")}
+            for names in (c for k in range(len(parts) + 1) for c in combinations(parts, k)):
+                calls.clear()
+                got = wv.fd_jet_stacks(sf, frames, spec, names)
+                assert set(got) == {"psi", "valid", *names}
+                for name in ("psi", *names):
+                    assert got[name].shape == want[name].shape
+                    assert np.array_equal(got[name].view(np.uint64), want[name].view(np.uint64))
+                # valid covers the computed parts: where the spatial stencils apply
+                # and every requested part is finite
+                valid = np.broadcast_to(inside, (len(frames),) + shape)
+                for name in names:
+                    valid = valid & np.isfinite(want[name]).reshape(len(frames), *shape, -1).all(-1)
+                assert np.array_equal(got["valid"], valid)
+                if len(names) == len(parts):
+                    assert np.array_equal(got["valid"], want["valid"])
+                # no mixed time pass without time_mixed: N of the diagonal, mixed
+                # Hessian and mixed time passes are the mixed time rows
+                passes = {"grad": n, "hessian": n + n * (n - 1) // 2, "time_mixed": n}
+                spatial = n if "hessian" in names and "grad" not in names else 0
+                assert len(calls) == spatial + sum(passes.get(name, 0) for name in names)
+        if overflow:
+            assert 0 < np.count_nonzero(want["valid"]) < np.count_nonzero(inside) * len(frames)
+
+    def test_stacks_reject_unknown_parts(self):
+        _, _, sf = _poly_field()
+        with pytest.raises(ValueError, match=r"unknown jet parts \['gradient'\]"):
+            wv.fd_jet_stacks(sf, range(1, 3), names=("gradient",))
+        empty = wv.fd_jet_stacks(sf, range(2, 2), names=("grad",))
+        assert set(empty) == {"psi", "grad", "valid"} and empty["grad"].shape[0] == 0
 
 
 CONVERGENCE_CASES = [

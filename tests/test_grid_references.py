@@ -90,7 +90,7 @@ def _ref_diff_along_axis(arr, axis, h, deriv, spec):
 def _ref_fd_jet_field(field, frame, spec):
     grid = field.grid
     n, shape = grid.dim, grid.shape
-    ttaps = _time_taps(field, frame, spec)
+    ttaps = _time_taps(field, spec)[frame]
     cur = field.values[frame]
     grad = np.empty(shape + (n,))
     hess = np.empty(shape + (n, n))

@@ -1,7 +1,7 @@
 """Planes-first storage behind component-last views.
 
 The grid kernels store every jet and velocity component plane contiguously
-and hand out ``np.moveaxis`` views with the documented component-last
+and hand out transposed views with the documented component-last
 shapes.  These tests pin that storage (contiguous planes, no Hessian copy in
 the order-one map, the memory it saves) and check that every consumer of a
 ``JetField`` gives the same bits on planes-first arrays as on C-ordered
@@ -16,8 +16,6 @@ import pytest
 
 import wavevel as wv
 from wavevel.fields import _sum_planes
-from wavevel.findiff import _PassJets
-from wavevel.jets import _jet_shapes
 from wavevel.velocities import _solve_order_one
 
 SHAPES = {1: (23,), 2: (17, 13), 3: (9, 8, 10), 4: (6, 7, 5, 6), 5: (5, 6, 5, 5, 6)}
@@ -288,17 +286,19 @@ def test_sampled_tracks_do_not_depend_on_layout(n, shape, h, monkeypatch):
     seeds = {peak: tuple(k // 2 for k in shape),
              level: tuple(np.rint(grid.index_of(on_level)).astype(int))}
     got = {attr: wv.track_attribute(sampled, attr, seed) for attr, seed in seeds.items()}
-    fd_jet_fields = wv.tracking.fd_jet_fields
+    fd_jet_stacks = wv.tracking.fd_jet_stacks
+    passes = []
 
-    def relaid_jet_fields(*args):
-        # the frames and the stacks level tracks gather from, C-ordered component-last
-        frames = [_relaid(j, "last") for j in fd_jet_fields(*args)]
-        return _PassJets(frames, {name: np.stack([getattr(j, name) for j in frames])
-                                  for name in _jet_shapes((), n)})
+    def relaid_jet_stacks(*args):
+        # the stacks every track gathers from, C-ordered component-last
+        passes.append(args[1])
+        return {name: np.ascontiguousarray(stack) for name, stack in fd_jet_stacks(*args).items()}
 
-    monkeypatch.setattr(wv.tracking, "fd_jet_fields", relaid_jet_fields)
+    monkeypatch.setattr(wv.tracking, "fd_jet_stacks", relaid_jet_stacks)
     for attr, seed in seeds.items():
+        passes.clear()
         want = wv.track_attribute(sampled, attr, seed)
+        assert want.jet_passes == len(passes) >= 1  # every pass of the track was relaid
         for name in ("times", "positions", "empirical_velocity", "computed_velocity",
                      "deviation"):
             assert_same_bits(getattr(got[attr], name), getattr(want, name))

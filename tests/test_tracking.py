@@ -17,6 +17,7 @@ from wavevel.velocities import _order_zero, _solve_order_one
 
 PEAK = wv.AttributeSpec.gradient_set((0.0, 0.0))
 BOUNDARIES = ("shrink-to-valid", "one-sided")
+PARTS = ("dpsi_dt", "grad", "hessian", "time_mixed")  # a run that holds every jet part
 
 
 def _whole(jets):
@@ -380,7 +381,7 @@ class TestLostCrossingSpeed:
         assert res.positions[:, 1] == pytest.approx(0.5 + 0.1 * np.arange(7))
         assert res.computed_velocity[2:5, 0] == pytest.approx([2.0] * 3)
         assert np.isnan(res.computed_velocity[:, 1]).all()
-        run = _WindowRun(sf, wv.StencilSpec())
+        run = _WindowRun(sf, wv.StencilSpec(), PARTS)
         with pytest.raises(AttributeLostError, match="valid interior"):
             run.jets(3, np.array([0.2, res.positions[3, 1]]), ("grad", "dpsi_dt"))
 
@@ -434,7 +435,7 @@ class TestLevelOracleKernel:
         spec = wv.StencilSpec(4, boundary)
         res = wv.track_attribute(field, target, seed, spec=spec)
         assert res.deviation <= 0.1  # a real track
-        self._assert_kernel_speeds(res, field.grid.point(seed), _WindowRun(field, spec))
+        self._assert_kernel_speeds(res, field.grid.point(seed), _WindowRun(field, spec, PARTS))
 
     @pytest.mark.parametrize("dim", (2, 3))
     def test_analytic_level_tracks(self, dim):
@@ -556,7 +557,7 @@ class TestWindowedJets:
             for fid in fids:
                 x = field.grid.point(fid)
                 # a fresh run opens its first window at this point
-                run = _WindowRun(field, spec)
+                run = _WindowRun(field, spec, PARTS)
                 expected = _interpolated(full, 0, x)
                 _assert_same(_interpolated(run, frame, x), expected)
                 if not isinstance(expected, str):
@@ -569,7 +570,7 @@ class TestWindowedJets:
         spec = wv.StencilSpec(4, boundary)
         frame = field.frames // 2
         full = _whole(wv.fd_jet_field(field, frame, spec))
-        run = _WindowRun(field, spec)
+        run = _WindowRun(field, spec, PARTS)
         top = np.asarray(field.grid.shape) - 1.0
         offsets = []
         for s in np.linspace(0.0, 1.0, 41):
@@ -600,7 +601,7 @@ class TestWindowRuns:
         monkeypatch.setattr(tracking, "_RUN_POINTS", run_points)
         field = _random_field(dim)
         spec = wv.StencilSpec(order, boundary)
-        run = _WindowRun(field, spec)
+        run = _WindowRun(field, spec, PARTS)
         full = [_whole(wv.fd_jet_field(field, f, spec)) for f in range(field.frames)]
         top = np.asarray(field.grid.shape) - 1.0
         # frames forward and back, at a point moving half a cell a frame
@@ -625,13 +626,14 @@ class TestWindowRuns:
         _, grid, sf = _sampled_gaussian(frames=21)
         seed = np.unravel_index(np.argmax(sf.values[0]), grid.shape)
         runs = []
-        fd_jet_fields = tracking.fd_jet_fields
-        monkeypatch.setattr(tracking, "fd_jet_fields",
-                            lambda *args: runs.append(args[1]) or fd_jet_fields(*args))
+        fd_jet_stacks = tracking.fd_jet_stacks
+        monkeypatch.setattr(tracking, "fd_jet_stacks",
+                            lambda *args: runs.append(args[1]) or fd_jet_stacks(*args))
         res = wv.track_attribute(sf, PEAK, seed)
         # runs go on through the end frames: the run opened at frame 0 and
         # the one opened after the point leaves its window
         assert res.jet_passes == len(runs) <= 2
+        assert runs  # the patched pass is the one the track ran
         assert res.newton_iterations.shape == (21,)
         assert np.all(res.newton_iterations >= 1)
         assert np.all(res.newton_iterations <= tracking.NEWTON_MAX_ITER)
@@ -640,7 +642,7 @@ class TestWindowRuns:
         assert runs == []  # a whole jet field needs no pass
         on_level = wv.AttributeSpec.level_set(float(sf.values[0][44, 40]))
         level = wv.track_attribute(sf, on_level, (44, 40))
-        assert not level.newton_iterations.any() and level.jet_passes == len(runs)
+        assert not level.newton_iterations.any() and level.jet_passes == len(runs) >= 1
         analytic = wv.track_attribute(wv.TranslatingGaussian((0.7, 0.0), 3.0), PEAK,
                                       (0.0, 0.0), times=sf.times)
         assert analytic.jet_passes == 0 and np.all(analytic.newton_iterations >= 1)
@@ -888,9 +890,9 @@ def _recording(monkeypatch):
     every block read from a run's jets: each request's serve step
     (``_WindowRun._holds``), which per-point and stacked reads take alike."""
     runs, reads = [], []
-    fd_jet_fields, holds = tracking.fd_jet_fields, _WindowRun._holds
-    monkeypatch.setattr(tracking, "fd_jet_fields",
-                        lambda *args: runs.append(args[:2]) or fd_jet_fields(*args))
+    fd_jet_stacks, holds = tracking.fd_jet_stacks, _WindowRun._holds
+    monkeypatch.setattr(tracking, "fd_jet_stacks",
+                        lambda *args: runs.append(args[:2]) or fd_jet_stacks(*args))
     monkeypatch.setattr(_WindowRun, "_holds",
                         lambda run, frame, *args: reads.append(frame) or holds(run, frame, *args))
     return runs, reads
@@ -1001,6 +1003,43 @@ class TestWindowedTracksUnchanged:
 
     @pytest.mark.parametrize("kind", ("gradient", "level"))
     @pytest.mark.parametrize("dim", (2, 3))
+    def test_runs_compute_only_their_tracks_parts(self, dim, kind, monkeypatch):
+        # a level track's passes run no mixed time rows and a gradient track's
+        # return no time derivative; either track equals one whose passes compute
+        # every part, bit for bit
+        field, target, seed = _moving_bump_track(dim, kind)
+        requested, fd_jet_stacks = [], tracking.fd_jet_stacks
+        monkeypatch.setattr(tracking, "fd_jet_stacks",
+                            lambda *args: requested.append(args[3]) or fd_jet_stacks(*args))
+        res = wv.track_attribute(field, target, seed)
+        skipped = "time_mixed" if kind == "level" else "dpsi_dt"
+        assert len(requested) == res.jet_passes >= 1
+        assert all(skipped not in names and {"grad", "hessian"} <= set(names)
+                   for names in requested)
+        monkeypatch.setattr(tracking, "fd_jet_stacks", lambda *args: fd_jet_stacks(*args[:3]))
+        every = wv.track_attribute(field, target, seed)
+        for name in ("times", "positions", "empirical_velocity", "computed_velocity",
+                     "newton_iterations"):
+            got, want = getattr(res, name), getattr(every, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert ((res.deviation, res.jet_passes, res.jet_points)
+                == (every.deviation, every.jet_passes, every.jet_points))
+
+    def test_a_run_serves_only_the_parts_it_holds(self):
+        field, _, seed = _moving_bump_track(2, "gradient")
+        names = ("grad", "hessian", "time_mixed")
+        run = _WindowRun(field, wv.StencilSpec(), names)
+        x = field.grid.point(seed)
+        run.jets(4, x, names)
+        assert set(run._rows) == set(names)  # the block cache gathers the held parts only
+        with pytest.raises(ValueError, match=r"holds the jet parts .* not all of \('dpsi_dt',\)"):
+            run.jets(4, x, ("dpsi_dt",))
+        fid = run.index(x)
+        with pytest.raises(ValueError, match="holds the jet parts"):
+            run.jets_stack([(4, run.anchor(fid), 0, x, fid)], ("grad", "dpsi_dt"))
+
+    @pytest.mark.parametrize("kind", ("gradient", "level"))
+    @pytest.mark.parametrize("dim", (2, 3))
     def test_analytic_tracks_equal_separate_loop_reference(self, dim, kind):
         velocity = (0.7, 0.3) if dim == 2 else (0.3, 0.2, -0.25)
         bump = wv.TranslatingGaussian(velocity, 0.4)
@@ -1091,7 +1130,7 @@ class TestBlockCache:
         grid = field.grid
         spec = wv.StencilSpec(4, boundary)
         res = wv.track_attribute(field, target, seed, spec=spec)
-        run = _WindowRun(field, spec)
+        run = _WindowRun(field, spec, PARTS)
         reads = _counting_reads(monkeypatch, run)
         for frame in range(field.frames):
             if kind == "gradient":
@@ -1118,7 +1157,7 @@ class TestBlockCache:
                         speed = _level_speed(*run.jets(frame, point, ("grad", "dpsi_dt")), axis)
                         _same_result(speed, _level_speed(*parts, axis))
             for call in calls:
-                want = _outcome(call, _WindowRun(field, spec))
+                want = _outcome(call, _WindowRun(field, spec, PARTS))
                 first = _outcome(call, run)
                 read = len(reads)
                 again = _outcome(call, run)
@@ -1132,7 +1171,7 @@ class TestBlockCache:
     def test_non_finite_block_raises_on_every_request(self, dim, monkeypatch):
         field = _random_field(dim)
         spec = wv.StencilSpec(4, "shrink-to-valid")
-        run = _WindowRun(field, spec)
+        run = _WindowRun(field, spec, PARTS)
         reads = _counting_reads(monkeypatch, run)
         mid = (np.asarray(field.grid.shape) - 1.0) / 2
         inside = field.grid.point(mid + 0.3)
@@ -1156,7 +1195,7 @@ class TestBlockCache:
         monkeypatch.setattr(tracking, "_RUN_POINTS", 1)  # one frame a run
         field = _random_field(dim)
         spec = wv.StencilSpec(4, "one-sided")
-        run = _WindowRun(field, spec)
+        run = _WindowRun(field, spec, PARTS)
         x = field.grid.point((np.asarray(field.grid.shape) - 1.0) / 2 + 0.3)
         far = field.grid.point(np.full(dim, 3.2))
         for frame in (3, 4):
@@ -1235,12 +1274,12 @@ class TestStackedReads:
         assert res.jet_passes >= 3 and ok.any()
         # the same plan on a fresh run
         again, _ = _serving(monkeypatch)
-        _WindowRun(field, spec).jets_stack(requests, names)
+        _WindowRun(field, spec, PARTS).jets_stack(requests, names)
         assert again == served
         # its runs on a fresh run, read request by request in the order served (a
         # request no run served is off the grid)
         order = served + [i for i in range(len(requests)) if i not in served]
-        run, reads = _WindowRun(field, spec), []
+        run, reads = _WindowRun(field, spec, PARTS), []
         for frame, anchor, _, point, fid in [requests[i] for i in order]:
             if run._on_grid(fid) and not run._holds(frame, anchor):
                 run._compute(*boxes.pop(0))
@@ -1260,14 +1299,14 @@ class TestStackedReads:
         first = np.arange(dim) == 0
         fids = (mid + 0.3, np.where(first, 0.4, mid), np.where(first, -0.5, mid), mid - 0.2)
         _without_plan(monkeypatch)  # the stack opens runs as the per-point reads do
-        run, requests = _WindowRun(field, spec), []
+        run, requests = _WindowRun(field, spec, PARTS), []
         for fid in fids:
             point = field.grid.point(fid)
             fid = run.index(point)
             requests.append((4, run.anchor(fid), 0, point, fid))
         parts, ok = run.jets_stack(requests, self.NAMES)
         assert ok.tolist() == [True, boundary == "one-sided", False, True]
-        reference = _WindowRun(field, spec)
+        reference = _WindowRun(field, spec, PARTS)
         reads = [_outcome(lambda src: src.jets(frame, point, self.NAMES, anchor, fid), reference)
                  for frame, anchor, _, point, fid in requests]
         assert "left the grid" in reads[2]
@@ -1333,7 +1372,7 @@ class TestPlannedBoxes:
         shape = tuple(int(k) for k in rng.integers(7, (60, 30, 16, 10)[dim - 1], dim))
         field = wv.SampledField(wv.make_grid(dim, shape, 0.1, 0.0), 0.0, 0.1,
                                 np.zeros((21,) + shape))
-        run = _WindowRun(field, wv.StencilSpec(order, boundary))
+        run = _WindowRun(field, wv.StencilSpec(order, boundary), PARTS)
         seen = set()
         for _ in range(60):
             cap = int(rng.choice((40, 300, 3000, 2**14)))
@@ -1459,7 +1498,7 @@ def _previous_root_track(field, spec, seed):
     (the seed rule before predicted seeds): the roots and the iterations of the
     frames reached, and the frame whose Newton iteration raised with its
     TrackingError (None, None when every frame converged)."""
-    source = _WindowRun(field, spec)
+    source = _WindowRun(field, spec, PARTS)
     x = field.grid.point(seed)
     positions, iterations = [], []
     for frame in range(field.frames):
@@ -1494,7 +1533,7 @@ def _assert_same_roots(got, want, grid):
 
 def _true_loss_frame(field, bump, spec):
     """The first frame whose exact peak has no valid jet block (None: none)."""
-    source = _WindowRun(field, spec)
+    source = _WindowRun(field, spec, PARTS)
     for frame, t in enumerate(field.times):
         try:
             source.jets(frame, np.asarray(bump.center) + t * np.asarray(bump.velocity),
@@ -1582,7 +1621,7 @@ class TestRayScan:
         n = {1: 64, 2: 24, 3: 12}[dim]
         grid = wv.make_grid(dim, (n,) * dim, 0.05, -0.3)
         field = wv.SampledField(grid, 0.0, 0.02, rng.standard_normal((7,) + grid.shape))
-        run = _WindowRun(field, wv.StencilSpec())
+        run = _WindowRun(field, wv.StencilSpec(), PARTS)
         for _ in range(12):
             index = tuple(int(i) for i in rng.integers(0, n, dim))
             for axis in range(dim):
@@ -1604,7 +1643,7 @@ class TestRayScan:
         grid = wv.make_grid(1, (8,), 1.0, 0.0)
         spec = wv.StencilSpec(2)
         kept = wv.SampledField(grid, 0.0, 0.1, values[[0, 1, 2, 3, 3]])
-        got = _WindowRun(kept, spec).crossings(np.zeros(1), 0, level, 2.5)
+        got = _WindowRun(kept, spec, PARTS).crossings(np.zeros(1), 0, level, 2.5)
         want = self._chain(kept, (), 0, level, 2.5)
         _same_result(got, want)
         assert got[:2] == [0.5, 0.0]
@@ -1613,7 +1652,7 @@ class TestRayScan:
         with pytest.raises(AttributeLostError, match=message):
             self._chain(lost, (), 0, level, 2.5)
         with pytest.raises(AttributeLostError, match=message):
-            _WindowRun(lost, spec).crossings(np.zeros(1), 0, level, 2.5)
+            _WindowRun(lost, spec, PARTS).crossings(np.zeros(1), 0, level, 2.5)
 
     def test_no_per_frame_crossing_method(self):
         assert not hasattr(_WindowRun, "crossing")
@@ -1627,7 +1666,7 @@ class TestRayScan:
         grid = wv.make_grid(dim, (n,) * dim, 0.05, -0.3)
         field = wv.SampledField(grid, 0.0, 0.02, rng.standard_normal((5,) + grid.shape))
         spec = wv.StencilSpec()
-        run, whole = _WindowRun(field, spec), _whole(wv.fd_jet_field(field, 0, spec))
+        run, whole = _WindowRun(field, spec, PARTS), _whole(wv.fd_jet_field(field, 0, spec))
         for _ in range(12):
             point = grid.point(tuple(int(i) for i in rng.integers(0, n, dim)))
             for axis in range(dim):
@@ -1658,7 +1697,7 @@ JET_ARRAYS = ("psi", "dpsi_dt", "grad", "hessian", "time_mixed", "valid")
 def _window_and_full(field, spec, frame, anchor):
     """A window run opened at ``anchor``, its jets of ``frame`` and the full-grid
     jets of ``frame``."""
-    run = _WindowRun(field, spec)
+    run = _WindowRun(field, spec, PARTS)
     run._open(frame, anchor)
     arrays = [run.stacks[name][frame - run.frames.start] for name in JET_ARRAYS]
     grid = wv.Grid(arrays[0].shape, field.grid.spacing, tuple(field.grid.point(run.lo)))
