@@ -61,6 +61,7 @@ from .findiff import (
     fd_jet_field,
     fd_jet_fields,
     fd_jet_stacks,
+    fd_jets_at,
     fornberg_weights,
 )
 from .jets import Jet1, Jet2, JetField

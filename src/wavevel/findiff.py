@@ -12,7 +12,7 @@ bit-identical values: every entry is a stencil sum from 0.0 in tap order, a
 mixed Hessian entry runs the lower axis's pass over the higher axis's, and a
 mixed time row runs the spatial pass over the time derivative.
 :func:`_apply_taps_pointwise` is the one pointwise sum, nested once for the
-mixed entries.
+mixed entries, and :func:`fd_jets_at` runs it elementwise on a stack of points.
 
 The grid path works on contiguous planes: :func:`diff_along_axis` shifts the
 flattened array by whole strides and accumulates each tap from +0.0.  Every
@@ -34,14 +34,17 @@ NaN by slicing the border bands of each axis.
 stacked along a leading axis, every spatial derivative runs once over the
 ``(K, *shape)`` stack, and the frames that share time taps get their time
 derivative from one stencil sum.  It computes only the jet parts it is
-asked for and what they depend on: a reader of the gradient, the Hessian
-and the time derivative (a level track) runs no mixed time rows.  Most of a
-small field's cost is the fixed cost of a pass (an 11^2 tracking window on
-a 2-vCPU VM, median of 50 calls, best of 3 runs: 0.15 ms for one frame and
-0.21 ms for 20 frames stacked with every part, 0.12 and 0.18 ms with a
-level track's parts), so a tracker pays it once per run of frames, not once
-per frame.  :func:`fd_jet_fields` is the per-frame :class:`JetField` view of a
-pass of every part, and :func:`fd_jet_field` its one-frame case.
+asked for and what they depend on: without ``time_mixed`` it runs no mixed
+time rows.  Most of a small field's cost is the fixed cost of a pass (an
+11^2 tracking window on a 2-vCPU VM, median of 50 calls, best of 3 runs:
+0.15 ms for one frame and 0.21 ms for 20 frames stacked with every part,
+0.12 and 0.18 ms without ``time_mixed``), so a tracker pays it once per run
+of frames, not once per frame.  :func:`fd_jet_fields` is the per-frame
+:class:`JetField` view of a pass of every part, and :func:`fd_jet_field` its
+one-frame case.  A reader of a few hundred scattered points takes
+:func:`fd_jets_at` instead: a level track's 306 block points in 2-D and 567
+in 3-D take 0.19 and 0.33 ms (same VM, best of 5 runs of 200 calls), where
+windows around them held 2,057 to 10,166 points.
 
 Every frame of a pass gets psi and its requested parts wherever the spatial
 stencils apply.  The end frames of ``shrink-to-valid`` have no time window:
@@ -71,6 +74,9 @@ Array = np.ndarray
 #: axis 0 1.42 / 1.19 / 1.18 / 1.18 / 1.81 / 2.33, 64^3 axis 0 1.30 / 1.27 /
 #: 1.10 / 1.22 / 1.82 / 2.32.
 STRIP_POINTS = 32768
+
+#: The jet parts a pass computes, besides psi.
+_PARTS = ("dpsi_dt", "grad", "hessian", "time_mixed")
 
 BOUNDARY_ONE_SIDED = "one-sided"
 BOUNDARY_SHRINK = "shrink-to-valid"
@@ -200,21 +206,34 @@ def _axis_taps(deriv: int, order: int, n: int, h: float, boundary: str):
     return central, edges
 
 
-def _apply_taps_pointwise(values: Array, index, axis: int, taps, inner=None) -> float:
-    """The one pointwise stencil sum: ``sum(coeff * term)`` over ``taps`` along
-    ``axis`` at ``index``, from 0.0 in tap order.  ``term`` is the value at the
-    shifted index or, with ``inner = (axis, taps)``, that inner sum there, so a
-    mixed entry runs its outer pass over its inner one as the grid path does.
-    The sum runs on plain floats: an overflow gives inf or NaN and no warning."""
+def _apply_taps_pointwise(read, at, stride: int, taps, inner=None):
+    """The one pointwise stencil sum: ``sum(coeff * term)`` over ``taps`` at the
+    flat sample index ``at``, a tap ``off`` reading ``at + off * stride``, from
+    0.0 in tap order.  ``term`` is ``read`` of the shifted index or, with
+    ``inner = (stride, taps)``, that inner sum there, so a mixed entry runs its
+    outer pass over its inner one as the grid path does.  One point runs on
+    Python floats (``at`` an int, ``read`` ``flat.item``: an overflow gives inf
+    or NaN and no warning); a stack (``at`` an int array, ``read``
+    ``flat.take``) reads every tap's terms at once and sums them elementwise."""
+    stacked = isinstance(at, np.ndarray)
+    if stacked:
+        shifted = np.add.outer([off * stride for off, _ in taps], at)
+        terms = read(shifted) if inner is None else _apply_taps_pointwise(read, shifted, *inner)
+        terms = iter(terms)
     acc = 0.0
-    idx = list(index)
     for off, coeff in taps:
-        idx[axis] = index[axis] + off
-        if inner is None:
-            acc = acc + coeff * values.item(tuple(idx))
+        if stacked:
+            term = next(terms)
         else:
-            acc = acc + coeff * _apply_taps_pointwise(values, idx, *inner)
+            shifted = at + off * stride
+            term = read(shifted) if inner is None else _apply_taps_pointwise(read, shifted, *inner)
+        acc = acc + coeff * term
     return acc
+
+
+def _flat_strides(values: Array) -> list:
+    """The flat distances of neighbours along each axis of the C-ordered ``values``."""
+    return [stride // values.itemsize for stride in values.strides]
 
 
 def diff_along_axis(arr: Array, axis: int, h: float, deriv: int, spec: StencilSpec):
@@ -300,6 +319,39 @@ def _time_taps(field: SampledField, spec: StencilSpec) -> list:
     return taps
 
 
+def _point_taps(grid, index, spec: StencilSpec):
+    """The ``(d/dx_a, d2/dx_a2)`` taps of every axis at the grid ``index``, or
+    None where the policy declines."""
+    taps = [tuple(stencil_taps(deriv, spec.order, i, size, h, spec.boundary) for deriv in (1, 2))
+            for i, size, h in zip(index, grid.shape, grid.spacing)]
+    return None if any(None in pair for pair in taps) else taps
+
+
+def _point_sums(read, at, strides, taps, ttaps, names) -> dict:
+    """The jet parts ``names`` at the flat index ``at`` of the samples, as nested
+    lists of :func:`_apply_taps_pointwise` sums composed as the grid's passes
+    are: the lower axis outside on mixed Hessian entries, space outside time
+    on the mixed time rows.  ``strides`` are the flat strides of time and the
+    axes, ``taps`` the :func:`_point_taps` and ``ttaps`` the time taps."""
+    (st, *s), sums = strides, {}
+    axes = range(len(s))
+    if "dpsi_dt" in names:
+        sums["dpsi_dt"] = _apply_taps_pointwise(read, at, st, ttaps)
+    if "grad" in names:
+        sums["grad"] = [_apply_taps_pointwise(read, at, s[a], taps[a][0]) for a in axes]
+    if "time_mixed" in names:
+        sums["time_mixed"] = [_apply_taps_pointwise(read, at, s[a], taps[a][0], (st, ttaps))
+                              for a in axes]
+    if "hessian" in names:
+        hess = sums["hessian"] = [[_apply_taps_pointwise(read, at, s[a], taps[a][1])] * len(s)
+                                  for a in axes]
+        for a in axes:
+            for b in range(a + 1, len(s)):
+                hess[a][b] = hess[b][a] = _apply_taps_pointwise(read, at, s[a], taps[a][0],
+                                                                (s[b], taps[b][0]))
+    return sums
+
+
 def fd_jet2_at(
     field: SampledField,
     frame: int,
@@ -314,44 +366,95 @@ def fd_jet2_at(
     stencil sum overflows, where :func:`fd_jet_field` marks the point invalid.
     """
     grid = field.grid
-    n = grid.dim
     idx = tuple(int(i) for i in index)
-    if len(idx) != n:
-        raise ValueError(f"index must have {n} entries, got {len(idx)}")
-    for a in range(n):
-        if not 0 <= idx[a] < grid.shape[a]:
-            raise IndexError(f"index {idx} out of range for shape {grid.shape}")
-
+    if len(idx) != grid.dim:
+        raise ValueError(f"index must have {grid.dim} entries, got {len(idx)}")
+    if not all(0 <= i < size for i, size in zip(idx, grid.shape)):
+        raise IndexError(f"index {idx} out of range for shape {grid.shape}")
     if not 0 <= frame < field.frames:
         raise IndexError(f"frame {frame} out of range [0, {field.frames})")
-    ttaps = _time_taps(field, spec)[frame]
-    if ttaps is None:
+    ttaps, taps = _time_taps(field, spec)[frame], _point_taps(grid, idx, spec)
+    if ttaps is None or taps is None:
         return None
-
-    taps = []  # (d/dx_a, d2/dx_a2) taps per axis
-    for a in range(n):
-        pair = tuple(stencil_taps(deriv, spec.order, idx[a], grid.shape[a], grid.spacing[a],
-                                  spec.boundary) for deriv in (1, 2))
-        if None in pair:
-            return None
-        taps.append(pair)
-
-    # time is axis 0 of field.values and spatial axis a is axis a + 1; each
-    # entry composes as the grid's passes do: the lower axis outside on mixed
-    # Hessian entries, space outside time on the mixed time rows
-    values, at = field.values, (frame, *idx)
-    dpsi_dt = _apply_taps_pointwise(values, at, 0, ttaps)
-    grad = [_apply_taps_pointwise(values, at, a + 1, taps[a][0]) for a in range(n)]
-    tmix = [_apply_taps_pointwise(values, at, a + 1, taps[a][0], (0, ttaps)) for a in range(n)]
-    hess = [[0.0] * n for _ in range(n)]
-    for a in range(n):
-        hess[a][a] = _apply_taps_pointwise(values, at, a + 1, taps[a][1])
-        for b in range(a + 1, n):
-            hess[a][b] = hess[b][a] = _apply_taps_pointwise(values, at, a + 1, taps[a][0],
-                                                            (b + 1, taps[b][0]))
+    # time is axis 0 of field.values and spatial axis a is axis a + 1
+    read, strides = field.values.reshape(-1).item, _flat_strides(field.values)
+    at = sum(i * k for i, k in zip((frame, *idx), strides))
+    sums = _point_sums(read, at, strides, taps, ttaps, _PARTS)
+    dpsi_dt, grad, hess, tmix = (sums[name] for name in _PARTS)
     if not all(map(math.isfinite, (dpsi_dt, *grad, *tmix, *(e for row in hess for e in row)))):
         return None  # an overflow in a sum: no jet, as on the grid
-    return Jet2(Jet1(values.item(at), dpsi_dt, grad), hess, tmix)
+    return Jet2(Jet1(read(at), dpsi_dt, grad), hess, tmix)
+
+
+def fd_jets_at(
+    field: SampledField,
+    frames,
+    indices,
+    spec: StencilSpec = DEFAULT_STENCIL,
+    names=_PARTS,
+) -> dict:
+    """The jet parts ``names`` at a stack of R grid points, with ``psi`` and
+    ``valid``: point ``r`` is grid index ``indices[r]`` (``(R, N)`` integers) of
+    frame ``frames[r]`` (``(R,)``), and by name the ``(R, ...)`` stack holds at
+    ``r`` the entry :func:`fd_jet_stacks` gives that point, bit for bit, in any
+    order and with repeats.
+
+    Every entry is :func:`fd_jet2_at`'s stencil sum, run elementwise over the
+    points that share their taps: a group's points share their frame's time
+    taps and each axis's taps (all interior positions share the central
+    ones).  Only the requested parts are computed.  Where the spatial
+    stencils decline, every part reads NaN, and on a frame without a time
+    window the time parts do; ``valid`` is False there and where a requested
+    part is not finite (an overflow, which raises no warning).
+    """
+    grid = field.grid
+    n = grid.dim
+    keep = set(names)
+    unknown = keep.difference(_jet_shapes((), n))
+    if unknown:
+        raise ValueError(f"unknown jet parts {sorted(unknown)}")
+    frames, indices = np.asarray(frames, dtype=np.intp), np.asarray(indices, dtype=np.intp)
+    if frames.ndim != 1 or indices.shape != (len(frames), n):
+        raise ValueError(f"frames must have shape (R,) and indices (R, {n}), "
+                         f"got {frames.shape} and {indices.shape}")
+    points = np.column_stack((frames, indices))  # the axes of field.values, time first
+    sizes = (field.frames, *grid.shape)
+    if np.any((points < 0) | (points >= sizes)):
+        raise IndexError(f"frame or index out of range for {sizes[0]} frames of shape {grid.shape}")
+    ttaps = _time_taps(field, spec)
+    read, strides = field.values.reshape(-1).take, _flat_strides(field.values)
+    at = points @ strides
+    out = {name: np.full(shape, np.nan) for name, shape in _jet_shapes((len(at),), n).items()
+           if name in keep.intersection(_PARTS)}
+    valid = np.ones(len(at), dtype=bool)
+
+    # within half a stencil of an axis end a position has taps of its own;
+    # farther in, all positions share the central taps
+    hw = spec.half_width
+    edge = (points < hw) | (points >= np.subtract(sizes, hw))
+    groups = [(0, slice(None))]  # (a point, the points that share its taps)
+    if edge.any() or not len(at):
+        codes = np.ravel_multi_index(tuple(np.where(edge, points, sizes).T), [k + 1 for k in sizes])
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        groups = [(rep, np.flatnonzero(inverse == g)) for g, rep in enumerate(first.tolist())]
+    # the samples are finite, so a non-finite entry can only come from an
+    # overflow or an invalid operation; entries are scanned only if one happened
+    faults = []
+    with np.errstate(over="call", invalid="call", call=lambda err, flag: faults.append(err)):
+        for rep, sel in groups:
+            frame, *idx = points[rep].tolist()
+            taps, parts = _point_taps(grid, idx, spec), keep
+            if ttaps[frame] is None:  # no time window: the time parts stay NaN
+                parts = keep.difference(("dpsi_dt", "time_mixed"))
+            valid[sel] = taps is not None and parts == keep
+            if taps is not None:
+                for name, sums in _point_sums(read, at[sel], strides, taps, ttaps[frame],
+                                              parts).items():
+                    out[name][sel] = np.moveaxis(np.array(sums), -1, 0)
+    if faults:
+        for arr in out.values():
+            valid &= np.isfinite(arr).reshape(len(at), -1).all(axis=1)
+    return {"psi": read(at), **out, "valid": valid}
 
 
 def fd_jet_field(field: SampledField, frame: int, spec: StencilSpec = DEFAULT_STENCIL) -> JetField:
@@ -387,7 +490,7 @@ def fd_jet_stacks(
     field: SampledField,
     frames: range,
     spec: StencilSpec = DEFAULT_STENCIL,
-    names=("dpsi_dt", "grad", "hessian", "time_mixed"),
+    names=_PARTS,
 ) -> dict:
     """The jet parts ``names`` of every frame of ``frames`` (a range of step 1)
     in one pass, with ``psi`` (a read-only view of the samples) and ``valid``:

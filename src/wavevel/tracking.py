@@ -21,51 +21,38 @@ machine accuracy).  A source hands out jets and evaluates no formula:
 ``jets(frame, x, names, anchor=None, fid=None)`` reads jet parts at ``x``,
 ``timed[frame]`` says whether the frame has time derivatives,
 ``crossings(point, axis, level, near)`` finds a ray's level crossing on
-every frame and ``jets_stack(requests, names)`` reads a level track's jet
-requests all at once, stacked in their order.  Each formula runs
+every frame and ``jets_stack(frames, points, names)`` reads a level track's
+jets at all its crossings at once, stacked in their order.  Each formula runs
 in one place, with the kernels the maps run: the Newton step in
 :func:`_newton_iterations`, the order-one velocity
 (:func:`_solve_order_one`) in the gradient frame loop, once a timed frame,
 and the order-zero velocity (:func:`_order_zero`) once a level track, on the
 stack of its timed crossings.  On a sampled field the jets are computed
-only on a small window of the grid around the tracked point, so a track
-costs O(frames) whatever the grid size; the window's jets are bit-identical
-to the full-grid jets where they are read.
+only around where they are read, bit-identical to the full-grid jets
+there, so a track costs O(frames) whatever the grid size.
 
-The window run of a sampled track decides once, from the field and the
-stencil, which frames have a time window, and holds a box, a run of frames
-and their jets from one :func:`fd_jet_stacks` pass of the parts its track
-reads, so a level track's passes run no mixed time rows.  A run goes through
-frames with and without a time window alike; a point is lost where its
-interpolation block has a non-finite gradient or Hessian entry.  A run
-holds at most ``_RUN_POINTS`` box points (box size times frames), which
-bounds a track's memory whatever its frame count.  A level track finds
-every crossing first (crossings read only the samples); its one stacked
-read then plans the runs around the known blocks: a box is the hull of the
-blocks of consecutive requests plus half a stencil, either one run sequence
-per ray or one shared by all rays, frame by frame, whichever takes fewer
-passes.
-A Newton track cannot know its next point, so its boxes reach half a
-stencil and ``_WINDOW_SLACK`` cells beyond the interpolation block (11^N
-points at order 4): the tracked point can move ``_WINDOW_SLACK`` cells
-before the run misses, and the run opened after the point left the last
-one holds one frame more than that one served, so a moving point costs few
-frames it never reads.  A :class:`TrackResult` reports the passes, the box
-points and the Newton iterations a track spent.
-
-The fixed costs of a request are paid once.  A Newton track reads point by
-point: a run caches the rows of the last interpolation block it served, so
-the Newton steps at one anchor and the velocity at the root gather the
-block and test it for finite entries once per run pass, and the Newton
-bookkeeping (fractional index, weights, tolerance, lock test) runs on
-Python floats, one fractional index a step.  A level track knows every
-request before it reads, so it reads run by run: the requests one run
-serves take one gather of their blocks from the run's stacked frames, one
-finite test and one matmul, and the order-zero kernel runs once on the
-stack.  The level crossings read axis coordinates the run computes once.
-The floats, the stacks and the contractions reproduce the numpy loop's
-operations and operand shapes (one np.matmul forms a one-row product and a
-stack's alike), so neither path changes an output bit.
+A Newton track cannot know its next point, so it reads its jets from window
+runs: a box, a run of frames and their jets from one :func:`fd_jet_stacks`
+pass of the parts its track reads.  A run goes through frames with and
+without a time window alike, and holds at most ``_RUN_POINTS`` box points
+(box size times frames), which bounds a track's memory whatever its frame
+count.  Its box reaches half a stencil and ``_WINDOW_SLACK`` cells beyond
+the interpolation block (11^N points at order 4): the tracked point can
+move ``_WINDOW_SLACK`` cells before the run misses, and the run opened after
+the point left the last one holds one frame more than that one served, so
+a moving point costs few frames it never reads.  A run caches the rows of
+the last block it served, so the Newton steps at one anchor and the
+velocity at the root gather the block and test it for finite entries once
+per pass, and the Newton bookkeeping runs on Python floats.  A level track
+opens no run: it finds every crossing first (crossings read only the
+samples), then reads the jets at the points of the crossings' blocks and
+nowhere else, in one :func:`fd_jets_at` call, with one finite test and one
+matmul; the order-zero kernel runs once on the stack.  Either way a point
+is lost where its block has a non-finite gradient or Hessian entry, and
+the floats, stacks and contractions reproduce the numpy loop's operations
+and operand shapes, so no path changes an output bit.  A
+:class:`TrackResult` reports the passes, the points and the Newton
+iterations a track spent.
 
 Both level trackers take a crossing by one rule: the linear crossing in the
 cell nearest to the previous crossing where ``value - level`` changes sign.
@@ -80,12 +67,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
 from .fields import AnalyticField, Grid, SampledField, _sum_planes, canonical_time_axis
-from .findiff import DEFAULT_STENCIL, StencilSpec, _time_taps, fd_jet_stacks
+from .findiff import DEFAULT_STENCIL, StencilSpec, _time_taps, fd_jet_stacks, fd_jets_at
 from .jets import JetField, _jet_shapes
 from .velocities import AttributeSpec, _order_zero, _solve_order_one
 
@@ -106,8 +92,8 @@ NEWTON_TOL = 1e-8
 # run peaks at about 2.5 MB; at 2**15 and more the cap no longer binds on a
 # 21-frame 3-D track, whose memory then grows with its frame count.  These
 # timings were taken while level tracks still ran slack windows; level tracks
-# now plan their runs (see _WindowRun.jets_stack), which uses no slack and the same
-# point cap.  Neither value was re-tuned after that change.
+# have since stopped opening runs (see _WindowRun.jets_stack), and neither
+# value was re-tuned after that.
 _WINDOW_SLACK = 2
 _RUN_POINTS = 2**14
 
@@ -145,10 +131,12 @@ class TrackResult:
 
     The track also reports its work: ``newton_iterations[m]`` is the number
     of Newton iterations (jet evaluations) at frame ``m``, 0 on level
-    tracks, ``jet_passes`` the number of finite-difference passes
-    (:func:`fd_jet_stacks` calls) and ``jet_points`` the box points times
-    frames those passes computed, both 0 on analytic fields.  All three are
-    None on a result built without them.
+    tracks, ``jet_passes`` the number of finite-difference passes and
+    ``jet_points`` the points they computed, both 0 on analytic fields.  A
+    gradient track's passes are its runs' :func:`fd_jet_stacks` calls, and
+    its points the box points times frames; a level track's one pass is its
+    :func:`fd_jets_at` call, and its points the block points it computed.
+    All three are None on a result built without them.
     """
 
     kind: str
@@ -196,41 +184,25 @@ def _contract(weights: Array, rows: Array, shape: tuple) -> Array:
     return np.matmul(weights, rows).reshape(shape)
 
 
-def _span(a: int, b: int, n: int, reach: int, width: int) -> tuple:
-    """Index bounds ``lo, hi`` (hi exclusive) along an axis of ``n`` points: the
-    anchors ``a``..``b`` and ``reach`` cells on each side, clipped to the axis,
-    and at least ``width`` points where the axis has them.  Only an axis cut on
-    one side is widened: an uncut one holds ``2 reach + 1`` points or more, and
-    the callers' reach (half a stencil and 1, or more) makes that ``width``."""
-    start, stop = max(a - reach, 0), min(b + reach + 1, n)
-    if stop - start >= width:
-        return start, stop
-    return min(start, max(stop - width, 0)), max(stop, min(start + width, n))
-
-
-def _serves(frames: range, exact, frame: int, anchor) -> bool:
-    """Whether a run of ``frames`` whose exact zone is ``exact`` (inclusive index
-    bounds) holds ``frame`` and the 3^N block around ``anchor``."""
-    return frame in frames and all(low < a < high for a, low, high in zip(anchor, *exact))
-
-
 class _WindowRun:
-    """Frame source on sampled data: window jets of runs of frames,
-    tensor-quadratically interpolated.
+    """Frame source on sampled data: finite-difference jets of runs of frames
+    or of known points, tensor-quadratically interpolated.
 
     One run serves every frame of a track, or (:meth:`whole`) the one frame
     of a jet field on its whole grid.  It hands out :meth:`jets` at a point
     of a frame, ``timed``, :meth:`crossings` (a level ray's crossing on every
     frame, from the samples, in one sign scan) and :meth:`jets_stack` (known
-    requests' jets, stacked); a whole run scans its frame's psi and plans
-    nothing, as it holds every point of its grid.  The run owns the time windows:
+    points' jets, stacked, from one :func:`fd_jets_at` call); a whole run
+    scans its frame's psi and reads every request from its held jets, as it
+    holds every point of its grid.  The run owns the time windows:
     ``timed[f]`` says whether frame ``f`` has one (the end frames of
     shrink-to-valid have none), decided once when the run is made; a field
     with too few frames for the time stencil raises
     :class:`InsufficientFramesError` there.  Without one a frame's
     velocities stay NaN.  A run holds ``names``, its track's jet parts,
     named once when it is made (a whole run holds every part): its passes
-    compute those and nothing else, its block cache gathers those, and a
+    and its stacked read compute those and nothing else, its block cache
+    gathers those, and a
     request for another part raises ``ValueError``.  Every run holds the
     gradient and the Hessian, which the Newton loop and the finite-block
     rule read.  A run goes through frames with and without a time window
@@ -272,41 +244,34 @@ class _WindowRun:
       run frame keeps the full field's time taps and time window.
 
     A request misses when its frame is outside the run or its 3^N block
-    leaves the exact zone; the run then drops its jets and opens a new run.
-    Planned runs come first: :meth:`jets_stack` forms boxes from the known
-    requests of a level track, each the hull of the blocks of consecutive
-    requests plus ``hw`` over the frames of those requests, within
-    ``_RUN_POINTS`` box points; a miss opens the first planned box that
-    serves it.  A request no planned box serves (every Newton request) takes
-    the slack rule (:meth:`_open`): a box reaching ``_WINDOW_SLACK`` cells
+    leaves the exact zone; the run then drops its jets and opens a new run
+    by the slack rule (:meth:`_open`): a box reaching ``_WINDOW_SLACK`` cells
     beyond ``hw`` and the block, opened at the request's frame over the
     following frames.  After a position miss at frame ``f`` it holds
     ``f - start + 1`` frames, one more than the old run served before the
     point left it, so the run length follows the point's motion; the first
     run, and a run opened for a frame outside the old one, take as many
-    frames as ``_RUN_POINTS`` box points allow.  Every request passes the
-    exact-zone check whichever box serves it, so a plan can cost passes but
-    never changes a bit.  ``passes`` counts the :func:`fd_jet_stacks` calls
-    and ``points`` the box points times frames they computed.
+    frames as ``_RUN_POINTS`` box points allow.  ``passes`` counts the fd
+    passes, each :func:`fd_jet_stacks` call of a run and each
+    :func:`fd_jets_at` call of a stacked read, and ``points`` the points they
+    computed: box points times frames, and block points.
 
     A point is located once per request: :meth:`index` gives its fractional
-    grid index as Python floats, from which the anchor, the bound checks and
-    the weights follow.  Every request takes one serve step, :meth:`_holds`,
-    which a miss follows with :meth:`_open`.  A level track's requests are
-    read stacked, per run (:meth:`jets_stack`): the requests one run serves
-    take one gather of their blocks from the run's ``(K, *box, ...)`` stacks
-    (those of the :func:`fd_jet_stacks` pass, or of a whole run's one
-    frame), one finite test of their gradient and Hessian blocks and one
-    matmul of the stacked weights.  Newton's reads go point by point,
+    grid index as Python floats (a stacked read takes the same operations
+    elementwise), from which the anchor, the bound checks and the weights
+    follow.  A level track's points are read stacked (:meth:`jets_stack`)
+    and open no run.  Newton's reads go point by point,
     through a block cache: the first :meth:`jets` request for a frame and an
-    anchor in a pass gathers the block's rows from the same stacks and
-    decides once whether its gradient and Hessian rows are finite; later
-    requests for that block in the same pass read the copies, so the Newton
-    steps at one anchor and the velocity at the root gather and check the
-    block once.  The cache holds one block, keyed on ``passes``, the frame
-    and the anchor, so a reopened run never serves the old pass's rows; it
-    holds copies, so an old run's jets are freed when a new run opens; and
-    a non-finite block is not kept, so every request for it fails.  Every
+    anchor in a pass takes one serve step, :meth:`_holds` (a miss follows it
+    with :meth:`_open`), gathers the block's rows from the run's
+    ``(K, *box, ...)`` stacks and decides once whether its gradient and
+    Hessian rows are finite; later requests for that block in the same pass
+    read the copies, so the Newton steps at one anchor and the velocity at
+    the root gather and check the block once.  The cache holds one block,
+    keyed on ``passes``, the frame and the anchor, so a reopened run never
+    serves the old pass's rows; it holds copies, so an old run's jets are
+    freed when a new run opens; and a non-finite block is not kept,
+    so every request for it fails.  Every
     contraction keeps the operand shapes np.tensordot would build, so the
     bits do not depend on the cache.
     """
@@ -398,80 +363,49 @@ class _WindowRun:
         """Whether the fractional index ``fid`` lies on the grid, faces included."""
         return all(0.0 <= f <= n - 1 for f, n in zip(fid, self.grid.shape))
 
-    def jets_stack(self, requests: list, names) -> tuple:
-        """The jet arrays ``names`` of every request, stacked ``(R, ...)`` in the
-        requests' order, and the ``(R,)`` mask of the requests served.
-
-        ``requests`` are ``(frame, anchor, ray, point, fid)`` tuples listed ray by
-        ray.  A request reads what :meth:`jets` reads at ``point``, bit for bit,
-        or NaN and False where :meth:`jets` raises AttributeLostError; ``names``
-        must be parts the run holds (``ValueError`` before any pass).
-
-        The runs are planned around the known blocks (:meth:`_planned_boxes`):
-        a run sequence per ray, in the requests' order, and one sequence shared
-        by all rays, frame by frame (a stable sort: rays keep their order within
-        a frame).  The plan with fewer passes wins, then the one with fewer box
-        points; a whole run plans nothing.  The requests are served in the
-        winner's order, request by request (:meth:`_holds`): a miss opens the
-        first planned box that serves it (the boxes before it are spent), else
-        a box of the slack rule (:meth:`_open`), and the requests one run serves
-        are read by :meth:`_read` before the next run opens.
-        """
+    def jets_stack(self, frames: Array, points: Array, names) -> tuple:
+        """The jet arrays ``names`` at the ``(R, N)`` ``points`` of the ``(R,)``
+        ``frames``, stacked ``(R, ...)``, and the ``(R,)`` mask of the points
+        served: what :meth:`jets` reads at each, bit for bit, or NaN and False
+        where it raises AttributeLostError.  ``names`` must be parts the run
+        holds (``ValueError`` before any pass).  The points are located as
+        :meth:`index` and :meth:`anchor` locate one, elementwise; one
+        :func:`fd_jets_at` call (one pass; a whole run gathers from its stacks
+        instead) computes the parts at their 3^N blocks' points on the grid,
+        then one finite test of the gradient and Hessian rows and one
+        :func:`_contract` of the stacked :func:`_tensor_weights` rows follow."""
         if not set(names) <= set(self.names):
             raise self._not_held(names)
-        shapes = _jet_shapes((len(requests),), self.grid.dim)
-        parts = [np.full(shapes[name], np.nan) for name in names]
-        ok = np.zeros(len(requests), dtype=bool)
-        boxes, order = [], range(len(requests))
-        if self.field is not None:  # a whole run never misses
-            rays = [self._planned_boxes(ray) for _, ray in groupby(requests, lambda r: r[2])]
-            shared = sorted(order, key=lambda i: requests[i][0])
-            plans = [(sum(rays, []), order),
-                     (self._planned_boxes([requests[i] for i in shared]), shared)]
-            boxes, order = min(plans, key=lambda p: (len(p[0]),
-                                                     sum(self._points(*box) for box in p[0])))
-        batch = []  # (index, frame, anchor, fid) of the requests the open run serves
-        for i in order:
-            frame, anchor, _, _, fid = requests[i]
-            if not self._on_grid(fid):
-                continue
-            if not self._holds(frame, anchor):
-                self._read(batch, names, parts, ok)  # the old run's jets go on opening
-                batch = []
-                spent = next((k for k, (frames, lo, hi) in enumerate(boxes)
-                              if _serves(frames, self._zone(lo, hi), frame, anchor)), None)
-                if spent is None:
-                    self._open(frame, anchor)
-                else:
-                    self._compute(*boxes[spent])
-                    del boxes[: spent + 1]
-            batch.append((i, frame, anchor, fid))
-        self._read(batch, names, parts, ok)
-        return parts, ok
-
-    def _read(self, batch: list, names, parts: list, ok: Array) -> None:
-        """Write the ``names`` parts and the mask of the ``batch`` requests, all held
-        by the open run, into ``parts`` and ``ok``: one gather of their 3^N blocks
-        from the run's stacks (the rows :func:`_gather` copies, request by
-        request), one finite test of the gradient and Hessian blocks and one
-        :func:`_contract` of the stacked :func:`_tensor_weights` rows."""
-        if not batch:
-            return
-        index, frames, anchors, fids = zip(*batch)
-        n, anchors = self.grid.dim, np.array(anchors)
-        corners = anchors - np.add(self.lo, 1)  # of the blocks, in the box
-        offsets = np.indices((3,) * n).reshape(n, -1)  # a block's points in C order
-        block = ((np.array(frames) - self.frames.start)[:, None],
-                 *[corners[:, a, None] + offsets[a] for a in range(n)])
-        rows = {name: self.stacks[name][block].reshape(len(batch), 3**n, -1)
-                for name in {"grad", "hessian", *names}}
+        n, shape = self.grid.dim, np.array(self.grid.shape)
+        parts = [np.full(_jet_shapes((len(frames),), n)[name], np.nan) for name in names]
+        ok = np.zeros(len(frames), dtype=bool)
+        fids = (points - self.grid.origin) / self.spacing
+        served = np.flatnonzero(((fids >= 0.0) & (fids <= shape - 1)).all(axis=1))
+        if not served.size:
+            return parts, ok
+        fids = fids[served]
+        anchors = np.clip(np.rint(fids), 1, shape - 2).astype(int)
+        offsets = np.indices((3,) * n).reshape(n, -1).T - 1  # a block's points in C order
+        frames = np.repeat(frames[served], 3**n)
+        points = (anchors[:, None] + offsets).reshape(-1, n)
+        held = {"grad", "hessian", *names}
+        if self.field is None:  # a whole run: its one frame's stacks
+            jets = {name: self.stacks[name][(frames, *points.T)] for name in held}
+        else:
+            jets = fd_jets_at(self.field, frames, points, self._spec, held)
+            self.passes += 1
+            self.points += len(points)
+        # C-ordered (3^N, k) rows a point, as the block cache gathers them
+        rows = {name: np.ascontiguousarray(jets[name]).reshape(len(served), 3**n, -1)
+                for name in held}
         good = np.isfinite(rows["grad"]).all(axis=(1, 2))
         good &= np.isfinite(rows["hessian"]).all(axis=(1, 2))
-        weights = np.stack(_tensor_weights(np.array(fids).T, anchors.T), axis=-1)[:, None]
-        served = np.array(index)[good]
+        weights = np.stack(_tensor_weights(fids.T, anchors.T), axis=-1)[:, None]
         for part, name in zip(parts, names):
-            part[served] = _contract(weights, rows[name], (len(batch), *part.shape[1:]))[good]
-        ok[list(index)] = good
+            value = _contract(weights, rows[name], (len(served),) + part.shape[1:])
+            part[served[good]] = value[good]
+        ok[served] = good
+        return parts, ok
 
     def crossings(self, point, axis: int, level: float, near: float) -> list:
         """The crossing of ``level`` on every frame's grid line through ``point``
@@ -494,84 +428,46 @@ class _WindowRun:
             found.append(near)
         return found
 
-    def _planned_boxes(self, visits) -> list:
-        """The ``(frames, lo, hi)`` runs of ``visits`` in their order: each box is
-        the hull of the 3^N blocks of consecutive visits plus half a stencil,
-        over the frames of those visits, while its points times frames stay
-        within ``_RUN_POINTS`` (a lone visit's box may exceed it).
-
-        A group's box size is worked out on the running hull, axis by axis, by
-        the :func:`_span` rule :meth:`_box` bounds it with; its bounds are formed
-        once, when the group is done."""
-        reach, width, shape = 1 + self._spec.half_width, self._spec.order + 2, self.field.grid.shape
-        groups = []  # (first and last frame, low and high corner of the anchors)
-        for frame, anchor, *_ in visits:
-            if groups:
-                first, last, low, high = groups[-1]
-                first, last = min(first, frame), max(last, frame)
-                low, high = tuple(map(min, low, anchor)), tuple(map(max, high, anchor))
-                points = last - first + 1
-                for a, b, n in zip(low, high, shape):
-                    lo, hi = _span(a, b, n, reach, width)
-                    points *= hi - lo
-                if points <= _RUN_POINTS:
-                    groups[-1] = first, last, low, high
-                    continue
-            groups.append((frame, frame, anchor, anchor))
-        return [(range(first, last + 1), *self._box(low, high, 0))
-                for first, last, low, high in groups]
-
-    @staticmethod
-    def _points(frames: range, lo, hi) -> int:
-        return len(frames) * math.prod(b - a for a, b in zip(lo, hi))
-
-    def _box(self, low, high, slack: int) -> tuple:
-        """Index bounds ``lo, hi`` (hi exclusive) of the box reaching half a stencil
-        and ``slack`` cells beyond the blocks around the anchors ``low``..``high``
-        (N ints each), clipped to the grid.  Along an axis cut on one side only
-        it holds at least ``spec.order + 2`` points, the widest one-sided stencil,
-        so that every one-sided stencil of its edges exists."""
-        reach, width = 1 + self._spec.half_width + slack, self._spec.order + 2
-        shape = self.field.grid.shape
-        lo, hi = zip(*[_span(a, b, n, reach, width) for a, b, n in zip(low, high, shape)])
-        return lo, hi
-
-    def _zone(self, lo, hi) -> tuple:
-        """Inclusive index bounds of the exact zone of the box ``lo``..``hi``."""
-        reach, shape = self._spec.half_width, self.field.grid.shape
-        return (tuple(a + reach if a > 0 else 0 for a in lo),
-                tuple(b - 1 - reach if b < n else n - 1 for b, n in zip(hi, shape)))
-
     def _holds(self, frame: int, anchor) -> bool:
-        """Whether the open run serves ``frame`` and the block around ``anchor``:
-        the step a stacked request or a block-cache fill takes before a miss."""
-        return _serves(self.frames, self._exact, frame, anchor)
+        """Whether the open run serves ``frame`` and the block around ``anchor``
+        (inside the exact zone): the step a block-cache fill takes before a miss."""
+        return frame in self.frames and all(low < a < high
+                                            for a, low, high in zip(anchor, *self._exact))
 
     def _open(self, frame: int, anchor) -> None:
-        """Open the run of a missed request by the slack rule: after a position
-        miss, one frame more than the run served."""
-        count = frame - self.frames.start + 1 if frame in self.frames else None
-        lo, hi = self._box(anchor, anchor, _WINDOW_SLACK)
-        cap = max(1, _RUN_POINTS // self._points(range(1), lo, hi))
-        frames = range(frame, min(frame + (cap if count is None else min(count, cap)),
-                                  self.field.frames))
-        self._compute(frames, lo, hi)
-
-    def _compute(self, frames: range, lo, hi) -> None:
-        """Make the run of ``frames`` on the box ``lo``..``hi``: one fd pass."""
-        self.stacks = {}  # free the old run before the new one is allocated: never both at once
+        """Open the run of a missed request by the slack rule and make it: one fd
+        pass.  The box reaches half a stencil and ``_WINDOW_SLACK`` cells beyond
+        the block around ``anchor``, clipped to the grid; along an axis cut on
+        one side only it holds at least ``spec.order + 2`` points, the widest
+        one-sided stencil, so that every one-sided stencil of its edges exists.
+        After a position miss it holds one frame more than the run served."""
         field, spec = self.field, self._spec
+        hw, shape = spec.half_width, field.grid.shape
+        reach, width = 1 + hw + _WINDOW_SLACK, spec.order + 2
+        lo, hi = [], []
+        for a, n in zip(anchor, shape):
+            start, stop = max(a - reach, 0), min(a + reach + 1, n)
+            if stop - start < width:  # an uncut axis holds 2 reach + 1 >= width points
+                start, stop = min(start, max(stop - width, 0)), max(stop, min(start + width, n))
+            lo.append(start)
+            hi.append(stop)
+        size = math.prod(b - a for a, b in zip(lo, hi))
+        count = frame - self.frames.start + 1 if frame in self.frames else None
+        cap = max(1, _RUN_POINTS // size)
+        frames = range(frame, min(frame + (cap if count is None else min(count, cap)),
+                                  field.frames))
+        self.stacks = {}  # free the old run before the new one is allocated: never both at once
         # the run's frames +- order, at least min_frames of them: every run
         # frame keeps its time taps and time window (see the class docstring)
         first, stop = max(frames.start - spec.order, 0), min(frames.stop + spec.order, field.frames)
         sub = field._window(range(first, stop), lo, hi)
-        frames_in_sub = range(frames.start - first, frames.stop - first)
-        self.stacks = fd_jet_stacks(sub, frames_in_sub, spec, self.names)
+        self.stacks = fd_jet_stacks(sub, range(frames.start - first, frames.stop - first), spec,
+                                    self.names)
         self.passes += 1
-        self.points += self._points(frames, lo, hi)
-        self.frames = frames
-        self.lo = lo
-        self._exact = self._zone(lo, hi)
+        self.points += len(frames) * size
+        self.frames, self.lo = frames, tuple(lo)
+        self._exact = (tuple(a + hw if a > 0 else 0 for a in lo),  # the box less hw at cut faces
+                       tuple(b - 1 - hw if b < n else n - 1 for b, n in zip(hi, shape)))
 
 
 class _ExactJets:
@@ -603,11 +499,11 @@ class _ExactJets:
     def anchor(self, fid, locked=None):
         return self._ANCHOR
 
-    def jets_stack(self, requests: list, names) -> tuple:
-        """The :meth:`jets` of every request (see :meth:`_WindowRun.jets_stack`),
-        stacked; every request is served."""
-        parts = zip(*[self.jets(frame, point, names) for frame, _, _, point, _ in requests])
-        return [np.array(part) for part in parts], np.ones(len(requests), dtype=bool)
+    def jets_stack(self, frames: Array, points: Array, names) -> tuple:
+        """The :meth:`jets` at every point (see :meth:`_WindowRun.jets_stack`),
+        stacked; every point is served."""
+        parts = zip(*[self.jets(frame, point, names) for frame, point in zip(frames, points)])
+        return [np.array(part) for part in parts], np.ones(len(frames), dtype=bool)
 
     def jets(self, frame: int, x, names, anchor=None, fid=None) -> list:
         """The :class:`Jet2` attributes ``names`` of the exact jet at ``x``."""
@@ -829,25 +725,22 @@ def _track_level(source, seed: Array, level: float, positions: Array,
 
     Every crossing is found first: crossings read the samples (or the field),
     never the jets.  The jets at the crossings of the timed frames are read
-    after, around known anchors, in one stacked read (a window run plans its
-    runs around them).
+    after, ray by ray, in one stacked read (on a sampled field, one
+    :func:`fd_jets_at` call at the points of their blocks).
     """
     n = seed.size
-    requests = []  # (frame, anchor, axis, point, fid) of the timed crossings, ray by ray
     for axis in range(n):
         positions[:, axis] = source.crossings(seed, axis, level, seed[axis])
-        for frame in range(len(positions)):
-            if source.timed[frame]:
-                point = seed.copy()
-                point[axis] = positions[frame, axis]
-                fid = source.index(point)
-                requests.append((frame, source.anchor(fid), axis, point, fid))
-    frames, axes = [r[0] for r in requests], [r[2] for r in requests]
+    # the timed crossings, ray by ray: the seed with its axis coordinate moved
+    frames = np.tile(np.flatnonzero(source.timed), n)
+    axes, rows = np.repeat(np.arange(n), len(frames) // n), np.arange(len(frames))
+    points = np.tile(seed, (len(frames), 1))
+    points[rows, axes] = positions[frames, axes]
     # time rows hold +-inf where |psi| / dt overflowed: a quiet NaN or inf
     with np.errstate(invalid="ignore", over="ignore"):
-        (grad, psi_t), ok = source.jets_stack(requests, ("grad", "dpsi_dt"))
+        (grad, psi_t), ok = source.jets_stack(frames, points, ("grad", "dpsi_dt"))
         # no valid jet block at a crossing (not ok): its speed is NaN
-        speed = n * _order_zero(grad, psi_t, ok)[1][range(len(requests)), axes]
+        speed = n * _order_zero(grad, psi_t, ok)[1][rows, axes]
     computed[frames, axes] = np.where(np.isfinite(speed), speed, np.nan)
 
 

@@ -401,6 +401,95 @@ class TestFdJetFields:
         assert set(empty) == {"psi", "grad", "valid"} and empty["grad"].shape[0] == 0
 
 
+
+class TestFdJetsAt:
+    """The stacked pointwise kernel: fd_jet2_at's stencil sums at a stack of
+    (frame, grid index) points, bit for bit the grid pass's entries."""
+
+    SHAPES = TestFdJetFields.SHAPES
+    PARTS = ("dpsi_dt", "grad", "hessian", "time_mixed")
+    LEVEL = ("grad", "hessian", "dpsi_dt")  # what a level track reads
+
+    @staticmethod
+    def _field(n, shape, overflow=False):
+        values = np.random.default_rng(n).standard_normal((9,) + shape)
+        values[4, (0,) * n] = -0.0  # signed zeros sum from +0.0 on both paths
+        if overflow:  # finite samples whose stencil sums overflow near them
+            values[(slice(None),) + (slice(0, 2),) * n] = 1e308
+        return wv.SampledField(wv.make_grid(n, shape, (0.2, 0.15, 0.25, 0.1)[:n], -0.3), 0.1,
+                               0.03, values)
+
+    @pytest.mark.parametrize("overflow", (False, True))
+    @pytest.mark.parametrize("boundary", ("one-sided", "shrink-to-valid"))
+    @pytest.mark.parametrize("order", (2, 4))
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_stack_equals_grid_pass_at_every_point(self, n, order, boundary, overflow):
+        # every point of every frame (the end frames take one-sided time taps or
+        # have no time window), shuffled, some of them twice
+        shape = self.SHAPES[n]
+        sf = self._field(n, shape, overflow)
+        spec = wv.StencilSpec(order, boundary)
+        rng = np.random.default_rng(10 * n + order)
+        points = np.array([(f, *idx) for f in range(9) for idx in np.ndindex(shape)])
+        order_ = rng.permutation(len(points))
+        points = points[np.concatenate((order_, order_[: len(points) // 5]))]
+        at = tuple(points.T)
+        for names in ((), ("time_mixed",), self.LEVEL, self.PARTS):
+            want = wv.fd_jet_stacks(sf, range(9), spec, names)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)  # an overflow is quiet
+                got = wv.fd_jets_at(sf, points[:, 0], points[:, 1:], spec, names)
+            assert set(got) == {"psi", "valid", *names}
+            for name in ("psi", *names):
+                assert got[name].shape == (len(points),) + want[name].shape[1 + n:]
+                assert got[name].flags.c_contiguous
+                assert np.array_equal(got[name].view(np.uint64), want[name][at].view(np.uint64))
+            assert np.array_equal(got["valid"], want["valid"][at])
+        if overflow:
+            assert not got["valid"].all() and not np.isfinite(want["hessian"]).all()
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_empty_stack(self, n):
+        sf = self._field(n, self.SHAPES[n])
+        got = wv.fd_jets_at(sf, np.empty(0, dtype=int), np.empty((0, n), dtype=int),
+                            names=self.LEVEL)
+        assert set(got) == {"psi", "valid", *self.LEVEL}
+        assert got["grad"].shape == (0, n) and got["hessian"].shape == (0, n, n)
+        assert got["psi"].shape == got["dpsi_dt"].shape == got["valid"].shape == (0,)
+
+    def test_bad_requests(self):
+        sf = self._field(2, self.SHAPES[2])
+        frames, indices = np.array([4, 5]), np.array([[3, 3], [4, 6]])
+        with pytest.raises(ValueError, match=r"unknown jet parts \['gradient'\]"):
+            wv.fd_jets_at(sf, frames, indices, names=("gradient",))
+        with pytest.raises(ValueError, match=r"indices \(R, 2\)"):
+            wv.fd_jets_at(sf, frames, indices[:, :1])
+        for bad_frames, bad_indices in (([4, 9], indices), (frames, [[3, 3], [4, 13]]),
+                                        (frames, [[-1, 3], [4, 6]])):
+            with pytest.raises(IndexError, match="out of range"):
+                wv.fd_jets_at(sf, bad_frames, bad_indices)
+        with pytest.raises(wv.InsufficientFramesError):
+            wv.fd_jets_at(wv.SampledField(sf.grid, 0.0, 0.1, sf.values[:3]), [1], [[3, 3]],
+                          names=("grad",))
+
+    def test_computes_only_the_requested_parts(self, monkeypatch):
+        # interior points of one frame share their taps: one sum an entry, the
+        # mixed entries' inner sums at once (one nested call each)
+        sf = self._field(2, self.SHAPES[2])
+        calls = []
+        apply_taps = findiff._apply_taps_pointwise
+        monkeypatch.setattr(findiff, "_apply_taps_pointwise",
+                            lambda *args: calls.append(args[2]) or apply_taps(*args))
+        frames, indices = np.full(5, 4), np.array([(k + 2, k + 3) for k in range(5)])
+        st, s0, s1 = (stride // 8 for stride in sf.values.strides)
+        for names, strides in ((("grad",), [s0, s1]), (("dpsi_dt",), [st]),
+                               (self.LEVEL, [s0, s1, s0, s1, s0, s1, st]),
+                               (("time_mixed",), [s0, st, s1, st])):
+            calls.clear()
+            wv.fd_jets_at(sf, frames, indices, names=names)
+            assert sorted(calls) == sorted(strides)
+
+
 CONVERGENCE_CASES = [
     ("plane-wave", wv.PlaneWave((2.0, 1.0), 3.0), (-1.6, 1.6)),
     ("translating-gaussian", wv.TranslatingGaussian((0.7, 0.3), 1.0), (-1.6, 1.6)),

@@ -286,15 +286,22 @@ def test_sampled_tracks_do_not_depend_on_layout(n, shape, h, monkeypatch):
     seeds = {peak: tuple(k // 2 for k in shape),
              level: tuple(np.rint(grid.index_of(on_level)).astype(int))}
     got = {attr: wv.track_attribute(sampled, attr, seed) for attr, seed in seeds.items()}
-    fd_jet_stacks = wv.tracking.fd_jet_stacks
+    fd_jet_stacks, fd_jets_at = wv.tracking.fd_jet_stacks, wv.tracking.fd_jets_at
     passes = []
 
     def relaid_jet_stacks(*args):
-        # the stacks every track gathers from, C-ordered component-last
+        # the stacks a gradient track gathers from, C-ordered component-last
         passes.append(args[1])
         return {name: np.ascontiguousarray(stack) for name, stack in fd_jet_stacks(*args).items()}
 
+    def relaid_jets_at(*args):
+        # the point stacks a level track contracts, component planes first
+        passes.append(args[1])
+        return {name: np.moveaxis(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), -1, 0)
+                for name, stack in fd_jets_at(*args).items()}
+
     monkeypatch.setattr(wv.tracking, "fd_jet_stacks", relaid_jet_stacks)
+    monkeypatch.setattr(wv.tracking, "fd_jets_at", relaid_jets_at)
     for attr, seed in seeds.items():
         passes.clear()
         want = wv.track_attribute(sampled, attr, seed)

@@ -640,56 +640,65 @@ class TestWindowRuns:
         runs.clear()
         wv.find_critical_point(wv.fd_jet_field(sf, 10), seed, PEAK)
         assert runs == []  # a whole jet field needs no pass
+        reads = []
+        fd_jets_at = tracking.fd_jets_at
+        monkeypatch.setattr(tracking, "fd_jets_at",
+                            lambda *args: reads.append(args[2]) or fd_jets_at(*args))
         on_level = wv.AttributeSpec.level_set(float(sf.values[0][44, 40]))
         level = wv.track_attribute(sf, on_level, (44, 40))
-        assert not level.newton_iterations.any() and level.jet_passes == len(runs) >= 1
+        # a level track's one pass is its stacked read of the crossings' blocks
+        assert not level.newton_iterations.any() and level.jet_passes == len(reads) == 1
+        assert runs == [] and level.jet_points == len(reads[0]) == 9 * 2 * 17
         analytic = wv.track_attribute(wv.TranslatingGaussian((0.7, 0.0), 3.0), PEAK,
                                       (0.0, 0.0), times=sf.times)
         assert analytic.jet_passes == 0 and np.all(analytic.newton_iterations >= 1)
 
-    def test_runs_follow_the_motion(self, monkeypatch):
-        # a 2-D level crossing moving about 0.7 cells a frame: runs planned
-        # around the known crossings take 1 pass of 6069 points for 34 reads,
-        # where runs sized by the frames the last run served took 9 passes of
-        # 9559 points (67 frames) and runs of as many frames as the point cap
-        # allows 92 frames
+    def test_level_track_computes_only_its_blocks(self, monkeypatch):
+        # a 2-D level crossing moving about 0.7 cells a frame: the 34 timed
+        # crossings' 3^2 blocks, 306 points, are all the track computes; the
+        # planned window runs around them computed 6069 box points in one
+        # pass, and runs sized by the frames the last run served 9559 in 9
         grid = wv.make_grid(2, (64, 64), 0.02, -0.63)
         bump = wv.TranslatingGaussian((0.5, 0.4), 0.4)
         field = wv.sample(bump, grid, 0.02 * np.arange(21))
         direction = np.array((1.0, 1.25)) / np.linalg.norm((1.0, 1.25))
         seed = tuple(np.rint(grid.index_of(0.4 * np.sqrt(np.log(2.0)) * direction)).astype(int))
         runs, reads = _recording(monkeypatch)
-        res = wv.track_attribute(field, wv.AttributeSpec.level_set(0.5), seed)
+        target = wv.AttributeSpec.level_set(0.5)
+        res = wv.track_attribute(field, target, seed)
         assert res.deviation <= 0.01  # a real track
         moves = np.abs(np.diff(res.positions, axis=0)) / 0.02
         assert 0.5 <= moves.mean() <= 0.9
-        assert len(reads) == 34
-        assert sum(len(frames) for _, frames in runs) <= 2.5 * len(reads)
-        assert res.jet_passes == len(runs) == 1
-        assert res.jet_points == sum(sub.grid.npoints * len(frames) for sub, frames in runs) == 6069
-        _without_plan(monkeypatch)
-        slack = wv.track_attribute(field, wv.AttributeSpec.level_set(0.5), seed)
-        assert (slack.jet_passes, slack.jet_points) == (9, 9559)
-        _assert_same_track(res, slack)
+        (frames, indices), = reads
+        assert runs == [] and len(frames) == len(indices) == 34 * 9
+        assert (res.jet_passes, res.jet_points) == (1, 306)
+        positions, computed, deviation = _reference_track(field, target, seed, wv.StencilSpec())
+        assert np.array_equal(res.positions, positions)
+        assert np.array_equal(res.computed_velocity, computed, equal_nan=True)
+        assert res.deviation == deviation
 
     def test_run_memory_does_not_grow_with_frames(self):
-        # 3-D 40^3 level track: a run holds at most _RUN_POINTS box points, so
-        # the traced peak stays below the cap's jets at any frame count: 2.2,
-        # 2.6 and 2.7 MB at 21, 41 and 81 frames, of 2.8 MB.  At 21 frames one
-        # planned run of 13770 points serves the track, below the cap; at 41
-        # and 81 the cap binds.  One window per frame peaked at 29.1 MB at 21
-        # frames and 63.3 MB at 41
+        # 3-D 40^3 peak track: a run holds at most _RUN_POINTS box points, so
+        # the traced peak stays below the cap's jets at any frame count: 2.3,
+        # 2.4 and 2.4 MB at 21, 41 and 81 frames, of 2.8 MB.  One window per
+        # frame peaked at 29.1 MB at 21 frames and 63.3 MB at 41.  A level
+        # track opens no run: its one stacked read holds its blocks' jets,
+        # 0.9, 2.0 and 4.2 MB, about a tenth of the field's samples
         n = 3
         jet_bytes = 8 * (2 + 2 * n + n * n) + 1  # one point's jets and validity
-        peaks = []
+        peaks, level_peaks = [], []
         for frames in (21, 41, 81):
             field, target, seed = _memory_track(frames)
-            tracemalloc.start()
-            try:
-                wv.track_attribute(field, target, seed)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            top = np.unravel_index(np.argmax(field.values[0]), field.grid.shape)
+            for attr, at, out in ((wv.AttributeSpec.gradient_set((0.0,) * n), top, peaks),
+                                  (target, seed, level_peaks)):
+                tracemalloc.start()
+                try:
+                    wv.track_attribute(field, attr, at)
+                    out.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert level_peaks[-1] <= 0.15 * field.values.nbytes
             del field
         assert peaks[2] <= 1.05 * peaks[1]
         assert max(peaks) <= 1.25 * tracking._RUN_POINTS * jet_bytes
@@ -886,35 +895,15 @@ def _centre_seeded_track(dim):
 
 
 def _recording(monkeypatch):
-    """Record the ``(sub-field, frames)`` of every fd pass and the frame of
-    every block read from a run's jets: each request's serve step
-    (``_WindowRun._holds``), which per-point and stacked reads take alike."""
+    """Record the ``(sub-field, frames)`` of every window pass and the
+    ``(frames, indices)`` of every stacked read's kernel call."""
     runs, reads = [], []
-    fd_jet_stacks, holds = tracking.fd_jet_stacks, _WindowRun._holds
+    fd_jet_stacks, fd_jets_at = tracking.fd_jet_stacks, tracking.fd_jets_at
     monkeypatch.setattr(tracking, "fd_jet_stacks",
                         lambda *args: runs.append(args[:2]) or fd_jet_stacks(*args))
-    monkeypatch.setattr(_WindowRun, "_holds",
-                        lambda run, frame, *args: reads.append(frame) or holds(run, frame, *args))
+    monkeypatch.setattr(tracking, "fd_jets_at",
+                        lambda *args: reads.append(args[1:3]) or fd_jets_at(*args))
     return runs, reads
-
-
-def _without_plan(monkeypatch):
-    """Serve every request by the slack rule, in ray order: both plans take no
-    box, and the ray-by-ray one wins the tie."""
-    monkeypatch.setattr(_WindowRun, "_planned_boxes", lambda run, visits: [])
-
-
-def _serving(monkeypatch):
-    """Record the order stacked reads serve their requests in (the indices of
-    every ``_WindowRun._read`` batch) and the ``(frames, lo, hi)`` of every run
-    opened."""
-    served, boxes = [], []
-    read, compute = _WindowRun._read, _WindowRun._compute
-    monkeypatch.setattr(_WindowRun, "_read", lambda run, batch, *args:
-                        served.extend(i for i, *_ in batch) or read(run, batch, *args))
-    monkeypatch.setattr(_WindowRun, "_compute",
-                        lambda run, *box: boxes.append(box) or compute(run, *box))
-    return served, boxes
 
 
 def _assert_same_track(got, want):
@@ -942,9 +931,9 @@ class TestWindowedTracksUnchanged:
     @pytest.mark.parametrize("boundary", BOUNDARIES)
     @pytest.mark.parametrize("order", (2, 4))
     @pytest.mark.parametrize("dim", (2, 3))
-    def test_planned_runs_keep_every_bit(self, dim, order, boundary, monkeypatch):
-        # crossings far apart: a box over all of a frame's crossings holds one
-        # or two frames, so the ray-by-ray plan wins, with at most one pass a ray
+    def test_far_crossings_keep_every_bit(self, dim, order, boundary, monkeypatch):
+        # crossings far apart: one stacked read serves every ray, its blocks
+        # stacked ray by ray, and no window opens
         field, target, seed = _centre_seeded_track(dim)
         spec = wv.StencilSpec(order, boundary)
         runs, reads = _recording(monkeypatch)
@@ -953,36 +942,31 @@ class TestWindowedTracksUnchanged:
         assert np.array_equal(res.positions, positions)
         assert np.array_equal(res.computed_velocity, computed, equal_nan=True)
         assert res.deviation == deviation <= 0.1
-        assert any(b < a for a, b in zip(reads, reads[1:]))  # frames restart at each ray
-        assert res.jet_passes == len(runs) <= dim
-        assert all(sub.grid.npoints * len(frames) <= tracking._RUN_POINTS for sub, frames in runs)
-        _without_plan(monkeypatch)
-        slack = wv.track_attribute(field, target, seed, spec=spec)
-        _assert_same_track(res, slack)
-        assert res.jet_points < slack.jet_points
+        (frames, indices), = reads
+        assert any(b < a for a, b in zip(frames, frames[1:]))  # frames restart at each ray
+        assert runs == [] and res.jet_passes == 1 and res.jet_points == len(indices)
 
-    def test_close_crossings_share_runs(self, monkeypatch):
-        # 3-D, 41 frames, crossings a few cells apart: runs shared by all rays,
-        # frame by frame, take fewer passes than runs ray by ray
+    def test_close_crossings_read_in_one_call(self, monkeypatch):
+        # 3-D, 41 frames, crossings a few cells apart: one stacked read, no window
         field, target, seed = _memory_track(41)
         runs, reads = _recording(monkeypatch)
         res = wv.track_attribute(field, target, seed)
-        assert reads == sorted(reads) and len(reads) > len(set(reads))  # frame by frame
-        assert res.jet_passes == len(runs) == 3
-        assert all(sub.grid.npoints * len(frames) <= tracking._RUN_POINTS for sub, frames in runs)
-        _without_plan(monkeypatch)
-        _assert_same_track(res, wv.track_attribute(field, target, seed))
+        assert runs == [] and len(reads) == res.jet_passes == 1
+        assert res.jet_points == 3 * 37 * 27  # three rays, frames 2..38, 3^3 blocks
+        positions, computed, deviation = _reference_track(field, target, seed, wv.StencilSpec())
+        assert np.array_equal(res.positions, positions)
+        assert np.array_equal(res.computed_velocity, computed, equal_nan=True)
+        assert res.deviation == deviation
 
-    def test_one_sided_box_at_a_grid_face(self, monkeypatch):
+    def test_one_sided_blocks_at_a_grid_face(self, monkeypatch):
         # the seed's row is one cell from a grid face, so every block of the
-        # axis-1 ray sits at that face; its runs (one per ray: the crossings are
-        # far apart) hold the order + 2 points an order-4 one-sided stencil at
-        # the box's cut face needs
+        # axis-1 ray sits at that face and its points take one-sided taps there
         field, target, _ = _centre_seeded_track(2)
         seed, spec = (1, 5), wv.StencilSpec(4, "one-sided")
-        runs, _ = _recording(monkeypatch)
+        runs, reads = _recording(monkeypatch)
         res = wv.track_attribute(field, target, seed, spec=spec)
-        assert min(sub.grid.shape[0] for sub, _ in runs) == spec.order + 2
+        (_, indices), = reads
+        assert runs == [] and indices[:, 0].min() == 0  # the face row itself
         positions, computed, deviation = _reference_track(field, target, seed, spec)
         assert np.array_equal(res.positions, positions)
         assert np.array_equal(res.computed_velocity, computed, equal_nan=True)
@@ -996,27 +980,28 @@ class TestWindowedTracksUnchanged:
         values = field.values.copy()
         values[6, seed[0], :] = 1.0  # frame 6 of the axis-1 ray stays above the level
         lost = wv.SampledField(field.grid, field.t0, field.dt, values)
-        runs, _ = _recording(monkeypatch)
+        runs, reads = _recording(monkeypatch)
         with pytest.raises(AttributeLostError, match=r"^no crossing of level 0.5 on the ray$"):
             wv.track_attribute(lost, target, seed)
-        assert runs == []
+        assert runs == reads == []
 
     @pytest.mark.parametrize("kind", ("gradient", "level"))
     @pytest.mark.parametrize("dim", (2, 3))
     def test_runs_compute_only_their_tracks_parts(self, dim, kind, monkeypatch):
-        # a level track's passes run no mixed time rows and a gradient track's
-        # return no time derivative; either track equals one whose passes compute
-        # every part, bit for bit
+        # a level track's stacked read computes no mixed time rows and a gradient
+        # track's passes no time derivative; either track equals one whose passes
+        # compute every part, bit for bit
         field, target, seed = _moving_bump_track(dim, kind)
-        requested, fd_jet_stacks = [], tracking.fd_jet_stacks
-        monkeypatch.setattr(tracking, "fd_jet_stacks",
-                            lambda *args: requested.append(args[3]) or fd_jet_stacks(*args))
+        requested, passes = [], {"gradient": "fd_jet_stacks", "level": "fd_jets_at"}[kind]
+        fd_pass, names_at = getattr(tracking, passes), {"gradient": 3, "level": 4}[kind]
+        monkeypatch.setattr(tracking, passes,
+                            lambda *args: requested.append(args[names_at]) or fd_pass(*args))
         res = wv.track_attribute(field, target, seed)
         skipped = "time_mixed" if kind == "level" else "dpsi_dt"
         assert len(requested) == res.jet_passes >= 1
         assert all(skipped not in names and {"grad", "hessian"} <= set(names)
                    for names in requested)
-        monkeypatch.setattr(tracking, "fd_jet_stacks", lambda *args: fd_jet_stacks(*args[:3]))
+        monkeypatch.setattr(tracking, passes, lambda *args: fd_pass(*args[:names_at]))
         every = wv.track_attribute(field, target, seed)
         for name in ("times", "positions", "empirical_velocity", "computed_velocity",
                      "newton_iterations"):
@@ -1034,9 +1019,8 @@ class TestWindowedTracksUnchanged:
         assert set(run._rows) == set(names)  # the block cache gathers the held parts only
         with pytest.raises(ValueError, match=r"holds the jet parts .* not all of \('dpsi_dt',\)"):
             run.jets(4, x, ("dpsi_dt",))
-        fid = run.index(x)
         with pytest.raises(ValueError, match="holds the jet parts"):
-            run.jets_stack([(4, run.anchor(fid), 0, x, fid)], ("grad", "dpsi_dt"))
+            run.jets_stack(np.array([4]), x[None], ("grad", "dpsi_dt"))
 
     @pytest.mark.parametrize("kind", ("gradient", "level"))
     @pytest.mark.parametrize("dim", (2, 3))
@@ -1224,30 +1208,35 @@ class TestBlockCache:
 
 
 class TestStackedReads:
-    """A level track reads its jets with one ``jets_stack`` call: run by run, one
-    gather, one finite test and one matmul, bit for bit the per-point
-    ``_WindowRun.jets`` reads of its requests, over the same runs."""
+    """A level track reads its jets with one ``jets_stack`` call: one kernel
+    call at its blocks' points, one finite test and one matmul, bit for bit the
+    per-point ``_WindowRun.jets`` reads of its points."""
 
     NAMES = ("grad", "dpsi_dt")
 
     @staticmethod
     def _recorded_track(field, target, seed, spec, monkeypatch):
-        """The track, the requests, names, parts and mask of its one jets_stack
-        call, the order it served the requests in and the runs it opened."""
+        """The track and the frames, points, names, parts and mask of its one
+        jets_stack call."""
         calls = []
-        served, boxes = _serving(monkeypatch)
         stack = _WindowRun.jets_stack
 
-        def recording_stack(run, requests, names):
-            parts, ok = stack(run, requests, names)
-            calls.append((list(requests), names, parts, ok))
+        def recording_stack(run, frames, points, names):
+            parts, ok = stack(run, frames, points, names)
+            calls.append((frames, points, names, parts, ok))
             return parts, ok
 
         monkeypatch.setattr(_WindowRun, "jets_stack", recording_stack)
         res = wv.track_attribute(field, target, seed, spec=spec)
         monkeypatch.undo()
-        (requests, names, parts, ok), = calls
-        return res, requests, names, parts, ok, served, boxes
+        (frames, points, names, parts, ok), = calls
+        return res, frames, points, names, parts, ok
+
+    @staticmethod
+    def _per_point(source, frames, points, names):
+        """The :meth:`jets` read of every point, or the message of its loss."""
+        return [_outcome(lambda src: src.jets(int(frame), point, names), source)
+                for frame, point in zip(frames, points)]
 
     @staticmethod
     def _assert_stack_is_per_point(parts, ok, reads):
@@ -1264,28 +1253,18 @@ class TestStackedReads:
     @pytest.mark.parametrize("order", (2, 4))
     @pytest.mark.parametrize("dim", (1, 2, 3, 4))
     def test_stack_equals_per_point_reads(self, dim, order, boundary, monkeypatch):
-        cap = 2 * (3 + order) ** dim  # two frames of a one-block box a run
-        monkeypatch.setattr(tracking, "_RUN_POINTS", cap)
         field, target, seed = _moving_bump_track(dim, "level")
         spec = wv.StencilSpec(order, boundary)
-        res, requests, names, parts, ok, served, boxes = self._recorded_track(
-            field, target, seed, spec, monkeypatch)
-        monkeypatch.setattr(tracking, "_RUN_POINTS", cap)  # undone with the recording
-        assert res.jet_passes >= 3 and ok.any()
-        # the same plan on a fresh run
-        again, _ = _serving(monkeypatch)
-        _WindowRun(field, spec, PARTS).jets_stack(requests, names)
-        assert again == served
-        # its runs on a fresh run, read request by request in the order served (a
-        # request no run served is off the grid)
-        order = served + [i for i in range(len(requests)) if i not in served]
-        run, reads = _WindowRun(field, spec, PARTS), []
-        for frame, anchor, _, point, fid in [requests[i] for i in order]:
-            if run._on_grid(fid) and not run._holds(frame, anchor):
-                run._compute(*boxes.pop(0))
-            reads.append(_outcome(lambda src: src.jets(frame, point, names, anchor, fid), run))
-        self._assert_stack_is_per_point([part[order] for part in parts], ok[order], reads)
-        assert (run.passes, run.points) == (res.jet_passes, res.jet_points)  # the same runs
+        res, frames, points, names, parts, ok = self._recorded_track(field, target, seed, spec,
+                                                                     monkeypatch)
+        assert ok.any()
+        assert (res.jet_passes, res.jet_points) == (1, 3**dim * len(frames))
+        # the same points read one by one through window runs
+        reads = self._per_point(_WindowRun(field, spec, PARTS), frames, points, names)
+        self._assert_stack_is_per_point(parts, ok, reads)
+        again = _WindowRun(field, spec, PARTS)  # and again, stacked on a fresh run
+        _same_result(again.jets_stack(frames, points, names)[0], parts)
+        assert (again.passes, again.points) == (res.jet_passes, res.jet_points)
 
     @pytest.mark.parametrize("boundary", BOUNDARIES)
     @pytest.mark.parametrize("dim", (2, 3))
@@ -1298,20 +1277,14 @@ class TestStackedReads:
         mid = (np.asarray(field.grid.shape) - 1.0) / 2
         first = np.arange(dim) == 0
         fids = (mid + 0.3, np.where(first, 0.4, mid), np.where(first, -0.5, mid), mid - 0.2)
-        _without_plan(monkeypatch)  # the stack opens runs as the per-point reads do
-        run, requests = _WindowRun(field, spec, PARTS), []
-        for fid in fids:
-            point = field.grid.point(fid)
-            fid = run.index(point)
-            requests.append((4, run.anchor(fid), 0, point, fid))
-        parts, ok = run.jets_stack(requests, self.NAMES)
+        run, frames = _WindowRun(field, spec, PARTS), np.full(4, 4)
+        points = np.array([field.grid.point(fid) for fid in fids])
+        parts, ok = run.jets_stack(frames, points, self.NAMES)
         assert ok.tolist() == [True, boundary == "one-sided", False, True]
-        reference = _WindowRun(field, spec, PARTS)
-        reads = [_outcome(lambda src: src.jets(frame, point, self.NAMES, anchor, fid), reference)
-                 for frame, anchor, _, point, fid in requests]
+        reads = self._per_point(_WindowRun(field, spec, PARTS), frames, points, self.NAMES)
         assert "left the grid" in reads[2]
         self._assert_stack_is_per_point(parts, ok, reads)
-        assert run.passes == reference.passes
+        assert (run.passes, run.points) == (1, 3 * 3**dim)  # the one off the grid reads none
 
     def test_non_finite_hessian_entry_is_lost(self):
         # a whole run (its frame as a one-frame stack): a NaN Hessian entry in a
@@ -1322,83 +1295,24 @@ class TestStackedReads:
         hessian[20, 21, 0, 1] = np.nan
         broken = wv.JetField(jets.grid, jets.t, jets.frame, jets.psi, jets.dpsi_dt, jets.grad,
                              hessian, jets.time_mixed, jets.valid)
-        run = _whole(broken)
-        requests = []
-        for fid in ((20.2, 20.6), (20.2, 24.6), (19.7, 22.3)):
-            point = field.grid.point(fid)
-            fid = run.index(point)
-            requests.append((0, run.anchor(fid), 0, point, fid))
-        parts, ok = run.jets_stack(requests, self.NAMES)
+        run, frames = _whole(broken), np.zeros(3, dtype=int)
+        points = np.array([field.grid.point(fid) for fid in ((20.2, 20.6), (20.2, 24.6),
+                                                               (19.7, 22.3))])
+        parts, ok = run.jets_stack(frames, points, self.NAMES)
         assert ok.tolist() == [False, True, False]
         assert np.isfinite(broken.grad[19:22, 20:23]).all()
-        reads = [_outcome(lambda src: src.jets(frame, point, self.NAMES, anchor, fid), run)
-                 for frame, anchor, _, point, fid in requests]
-        self._assert_stack_is_per_point(parts, ok, reads)
+        self._assert_stack_is_per_point(parts, ok,
+                                        self._per_point(run, frames, points, self.NAMES))
 
     def test_exact_jets_stack_their_points(self):
         bump = wv.TranslatingGaussian((0.3, 0.2, -0.25), 0.4)
         source = tracking._ExactJets(bump, 0.02 * np.arange(5), 0.3)
         rng = np.random.default_rng(3)
-        requests = [(int(frame), (), 0, rng.uniform(-0.5, 0.5, 3), None)
-                    for frame in rng.integers(0, 5, 12)]
-        parts, ok = source.jets_stack(requests, self.NAMES)
+        frames, points = rng.integers(0, 5, 12), rng.uniform(-0.5, 0.5, (12, 3))
+        parts, ok = source.jets_stack(frames, points, self.NAMES)
         assert ok.all() and parts[0].shape == (12, 3) and parts[1].shape == (12,)
-        reads = [source.jets(frame, point, self.NAMES) for frame, _, _, point, _ in requests]
-        self._assert_stack_is_per_point(parts, ok, reads)
-
-
-def _reference_planned_boxes(run, visits):
-    """The planned boxes of ``visits`` with one ``_box`` call per visit: the rule
-    ``_WindowRun._planned_boxes`` works out on the running hull."""
-    groups = []  # (frames, low and high corner of the anchors)
-    for frame, anchor, *_ in visits:
-        if groups:
-            frames, low, high = groups[-1]
-            frames = range(min(frames.start, frame), max(frames.stop, frame + 1))
-            low, high = tuple(map(min, low, anchor)), tuple(map(max, high, anchor))
-            if run._points(frames, *run._box(low, high, 0)) <= tracking._RUN_POINTS:
-                groups[-1] = frames, low, high
-                continue
-        groups.append((range(frame, frame + 1), anchor, anchor))
-    return [(frames, *run._box(low, high, 0)) for frames, low, high in groups]
-
-
-class TestPlannedBoxes:
-    @pytest.mark.parametrize("boundary", BOUNDARIES)
-    @pytest.mark.parametrize("order", (2, 4))
-    @pytest.mark.parametrize("dim", (1, 2, 3, 4))
-    def test_running_hull_equals_per_visit_boxes(self, dim, order, boundary, monkeypatch):
-        rng = np.random.default_rng(10 * dim + order)
-        shape = tuple(int(k) for k in rng.integers(7, (60, 30, 16, 10)[dim - 1], dim))
-        field = wv.SampledField(wv.make_grid(dim, shape, 0.1, 0.0), 0.0, 0.1,
-                                np.zeros((21,) + shape))
-        run = _WindowRun(field, wv.StencilSpec(order, boundary), PARTS)
-        seen = set()
-        for _ in range(60):
-            cap = int(rng.choice((40, 300, 3000, 2**14)))
-            monkeypatch.setattr(tracking, "_RUN_POINTS", cap)
-            # a random walk of anchors (1 .. n - 2: full blocks), frames in order or not
-            anchor = [int(rng.integers(1, n - 1)) for n in shape]
-            frames = np.arange(21) if rng.random() < 0.5 else rng.integers(0, 21, 21)
-            visits = []
-            for frame in frames:
-                anchor = [min(max(a + int(rng.integers(-2, 3)), 1), n - 2)
-                          for a, n in zip(anchor, shape)]
-                visits.append((int(frame), tuple(anchor), 0))
-            boxes = run._planned_boxes(visits)
-            assert boxes == _reference_planned_boxes(run, visits)
-            if len(boxes) > 1 and len(boxes) < len(visits):
-                seen.add("cap binds")
-            for _, lo, hi in boxes:
-                for a, b, n in zip(lo, hi, shape):
-                    if (a == 0) != (b == n):
-                        seen.add("one side cut")
-                        if b - a == order + 2 < n:
-                            seen.add("one-sided width")
-                    elif a == 0:
-                        seen.add("whole axis")
-        want = {"cap binds", "one side cut"} | ({"one-sided width"} if order == 4 else set())
-        assert want <= seen
+        self._assert_stack_is_per_point(parts, ok,
+                                        self._per_point(source, frames, points, self.NAMES))
 
 
 def _reference_anchor(grid, x, locked=None):
@@ -1676,15 +1590,18 @@ class TestRayScan:
                 assert len(got) == 1
                 _same_result(got, run.crossings(point, axis, level, near)[:1])
 
-    def test_whole_run_plans_nothing(self, monkeypatch):
+    def test_whole_run_reads_its_held_stacks(self, monkeypatch):
+        # a whole run serves a stacked read from its one frame's jets: no kernel
+        # call, and the per-point reads' bits
         whole = _whole(wv.fd_jet_field(_moving_bump_track(2, "level")[0], 2, wv.StencilSpec()))
-        requests = [(0, (5, 5), 0, None, [5.0, 5.0]), (0, (3, 9), 1, None, [3.0, 9.0])]
-        planned, (served, _) = [], _serving(monkeypatch)
-        monkeypatch.setattr(_WindowRun, "_planned_boxes",
-                            lambda run, visits: planned.append(visits) or [])
-        whole.jets_stack(requests, ("grad",))
-        assert planned == [] and served == [0, 1]
-        assert whole.passes == 0
+        frames = np.zeros(3, dtype=int)
+        points = np.array([whole.grid.point(fid) for fid in ((2.0, 5.0), (3.2, 9.4), (23.7, 24.1))])
+        runs, reads = _recording(monkeypatch)
+        parts, ok = whole.jets_stack(frames, points, ("grad",))
+        assert runs == reads == [] and whole.passes == whole.points == 0
+        TestStackedReads._assert_stack_is_per_point(
+            parts, ok, TestStackedReads._per_point(whole, frames, points, ("grad",)))
+        assert ok.tolist() == [False, True, True]  # (2, 5)'s block reaches the border band
 
 
 # --------------------------------------------------------------------------
