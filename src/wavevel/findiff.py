@@ -43,7 +43,7 @@ of frames, not once per frame.  :func:`fd_jet_fields` is the per-frame
 :class:`JetField` view of a pass of every part, and :func:`fd_jet_field` its
 one-frame case.  A reader of a few hundred scattered points takes
 :func:`fd_jets_at` instead: a level track's 306 block points in 2-D and 567
-in 3-D take 0.19 and 0.33 ms (same VM, best of 5 runs of 200 calls), where
+in 3-D take 0.22 and 0.39 ms (same VM, best of 5 runs of 200 calls), where
 windows around them held 2,057 to 10,166 points.
 
 Every frame of a pass gets psi and its requested parts wherever the spatial
@@ -210,16 +210,15 @@ def _apply_taps_pointwise(read, at, stride: int, taps, inner=None):
     """The one pointwise stencil sum: ``sum(coeff * term)`` over ``taps`` at the
     flat sample index ``at``, a tap ``off`` reading ``at + off * stride``, from
     0.0 in tap order.  ``term`` is ``read`` of the shifted index or, with
-    ``inner = (stride, taps)``, that inner sum there, so a mixed entry runs its
-    outer pass over its inner one as the grid path does.  One point runs on
-    Python floats (``at`` an int, ``read`` ``flat.item``: an overflow gives inf
-    or NaN and no warning); a stack (``at`` an int array, ``read``
-    ``flat.take``) reads every tap's terms at once and sums them elementwise."""
+    ``inner = (stride, taps)``, that inner sum there, as the grid nests a mixed
+    entry.  One point (``at`` an int, ``read`` ``flat.item``) reads tap by tap
+    on Python floats, where an overflow gives inf or NaN and no warning; a
+    stack (``at`` an int array, ``read`` ``flat.take``) reads every tap's terms
+    at once.  Each read is the faster on its input (see CHANGES.md)."""
     stacked = isinstance(at, np.ndarray)
-    if stacked:
-        shifted = np.add.outer([off * stride for off, _ in taps], at)
-        terms = read(shifted) if inner is None else _apply_taps_pointwise(read, shifted, *inner)
-        terms = iter(terms)
+    if stacked:  # the (taps, *at.shape) terms
+        at = np.add.outer([off * stride for off, _ in taps], at)
+        terms = iter(read(at) if inner is None else _apply_taps_pointwise(read, at, *inner))
     acc = 0.0
     for off, coeff in taps:
         if stacked:
@@ -402,10 +401,11 @@ def fd_jets_at(
     Every entry is :func:`fd_jet2_at`'s stencil sum, run elementwise over the
     points that share their taps: a group's points share their frame's time
     taps and each axis's taps (all interior positions share the central
-    ones).  Only the requested parts are computed.  Where the spatial
-    stencils decline, every part reads NaN, and on a frame without a time
-    window the time parts do; ``valid`` is False there and where a requested
-    part is not finite (an overflow, which raises no warning).
+    ones), in strips of ``STRIP_POINTS // (order + 1)**2`` points.  Only the
+    requested parts are computed.  Where the spatial stencils decline, every
+    part reads NaN, and on a frame without a time window the time parts do;
+    ``valid`` is False there and where a requested part is not finite (an
+    overflow, which raises no warning).
     """
     grid = field.grid
     n = grid.dim
@@ -432,11 +432,14 @@ def fd_jets_at(
     # farther in, all positions share the central taps
     hw = spec.half_width
     edge = (points < hw) | (points >= np.subtract(sizes, hw))
-    groups = [(0, slice(None))]  # (a point, the points that share its taps)
-    if edge.any() or not len(at):
-        codes = np.ravel_multi_index(tuple(np.where(edge, points, sizes).T), [k + 1 for k in sizes])
-        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        groups = [(rep, np.flatnonzero(inverse == g)) for g, rep in enumerate(first.tolist())]
+    codes = np.ravel_multi_index(tuple(np.where(edge, points, sizes).T), [k + 1 for k in sizes])
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    # (a point, the points that share its taps), in strips: a mixed entry's
+    # (taps, taps, points) terms span at most STRIP_POINTS values
+    step, groups = max(1, STRIP_POINTS // (spec.order + 1) ** 2), []
+    for g, rep in enumerate(first.tolist()):
+        sel = np.flatnonzero(inverse == g)
+        groups += [(rep, sel[k : k + step]) for k in range(0, len(sel), step)]
     # the samples are finite, so a non-finite entry can only come from an
     # overflow or an invalid operation; entries are scanned only if one happened
     faults = []

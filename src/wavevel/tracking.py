@@ -39,18 +39,18 @@ without a time window alike, and holds at most ``_RUN_POINTS`` box points
 count.  Its box reaches half a stencil and ``_WINDOW_SLACK`` cells beyond
 the interpolation block (11^N points at order 4): the tracked point can
 move ``_WINDOW_SLACK`` cells before the run misses, and the run opened after
-the point left the last one holds one frame more than that one served, so
-a moving point costs few frames it never reads.  A run caches the rows of
-the last block it served, so the Newton steps at one anchor and the
-velocity at the root gather the block and test it for finite entries once
-per pass, and the Newton bookkeeping runs on Python floats.  A level track
-opens no run: it finds every crossing first (crossings read only the
-samples), then reads the jets at the points of the crossings' blocks and
-nowhere else, in one :func:`fd_jets_at` call, with one finite test and one
-matmul; the order-zero kernel runs once on the stack.  Either way a point
-is lost where its block has a non-finite gradient or Hessian entry, and
-the floats, stacks and contractions reproduce the numpy loop's operations
-and operand shapes, so no path changes an output bit.  A
+the point left the last one holds one frame more than that one served, so a
+moving point costs few frames it never reads.  A run caches the rows of the
+last block it served, so the Newton steps at one anchor and the velocity at
+the root gather the block and test it for finite entries once per pass, and
+the Newton bookkeeping runs on Python floats.  A level track opens no run: it
+finds every crossing first (crossings read only the samples), then reads the
+jets at the points of the crossings' blocks and nowhere else, with one
+:func:`fd_jets_at` call, finite test and matmul a slice of at most
+``_RUN_POINTS`` block points; the order-zero kernel runs once on the stack.
+Either way a point is lost where its block has a non-finite gradient or
+Hessian entry, and the floats, stacks and contractions reproduce the numpy
+loop's operations and operand shapes, so no path changes an output bit.  A
 :class:`TrackResult` reports the passes, the points and the Newton
 iterations a track spent.
 
@@ -134,8 +134,8 @@ class TrackResult:
     tracks, ``jet_passes`` the number of finite-difference passes and
     ``jet_points`` the points they computed, both 0 on analytic fields.  A
     gradient track's passes are its runs' :func:`fd_jet_stacks` calls, and
-    its points the box points times frames; a level track's one pass is its
-    :func:`fd_jets_at` call, and its points the block points it computed.
+    its points the box points times frames; a level track's passes are its
+    :func:`fd_jets_at` calls, and its points the block points they computed.
     All three are None on a result built without them.
     """
 
@@ -192,7 +192,7 @@ class _WindowRun:
     of a jet field on its whole grid.  It hands out :meth:`jets` at a point
     of a frame, ``timed``, :meth:`crossings` (a level ray's crossing on every
     frame, from the samples, in one sign scan) and :meth:`jets_stack` (known
-    points' jets, stacked, from one :func:`fd_jets_at` call); a whole run
+    points' jets, stacked, from :func:`fd_jets_at` calls); a whole run
     scans its frame's psi and reads every request from its held jets, as it
     holds every point of its grid.  The run owns the time windows:
     ``timed[f]`` says whether frame ``f`` has one (the end frames of
@@ -235,8 +235,8 @@ class _WindowRun:
       it is at least 3 cells away, and a block point there is at least 3
       cells from the far end of its box (its anchor is at least 1 and the
       box reaches ``hw`` beyond the block), or the box spans the whole axis;
-      a box cut on one side of an axis holds at least ``order + 2`` points
-      along it, so the one-sided taps at its cut face exist;
+      a box cut on one side of an axis holds ``3 + hw + _WINDOW_SLACK >=
+      order + 2`` points or more, so the one-sided taps at its cut face exist;
     * the sub-field holds the run's frames and ``spec.order`` frames on
       each side, clipped to the field: a time stencil reads ``order + 1``
       consecutive frames, its own among them, and ``stencil_taps`` picks
@@ -290,8 +290,8 @@ class _WindowRun:
         self.length_scale = max(self.spacing)
         self.timed = timed
         self.coords = [grid.axis_coordinates(a) for a in range(grid.dim)]  # for level crossings
-        self.passes = 0  # fd_jet_stacks calls
-        self.points = 0  # box points times frames over all passes
+        self.passes = 0  # fd passes: fd_jet_stacks and fd_jets_at calls
+        self.points = 0  # the points they computed: box points times frames, block points
         self.frames = range(0)
         self.stacks = {}  # the (K, *box, ...) jet arrays of the run's frames, by name
         self.lo = None  # index offset of the box
@@ -369,11 +369,9 @@ class _WindowRun:
         served: what :meth:`jets` reads at each, bit for bit, or NaN and False
         where it raises AttributeLostError.  ``names`` must be parts the run
         holds (``ValueError`` before any pass).  The points are located as
-        :meth:`index` and :meth:`anchor` locate one, elementwise; one
-        :func:`fd_jets_at` call (one pass; a whole run gathers from its stacks
-        instead) computes the parts at their 3^N blocks' points on the grid,
-        then one finite test of the gradient and Hessian rows and one
-        :func:`_contract` of the stacked :func:`_tensor_weights` rows follow."""
+        :meth:`index` and :meth:`anchor` locate one, elementwise, and read in
+        slices of at most ``_RUN_POINTS`` block points (:meth:`_read_blocks`),
+        which bounds the read's memory as a run's is bounded."""
         if not set(names) <= set(self.names):
             raise self._not_held(names)
         n, shape = self.grid.dim, np.array(self.grid.shape)
@@ -381,13 +379,25 @@ class _WindowRun:
         ok = np.zeros(len(frames), dtype=bool)
         fids = (points - self.grid.origin) / self.spacing
         served = np.flatnonzero(((fids >= 0.0) & (fids <= shape - 1)).all(axis=1))
-        if not served.size:
-            return parts, ok
-        fids = fids[served]
+        step = max(1, _RUN_POINTS // 3**n)
+        for start in range(0, len(served), step):  # at most _RUN_POINTS block points a pass
+            at = served[start : start + step]
+            values, good = self._read_blocks(frames[at], fids[at], names)
+            for part, value in zip(parts, values):
+                part[at[good]] = value[good]
+            ok[at] = good
+        return parts, ok
+
+    def _read_blocks(self, frames: Array, fids: Array, names) -> tuple:
+        """One slice of :meth:`jets_stack` (its jets freed on return): one
+        :func:`fd_jets_at` call (one pass; a whole run gathers from its stacks)
+        at the 3^N block points of ``fids`` (fractional indices on the grid) of
+        ``frames``, one finite test of the gradient and Hessian rows and one
+        :func:`_contract`: the parts ``names`` and the mask of finite blocks."""
+        n, shape = self.grid.dim, np.array(self.grid.shape)
         anchors = np.clip(np.rint(fids), 1, shape - 2).astype(int)
         offsets = np.indices((3,) * n).reshape(n, -1).T - 1  # a block's points in C order
-        frames = np.repeat(frames[served], 3**n)
-        points = (anchors[:, None] + offsets).reshape(-1, n)
+        frames, points = np.repeat(frames, 3**n), (anchors[:, None] + offsets).reshape(-1, n)
         held = {"grad", "hessian", *names}
         if self.field is None:  # a whole run: its one frame's stacks
             jets = {name: self.stacks[name][(frames, *points.T)] for name in held}
@@ -396,16 +406,13 @@ class _WindowRun:
             self.passes += 1
             self.points += len(points)
         # C-ordered (3^N, k) rows a point, as the block cache gathers them
-        rows = {name: np.ascontiguousarray(jets[name]).reshape(len(served), 3**n, -1)
+        rows = {name: np.ascontiguousarray(jets[name]).reshape(len(fids), 3**n, -1)
                 for name in held}
         good = np.isfinite(rows["grad"]).all(axis=(1, 2))
         good &= np.isfinite(rows["hessian"]).all(axis=(1, 2))
         weights = np.stack(_tensor_weights(fids.T, anchors.T), axis=-1)[:, None]
-        for part, name in zip(parts, names):
-            value = _contract(weights, rows[name], (len(served),) + part.shape[1:])
-            part[served[good]] = value[good]
-        ok[served] = good
-        return parts, ok
+        shapes = _jet_shapes((len(fids),), n)
+        return [_contract(weights, rows[name], shapes[name]) for name in names], good
 
     def crossings(self, point, axis: int, level: float, near: float) -> list:
         """The crossing of ``level`` on every frame's grid line through ``point``
@@ -437,20 +444,13 @@ class _WindowRun:
     def _open(self, frame: int, anchor) -> None:
         """Open the run of a missed request by the slack rule and make it: one fd
         pass.  The box reaches half a stencil and ``_WINDOW_SLACK`` cells beyond
-        the block around ``anchor``, clipped to the grid; along an axis cut on
-        one side only it holds at least ``spec.order + 2`` points, the widest
-        one-sided stencil, so that every one-sided stencil of its edges exists.
-        After a position miss it holds one frame more than the run served."""
+        the block around ``anchor``, clipped to the grid.  After a position miss
+        it holds one frame more than the run served."""
         field, spec = self.field, self._spec
         hw, shape = spec.half_width, field.grid.shape
-        reach, width = 1 + hw + _WINDOW_SLACK, spec.order + 2
-        lo, hi = [], []
-        for a, n in zip(anchor, shape):
-            start, stop = max(a - reach, 0), min(a + reach + 1, n)
-            if stop - start < width:  # an uncut axis holds 2 reach + 1 >= width points
-                start, stop = min(start, max(stop - width, 0)), max(stop, min(start + width, n))
-            lo.append(start)
-            hi.append(stop)
+        reach = 1 + hw + _WINDOW_SLACK
+        lo = [max(a - reach, 0) for a in anchor]
+        hi = [min(a + reach + 1, n) for a, n in zip(anchor, shape)]
         size = math.prod(b - a for a, b in zip(lo, hi))
         count = frame - self.frames.start + 1 if frame in self.frames else None
         cap = max(1, _RUN_POINTS // size)
@@ -725,8 +725,8 @@ def _track_level(source, seed: Array, level: float, positions: Array,
 
     Every crossing is found first: crossings read the samples (or the field),
     never the jets.  The jets at the crossings of the timed frames are read
-    after, ray by ray, in one stacked read (on a sampled field, one
-    :func:`fd_jets_at` call at the points of their blocks).
+    after, ray by ray, in one stacked read (on a sampled field,
+    :func:`fd_jets_at` calls at the points of their blocks).
     """
     n = seed.size
     for axis in range(n):

@@ -472,6 +472,16 @@ class TestFdJetsAt:
             wv.fd_jets_at(wv.SampledField(sf.grid, 0.0, 0.1, sf.values[:3]), [1], [[3, 3]],
                           names=("grad",))
 
+    def test_strips_keep_every_bit(self, monkeypatch):
+        # every point of every frame again, each group summed in strips of 2 points
+        sf = self._field(2, self.SHAPES[2])
+        points = np.array([(f, *idx) for f in range(9) for idx in np.ndindex(self.SHAPES[2])])
+        want = wv.fd_jets_at(sf, points[:, 0], points[:, 1:])
+        monkeypatch.setattr(findiff, "STRIP_POINTS", 50)  # 50 // (4 + 1)**2 points a strip
+        got = wv.fd_jets_at(sf, points[:, 0], points[:, 1:])
+        for name, arr in want.items():
+            assert np.array_equal(got[name].view(np.uint8), arr.view(np.uint8))
+
     def test_computes_only_the_requested_parts(self, monkeypatch):
         # interior points of one frame share their taps: one sum an entry, the
         # mixed entries' inner sums at once (one nested call each)

@@ -677,31 +677,38 @@ class TestWindowRuns:
         assert np.array_equal(res.computed_velocity, computed, equal_nan=True)
         assert res.deviation == deviation
 
-    def test_run_memory_does_not_grow_with_frames(self):
-        # 3-D 40^3 peak track: a run holds at most _RUN_POINTS box points, so
-        # the traced peak stays below the cap's jets at any frame count: 2.3,
-        # 2.4 and 2.4 MB at 21, 41 and 81 frames, of 2.8 MB.  One window per
-        # frame peaked at 29.1 MB at 21 frames and 63.3 MB at 41.  A level
-        # track opens no run: its one stacked read holds its blocks' jets,
-        # 0.9, 2.0 and 4.2 MB, about a tenth of the field's samples
+    def test_run_memory_does_not_grow_with_frames(self, monkeypatch):
+        # 3-D 40^3 tracks: a run holds at most _RUN_POINTS box points, and a
+        # level track's stacked read at most _RUN_POINTS block points a pass, so
+        # the traced peak stays below the cap's jets at any frame count.  A peak
+        # track: 2.3, 2.4 and 2.4 MB at 21, 41 and 81 frames, of 2.8 MB; one
+        # window per frame peaked at 29.1 MB at 21 frames and 63.3 MB at 41.  A
+        # level track reads 1377, 2997 and 6237 block points in one pass: 0.9,
+        # 1.3 and 2.0 MB.  At 2**11 points a pass the cap binds at 41 and 81
+        # frames (2 and 4 passes) and the level track's peak stays 1.06 and 1.08 MB
         n = 3
         jet_bytes = 8 * (2 + 2 * n + n * n) + 1  # one point's jets and validity
-        peaks, level_peaks = [], []
+        peaks, level_peaks, capped_peaks = [], [], []
         for frames in (21, 41, 81):
             field, target, seed = _memory_track(frames)
             top = np.unravel_index(np.argmax(field.values[0]), field.grid.shape)
-            for attr, at, out in ((wv.AttributeSpec.gradient_set((0.0,) * n), top, peaks),
-                                  (target, seed, level_peaks)):
-                tracemalloc.start()
-                try:
-                    wv.track_attribute(field, attr, at)
-                    out.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
-            assert level_peaks[-1] <= 0.15 * field.values.nbytes
+            for attr, at, out, cap in ((wv.AttributeSpec.gradient_set((0.0,) * n), top, peaks,
+                                        tracking._RUN_POINTS),
+                                       (target, seed, level_peaks, tracking._RUN_POINTS),
+                                       (target, seed, capped_peaks, 2**11)):
+                with monkeypatch.context() as patch:
+                    patch.setattr(tracking, "_RUN_POINTS", cap)
+                    tracemalloc.start()
+                    try:
+                        result = wv.track_attribute(field, attr, at)
+                        out.append(tracemalloc.get_traced_memory()[1])
+                    finally:
+                        tracemalloc.stop()
+            assert result.jet_passes == {21: 1, 41: 2, 81: 4}[frames]  # of 75 crossings' blocks
             del field
-        assert peaks[2] <= 1.05 * peaks[1]
-        assert max(peaks) <= 1.25 * tracking._RUN_POINTS * jet_bytes
+        for track in (peaks, capped_peaks):
+            assert track[2] <= 1.05 * track[1]
+        assert max(peaks + level_peaks) <= 1.25 * tracking._RUN_POINTS * jet_bytes
 
 
 def _memory_track(frames):
@@ -1209,8 +1216,9 @@ class TestBlockCache:
 
 class TestStackedReads:
     """A level track reads its jets with one ``jets_stack`` call: one kernel
-    call at its blocks' points, one finite test and one matmul, bit for bit the
-    per-point ``_WindowRun.jets`` reads of its points."""
+    call at its blocks' points, one finite test and one matmul for each
+    ``_RUN_POINTS`` block points, bit for bit the per-point ``_WindowRun.jets``
+    reads of its points."""
 
     NAMES = ("grad", "dpsi_dt")
 
@@ -1265,6 +1273,12 @@ class TestStackedReads:
         again = _WindowRun(field, spec, PARTS)  # and again, stacked on a fresh run
         _same_result(again.jets_stack(frames, points, names)[0], parts)
         assert (again.passes, again.points) == (res.jet_passes, res.jet_points)
+        monkeypatch.setattr(tracking, "_RUN_POINTS", 3**dim)  # and in slices of one point
+        sliced = _WindowRun(field, spec, PARTS)
+        sliced_parts, sliced_ok = sliced.jets_stack(frames, points, names)
+        _same_result(sliced_parts, parts)
+        assert np.array_equal(sliced_ok, ok)
+        assert (sliced.passes, sliced.points) == (len(frames), res.jet_points)
 
     @pytest.mark.parametrize("boundary", BOUNDARIES)
     @pytest.mark.parametrize("dim", (2, 3))
