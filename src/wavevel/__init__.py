@@ -59,7 +59,6 @@ from .findiff import (
     diff_along_axis,
     fd_jet2_at,
     fd_jet_field,
-    fd_jet_fields,
     fd_jet_stacks,
     fd_jets_at,
     fornberg_weights,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import MIN_EXTENT, AnalyticField, Grid, SampledField, canonical_time_axis
-from .findiff import DEFAULT_STENCIL, StencilSpec, fd_jet_field
+from .findiff import DEFAULT_STENCIL, StencilSpec, fd_jets_at
 from .jets import Jet1, Jet2, _mirror_upper, _require_finite
 from .velocities import _contract, _order_zero, _solve_order_one
 
@@ -204,9 +204,10 @@ def make_fd_jet2_fn(h: float, dt: float, spec: StencilSpec = DEFAULT_STENCIL):
     each point and differentiates numerically (pure evaluation, no chain rule).
 
     The patches of all points lie end to end along axis 0 of one sampled
-    field, so one :func:`fd_jet_field` call serves the stack; the jets at the
-    patch centres equal :func:`fd_jet2_at` on each point's own patch grid,
-    bit for bit.
+    field, so one :func:`fd_jets_at` call at the patch centres serves the
+    stack; the jets there equal :func:`fd_jet2_at` on each point's own patch
+    grid, bit for bit.  A centre takes the central stencils under either
+    boundary policy.
     """
     if not (h > 0 and dt > 0):
         raise ValueError("h and dt must be positive")
@@ -225,10 +226,12 @@ def make_fd_jet2_fn(h: float, dt: float, spec: StencilSpec = DEFAULT_STENCIL):
         patches = (origins + offsets).reshape(grid.shape + (n,))
         t0, step, frames = canonical_time_axis(t + dt * (np.arange(spec.min_frames) - mid))
         values = np.stack([field.value(patches, t0 + step * k) for k in range(frames)])
-        jets = fd_jet_field(SampledField(grid, t0, step, values), mid, spec)
-        centres = (slice(center, None, extent),) + (center,) * (n - 1)
-        return tuple(arr[centres].reshape(pts.shape[:-1] + arr.shape[n:]) for arr in (
-            jets.psi, jets.dpsi_dt, jets.grad, jets.hessian, jets.time_mixed))
+        centres = np.full((len(origins), n), center)
+        centres[:, 0] += extent * np.arange(len(origins))
+        jets = fd_jets_at(SampledField(grid, t0, step, values), np.full(len(origins), mid),
+                          centres, spec)
+        return tuple(jets[name].reshape(pts.shape[:-1] + jets[name].shape[1:])
+                     for name in ("psi", "dpsi_dt", "grad", "hessian", "time_mixed"))
 
     return fd_jet_arrays
 

@@ -6,13 +6,14 @@ of the same accuracy order, ``shrink-to-valid`` marks the point invalid
 instead.  Mixed derivatives are compositions of one-dimensional stencils,
 which keeps them symmetric by construction and preserves the order.
 
-The pointwise (:func:`fd_jet2_at`) and grid-level (:func:`fd_jet_field`)
-paths share one tap table and one composition order, so they produce
+Two kernels compute jets, one pointwise (:func:`fd_jets_at`) and one on the
+grid (:func:`fd_jet_stacks`); every other entry point is a view of one of
+them.  They share one tap table and one composition order, so they produce
 bit-identical values: every entry is a stencil sum from 0.0 in tap order, a
 mixed Hessian entry runs the lower axis's pass over the higher axis's, and a
 mixed time row runs the spatial pass over the time derivative.
 :func:`_apply_taps_pointwise` is the one pointwise sum, nested once for the
-mixed entries, and :func:`fd_jets_at` runs it elementwise on a stack of points.
+mixed entries and run elementwise on a stack of points.
 
 The grid path works on contiguous planes: :func:`diff_along_axis` shifts the
 flattened array by whole strides and accumulates each tap from +0.0.  Every
@@ -39,12 +40,12 @@ time rows.  Most of a small field's cost is the fixed cost of a pass (an
 11^2 tracking window on a 2-vCPU VM, median of 50 calls, best of 3 runs:
 0.15 ms for one frame and 0.21 ms for 20 frames stacked with every part,
 0.12 and 0.18 ms without ``time_mixed``), so a tracker pays it once per run
-of frames, not once per frame.  :func:`fd_jet_fields` is the per-frame
-:class:`JetField` view of a pass of every part, and :func:`fd_jet_field` its
-one-frame case.  A reader of a few hundred scattered points takes
-:func:`fd_jets_at` instead: a level track's 306 block points in 2-D and 567
-in 3-D take 0.22 and 0.39 ms (same VM, best of 5 runs of 200 calls), where
-windows around them held 2,057 to 10,166 points.
+of frames, not once per frame.  :func:`fd_jet_field` is the
+:class:`JetField` view of a one-frame pass of every part.  A reader of a few
+hundred scattered points takes :func:`fd_jets_at` instead: a level track's
+306 block points in 2-D and 567 in 3-D take 0.22 and 0.39 ms (same VM, best
+of 5 runs of 200 calls), where windows around them held 2,057 to 10,166
+points.  :func:`fd_jet2_at` is its one-point case, as a :class:`Jet2`.
 
 Every frame of a pass gets psi and its requested parts wherever the spatial
 stencils apply.  The end frames of ``shrink-to-valid`` have no time window:
@@ -54,7 +55,6 @@ as both velocities need them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -208,26 +208,28 @@ def _axis_taps(deriv: int, order: int, n: int, h: float, boundary: str):
 
 def _apply_taps_pointwise(read, at, stride: int, taps, inner=None):
     """The one pointwise stencil sum: ``sum(coeff * term)`` over ``taps`` at the
-    flat sample index ``at``, a tap ``off`` reading ``at + off * stride``, from
-    0.0 in tap order.  ``term`` is ``read`` of the shifted index or, with
-    ``inner = (stride, taps)``, that inner sum there, as the grid nests a mixed
-    entry.  One point (``at`` an int, ``read`` ``flat.item``) reads tap by tap
-    on Python floats, where an overflow gives inf or NaN and no warning; a
-    stack (``at`` an int array, ``read`` ``flat.take``) reads every tap's terms
-    at once.  Each read is the faster on its input (see CHANGES.md)."""
-    stacked = isinstance(at, np.ndarray)
-    if stacked:  # the (taps, *at.shape) terms
-        at = np.add.outer([off * stride for off, _ in taps], at)
-        terms = iter(read(at) if inner is None else _apply_taps_pointwise(read, at, *inner))
+    flat sample indices ``at`` (an int array), a tap ``off`` reading
+    ``at + off * stride``, from 0.0 in tap order.  ``term`` is ``read``
+    (``flat.take``) of the shifted indices or, with ``inner = (stride, taps)``,
+    that inner sum there, as the grid nests a mixed entry.  Every tap's terms
+    are read at once, as one ``(taps, *at.shape)`` stack."""
+    at = np.add.outer([off * stride for off, _ in taps], at)
+    terms = read(at) if inner is None else _apply_taps_pointwise(read, at, *inner)
     acc = 0.0
-    for off, coeff in taps:
-        if stacked:
-            term = next(terms)
-        else:
-            shifted = at + off * stride
-            term = read(shifted) if inner is None else _apply_taps_pointwise(read, shifted, *inner)
+    for (_, coeff), term in zip(taps, terms):
         acc = acc + coeff * term
     return acc
+
+
+def _jet_parts(names, n: int) -> set:
+    """The jet parts ``names`` as a set; ValueError for a string or an unknown part."""
+    if isinstance(names, str):
+        raise ValueError(f"jet parts must be a collection of names, got the string {names!r}")
+    keep = set(names)
+    unknown = keep.difference(_jet_shapes((), n))
+    if unknown:
+        raise ValueError(f"unknown jet parts {sorted(unknown)}")
+    return keep
 
 
 def _flat_strides(values: Array) -> list:
@@ -327,7 +329,7 @@ def _point_taps(grid, index, spec: StencilSpec):
 
 
 def _point_sums(read, at, strides, taps, ttaps, names) -> dict:
-    """The jet parts ``names`` at the flat index ``at`` of the samples, as nested
+    """The jet parts ``names`` at the flat indices ``at`` of the samples, as nested
     lists of :func:`_apply_taps_pointwise` sums composed as the grid's passes
     are: the lower axis outside on mixed Hessian entries, space outside time
     on the mixed time rows.  ``strides`` are the flat strides of time and the
@@ -357,32 +359,22 @@ def fd_jet2_at(
     index,
     spec: StencilSpec = DEFAULT_STENCIL,
 ) -> Jet2 | None:
-    """Finite-difference second-order jet at one grid point.
+    """Finite-difference second-order jet at one grid point: :func:`fd_jets_at`
+    at one point, as a :class:`Jet2`.
 
-    Returns None when the ``shrink-to-valid`` policy cannot meet the
-    requested order at this point, spatially or in time (the end frames of
-    ``shrink-to-valid`` have no time window, so no jet at all), and when a
-    stencil sum overflows, where :func:`fd_jet_field` marks the point invalid.
+    Returns None where that point is not valid: where the ``shrink-to-valid``
+    policy cannot meet the requested order, spatially or in time (the end
+    frames of ``shrink-to-valid`` have no time window, so no jet at all), and
+    where a stencil sum overflows.
     """
-    grid = field.grid
-    idx = tuple(int(i) for i in index)
-    if len(idx) != grid.dim:
-        raise ValueError(f"index must have {grid.dim} entries, got {len(idx)}")
-    if not all(0 <= i < size for i, size in zip(idx, grid.shape)):
-        raise IndexError(f"index {idx} out of range for shape {grid.shape}")
-    if not 0 <= frame < field.frames:
-        raise IndexError(f"frame {frame} out of range [0, {field.frames})")
-    ttaps, taps = _time_taps(field, spec)[frame], _point_taps(grid, idx, spec)
-    if ttaps is None or taps is None:
+    index = tuple(index)
+    if len(index) != field.grid.dim:
+        raise ValueError(f"index must have {field.grid.dim} entries, got {len(index)}")
+    jets = {name: arr[0] for name, arr in fd_jets_at(field, [frame], [index], spec).items()}
+    if not jets["valid"]:
         return None
-    # time is axis 0 of field.values and spatial axis a is axis a + 1
-    read, strides = field.values.reshape(-1).item, _flat_strides(field.values)
-    at = sum(i * k for i, k in zip((frame, *idx), strides))
-    sums = _point_sums(read, at, strides, taps, ttaps, _PARTS)
-    dpsi_dt, grad, hess, tmix = (sums[name] for name in _PARTS)
-    if not all(map(math.isfinite, (dpsi_dt, *grad, *tmix, *(e for row in hess for e in row)))):
-        return None  # an overflow in a sum: no jet, as on the grid
-    return Jet2(Jet1(read(at), dpsi_dt, grad), hess, tmix)
+    return Jet2(Jet1(jets["psi"], jets["dpsi_dt"], jets["grad"]), jets["hessian"],
+                jets["time_mixed"])
 
 
 def fd_jets_at(
@@ -394,26 +386,30 @@ def fd_jets_at(
 ) -> dict:
     """The jet parts ``names`` at a stack of R grid points, with ``psi`` and
     ``valid``: point ``r`` is grid index ``indices[r]`` (``(R, N)`` integers) of
-    frame ``frames[r]`` (``(R,)``), and by name the ``(R, ...)`` stack holds at
-    ``r`` the entry :func:`fd_jet_stacks` gives that point, bit for bit, in any
-    order and with repeats.
+    frame ``frames[r]`` (``(R,)`` integers), and by name the ``(R, ...)`` stack
+    holds at ``r`` the entry :func:`fd_jet_stacks` gives that point, bit for
+    bit, in any order and with repeats.  The one pointwise kernel:
+    :func:`fd_jet2_at` is its one-point case.
 
-    Every entry is :func:`fd_jet2_at`'s stencil sum, run elementwise over the
-    points that share their taps: a group's points share their frame's time
-    taps and each axis's taps (all interior positions share the central
-    ones), in strips of ``STRIP_POINTS // (order + 1)**2`` points.  Only the
-    requested parts are computed.  Where the spatial stencils decline, every
-    part reads NaN, and on a frame without a time window the time parts do;
-    ``valid`` is False there and where a requested part is not finite (an
-    overflow, which raises no warning).
+    Every entry is :func:`_apply_taps_pointwise`'s stencil sum, composed as
+    the grid's passes are and run elementwise over the points that share
+    their taps: a group's points share their frame's time taps and each
+    axis's taps (all interior positions share the central ones), in strips of
+    ``STRIP_POINTS // (order + 1)**2`` points.  Only the requested parts are
+    computed.  Where the spatial stencils decline, every part reads NaN, and
+    on a frame without a time window the time parts do; ``valid`` is False
+    there and where a requested part is not finite (an overflow, which raises
+    no warning).  Frames or indices without an integer dtype raise
+    ``ValueError``: they are not rounded.
     """
     grid = field.grid
     n = grid.dim
-    keep = set(names)
-    unknown = keep.difference(_jet_shapes((), n))
-    if unknown:
-        raise ValueError(f"unknown jet parts {sorted(unknown)}")
-    frames, indices = np.asarray(frames, dtype=np.intp), np.asarray(indices, dtype=np.intp)
+    keep = _jet_parts(names, n)
+    frames, indices = np.asarray(frames), np.asarray(indices)
+    for name, arr in (("frames", frames), ("indices", indices)):
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")
+    frames, indices = frames.astype(np.intp, copy=False), indices.astype(np.intp, copy=False)
     if frames.ndim != 1 or indices.shape != (len(frames), n):
         raise ValueError(f"frames must have shape (R,) and indices (R, {n}), "
                          f"got {frames.shape} and {indices.shape}")
@@ -461,32 +457,18 @@ def fd_jets_at(
 
 
 def fd_jet_field(field: SampledField, frame: int, spec: StencilSpec = DEFAULT_STENCIL) -> JetField:
-    """Finite-difference jets at every grid point of one frame.
+    """Finite-difference jets at every grid point of one frame: the
+    :class:`JetField` view of a one-frame :func:`fd_jet_stacks` pass of every
+    jet part, so each valid point holds :func:`fd_jets_at`'s bits there.
 
-    Equivalent to applying :func:`fd_jet2_at` at each point (bit-identical
-    values), with the validity mask collecting the points where the boundary
-    policy could not meet the order.  The one-frame case of
-    :func:`fd_jet_fields`.
+    psi is a read-only view of the frame's samples; the gradient and the
+    Hessian are defined wherever the spatial stencils apply.  A frame without
+    a time window gets NaN ``dpsi_dt`` and ``time_mixed`` and is valid
+    nowhere: ``valid`` marks the points where the whole jet is defined.
     """
-    return fd_jet_fields(field, range(frame, frame + 1), spec)[0]
-
-
-def fd_jet_fields(
-    field: SampledField, frames: range, spec: StencilSpec = DEFAULT_STENCIL
-) -> list[JetField]:
-    """:func:`fd_jet_field` of every frame of ``frames`` (a range of step 1),
-    bit for bit: the per-frame :class:`JetField` views of one
-    :func:`fd_jet_stacks` pass of every jet part.
-
-    Every frame gets psi (a read-only view of its samples), the gradient and
-    the Hessian wherever the spatial stencils apply.  A frame without a time
-    window gets NaN ``dpsi_dt`` and ``time_mixed`` and is valid nowhere:
-    ``valid`` marks the points where the whole jet is defined.
-    """
-    stacks = fd_jet_stacks(field, frames, spec)
-    return [JetField(field.grid, field.time(frame), frame,
-                     **{name: stack[k] for name, stack in stacks.items()})
-            for k, frame in enumerate(frames)]
+    stacks = fd_jet_stacks(field, range(frame, frame + 1), spec)
+    return JetField(field.grid, field.time(frame), frame,
+                    **{name: stack[0] for name, stack in stacks.items()})
 
 
 def fd_jet_stacks(
@@ -519,10 +501,7 @@ def fd_jet_stacks(
     """
     grid = field.grid
     n = grid.dim
-    keep = set(names)
-    unknown = keep.difference(_jet_shapes((), n))
-    if unknown:
-        raise ValueError(f"unknown jet parts {sorted(unknown)}")
+    keep = _jet_parts(names, n)
     if not isinstance(frames, range) or frames.step != 1:
         raise ValueError(f"frames must be a range of step 1, got {frames!r}")
     stack = (len(frames),) + grid.shape

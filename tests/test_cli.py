@@ -210,7 +210,7 @@ class TestVelocityScalar:
         (["scalar"], "-1"),
     ])
     def test_frame_out_of_range_is_usage_error(self, tmp_path, capsys, command, frame):
-        # used to raise an uncaught IndexError from fd_jet_fields
+        # used to raise an uncaught IndexError from fd_jet_stacks
         path = _generate(tmp_path, GAUSS)
         assert cli([command[0], str(path), *command[1:], f"--frame={frame}"]) == 2
         assert f"error: frame {frame} out of range [0, 5)" in capsys.readouterr().err

@@ -273,30 +273,31 @@ class TestFdJetFields:
             first = max(frames.start - order, 0) if cut else 0
             stop = min(frames.stop + order, 9) if cut else 9
             sub = wv.SampledField(grid, sf.time(first), sf.dt, values[first:stop])
-            run = wv.fd_jet_fields(sub, range(frames.start - first, frames.stop - first), spec)
-            assert [first + jets.frame for jets in run] == list(frames)
-            for jets in run:
-                one = wv.fd_jet_field(sf, first + jets.frame, spec)
+            run = wv.fd_jet_stacks(sub, range(frames.start - first, frames.stop - first), spec)
+            assert all(len(stack) == len(frames) for stack in run.values())
+            for k, frame in enumerate(frames):
+                one = wv.fd_jet_field(sf, frame, spec)
                 if not cut:
-                    assert jets.t == one.t
+                    assert sub.time(frame - first) == one.t
                 for name in names:
-                    got, want = getattr(jets, name), getattr(one, name)
+                    got, want = run[name][k], getattr(one, name)
                     assert got.shape == want.shape
                     assert np.array_equal(got.view(np.uint64) if got.dtype.kind == "f" else got,
                                           want.view(np.uint64) if want.dtype.kind == "f" else want)
 
     def test_frames_share_planes_first_buffers(self):
         _, g, sf = _poly_field()
-        run = wv.fd_jet_fields(sf, range(1, 4))
-        for k, jets in enumerate(run):
+        run = wv.fd_jet_stacks(sf, range(1, 4))
+        grad, hess = run["grad"], run["hessian"]
+        for k in range(3):
             for a in range(2):
-                assert jets.grad[..., a].flags.c_contiguous
+                assert grad[k, ..., a].flags.c_contiguous
                 for b in range(2):
-                    assert jets.hessian[..., a, b].flags.c_contiguous
-            assert jets.grad.base is run[0].grad.base
-            assert jets.grad.base.shape == (2, 3) + g.shape
-            assert jets.hessian.base is run[0].hessian.base
-            assert jets.hessian.base.shape == (2, 2, 3) + g.shape
+                    assert hess[k, ..., a, b].flags.c_contiguous
+            assert grad[k].base is grad[0].base
+            assert grad[k].base.shape == (2, 3) + g.shape
+            assert hess[k].base is hess[0].base
+            assert hess[k].base.shape == (2, 2, 3) + g.shape
 
     def test_overflow_clears_valid(self):
         # finite samples near 1e308 overflow in the stencil sums near them;
@@ -332,15 +333,15 @@ class TestFdJetFields:
 
     def test_frame_range_checked(self):
         _, g, sf = _poly_field()
-        assert wv.fd_jet_fields(sf, range(2, 2)) == []
+        assert all(len(stack) == 0 for stack in wv.fd_jet_stacks(sf, range(2, 2)).values())
         with pytest.raises(IndexError):
-            wv.fd_jet_fields(sf, range(3, 6))
+            wv.fd_jet_stacks(sf, range(3, 6))
         with pytest.raises(IndexError):
-            wv.fd_jet_fields(sf, range(-1, 2))
+            wv.fd_jet_stacks(sf, range(-1, 2))
         with pytest.raises(ValueError):
-            wv.fd_jet_fields(sf, range(0, 5, 2))
+            wv.fd_jet_stacks(sf, range(0, 5, 2))
         with pytest.raises(wv.InsufficientFramesError):
-            wv.fd_jet_fields(wv.SampledField(g, 0.0, 0.1, sf.values[:3]), range(1, 2))
+            wv.fd_jet_stacks(wv.SampledField(g, 0.0, 0.1, sf.values[:3]), range(1, 2))
 
     @pytest.mark.parametrize("overflow", (False, True))
     @pytest.mark.parametrize("boundary", ("one-sided", "shrink-to-valid"))
@@ -367,7 +368,7 @@ class TestFdJetFields:
                             lambda *args: calls.append(args) or diff_into(*args))
         # all frames (the end frames of shrink-to-valid have no time window) and a few
         for frames in (range(9), range(1, 4)):
-            full = wv.fd_jet_fields(sf, frames, spec)
+            full = [wv.fd_jet_field(sf, frame, spec) for frame in frames]
             want = {name: np.stack([getattr(jets, name) for jets in full])
                     for name in ("psi", *parts, "valid")}
             for names in (c for k in range(len(parts) + 1) for c in combinations(parts, k)):
@@ -586,10 +587,11 @@ def test_convergence_order(name, field, bounds, order):
 
 def test_psi_is_a_read_only_view_of_the_frame():
     field = _poly_field()[2]
-    for jets, frame in zip(wv.fd_jet_fields(field, range(1, 4)), range(1, 4)):
-        assert np.shares_memory(jets.psi, field.values[frame])
-        assert np.array_equal(jets.psi, field.values[frame])
+    psi = wv.fd_jet_stacks(field, range(1, 4))["psi"]
+    for k, frame in enumerate(range(1, 4)):
+        assert np.shares_memory(psi[k], field.values[frame])
+        assert np.array_equal(psi[k], field.values[frame])
         with pytest.raises(ValueError):
-            jets.psi[0, 0] = 1.0
+            psi[k][0, 0] = 1.0
     jets = wv.fd_jet_field(field, 2)
     assert np.shares_memory(jets.psi, field.values[2]) and not jets.psi.flags.writeable

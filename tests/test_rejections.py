@@ -127,6 +127,39 @@ def test_fd_jet2_at_index_length(index):
         wv.fd_jet2_at(_sampled(), 2, index)
 
 
+@pytest.mark.parametrize("frame, index, name", [(2, (4.9, 4), "indices"), (2.5, (4, 4), "frames")])
+def test_fd_jet2_at_rejects_a_non_integer_point(frame, index, name):
+    # (4.9, 4) used to read the jet at (4, 4); a frame of 2.5 raised a raw TypeError
+    with pytest.raises(ValueError, match=f"{name} must be integers, got dtype float64"):
+        wv.fd_jet2_at(_sampled(), frame, index)
+
+
+@pytest.mark.parametrize("frames, indices, name", [
+    ([2.7], [[4, 4]], "frames"), ([2], [[4.9, 4.2]], "indices"), ([2.7], [[4.9, 4.2]], "frames"),
+    ([True], [[4, 4]], "frames"), (np.empty(0), np.empty((0, 2), dtype=int), "frames"),
+])
+def test_fd_jets_at_rejects_non_integer_points(frames, indices, name):
+    # frame 2.7 at (4.9, 4.2) used to read frame 2 at (4, 4)
+    with pytest.raises(ValueError, match=f"{name} must be integers, got dtype"):
+        wv.fd_jets_at(_sampled(), frames, indices)
+
+
+def test_fd_jets_at_takes_an_empty_integer_stack():
+    got = wv.fd_jets_at(_sampled(), np.empty(0, dtype=np.int32), np.empty((0, 2), dtype=np.uint8))
+    assert got["psi"].shape == got["valid"].shape == (0,) and got["hessian"].shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("read", [
+    lambda sf: wv.fd_jet_stacks(sf, range(1, 3), names="grad"),
+    lambda sf: wv.fd_jets_at(sf, [2], [[4, 4]], names="grad"),
+])
+def test_jet_parts_given_as_one_string(read):
+    # "grad" used to be read letter by letter: "unknown jet parts ['a', 'd', 'g', 'r']"
+    with pytest.raises(ValueError, match="jet parts must be a collection of names, "
+                                         "got the string 'grad'"):
+        read(_sampled())
+
+
 # --------------------------------------------------------------------------
 # jets
 
