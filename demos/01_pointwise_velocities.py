@@ -34,7 +34,7 @@ print("\nattribute velocity (order 0)")
 print("  components ", v0.components, "   <- (c/2, c*u/(2y)) here")
 print("  reciprocals", v0.reciprocal)
 
-v1 = wv.first_order_velocity_2d(jet)
+v1 = wv.first_order_velocity(jet)
 print("\npeak velocity (order 1)")
 print("  components ", v1.components, "   <- the translation velocity, exactly")
 print("  condition  ", f"{v1.hessian_condition:.3f}")
@@ -48,12 +48,12 @@ wave_jet = wave.jet2(np.array([0.3, 0.4]), t=0.1)
 print("\nplane wave, k=(2,1), omega=3")
 print("  order 0    ", wv.zero_order_velocity(wave_jet.jet1).components,
       "  <- omega/(N k_i)")
-print("  order 1    valid:", wv.first_order_velocity_2d(wave_jet).valid)
+print("  order 1    valid:", wv.first_order_velocity(wave_jet).valid)
 
 # The same formulas work in any dimension.
 bump4 = wv.TranslatingGaussian(velocity=(0.7, -0.2, 0.4, 0.1), sigma=1.0)
 jet4 = bump4.jet2(np.array([0.1, 0.05, -0.1, 0.2]), t=0.0)
-v14 = wv.first_order_velocity_nd(jet4)
+v14 = wv.first_order_velocity(jet4)
 print("\n4-d translating profile: order-1 velocity =", np.round(v14.components, 12))
 print("contraction:", wv.contraction_scalar(wv.zero_order_velocity(jet4.jet1), v14),
       " (= N = 4)")

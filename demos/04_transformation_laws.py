@@ -42,8 +42,8 @@ print(f"  covector law with measured jets       max deviation {report.max_deviat
 mirror = wv.AffineMap.mirror(2)
 jet = bump.jet2(np.array([0.4, -0.3]), 0.3)
 jet_m = wv.pullback_jet2(jet, mirror)
-v1 = wv.first_order_velocity_nd(jet)
-v1_m = wv.first_order_velocity_nd(jet_m)
+v1 = wv.first_order_velocity(jet, pivoted=True)
+v1_m = wv.first_order_velocity(jet_m, pivoted=True)
 print("\nmirror map x -> -x:")
 print("  v1          ", v1.components)
 print("  v1, mirrored", v1_m.components, " (exact sign flip)")

@@ -84,9 +84,7 @@ from .velocities import (
     ZeroOrderVelocityField,
     contraction_scalar,
     contraction_scalar_field,
-    first_order_velocity_2d,
-    first_order_velocity_3d,
-    first_order_velocity_nd,
+    first_order_velocity,
     velocity_field,
     zero_order_velocity,
     zero_order_velocity_field,

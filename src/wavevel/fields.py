@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .jets import Jet1, Jet2, JetField
+from .jets import Jet1, Jet2, JetField, _integers
 
 Array = np.ndarray
 
@@ -39,11 +39,12 @@ class Grid:
     origin: tuple
 
     def __post_init__(self):
-        shape = tuple(int(n) for n in np.atleast_1d(self.shape))
+        shape = np.atleast_1d(self.shape)
+        if shape.size < 1:  # before the dtype: an empty shape reads as floats
+            raise ValueError("grid must have at least one axis")
+        shape = tuple(int(n) for n in _integers(shape, "shape"))
         spacing = tuple(float(s) for s in np.atleast_1d(self.spacing))
         origin = tuple(float(o) for o in np.atleast_1d(self.origin))
-        if len(shape) < 1:
-            raise ValueError("grid must have at least one axis")
         if len(spacing) != len(shape) or len(origin) != len(shape):
             raise ValueError("shape, spacing and origin must have equal length")
         if any(n < MIN_EXTENT for n in shape):
@@ -173,22 +174,10 @@ class SampledField:
         return self.t0 + self.dt * np.arange(self.frames)
 
     def time(self, frame: int) -> float:
+        _integers(frame, "frame")
         if not 0 <= frame < self.frames:
             raise IndexError(f"frame {frame} out of range [0, {self.frames})")
         return self.t0 + self.dt * frame
-
-    def _window(self, frames: range, lo, hi) -> "SampledField":
-        """The ``frames`` (a range of step 1) of the index box ``lo``..``hi`` (hi
-        exclusive) as a field of their own, its values a C-ordered copy.  The
-        values are not scanned again: a window of finite values is finite."""
-        box = (slice(frames.start, frames.stop),) + tuple(slice(a, b) for a, b in zip(lo, hi))
-        grid = Grid(tuple(b - a for a, b in zip(lo, hi)), self.grid.spacing,
-                    tuple(self.grid.point(lo)))
-        sub = object.__new__(SampledField)
-        for name, value in (("grid", grid), ("t0", self.time(frames.start)), ("dt", self.dt),
-                            ("values", np.ascontiguousarray(self.values[box]))):
-            object.__setattr__(sub, name, value)
-        return sub
 
 
 # --------------------------------------------------------------------------

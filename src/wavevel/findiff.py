@@ -62,7 +62,7 @@ from itertools import groupby
 import numpy as np
 
 from .fields import SampledField
-from .jets import Jet1, Jet2, JetField, _component_planes, _jet_shapes
+from .jets import Jet1, Jet2, JetField, _component_planes, _integers, _jet_shapes
 
 Array = np.ndarray
 
@@ -405,11 +405,8 @@ def fd_jets_at(
     grid = field.grid
     n = grid.dim
     keep = _jet_parts(names, n)
-    frames, indices = np.asarray(frames), np.asarray(indices)
-    for name, arr in (("frames", frames), ("indices", indices)):
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")
-    frames, indices = frames.astype(np.intp, copy=False), indices.astype(np.intp, copy=False)
+    frames = _integers(frames, "frames").astype(np.intp, copy=False)
+    indices = _integers(indices, "indices").astype(np.intp, copy=False)
     if frames.ndim != 1 or indices.shape != (len(frames), n):
         raise ValueError(f"frames must have shape (R,) and indices (R, {n}), "
                          f"got {frames.shape} and {indices.shape}")

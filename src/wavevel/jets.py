@@ -65,6 +65,15 @@ def _as_float_vector(x, name: str) -> Array:
     return v
 
 
+def _integers(value, name: str) -> Array:
+    """``value`` as an array; ``ValueError`` naming it unless its dtype is an
+    integer one: an index or a count is never rounded."""
+    arr = np.asarray(value)
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")
+    return arr
+
+
 @dataclass(frozen=True)
 class Jet1:
     """Value, time derivative and spatial gradient of a scalar field at a point."""
@@ -165,9 +174,17 @@ class JetField:
         return self.grid.dim
 
     def jet2_at(self, index) -> Jet2 | None:
-        """Assemble the pointwise jet at a grid index; None where invalid."""
-        idx = tuple(int(i) for i in index)
-        if not bool(self.valid[idx]):
+        """Assemble the pointwise jet at a grid index; None where invalid.
+
+        The index must hold :attr:`dim` integers inside the grid: else
+        ``ValueError`` (a fraction or a wrong length) or ``IndexError``."""
+        idx = _integers(index, "index")
+        if idx.shape != (self.dim,):
+            raise ValueError(f"index must have {self.dim} entries, got shape {idx.shape}")
+        idx = tuple(idx.tolist())
+        if not all(0 <= i < n for i, n in zip(idx, self.grid.shape)):
+            raise IndexError(f"index {idx} out of range for shape {self.grid.shape}")
+        if not self.valid[idx]:
             return None
         jet1 = Jet1(self.psi[idx], self.dpsi_dt[idx], self.grad[idx])
         return Jet2(jet1, self.hessian[idx], self.time_mixed[idx])

@@ -212,7 +212,7 @@ class _WindowRun:
 
     A run is an index box of the grid, a range of frames and the jets of
     those frames on the box, from one :func:`fd_jet_stacks` pass over a
-    window of the field cut without a second finite scan.  The box
+    window of the field, a :class:`SampledField` of its own.  The box
     reaches at least ``hw`` cells beyond the interpolation blocks it serves
     on each side (``hw`` is half a stencil, ``spec.half_width``), clipped to
     the grid, and its exact zone is the box less ``hw`` cells at each cut
@@ -460,7 +460,10 @@ class _WindowRun:
         # the run's frames +- order, at least min_frames of them: every run
         # frame keeps its time taps and time window (see the class docstring)
         first, stop = max(frames.start - spec.order, 0), min(frames.stop + spec.order, field.frames)
-        sub = field._window(range(first, stop), lo, hi)
+        box = (slice(first, stop),) + tuple(slice(a, b) for a, b in zip(lo, hi))
+        grid = Grid(tuple(b - a for a, b in zip(lo, hi)), field.grid.spacing,
+                    tuple(field.grid.point(lo)))
+        sub = SampledField(grid, field.time(first), field.dt, field.values[box])
         self.stacks = fd_jet_stacks(sub, range(frames.start - first, frames.stop - first), spec,
                                     self.names)
         self.passes += 1

@@ -17,9 +17,9 @@ and owns the formula's validity rules: :func:`_order_zero`,
 :func:`_solve_order_one` and :func:`_contract`.  The pointwise functions
 raise where a kernel marks their point invalid; the grid maps and the
 covariance checks mask.  The solve's Cramer route serves N <= 3; its pivoted
-route serves any N (the grid map for N >= 4, the covariance checks, and
-``first_order_velocity_nd``, the reference the Cramer route is checked
-against).
+route serves any N (N >= 4 by default, the covariance checks, and
+``first_order_velocity(jet, pivoted=True)``, the reference the Cramer route
+is checked against).
 
 The order-one map calls its kernel on blocks of :data:`BLOCK_POINTS` points
 and stores its output planes-first behind a component-last view; the other
@@ -233,13 +233,13 @@ def _cramer(cols, rhs):
 
 
 def _solve_order_one(h: Array, b: Array, ok=True, eps_singular: float = EPS_SINGULAR,
-                     pivoted: bool = None):
+                     pivoted: bool = False):
     """The order-one solve ``H v = -b`` at one point or on a stack of points.
 
     ``h`` is ``...xNxN``, ``b`` is ``...xN`` and ``ok`` marks the points whose
     input jets are valid (True for a single point).  The Cramer route covers
-    N <= 3, the pivoted route (LU determinant and solve) any N; by default
-    Cramer is taken wherever it applies.  Returns ``(components, valid,
+    N <= 3, the pivoted route (LU determinant and solve) any N; Cramer is
+    taken wherever it applies unless ``pivoted``.  Returns ``(components, valid,
     hessian_condition)``: components are NaN where not valid, and the
     condition is ``||H||_F**N / |det H|``, inf where ``det H == 0`` or the
     input is invalid.  A point is valid only where its components are
@@ -254,16 +254,16 @@ def _solve_order_one(h: Array, b: Array, ok=True, eps_singular: float = EPS_SING
         raise ValueError(f"eps_singular must be finite and non-negative, got {eps_singular!r}")
     n = h.shape[-1]
     one = h.ndim == 2
-    if pivoted is None:
-        pivoted = n > 3
+    pivoted = pivoted or n > 3
     # the entries of H: floats at one point, plane views on a stack
     rows = h.tolist() if one else [[h[..., i, j] for j in range(n)] for i in range(n)]
-    # ||H||_F ** N summed left to right, so every layout of the stack rounds alike
-    frob_n = _sum_planes(e * e for row in rows for e in row)
-    try:
-        frob_n = frob_n ** (n / 2)
-    except OverflowError:  # a plain float's power raises where numpy's gives inf
-        frob_n = math.inf
+    # ||H||_F ** 2 summed left to right, so every layout of the stack rounds alike;
+    # ||H||_F ** N is its root at odd N times N // 2 factors of it, left to right:
+    # each step is correctly rounded, so a point and a stack give the same bits
+    frob_2 = _sum_planes(e * e for row in rows for e in row)
+    frob_n = (math.sqrt(frob_2) if one else np.sqrt(frob_2)) if n % 2 else 1.0
+    for _ in range(n // 2):
+        frob_n = frob_n * frob_2
     if pivoted and one:
         det = np.linalg.det(h) if ok else 0.0
     elif pivoted:
@@ -308,32 +308,21 @@ def _solve_order_one(h: Array, b: Array, ok=True, eps_singular: float = EPS_SING
     return comps, valid & finite, cond
 
 
-def _pointwise_order_one(jet: Jet2, eps_singular: float, pivoted: bool) -> FirstOrderVelocity:
+def first_order_velocity(jet: Jet2, eps_singular: float = EPS_SINGULAR,
+                         pivoted: bool = False) -> FirstOrderVelocity:
+    """Order-one velocity in any dimension: the solve of ``H v = -d/dt grad(psi)``.
+
+    By default it takes the grid map's route, the closed Cramer form for
+    N <= 3 and a pivoted LU solve above; ``pivoted=True`` takes the LU solve
+    at any N, the reference the Cramer route is checked against.  The routes
+    can disagree on ``hessian_condition`` at exactly singular Hessians: LU
+    keeps a rounding residue in ``det H`` where Cramer's cancels to 0, so one
+    reports a huge finite condition where the other reports inf (both mark
+    the point invalid).
+    """
     return FirstOrderVelocity(
         *_solve_order_one(jet.hessian, jet.time_mixed, True, eps_singular, pivoted)
     )
-
-
-def first_order_velocity_2d(jet: Jet2, eps_singular: float = EPS_SINGULAR) -> FirstOrderVelocity:
-    """Order-one velocity in 2-D via the closed Cramer form."""
-    if jet.dim != 2:
-        raise ValueError(f"expected a 2-d jet, got dimension {jet.dim}")
-    return _pointwise_order_one(jet, eps_singular, pivoted=False)
-
-
-def first_order_velocity_3d(jet: Jet2, eps_singular: float = EPS_SINGULAR) -> FirstOrderVelocity:
-    """Order-one velocity in 3-D via the four explicit determinants."""
-    if jet.dim != 3:
-        raise ValueError(f"expected a 3-d jet, got dimension {jet.dim}")
-    return _pointwise_order_one(jet, eps_singular, pivoted=False)
-
-
-def first_order_velocity_nd(jet: Jet2, eps_singular: float = EPS_SINGULAR) -> FirstOrderVelocity:
-    """Order-one velocity in any dimension via a pivoted dense solve.
-
-    This is the reference route the Cramer forms are checked against.
-    """
-    return _pointwise_order_one(jet, eps_singular, pivoted=True)
 
 
 def _contract(reciprocal: Array, components: Array, ok=True):

@@ -37,7 +37,7 @@ def test_criterion_1_defining_identities():
             h = 0.5 * (h + h.T)
             tmix = rng.standard_normal(n)
             jet2 = wv.Jet2(jet1, h, tmix)
-            v1 = wv.first_order_velocity_nd(jet2)
+            v1 = wv.first_order_velocity(jet2, pivoted=True)
             if not v1.valid:
                 continue
             resid1 = np.abs(h @ v1.components + tmix).max()
@@ -129,7 +129,7 @@ def test_criterion_3_covariance_suite():
     jet = field.jet2(np.array([0.4, -0.3]), 0.3)
     jet_m = wv.pullback_jet2(jet, mirror)
     v0, v0m = wv.zero_order_velocity(jet.jet1), wv.zero_order_velocity(jet_m.jet1)
-    v1, v1m = wv.first_order_velocity_nd(jet), wv.first_order_velocity_nd(jet_m)
+    v1, v1m = wv.first_order_velocity(jet, pivoted=True), wv.first_order_velocity(jet_m, pivoted=True)
     mirror_exact = (
         np.array_equal(v0m.reciprocal, -v0.reciprocal)
         and np.array_equal(v0m.components, -v0.components)
@@ -151,15 +151,15 @@ def test_criterion_4_cramer_solver_equivalence():
     """Closed Cramer forms agree with the pivoted solve to 1e-12 relative."""
     rng = np.random.default_rng(4096)
     worst = 0.0
-    for n, cramer in ((2, wv.first_order_velocity_2d), (3, wv.first_order_velocity_3d)):
+    for n in (2, 3):
         for _ in range(1000):
             h = rng.standard_normal((n, n))
             h = 0.5 * (h + h.T) + (n + 1.0) * np.eye(n)  # well-conditioned
             jet = wv.Jet2(
                 wv.Jet1(0.0, 0.0, rng.standard_normal(n)), h, rng.standard_normal(n)
             )
-            a = cramer(jet)
-            b = wv.first_order_velocity_nd(jet)
+            a = wv.first_order_velocity(jet)
+            b = wv.first_order_velocity(jet, pivoted=True)
             assert a.valid and b.valid
             dev = np.abs(a.components - b.components).max() / np.abs(b.components).max()
             worst = max(worst, dev)

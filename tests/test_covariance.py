@@ -253,8 +253,8 @@ class TestMirror:
         jet_m = wv.pullback_jet2(jet, mirror)
         v0 = wv.zero_order_velocity(jet.jet1)
         v0m = wv.zero_order_velocity(jet_m.jet1)
-        v1 = wv.first_order_velocity_nd(jet)
-        v1m = wv.first_order_velocity_nd(jet_m)
+        v1 = wv.first_order_velocity(jet, pivoted=True)
+        v1m = wv.first_order_velocity(jet_m, pivoted=True)
         # exact sign flips, bitwise
         assert np.array_equal(v0m.reciprocal, -v0.reciprocal)
         assert np.array_equal(v0m.components, -v0.components)
@@ -316,7 +316,7 @@ def _per_point_reference(field, amap, points, t):
         jet_x, jet_X = (wv.Jet2(wv.Jet1(psi[i], pt[i], g[i]), h[i], tm[i])
                         for psi, pt, g, h, tm in stacks)
         moving = jet_x.dpsi_dt != 0.0 and jet_X.dpsi_dt != 0.0
-        v_x, v_X = wv.first_order_velocity_nd(jet_x), wv.first_order_velocity_nd(jet_X)
+        v_x, v_X = wv.first_order_velocity(jet_x, pivoted=True), wv.first_order_velocity(jet_X, pivoted=True)
         solved = v_x.valid and v_X.valid
         if moving:
             w_x = wv.zero_order_velocity(jet_x.jet1)
@@ -351,7 +351,7 @@ def _pointwise_callers_reference(field, amap, points, t):
         w, v, c = np.full(g.shape, np.nan), np.full(g.shape, np.nan), np.full(len(pts), np.nan)
         for i in range(len(pts)):
             jet = wv.Jet2(wv.Jet1(psi[i], pt[i], g[i]), h[i], tm[i])
-            v1 = wv.first_order_velocity_nd(jet)
+            v1 = wv.first_order_velocity(jet, pivoted=True)
             v[i] = v1.components  # NaN where the Hessian is singular
             try:
                 v0 = wv.zero_order_velocity(jet.jet1)

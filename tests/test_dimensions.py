@@ -95,7 +95,7 @@ class TestThreeDimensional:
         # locally the shell translates along the radial ray at its speed
         for k in range(0, 50, 7):
             jet = ring.jet2(pts[k], 0.1)
-            v1 = wv.first_order_velocity_3d(jet)
+            v1 = wv.first_order_velocity(jet)
             if not v1.valid:
                 continue
             rhat = pts[k] / np.linalg.norm(pts[k])

@@ -154,7 +154,9 @@ def _ref_contraction(reciprocal, components, valid0, valid1):
 def _ref_pivoted_stack(h, b, ok, eps_singular=EPS_SINGULAR):
     n = h.shape[-1]
     squares = (h * h).reshape(h.shape[:-2] + (n * n,))  # row by row, as the kernel sums
-    frob_n = reduce(np.add, np.moveaxis(squares, -1, 0), 0.0) ** (n / 2)
+    frob_2 = reduce(np.add, np.moveaxis(squares, -1, 0), 0.0)
+    # the root at odd N, then N // 2 factors of ||H||_F ** 2, left to right
+    frob_n = reduce(np.multiply, [frob_2] * (n // 2), np.sqrt(frob_2) if n % 2 else 1.0)
     h = np.where(ok[..., None, None], h, np.eye(n))
     det = np.linalg.det(h)
     valid = ok & (abs(det) > eps_singular * frob_n)

@@ -74,6 +74,17 @@ def test_grid_needs_an_axis():
         wv.Grid((), (), ())
 
 
+@pytest.mark.parametrize("build", [
+    lambda: wv.Grid((5.7, 6), (0.1, 0.1), (0.0, 0.0)),
+    lambda: wv.make_grid(2, (5.7, 6), 0.1, 0.0),
+    lambda: wv.Grid((5.0, 6.0), (0.1, 0.1), (0.0, 0.0)),
+])
+def test_grid_shape_must_be_integers(build):
+    # (5.7, 6) used to build shape (5, 6)
+    with pytest.raises(ValueError, match="shape must be integers, got dtype float64"):
+        build()
+
+
 def test_sampled_field_needs_a_frame():
     grid = wv.make_grid(2, (5, 5), 0.1, 0.0)
     with pytest.raises(ValueError, match="at least one time frame"):
@@ -84,6 +95,26 @@ def test_sampled_field_needs_a_frame():
 def test_sampled_field_time_out_of_range(frame):
     with pytest.raises(IndexError, match=rf"frame {frame} out of range \[0, 5\)"):
         _sampled().time(frame)
+
+
+@pytest.mark.parametrize("frame", [2.5, 2.0, True])
+def test_sampled_field_time_takes_an_integer_frame(frame):
+    # 2.5 used to give t0 + 2.5 dt
+    with pytest.raises(ValueError, match="frame must be integers, got dtype"):
+        _sampled().time(frame)
+
+
+@pytest.mark.parametrize("index, error, message", [
+    ((4.9, 4), ValueError, "index must be integers, got dtype float64"),  # read (4, 4)
+    ((4,), ValueError, r"index must have 2 entries, got shape \(1,\)"),  # numpy's "ambiguous"
+    ((4, 4, 4), ValueError, r"index must have 2 entries, got shape \(3,\)"),  # raw IndexError
+    ((-5, 4), IndexError, r"index \(-5, 4\) out of range for shape \(9, 9\)"),  # wrapped to (4, 4)
+    ((4, 9), IndexError, r"index \(4, 9\) out of range for shape \(9, 9\)"),
+])
+def test_jet_field_jet2_at_rejects_a_malformed_index(index, error, message):
+    jets = wv.fd_jet_field(_sampled(), 2)
+    with pytest.raises(error, match=message):
+        jets.jet2_at(index)
 
 
 def test_ragged_vector_parameter_names_the_parameter():
@@ -204,11 +235,6 @@ def test_velocity_shape_errors():
         wv.ZeroOrderVelocity(np.ones((2, 2)), np.ones((2, 2)))
     with pytest.raises(ValueError, match="components must be a vector"):
         wv.FirstOrderVelocity(np.ones((2, 2)), True, 1.0)
-
-
-def test_first_order_velocity_3d_needs_a_3d_jet():
-    with pytest.raises(ValueError, match="expected a 3-d jet, got dimension 2"):
-        wv.first_order_velocity_3d(_jet2())
 
 
 def test_deviation_needs_an_interior_computed_velocity():

@@ -117,39 +117,34 @@ class TestZeroOrder:
 
 class TestFirstOrder2d:
     def test_translating_gaussian_gives_c(self):
-        v1 = wv.first_order_velocity_2d(_gaussian_jet())
+        v1 = wv.first_order_velocity(_gaussian_jet())
         assert v1.valid
         assert v1.components == pytest.approx([0.7, 0.0], abs=1e-14)
 
     def test_plane_wave_rank_one_invalid(self):
-        v1 = wv.first_order_velocity_2d(_plane_wave_jet())
+        v1 = wv.first_order_velocity(_plane_wave_jet())
         assert not v1.valid
         assert np.all(np.isnan(v1.components))
 
     def test_static_invertible_hessian_zero_velocity(self):
         # off-center, off the inflection ring u^2 + y^2 = sigma^2 / 2
         jet = wv.StaticGaussian(1.0).jet2(np.array([0.2, 0.1]), 0.0)
-        v1 = wv.first_order_velocity_2d(jet)
+        v1 = wv.first_order_velocity(jet)
         assert v1.valid
         assert np.array_equal(v1.components, [0.0, 0.0])
-
-    def test_dim_checked(self):
-        jet3 = wv.TranslatingGaussian((0.7, 0, 0), 1.0).jet2(np.array([0.1, 0.2, 0.0]), 0.0)
-        with pytest.raises(ValueError):
-            wv.first_order_velocity_2d(jet3)
 
 
 class TestFirstOrder3d:
     def test_translating_gaussian_gives_c(self):
         f = wv.TranslatingGaussian((0.7, 0.0, 0.0), 1.0)
         jet = f.jet2(np.array([0.1, 0.2, -0.1]), 0.0)
-        v1 = wv.first_order_velocity_3d(jet)
+        v1 = wv.first_order_velocity(jet)
         assert v1.valid
         assert v1.components == pytest.approx([0.7, 0.0, 0.0], abs=1e-14)
 
     def test_static_zero(self):
         f = wv.StaticGaussian(1.0, center=(0.0, 0.0, 0.0))
-        v1 = wv.first_order_velocity_3d(f.jet2(np.array([0.2, 0.1, 0.05]), 0.0))
+        v1 = wv.first_order_velocity(f.jet2(np.array([0.2, 0.1, 0.05]), 0.0))
         assert v1.valid
         assert np.array_equal(v1.components, [0.0, 0.0, 0.0])
 
@@ -171,7 +166,7 @@ class TestFirstOrder3d:
                 hi = mid
         r_star = lo if abs(det_along_ray(lo)) <= abs(det_along_ray(hi)) else hi
         jet = f.jet2(np.array([r_star, 0.1, 0.05]), 0.0)
-        v1 = wv.first_order_velocity_3d(jet)
+        v1 = wv.first_order_velocity(jet)
         assert not v1.valid
 
     def test_matches_nd_route(self):
@@ -180,15 +175,15 @@ class TestFirstOrder3d:
             h = rng.standard_normal((3, 3))
             h = 0.5 * (h + h.T) + 3.0 * np.eye(3)
             jet = wv.Jet2(wv.Jet1(0.0, 0.0, rng.standard_normal(3)), h, rng.standard_normal(3))
-            a = wv.first_order_velocity_3d(jet)
-            b = wv.first_order_velocity_nd(jet)
+            a = wv.first_order_velocity(jet)
+            b = wv.first_order_velocity(jet, pivoted=True)
             assert a.components == pytest.approx(b.components, rel=1e-12)
 
 
 class TestFirstOrderNd:
     def test_scalar_case(self):
         jet = wv.Jet2(wv.Jet1(0.0, 0.0, np.array([1.0])), np.array([[2.0]]), np.array([-1.0]))
-        v1 = wv.first_order_velocity_nd(jet)
+        v1 = wv.first_order_velocity(jet, pivoted=True)
         assert v1.valid
         assert v1.components == pytest.approx([0.5])
 
@@ -198,15 +193,15 @@ class TestFirstOrderNd:
             h = rng.standard_normal((2, 2))
             h = 0.5 * (h + h.T) + 2.5 * np.eye(2)
             jet = wv.Jet2(wv.Jet1(0.0, 0.0, rng.standard_normal(2)), h, rng.standard_normal(2))
-            a = wv.first_order_velocity_2d(jet)
-            b = wv.first_order_velocity_nd(jet)
+            a = wv.first_order_velocity(jet)
+            b = wv.first_order_velocity(jet, pivoted=True)
             assert a.components == pytest.approx(b.components, rel=1e-12)
 
     def test_four_dimensional_advection(self):
         c = (0.7, -0.2, 0.4, 0.1)
         f = wv.TranslatingGaussian(c, 1.0)
         jet = f.jet2(np.array([0.1, 0.05, -0.1, 0.2]), 0.0)
-        v1 = wv.first_order_velocity_nd(jet)
+        v1 = wv.first_order_velocity(jet, pivoted=True)
         assert v1.valid
         assert v1.components == pytest.approx(c, abs=1e-13)
 
@@ -218,7 +213,7 @@ class TestFirstOrderNd:
             h = 0.5 * (h + h.T)
             tm = rng.standard_normal(n)
             jet = wv.Jet2(wv.Jet1(0.0, 0.0, rng.standard_normal(n)), h, tm)
-            v1 = wv.first_order_velocity_nd(jet)
+            v1 = wv.first_order_velocity(jet, pivoted=True)
             if not v1.valid:
                 continue
             resid = np.abs(jet.hessian @ v1.components + tm).max()
@@ -227,16 +222,54 @@ class TestFirstOrderNd:
 
     def test_conditioning_diagnostic(self):
         jet = _gaussian_jet()
-        v1 = wv.first_order_velocity_2d(jet)
+        v1 = wv.first_order_velocity(jet)
         h = jet.hessian
         expected = np.sum(h * h) / abs(np.linalg.det(h))
         assert v1.hessian_condition == pytest.approx(expected, rel=1e-12)
 
     def test_zero_hessian_invalid(self):
         jet = wv.Jet2(wv.Jet1(0.0, 0.0, np.array([1.0, 1.0])), np.zeros((2, 2)), np.zeros(2))
-        v1 = wv.first_order_velocity_nd(jet)
+        v1 = wv.first_order_velocity(jet, pivoted=True)
         assert not v1.valid
         assert v1.hessian_condition == np.inf
+
+
+class TestOneEntryPoint:
+    """``first_order_velocity`` takes the grid map's route, Cramer for N <= 3 and
+    LU above: at every point it gives the map's bits in the components, the
+    validity and the condition (whose ||H||_F ** N a point and a stack round
+    alike).  At N = 4 the pivoted route is that route."""
+
+    SHAPES = {1: (24,), 2: (13, 13), 3: (9, 9, 9), 4: (6, 6, 6, 6)}
+
+    @classmethod
+    def _jets(cls, n, source):
+        grid = wv.make_grid(n, cls.SHAPES[n], 0.23, -0.9)
+        if source == "plane-wave":  # singular Hessians at N >= 2
+            return wv.analytic_jet_field(wv.PlaneWave((2.0, 1.0, -0.5, 0.3)[:n], 3.0), grid, 0.1)
+        field = wv.TranslatingGaussian((0.7, -0.2, 0.4, 0.1)[:n], 1.0)
+        if source == "gaussian":
+            return wv.analytic_jet_field(field, grid, 0.1)
+        return wv.fd_jet_field(wv.sample(field, grid, 0.06 + 0.02 * np.arange(5)), 2)
+
+    @pytest.mark.parametrize("source", ["gaussian", "plane-wave", "fd"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_grid_map(self, n, source):
+        jets = self._jets(n, source)
+        v1f = wv.velocity_field(jets, 1)
+        seen = set()
+        for idx in np.ndindex(jets.grid.shape):
+            jet = jets.jet2_at(idx)
+            if jet is None:
+                assert not v1f.valid[idx]
+                continue
+            routes = (False, True) if n == 4 else (False,)
+            for v in (wv.first_order_velocity(jet, pivoted=pivoted) for pivoted in routes):
+                _assert_same_bits(v.components, v1f.components[idx])
+                assert v.valid == v1f.valid[idx]
+                _assert_same_bits(v.hessian_condition, v1f.hessian_condition[idx])
+            seen.add(bool(v1f.valid[idx]))
+        assert seen == ({False} if source == "plane-wave" and n > 1 else {True})
 
 
 class TestDimensionalReduction:
@@ -246,13 +279,13 @@ class TestDimensionalReduction:
         field = wv.Polynomial(((1.0, (2, 0), 0), (0.5, (1, 0), 1)))
         jet2d = field.jet2(np.array([0.3, 0.7]), 0.2)
         assert jet2d.hessian[1, 1] == 0.0 and jet2d.hessian[0, 1] == 0.0
-        assert not wv.first_order_velocity_2d(jet2d).valid
+        assert not wv.first_order_velocity(jet2d).valid
         slice1d = wv.Jet2(
             wv.Jet1(jet2d.psi, jet2d.dpsi_dt, jet2d.grad[:1]),
             jet2d.hessian[:1, :1],
             jet2d.time_mixed[:1],
         )
-        v1 = wv.first_order_velocity_nd(slice1d)
+        v1 = wv.first_order_velocity(slice1d, pivoted=True)
         assert v1.valid
         assert v1.components == pytest.approx([-0.5 / 2.0], rel=1e-14)
 
@@ -267,15 +300,15 @@ class TestMirrorProperty:
         v0m = wv.zero_order_velocity(mirrored)
         assert np.array_equal(v0m.components, -v0.components)
         assert np.array_equal(v0m.reciprocal, -v0.reciprocal)
-        v1 = wv.first_order_velocity_2d(jet)
-        v1m = wv.first_order_velocity_2d(mirrored)
+        v1 = wv.first_order_velocity(jet)
+        v1m = wv.first_order_velocity(mirrored)
         assert np.array_equal(v1m.components, -v1.components)
 
 
 class TestContraction:
     def test_rigid_translation_equals_dimension(self):
         v0 = wv.zero_order_velocity(_gaussian_jet())
-        v1 = wv.first_order_velocity_2d(_gaussian_jet())
+        v1 = wv.first_order_velocity(_gaussian_jet())
         assert wv.contraction_scalar(v0, v1) == pytest.approx(2.0, rel=1e-13)
         # worked numbers: (1/0.35) * 0.7 + w_y * 0 = 2
         assert (1.0 / 0.35) * 0.7 == pytest.approx(2.0, rel=1e-15)
@@ -284,7 +317,7 @@ class TestContraction:
         f = wv.TranslatingGaussian((0.4, -0.3, 0.2), 1.0)
         jet = f.jet2(np.array([0.1, 0.2, -0.15]), 0.0)
         c = wv.contraction_scalar(
-            wv.zero_order_velocity(jet.jet1), wv.first_order_velocity_3d(jet)
+            wv.zero_order_velocity(jet.jet1), wv.first_order_velocity(jet)
         )
         assert c == pytest.approx(3.0, rel=1e-12)
 
@@ -292,26 +325,26 @@ class TestContraction:
         ring = wv.ExpandingGaussianRing(0.3, 0.4, radius0=1.0)
         jet = ring.jet2(np.array([0.9, 0.7]), 0.1)
         c = wv.contraction_scalar(
-            wv.zero_order_velocity(jet.jet1), wv.first_order_velocity_2d(jet)
+            wv.zero_order_velocity(jet.jet1), wv.first_order_velocity(jet)
         )
         assert c == pytest.approx(2.0, rel=1e-12)
 
     def test_static_zero(self):
         jet = wv.StaticGaussian(1.0).jet2(np.array([0.2, 0.1]), 0.0)
-        v1 = wv.first_order_velocity_2d(jet)
+        v1 = wv.first_order_velocity(jet)
         v0 = wv.ZeroOrderVelocity(np.array([1.0, 2.0]), np.array([1.0, 0.5]))
         assert wv.contraction_scalar(v0, v1) == 0.0
 
     def test_invalid_first_order_rejected(self):
         v0 = wv.zero_order_velocity(_plane_wave_jet())
-        v1 = wv.first_order_velocity_2d(_plane_wave_jet())
+        v1 = wv.first_order_velocity(_plane_wave_jet())
         with pytest.raises(wv.UndefinedContractionError):
             wv.contraction_scalar(v0, v1)
 
     def test_stationary_source_rejected(self):
         jet = wv.StaticGaussian(1.0).jet2(np.array([0.2, 0.1]), 0.0)
         v0 = wv.zero_order_velocity(jet)  # psi_t = 0: infinite reciprocals
-        v1 = wv.first_order_velocity_2d(jet)
+        v1 = wv.first_order_velocity(jet)
         with pytest.raises(wv.UndefinedContractionError):
             wv.contraction_scalar(v0, v1)
 
@@ -372,7 +405,6 @@ class TestVelocityFields:
     def test_matches_pointwise_ops(self, field, t, special):
         jets, grid = self._jets(field, t)
         n = grid.dim
-        cramer = {2: wv.first_order_velocity_2d, 3: wv.first_order_velocity_3d}[n]
         v0f = wv.velocity_field(jets, 0)
         v1f = wv.velocity_field(jets, 1)
         vals, valid = wv.contraction_scalar_field(v0f, v1f)
@@ -395,14 +427,15 @@ class TestVelocityFields:
             assert v0f.valid[idx]
             _assert_same_bits(v0f.reciprocal[idx], v0.reciprocal)
             _assert_same_bits(v0f.components[idx], v0.components)
-            v1 = wv.first_order_velocity_nd(jet)
+            v1 = wv.first_order_velocity(jet, pivoted=True)
             assert v1f.valid[idx] == v1.valid
             if v1.valid:
                 assert v1f.components[idx] == pytest.approx(v1.components, rel=1e-12)
                 assert v1f.hessian_condition[idx] == pytest.approx(v1.hessian_condition, rel=1e-12)
             # below the singularity threshold only the grid's own (Cramer) route
             # reproduces the rounding left in det H
-            assert v1f.hessian_condition[idx] == pytest.approx(cramer(jet).hessian_condition,
+            cramer = wv.first_order_velocity(jet)
+            assert v1f.hessian_condition[idx] == pytest.approx(cramer.hessian_condition,
                                                                rel=1e-12)
             grid_v1 = wv.FirstOrderVelocity(v1f.components[idx], v1f.valid[idx],
                                             v1f.hessian_condition[idx])
@@ -459,9 +492,8 @@ class TestVelocityFields:
             assert not v1.valid.any() and np.isnan(v1.components).all()
             assert not valid.any() and np.isnan(vals).all()
             # the pointwise Cramer route agrees (the pivoted one does not overflow here)
-            solve = getattr(wv, f"first_order_velocity_{n}d")
             for idx in zip(*np.nonzero(jets.valid)):
-                v = solve(jets.jet2_at(idx))
+                v = wv.first_order_velocity(jets.jet2_at(idx))
                 assert not v.valid and np.isnan(v.components).all()
 
     def test_order_validated(self):
@@ -485,15 +517,10 @@ class TestSingularityThreshold:
     infinite one silently rejected every point."""
 
     @pytest.mark.parametrize("eps", BAD_THRESHOLDS)
-    @pytest.mark.parametrize("route, n", [
-        (wv.first_order_velocity_2d, 2),
-        (wv.first_order_velocity_3d, 3),
-        (wv.first_order_velocity_nd, 2),
-        (wv.first_order_velocity_nd, 4),
-    ])
-    def test_pointwise_routes_reject(self, route, n, eps):
+    @pytest.mark.parametrize("pivoted, n", [(False, 2), (False, 3), (True, 2), (True, 4)])
+    def test_pointwise_routes_reject(self, pivoted, n, eps):
         with pytest.raises(ValueError, match="eps_singular"):
-            route(_singular_jet(n), eps_singular=eps)
+            wv.first_order_velocity(_singular_jet(n), eps_singular=eps, pivoted=pivoted)
 
     @pytest.mark.parametrize("eps", BAD_THRESHOLDS)
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -504,9 +531,9 @@ class TestSingularityThreshold:
             wv.velocity_field(jets, 1, eps_singular=eps)
 
     def test_zero_threshold_rejects_only_zero_determinants(self):
-        assert not wv.first_order_velocity_2d(_singular_jet(2), eps_singular=0.0).valid
+        assert not wv.first_order_velocity(_singular_jet(2), eps_singular=0.0).valid
         jet = wv.Jet2(wv.Jet1(0.0, 1.0, [1.0, 1.0]), np.diag([1.0, 1e-300]), [0.1, 0.2])
-        assert wv.first_order_velocity_2d(jet, eps_singular=0.0).valid
+        assert wv.first_order_velocity(jet, eps_singular=0.0).valid
 
 
 class TestOrderZeroMap:
